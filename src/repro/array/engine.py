@@ -38,7 +38,10 @@ costs O(lanes · n) memory.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.array.backend import get_numpy, pick_backend
@@ -117,50 +120,81 @@ class RoundWire:
         self.chunk = chunk
 
 
+class _Segments:
+    """``segments[p]`` is ``ids[bounds[p]:bounds[p + 1]]``, sliced on demand."""
+
+    __slots__ = ("ids", "bounds")
+
+    def __init__(self, ids, bounds):
+        self.ids = ids
+        self.bounds = bounds
+
+    def __getitem__(self, p: int):
+        return self.ids[self.bounds[p] : self.bounds[p + 1]]
+
+
 class _CsrGraph:
     """CSR edge list of one topology state: edges grouped by receiver.
 
     By the kernel's undirected-edges contract, ``receivers(p)`` is also
     the in-neighborhood of ``p``, so the segment of receiver ``p`` holds
     the ascending senders whose broadcasts reach ``p`` (self included).
+
+    Only ``src``/``indptr`` are built eagerly (on the NumPy plane without
+    a Python loop over processes); ``dst``, ``by_src`` and
+    ``receiver_sets`` are read by fault rounds alone and derived on
+    first use, so fault-free runs never pay for them.
     """
 
     def __init__(self, edges: Tuple[Tuple[int, ...], ...], backend: str):
-        n = len(edges)
-        src: List[int] = []
-        indptr: List[int] = [0]
-        for p in range(n):
-            src.extend(edges[p])
-            indptr.append(len(src))
-        self.n = n
-        self.num_edges = len(src)
-        self.receiver_sets = [frozenset(edges[p]) for p in range(n)]
-        # edges grouped by *sender*: edge ids of q's out-copies.
-        by_src: List[List[int]] = [[] for _ in range(n)]
-        dst: List[int] = [0] * len(src)
-        for p in range(n):
-            for e in range(indptr[p], indptr[p + 1]):
-                by_src[src[e]].append(e)
-                dst[e] = p
-        self.dst = dst
-        self._edge_index: Optional[Dict[Tuple[int, int], int]] = None
-        if backend == "numpy":
-            np = get_numpy()
-            self.src = np.asarray(src, dtype=np.int64)
-            self.indptr = np.asarray(indptr, dtype=np.int64)
-            self.by_src = [np.asarray(ids, dtype=np.int64) for ids in by_src]
+        self.n = n = len(edges)
+        self._edges = edges
+        self._np = np = get_numpy() if backend == "numpy" else None
+        if np is not None:
+            lengths = np.fromiter(map(len, edges), dtype=np.int64, count=n)
+            self.indptr = np.concatenate(([0], np.cumsum(lengths)))
+            self.num_edges = int(self.indptr[-1])
+            self.src = np.fromiter(
+                chain.from_iterable(edges), dtype=np.int64, count=self.num_edges
+            )
         else:
-            self.src = src
-            self.indptr = indptr
-            self.by_src = by_src
+            self.indptr = list(accumulate(map(len, edges), initial=0))
+            self.src = list(chain.from_iterable(edges))
+            self.num_edges = len(self.src)
+
+    @cached_property
+    def receiver_sets(self) -> List[frozenset]:
+        return [frozenset(receivers) for receivers in self._edges]
+
+    @cached_property
+    def dst(self):
+        """The receiver of every edge id."""
+        np = self._np
+        if np is not None:
+            return np.repeat(np.arange(self.n), np.diff(self.indptr))
+        return [p for p, senders in enumerate(self._edges) for _ in senders]
+
+    @cached_property
+    def by_src(self):
+        """Edges grouped by *sender*: ``by_src[q]`` holds the ascending edge
+        ids of q's out-copies."""
+        np = self._np
+        if np is not None:
+            counts = np.bincount(self.src, minlength=self.n)
+            order = np.argsort(self.src, kind="stable")
+            return _Segments(order, np.concatenate(([0], np.cumsum(counts))))
+        by_src: List[List[int]] = [[] for _ in range(self.n)]
+        for e, q in enumerate(self.src):
+            by_src[q].append(e)
+        return by_src
 
     def edge_id(self, sender: int, receiver: int) -> Optional[int]:
         """Edge id of the copy sender→receiver, or None if no such edge."""
-        if self._edge_index is None:
-            self._edge_index = {
-                (int(self.src[e]), self.dst[e]): e for e in range(self.num_edges)
-            }
-        return self._edge_index.get((sender, receiver))
+        if not 0 <= receiver < self.n:
+            return None
+        lo, hi = int(self.indptr[receiver]), int(self.indptr[receiver + 1])
+        e = bisect_left(self.src, sender, lo, hi)
+        return e if e < hi and self.src[e] == sender else None
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +290,9 @@ class ArrayRunResult:
         return self.array_protocol.read_state(self._state, lane, pid)
 
     def final_states(self, lane: int) -> Dict[int, Optional[Dict[str, Any]]]:
-        return {pid: self.final_state(lane, pid) for pid in range(self.n)}
+        return _extract_states(
+            self.array_protocol, self._state, lane, self.crashed[lane], self.n
+        )
 
     def final_clocks(self, lane: int) -> Dict[int, Optional[int]]:
         states = self.final_states(lane)
@@ -421,7 +457,7 @@ def run_array(
         snapshots: Optional[List[Dict[int, Optional[Dict[str, Any]]]]] = None
         if record_history:
             snapshots = [
-                _extract_states(array_protocol, state, lane, n)
+                _extract_states(array_protocol, state, lane.index, lane.crashed, n)
                 for lane in lane_states
             ]
 
@@ -506,8 +542,7 @@ def run_array(
         # reference transitions (the "forged-value columns")
         if patches is not None:
             for lane, lane_patches in zip(lane_states, patches):
-                for pid, fresh in lane_patches.items():
-                    array_protocol.load_state(state, lane.index, pid, fresh)
+                array_protocol.load_states(state, lane.index, lane_patches)
 
         # 6. commit deaths and deviations (exactly the engine's order)
         for lane, faults in zip(lane_states, round_faults):
@@ -656,9 +691,9 @@ def _load_initial(
     """Apply explicit initial states, then each lane's initial corruption."""
     for lane, mapping in zip(lane_states, overrides):
         if mapping:
-            for pid, override in mapping.items():
+            for pid in mapping:
                 require(0 <= pid < n, f"initial-state pid {pid} out of range")
-                array_protocol.load_state(state, lane.index, pid, dict(override))
+            array_protocol.load_states(state, lane.index, mapping)
         if lane.corruption is not None:
             _apply_corruption(
                 array_protocol, state, lane, lane.corruption, protocol, n
@@ -668,18 +703,19 @@ def _load_initial(
 def _extract_states(
     array_protocol: ArrayProtocol,
     state: Any,
-    lane: _Lane,
+    lane: int,
+    crashed,
     n: int,
 ) -> Dict[int, Optional[Dict[str, Any]]]:
-    crashed = lane.crashed
-    return {
-        pid: (
-            None
-            if pid in crashed
-            else array_protocol.read_state(state, lane.index, pid)
-        )
-        for pid in range(n)
-    }
+    """One lane as ``run_sync``-shaped states: ``None`` for crashed pids,
+    whose cells are never read."""
+    alive = [pid for pid in range(n) if pid not in crashed] if crashed else None
+    states = array_protocol.read_states(state, lane, alive)
+    if alive is None:
+        return dict(enumerate(states))
+    out: Dict[int, Optional[Dict[str, Any]]] = dict.fromkeys(range(n))
+    out.update(zip(alive, states))
+    return out
 
 
 def _apply_corruption(
@@ -691,13 +727,14 @@ def _apply_corruption(
     n: int,
 ) -> None:
     """Route corruption through the real plan object: same rng stream."""
-    states = _extract_states(array_protocol, state, lane, n)
+    states = _extract_states(array_protocol, state, lane.index, lane.crashed, n)
     corrupted = plan.corrupt(protocol, states, n)
-    for pid in range(n):
-        fresh = corrupted.get(pid)
-        if fresh is None:
-            continue  # crashed processes are never revived
-        array_protocol.load_state(state, lane.index, pid, fresh)
+    # crashed processes (``None``) are never revived
+    array_protocol.load_states(
+        state,
+        lane.index,
+        {pid: s for pid in range(n) if (s := corrupted.get(pid)) is not None},
+    )
 
 
 # ---------------------------------------------------------------------------

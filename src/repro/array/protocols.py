@@ -12,7 +12,7 @@ Implementations must be *value-identical* to their reference
 :class:`~repro.sync.protocol.SyncProtocol` twin: the conformance layer
 reconstructs an :class:`~repro.histories.history.ExecutionHistory` from
 these columns and byte-compares its digest against ``run_sync``.  That
-is why every ``read_state`` result uses plain Python types (``int``,
+is why every ``read_states`` result uses plain Python types (``int``,
 ``bool``, ``frozenset``, ``None``) — NumPy scalars would change the
 canonical form.
 
@@ -36,7 +36,7 @@ append a matcher with :func:`register_array_protocol` (see
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.array.backend import get_numpy
 from repro.core.canonical import CanonicalRunner
@@ -107,16 +107,30 @@ class ArrayProtocol(ABC):
         """Batched specified initial states for ``lanes`` x ``n`` cells."""
 
     @abstractmethod
-    def load_state(self, state: Any, lane: int, pid: int, mapping: Mapping) -> None:
-        """Ingest one explicit/corrupted state dict into the columns.
+    def load_states(
+        self, state: Any, lane: int, mappings: Mapping[int, Mapping]
+    ) -> None:
+        """Ingest explicit/corrupted state dicts (pid -> mapping) of one lane.
 
-        Raises :class:`ArrayEligibilityError` when the mapping holds
+        Every value is validated before the first cell is written.
+        Raises :class:`ArrayEligibilityError` when a mapping holds
         values the columns cannot encode (the caller then falls back).
         """
 
     @abstractmethod
+    def read_states(
+        self, state: Any, lane: int, pids: Optional[Sequence[int]] = None
+    ) -> List[Dict[str, Any]]:
+        """Cells ``pids`` (default: all ``n``, ascending) of one lane as the
+        exact plain-Python dicts ``run_sync`` would hold."""
+
+    def load_state(self, state: Any, lane: int, pid: int, mapping: Mapping) -> None:
+        """One-cell :meth:`load_states`."""
+        self.load_states(state, lane, {pid: mapping})
+
     def read_state(self, state: Any, lane: int, pid: int) -> Dict[str, Any]:
-        """One cell as the exact plain-Python dict ``run_sync`` would hold."""
+        """One-cell :meth:`read_states`."""
+        return self.read_states(state, lane, (pid,))[0]
 
     @abstractmethod
     def step(self, state: Any, wire: Any) -> None:
@@ -154,6 +168,53 @@ def _require_clock(mapping: Mapping) -> int:
     if type(value) is bool or not isinstance(value, int):
         raise ArrayEligibilityError(f"non-integer clock {value!r} cannot be batched")
     return value
+
+
+def _require_fields(name: str, mapping: Mapping, allowed: frozenset) -> int:
+    """The validated clock of a mapping that holds no field outside ``allowed``."""
+    value = _require_clock(mapping)
+    if not mapping.keys() <= allowed:
+        raise ArrayEligibilityError(
+            f"{name}: unexpected state fields {sorted(set(mapping) - allowed)}"
+        )
+    return value
+
+
+def _require_run_n(name: str, mapping: Mapping, n: int) -> None:
+    if mapping.get("n") != n:
+        raise ArrayEligibilityError(
+            f"{name}: state n={mapping.get('n')!r} != run n={n}"
+        )
+
+
+def _lane_cells(state: Any, key: str, lane: int, pids: Optional[Sequence[int]]) -> list:
+    """Cells ``pids`` (default all) of one lane of a column, as plain Python
+    values: one ``tolist()`` on the NumPy plane, never NumPy scalars."""
+    row = state[key][lane]
+    if state["backend"] == "numpy":
+        return (row if pids is None else row[list(pids)]).tolist()
+    return list(row) if pids is None else [row[p] for p in pids]
+
+
+def _lane_rows(state: Any, keys: Sequence[str], lane: int, pids: Optional[Sequence[int]]):
+    """One tuple per cell, holding its value in each of the ``keys`` columns."""
+    return zip(*(_lane_cells(state, key, lane, pids) for key in keys))
+
+
+def _store_columns(
+    state: Any, lane: int, mappings: Mapping[int, Any], keys: Sequence[str], columns
+) -> None:
+    """Write already-validated values (``columns[i]`` holds the ``keys[i]``
+    value of every pid of ``mappings``, in its order) into one lane: one
+    indexed assignment per column on the NumPy plane."""
+    pids = list(mappings)
+    for key, values in zip(keys, columns):
+        if state["backend"] == "numpy":
+            state[key][lane, pids] = values
+        else:
+            row = state[key][lane]
+            for pid, value in zip(pids, values):
+                row[pid] = value
 
 
 def _edge_chunks(np, indptr, chunk: int):
@@ -206,7 +267,26 @@ def _csr_reduce_python(
 # ---------------------------------------------------------------------------
 
 
-class ArrayClockMerge(ArrayProtocol):
+class _ClockColumnProtocol(ArrayProtocol):
+    """The bridge of every twin whose whole state is the round variable."""
+
+    _FIELDS = frozenset({CLOCK_KEY})
+
+    def load_states(self, state, lane, mappings) -> None:
+        name, clocks = self.name, []
+        for mapping in mappings.values():
+            value = mapping.get(CLOCK_KEY)
+            # an exact-int clock that is the only field needs no second look
+            if type(value) is not int or len(mapping) != 1:
+                value = _require_fields(name, mapping, self._FIELDS)
+            clocks.append(value)
+        _store_columns(state, lane, mappings, ("clock",), (clocks,))
+
+    def read_states(self, state, lane, pids=None) -> List[Dict[str, Any]]:
+        return [{CLOCK_KEY: c} for c in _lane_cells(state, "clock", lane, pids)]
+
+
+class ArrayClockMerge(_ClockColumnProtocol):
     """Single-clock protocols: ``c := merge(delivered clocks) + 1``.
 
     Covers :class:`RoundAgreementProtocol` (max), its min-merge
@@ -230,18 +310,6 @@ class ArrayClockMerge(ArrayProtocol):
             "n": n,
             "clock": _int_matrix(backend, lanes, n, initial),
         }
-
-    def load_state(self, state, lane, pid, mapping) -> None:
-        value = _require_clock(mapping)
-        extra = set(mapping) - {CLOCK_KEY}
-        if extra:
-            raise ArrayEligibilityError(
-                f"{self.name}: unexpected state fields {sorted(extra)}"
-            )
-        state["clock"][lane][pid] = value
-
-    def read_state(self, state, lane, pid) -> Dict[str, Any]:
-        return {CLOCK_KEY: int(state["clock"][lane][pid])}
 
     def step(self, state, wire) -> None:
         if self.merge == "free":
@@ -321,7 +389,7 @@ class ArrayClockMerge(ArrayProtocol):
             clock[lane] = [value + 1 for value in red]
 
 
-class ArrayBoundedUnison(ArrayProtocol):
+class ArrayBoundedUnison(_ClockColumnProtocol):
     """Batched :class:`BoundedUnison`: the tail-plus-ring update rule.
 
     Three reductions per round (min, max, and min over strictly-inner
@@ -343,18 +411,6 @@ class ArrayBoundedUnison(ArrayProtocol):
             "n": n,
             "clock": _int_matrix(backend, lanes, n, 0),
         }
-
-    def load_state(self, state, lane, pid, mapping) -> None:
-        value = _require_clock(mapping)
-        extra = set(mapping) - {CLOCK_KEY}
-        if extra:
-            raise ArrayEligibilityError(
-                f"{self.name}: unexpected state fields {sorted(extra)}"
-            )
-        state["clock"][lane][pid] = value
-
-    def read_state(self, state, lane, pid) -> Dict[str, Any]:
-        return {CLOCK_KEY: int(state["clock"][lane][pid])}
 
     def _next_value(self, lowest: int, highest: int, has_inner: bool) -> int:
         if lowest < 0:
@@ -555,6 +611,10 @@ class _FloodMinCodec:
         return (mask & -mask).bit_length() - 1
 
 
+#: State fields of a :class:`CanonicalRunner` (the Figure 2 wrapper).
+_RUNNER_FIELDS = frozenset({CLOCK_KEY, "inner", "halted", "n"})
+
+
 def _check_dense_size(n: int, lanes: int) -> None:
     if lanes * n * n > DENSE_CELL_LIMIT:
         raise ArrayEligibilityError(
@@ -601,35 +661,29 @@ class ArrayFtFloodMin(ArrayProtocol):
             state["vmask"] = np.asarray(state["vmask"], dtype=np.int64)
         return state
 
-    def load_state(self, state, lane, pid, mapping) -> None:
-        value = _require_clock(mapping)
-        extra = set(mapping) - {CLOCK_KEY, "inner", "halted", "n"}
-        if extra:
-            raise ArrayEligibilityError(
-                f"{self.name}: unexpected state fields {sorted(extra)}"
-            )
-        if mapping.get("n") != state["n"]:
-            raise ArrayEligibilityError(
-                f"{self.name}: state n={mapping.get('n')!r} != run n={state['n']}"
-            )
-        prop, vmask, dec = self.codec.load_inner(mapping["inner"])
-        state["clock"][lane][pid] = value
-        state["halted"][lane][pid] = 1 if mapping["halted"] else 0
-        state["prop"][lane][pid] = prop
-        state["vmask"][lane][pid] = vmask
-        state["dec"][lane][pid] = dec
+    _COLUMNS = ("clock", "halted", "prop", "vmask", "dec")
 
-    def read_state(self, state, lane, pid) -> Dict[str, Any]:
-        return {
-            CLOCK_KEY: int(state["clock"][lane][pid]),
-            "inner": self.codec.inner_dict(
-                int(state["prop"][lane][pid]),
-                int(state["vmask"][lane][pid]),
-                int(state["dec"][lane][pid]),
-            ),
-            "halted": bool(state["halted"][lane][pid]),
-            "n": state["n"],
-        }
+    def load_states(self, state, lane, mappings) -> None:
+        rows = []
+        for mapping in mappings.values():
+            value = _require_fields(self.name, mapping, _RUNNER_FIELDS)
+            _require_run_n(self.name, mapping, state["n"])
+            halted = 1 if mapping["halted"] else 0
+            rows.append((value, halted, *self.codec.load_inner(mapping["inner"])))
+        _store_columns(state, lane, mappings, self._COLUMNS, zip(*rows))
+
+    def read_states(self, state, lane, pids=None) -> List[Dict[str, Any]]:
+        return [
+            {
+                CLOCK_KEY: clock,
+                "inner": self.codec.inner_dict(prop, vmask, dec),
+                "halted": bool(halted),
+                "n": state["n"],
+            }
+            for clock, halted, prop, vmask, dec in _lane_rows(
+                state, self._COLUMNS, lane, pids
+            )
+        ]
 
     def silent_pids(self, state, lane) -> frozenset:
         halted = state["halted"][lane]
@@ -733,75 +787,58 @@ class ArrayCompiledFloodMin(ArrayProtocol):
             state["init_vmask"] = list(vmask0)
         return state
 
-    def load_state(self, state, lane, pid, mapping) -> None:
-        value = _require_clock(mapping)
-        allowed = {CLOCK_KEY, "inner", "suspect", "n", "last_decision",
-                   "decided_at_clock"}
-        extra = set(mapping) - allowed
-        if extra:
-            raise ArrayEligibilityError(
-                f"{self.name}: unexpected state fields {sorted(extra)}"
-            )
-        if mapping.get("n") != state["n"]:
-            raise ArrayEligibilityError(
-                f"{self.name}: state n={mapping.get('n')!r} != run n={state['n']}"
-            )
-        suspects = mapping["suspect"]
-        for q in suspects:
-            if not (isinstance(q, int) and 0 <= q < state["n"]):
-                raise ArrayEligibilityError(
-                    f"{self.name}: suspect entry {q!r} is not a pid"
-                )
-        prop, vmask, dec = self.codec.load_inner(mapping["inner"])
-        last_dec = self.codec.encode_decision(
-            mapping.get("last_decision"), "last_decision"
-        )
-        decided_at = mapping.get("decided_at_clock")
-        if decided_at is not None and not isinstance(decided_at, int):
-            raise ArrayEligibilityError(
-                f"{self.name}: decided_at_clock {decided_at!r} is not an int"
-            )
-        state["clock"][lane][pid] = value
-        state["prop"][lane][pid] = prop
-        state["vmask"][lane][pid] = vmask
-        state["dec"][lane][pid] = dec
-        state["last_dec"][lane][pid] = last_dec
-        state["dec_at"][lane][pid] = 0 if decided_at is None else decided_at
-        state["dec_at_set"][lane][pid] = 0 if decided_at is None else 1
-        if state["backend"] == "numpy":
-            state["suspect"][lane, pid, :] = False
-            for q in suspects:
-                state["suspect"][lane, pid, q] = True
-        else:
-            state["suspect"][lane][pid] = set(suspects)
+    _FIELDS = frozenset(
+        {CLOCK_KEY, "inner", "suspect", "n", "last_decision", "decided_at_clock"}
+    )
+    _COLUMNS = (
+        "clock", "prop", "vmask", "dec", "last_dec", "dec_at", "dec_at_set", "suspect"
+    )
 
-    def read_state(self, state, lane, pid) -> Dict[str, Any]:
-        if state["backend"] == "numpy":
-            np = get_numpy()
-            suspect = frozenset(
-                int(q) for q in np.nonzero(state["suspect"][lane, pid])[0]
+    def load_states(self, state, lane, mappings) -> None:
+        n, numpy = state["n"], state["backend"] == "numpy"
+        rows = []
+        for mapping in mappings.values():
+            value = _require_fields(self.name, mapping, self._FIELDS)
+            _require_run_n(self.name, mapping, n)
+            for q in mapping["suspect"]:
+                if not (isinstance(q, int) and 0 <= q < n):
+                    raise ArrayEligibilityError(
+                        f"{self.name}: suspect entry {q!r} is not a pid"
+                    )
+            suspects = set(mapping["suspect"])
+            inner = self.codec.load_inner(mapping["inner"])
+            last_dec = self.codec.encode_decision(
+                mapping.get("last_decision"), "last_decision"
             )
-        else:
-            suspect = frozenset(state["suspect"][lane][pid])
-        decided_at = (
-            int(state["dec_at"][lane][pid])
-            if state["dec_at_set"][lane][pid]
-            else None
-        )
-        return {
-            CLOCK_KEY: int(state["clock"][lane][pid]),
-            "inner": self.codec.inner_dict(
-                int(state["prop"][lane][pid]),
-                int(state["vmask"][lane][pid]),
-                int(state["dec"][lane][pid]),
-            ),
-            "suspect": suspect,
-            "n": state["n"],
-            "last_decision": self.codec.decode_decision(
-                int(state["last_dec"][lane][pid])
-            ),
-            "decided_at_clock": decided_at,
-        }
+            decided_at = mapping.get("decided_at_clock")
+            if decided_at is not None and not isinstance(decided_at, int):
+                raise ArrayEligibilityError(
+                    f"{self.name}: decided_at_clock {decided_at!r} is not an int"
+                )
+            rows.append((
+                value, *inner, last_dec,
+                0 if decided_at is None else decided_at,
+                0 if decided_at is None else 1,
+                [q in suspects for q in range(n)] if numpy else suspects,
+            ))
+        _store_columns(state, lane, mappings, self._COLUMNS, zip(*rows))
+
+    def read_states(self, state, lane, pids=None) -> List[Dict[str, Any]]:
+        numpy = state["backend"] == "numpy"
+        return [
+            {
+                CLOCK_KEY: clock,
+                "inner": self.codec.inner_dict(prop, vmask, dec),
+                "suspect": frozenset(
+                    [q for q, flag in enumerate(suspect) if flag] if numpy else suspect
+                ),
+                "n": state["n"],
+                "last_decision": self.codec.decode_decision(last_dec),
+                "decided_at_clock": dec_at if dec_at_set else None,
+            }
+            for clock, prop, vmask, dec, last_dec, dec_at, dec_at_set, suspect
+            in _lane_rows(state, self._COLUMNS, lane, pids)
+        ]
 
     def step(self, state, wire) -> None:
         FR = self.codec.final_round
@@ -962,48 +999,52 @@ class ArrayPhaseQueen(ArrayProtocol):
                 state[key] = np.asarray(state[key], dtype=np.int64)
         return state
 
-    def load_state(self, state, lane, pid, mapping) -> None:
-        value = _require_clock(mapping)
-        extra = set(mapping) - {CLOCK_KEY, "inner", "halted", "n"}
-        if extra:
-            raise ArrayEligibilityError(
-                f"{self.name}: unexpected state fields {sorted(extra)}"
-            )
-        if mapping.get("n") != state["n"]:
-            raise ArrayEligibilityError(
-                f"{self.name}: state n={mapping.get('n')!r} != run n={state['n']}"
-            )
-        inner = mapping["inner"]
-        inner_extra = set(inner) - {"proposal", "value", "majority", "count", "decision"}
-        if inner_extra:
-            raise ArrayEligibilityError(
-                f"{self.name}: unexpected inner fields {sorted(inner_extra)}"
-            )
-        decision = inner.get("decision")
-        if decision is not None:
-            _require_binary(decision, "decision")
-        state["clock"][lane][pid] = value
-        state["halted"][lane][pid] = 1 if mapping["halted"] else 0
-        state["prop"][lane][pid] = _require_binary(inner["proposal"], "proposal")
-        state["value"][lane][pid] = _require_binary(inner["value"], "value")
-        state["majority"][lane][pid] = _require_binary(inner["majority"], "majority")
-        state["count"][lane][pid] = _require_bounded_int(inner["count"], "count")
-        state["dec"][lane][pid] = 0 if decision is None else decision + 1
+    _INNER_FIELDS = frozenset({"proposal", "value", "majority", "count", "decision"})
+    _COLUMNS = ("clock", "halted", "prop", "value", "majority", "count", "dec")
 
-    def read_state(self, state, lane, pid) -> Dict[str, Any]:
-        dec = int(state["dec"][lane][pid])
-        return {
-            CLOCK_KEY: int(state["clock"][lane][pid]),
-            "inner": {
-                "proposal": int(state["prop"][lane][pid]),
-                "value": int(state["value"][lane][pid]),
-                "majority": int(state["majority"][lane][pid]),
-                "count": int(state["count"][lane][pid]),
-                "decision": None if dec == 0 else dec - 1,
-            },
-            "halted": bool(state["halted"][lane][pid]),
-            "n": state["n"],
-        }
+    def load_states(self, state, lane, mappings) -> None:
+        rows = []
+        for mapping in mappings.values():
+            value = _require_fields(self.name, mapping, _RUNNER_FIELDS)
+            _require_run_n(self.name, mapping, state["n"])
+            inner = mapping["inner"]
+            if not inner.keys() <= self._INNER_FIELDS:
+                raise ArrayEligibilityError(
+                    f"{self.name}: unexpected inner fields "
+                    f"{sorted(set(inner) - self._INNER_FIELDS)}"
+                )
+            decision = inner.get("decision")
+            if decision is not None:
+                _require_binary(decision, "decision")
+            rows.append((
+                value,
+                1 if mapping["halted"] else 0,
+                _require_binary(inner["proposal"], "proposal"),
+                _require_binary(inner["value"], "value"),
+                _require_binary(inner["majority"], "majority"),
+                _require_bounded_int(inner["count"], "count"),
+                0 if decision is None else decision + 1,
+            ))
+        _store_columns(state, lane, mappings, self._COLUMNS, zip(*rows))
+
+    def read_states(self, state, lane, pids=None) -> List[Dict[str, Any]]:
+        return [
+            {
+                CLOCK_KEY: clock,
+                "inner": {
+                    "proposal": prop,
+                    "value": value,
+                    "majority": majority,
+                    "count": count,
+                    "decision": None if dec == 0 else dec - 1,
+                },
+                "halted": bool(halted),
+                "n": state["n"],
+            }
+            for clock, halted, prop, value, majority, count, dec in _lane_rows(
+                state, self._COLUMNS, lane, pids
+            )
+        ]
 
     def silent_pids(self, state, lane) -> frozenset:
         halted = state["halted"][lane]
@@ -1149,66 +1190,58 @@ class ArrayDetectorStack(ArrayProtocol):
             state["eye"] = np.eye(n, dtype=bool)
         return state
 
-    def load_state(self, state, lane, pid, mapping) -> None:
-        value = _require_clock(mapping)
-        allowed = {CLOCK_KEY, "last_heard", "timeout", "suspected", "num", "status"}
-        extra = set(mapping) - allowed
-        if extra:
-            raise ArrayEligibilityError(
-                f"{self.name}: unexpected state fields {sorted(extra)}"
-            )
-        n = state["n"]
-        vectors = {}
-        for key in ("last_heard", "timeout", "suspected", "num", "status"):
-            vector = mapping[key]
-            if not isinstance(vector, (list, tuple)) or len(vector) != n:
-                raise ArrayEligibilityError(
-                    f"{self.name}: {key} is not a length-{n} vector"
-                )
-            vectors[key] = vector
-        _require_bounded_int(value, CLOCK_KEY)
-        for key in ("last_heard", "timeout", "num"):
-            for entry in vectors[key]:
-                _require_bounded_int(entry, key)
-        for flag in vectors["suspected"]:
-            if not isinstance(flag, bool):
-                raise ArrayEligibilityError(
-                    f"{self.name}: suspected entry {flag!r} is not a bool"
-                )
-        codes = []
-        for verdict in vectors["status"]:
-            if verdict not in (ALIVE, DEAD):
-                raise ArrayEligibilityError(
-                    f"{self.name}: status entry {verdict!r} is not a verdict"
-                )
-            codes.append(_DEAD_CODE if verdict == DEAD else _ALIVE_CODE)
-        state["clock"][lane][pid] = value
-        if state["backend"] == "numpy":
-            np = get_numpy()
-            state["last_heard"][lane, pid, :] = vectors["last_heard"]
-            state["timeout"][lane, pid, :] = vectors["timeout"]
-            state["suspected"][lane, pid, :] = np.asarray(
-                vectors["suspected"], dtype=bool
-            )
-            state["num"][lane, pid, :] = vectors["num"]
-            state["status"][lane, pid, :] = codes
-        else:
-            state["last_heard"][lane][pid] = [int(v) for v in vectors["last_heard"]]
-            state["timeout"][lane][pid] = [int(v) for v in vectors["timeout"]]
-            state["suspected"][lane][pid] = [bool(v) for v in vectors["suspected"]]
-            state["num"][lane][pid] = [int(v) for v in vectors["num"]]
-            state["status"][lane][pid] = codes
+    _COLUMNS = ("clock", "last_heard", "timeout", "suspected", "num", "status")
+    _FIELDS = frozenset(_COLUMNS[1:]) | {CLOCK_KEY}
 
-    def read_state(self, state, lane, pid) -> Dict[str, Any]:
-        row = lambda key: state[key][lane][pid]  # noqa: E731
-        return {
-            CLOCK_KEY: int(state["clock"][lane][pid]),
-            "last_heard": [int(v) for v in row("last_heard")],
-            "timeout": [int(v) for v in row("timeout")],
-            "suspected": [bool(v) for v in row("suspected")],
-            "num": [int(v) for v in row("num")],
-            "status": [DEAD if v else ALIVE for v in row("status")],
-        }
+    def load_states(self, state, lane, mappings) -> None:
+        n = state["n"]
+        rows = []
+        for mapping in mappings.values():
+            value = _require_fields(self.name, mapping, self._FIELDS)
+            for key in self._COLUMNS[1:]:
+                vector = mapping[key]
+                if not isinstance(vector, (list, tuple)) or len(vector) != n:
+                    raise ArrayEligibilityError(
+                        f"{self.name}: {key} is not a length-{n} vector"
+                    )
+            _require_bounded_int(value, CLOCK_KEY)
+            for key in ("last_heard", "timeout", "num"):
+                for entry in mapping[key]:
+                    _require_bounded_int(entry, key)
+            for flag in mapping["suspected"]:
+                if not isinstance(flag, bool):
+                    raise ArrayEligibilityError(
+                        f"{self.name}: suspected entry {flag!r} is not a bool"
+                    )
+            for verdict in mapping["status"]:
+                if verdict not in (ALIVE, DEAD):
+                    raise ArrayEligibilityError(
+                        f"{self.name}: status entry {verdict!r} is not a verdict"
+                    )
+            rows.append((
+                value,
+                list(mapping["last_heard"]),
+                list(mapping["timeout"]),
+                list(mapping["suspected"]),
+                list(mapping["num"]),
+                [_DEAD_CODE if v == DEAD else _ALIVE_CODE for v in mapping["status"]],
+            ))
+        _store_columns(state, lane, mappings, self._COLUMNS, zip(*rows))
+
+    def read_states(self, state, lane, pids=None) -> List[Dict[str, Any]]:
+        return [
+            {
+                CLOCK_KEY: clock,
+                "last_heard": list(heard),
+                "timeout": list(timeout),
+                "suspected": [bool(v) for v in suspected],
+                "num": list(num),
+                "status": [DEAD if v else ALIVE for v in status],
+            }
+            for clock, heard, timeout, suspected, num, status in _lane_rows(
+                state, self._COLUMNS, lane, pids
+            )
+        ]
 
     def step(self, state, wire) -> None:
         mt = self.max_timeout

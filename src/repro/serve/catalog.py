@@ -276,12 +276,8 @@ def default_catalog() -> Catalog:
             # path); backend="array" requests batch every kind.
             experiment="ARRAY-TWINS",
             worker=array_twins._measure,
-            point_fields=(("kind", str), ("n", int), ("seed", int)),
-            default_points=(
-                ("phase-queen", 5, 0),
-                ("detector", 6, 0),
-                ("forged-unison", 8, 0),
-            ),
+            point_fields=(("kind", str), ("n", int)),
+            default_points=(("phase-queen", 5), ("detector", 6), ("forged-unison", 8)),
         )
     )
     catalog.add(

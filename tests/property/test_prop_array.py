@@ -13,16 +13,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.array import assert_conformance, has_numpy, run_array
+from repro.array import (
+    ArrayEligibilityError,
+    ArrayProtocol,
+    as_array_protocol,
+    assert_conformance,
+    has_numpy,
+    run_array,
+)
 from repro.net.conformance import history_digest
+from repro.core.canonical import CanonicalRunner
 from repro.core.compiler import compile_protocol
-from repro.core.rounds import RoundAgreementProtocol
+from repro.core.rounds import (
+    FreeRunningRoundProtocol,
+    MinMergeRoundProtocol,
+    RoundAgreementProtocol,
+)
+from repro.detectors.stack import DetectorStack
+from repro.histories.history import CLOCK_KEY
 from repro.kernel.faults import FaultPlan
 from repro.kernel.topology import ChurnEvent, ChurnSchedule, GridTopology, RingTopology
 from repro.protocols.floodmin import FloodMinConsensus
+from repro.protocols.phaseking import PhaseQueenConsensus
 from repro.protocols.unison import BoundedUnison, MinUnison
 from repro.sync.adversary import FaultMode, RandomAdversary
 from repro.sync.corruption import ClockSkewCorruption, RandomCorruption
+from repro.util.rng import make_rng
 
 BACKENDS = ["python"] + (["numpy"] if has_numpy() else [])
 
@@ -214,3 +230,156 @@ def test_chunked_equals_unchunked_batched_run(backend, scenario, chunk, max_byte
             plain.histories[lane]
         )
         assert chunked.final_states(lane) == plain.final_states(lane)
+
+
+# -- the state bridge: bulk is the primitive, per-cell a view of it ----------
+#
+# Each twin hand-writes one ``load_states`` and one ``read_states``; the
+# per-cell calls are base-class one-liners over them.  Ground truth is
+# the reference protocol itself: whatever ``arbitrary_state`` draws must
+# come back from the columns as the same plain-Python dict.
+
+BRIDGE_N = 5
+
+
+def _floodmin():
+    return FloodMinConsensus(
+        f=1, proposals=[(3 * pid + 1) % 7 for pid in range(BRIDGE_N)]
+    )
+
+
+TWINS = {
+    "round-agreement": RoundAgreementProtocol,
+    "min-merge": MinMergeRoundProtocol,
+    "free-running": FreeRunningRoundProtocol,
+    "min-unison": MinUnison,
+    "bounded-unison": lambda: BoundedUnison(n=BRIDGE_N),
+    "ft-floodmin": lambda: CanonicalRunner(_floodmin()),
+    "compiled-floodmin": lambda: compile_protocol(_floodmin()),
+    "phase-queen": lambda: CanonicalRunner(
+        PhaseQueenConsensus(f=1, n=BRIDGE_N, proposals=[1, 0, 1, 0, 1])
+    ),
+    "detector": lambda: DetectorStack(initial_timeout=1, max_timeout=4),
+}
+
+
+def _concrete_twins(cls=ArrayProtocol):
+    for sub in cls.__subclasses__():
+        if not getattr(sub, "__abstractmethods__", None):
+            yield sub
+        yield from _concrete_twins(sub)
+
+
+def test_bridge_properties_cover_every_registered_twin():
+    covered = {type(as_array_protocol(make())) for make in TWINS.values()}
+    assert covered == set(_concrete_twins())
+
+
+def _assert_plain(value):
+    """Only builtin types all the way down: a NumPy scalar would change
+    the canonical form the conformance digests hash."""
+    assert type(value).__module__ == "builtins", type(value)
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _assert_plain(key)
+            _assert_plain(item)
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            _assert_plain(item)
+
+
+pid_sets = st.sets(st.integers(min_value=0, max_value=BRIDGE_N - 1))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("twin", sorted(TWINS))
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), loaded=pid_sets, crashed=pid_sets)
+def test_bulk_bridge_agrees_with_per_cell_bridge(backend, twin, seed, loaded, crashed):
+    n = BRIDGE_N
+    protocol = TWINS[twin]()
+    array_protocol = as_array_protocol(protocol)
+    rng = make_rng(seed, f"bridge:{twin}")
+    mappings = {pid: protocol.arbitrary_state(pid, n, rng) for pid in sorted(loaded)}
+
+    bulk = array_protocol.initial_states(n, 2, backend)
+    cellwise = array_protocol.initial_states(n, 2, backend)
+    array_protocol.load_states(bulk, 1, mappings)  # a partial (maybe empty) mapping
+    for pid, mapping in mappings.items():
+        array_protocol.load_state(cellwise, 1, pid, mapping)
+
+    for lane in (0, 1):
+        cells = array_protocol.read_states(bulk, lane)
+        _assert_plain(cells)
+        assert cells == array_protocol.read_states(cellwise, lane)
+        assert cells == [array_protocol.read_state(bulk, lane, pid) for pid in range(n)]
+        for pid, cell in enumerate(cells):
+            expected = mappings.get(pid) if lane == 1 else None
+            assert cell == (expected or protocol.initial_state(pid, n))
+
+    # crashed cells are skipped, the survivors keep their order
+    alive = [pid for pid in range(n) if pid not in crashed]
+    cells = array_protocol.read_states(bulk, 1)
+    assert array_protocol.read_states(bulk, 1, alive) == [cells[pid] for pid in alive]
+
+
+DAMAGE = {
+    "missing-clock": lambda m: {k: v for k, v in m.items() if k != CLOCK_KEY},
+    "bool-clock": lambda m: {**m, CLOCK_KEY: True},
+    "float-clock": lambda m: {**m, CLOCK_KEY: 2.0},
+    "str-clock": lambda m: {**m, CLOCK_KEY: "2"},
+    "extra-field": lambda m: {**m, "bogus": 1},
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("twin", sorted(TWINS))
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    victim=st.integers(0, BRIDGE_N - 1),
+    damage=st.sampled_from(sorted(DAMAGE)),
+)
+def test_malformed_states_are_refused_per_value(backend, twin, seed, victim, damage):
+    n = BRIDGE_N
+    protocol = TWINS[twin]()
+    array_protocol = as_array_protocol(protocol)
+    rng = make_rng(seed, f"bridge:{twin}")
+    mappings = {pid: protocol.arbitrary_state(pid, n, rng) for pid in range(n)}
+    mappings[victim] = DAMAGE[damage](mappings[victim])
+
+    state = array_protocol.initial_states(n, 1, backend)
+    before = array_protocol.read_states(state, 0)
+    with pytest.raises(ArrayEligibilityError):
+        array_protocol.load_states(state, 0, mappings)
+    with pytest.raises(ArrayEligibilityError):
+        array_protocol.load_state(state, 0, victim, mappings[victim])
+    # every value is validated before the first cell is written
+    assert array_protocol.read_states(state, 0) == before
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 50), crashed=pid_sets)
+def test_final_states_skip_crashed_cells(backend, seed, crashed):
+    n = BRIDGE_N
+    result = run_array(
+        MinUnison(),
+        n,
+        4,
+        fault_plans=[
+            FaultPlan(
+                crashes={pid: 2.0 for pid in crashed},
+                initial_corruption=RandomCorruption(seed=seed),
+            )
+        ],
+        topology=RingTopology(n),
+        backend=backend,
+    )
+    states = result.final_states(0)
+    assert list(states) == list(range(n))
+    assert states == {pid: result.final_state(0, pid) for pid in range(n)}
+    assert {pid for pid, cell in states.items() if cell is None} == crashed
+    assert result.final_clocks(0) == {
+        pid: None if cell is None else cell[CLOCK_KEY] for pid, cell in states.items()
+    }

@@ -24,11 +24,17 @@ from repro.core.canonical import CanonicalRunner
 from repro.core.compiler import compile_protocol
 from repro.core.rounds import RoundAgreementProtocol
 from repro.kernel.faults import FaultPlan
+from repro.array.conformance import check_conformance
+from repro.array.engine import _CsrGraph
 from repro.kernel.topology import (
     ChurnEvent,
     ChurnSchedule,
+    DynamicTopology,
     GridTopology,
+    RandomTopology,
     RingTopology,
+    TreeTopology,
+    round_edges,
 )
 from repro.detectors.stack import DetectorStack
 from repro.protocols.floodmin import FloodMinConsensus
@@ -429,3 +435,88 @@ def test_grid_topology_shape():
     assert set(grid.receivers(5)) == {1, 4, 5, 6, 9}
     # Corner: 2 neighbors + self.
     assert set(grid.receivers(0)) == {0, 1, 4}
+
+
+# -- the CSR compile: vectorised src/indptr, lazy fault-round fields ---------
+
+
+def _reference_csr(edges):
+    """The straightforward list-built compile the vectorised one replaced."""
+    src, indptr, dst = [], [0], []
+    for p, senders in enumerate(edges):
+        src.extend(senders)
+        dst.extend([p] * len(senders))
+        indptr.append(len(src))
+    by_src = [[e for e, q in enumerate(src) if q == p] for p in range(len(edges))]
+    edge_index = {(q, p): e for e, (q, p) in enumerate(zip(src, dst))}
+    return src, indptr, dst, by_src, edge_index
+
+
+_CHURNED_RING = DynamicTopology(
+    RingTopology(6), ChurnSchedule((ChurnEvent(2, "leave", pids=(1,)),))
+)
+
+
+@backends
+@pytest.mark.parametrize(
+    "topology,round_no",
+    [
+        (RingTopology(7), 1),
+        (GridTopology(3, 4), 1),
+        (TreeTopology(9), 1),
+        (RandomTopology(10, p=0.3, seed=2), 1),
+        (_CHURNED_RING, 1),
+        (_CHURNED_RING, 2),  # the epoch change: pid 1 detached
+    ],
+)
+def test_csr_graph_matches_list_built_reference(backend, topology, round_no):
+    edges = round_edges(topology, round_no)
+    n = len(edges)
+    src, indptr, dst, by_src, edge_index = _reference_csr(edges)
+    csr = _CsrGraph(edges, backend)
+    assert (csr.n, csr.num_edges) == (n, len(src))
+    assert list(csr.src) == src
+    assert list(csr.indptr) == indptr
+    assert list(csr.dst) == dst
+    for p in range(n):
+        assert list(csr.by_src[p]) == by_src[p]
+        assert csr.receiver_sets[p] == frozenset(edges[p])
+    for sender in range(n):
+        for receiver in range(-1, n + 1):
+            assert csr.edge_id(sender, receiver) == edge_index.get((sender, receiver))
+
+
+@backends
+def test_crash_omission_and_forgery_share_one_ring_run(backend):
+    """One run whose rounds read every lazy CSR field (``by_src`` for the
+    crash, ``receiver_sets``/``edge_id`` for the omissions, ``dst`` for
+    the partial crash delivery) next to a forged copy."""
+
+    def plan():
+        return FaultPlan(
+            omissions=ScriptedAdversary(
+                3,
+                {
+                    2: RoundFaultPlan(
+                        send_omissions={4: frozenset({5, 9})},  # 9: not a neighbor
+                        forgeries={8: {7: lambda payload: payload + 25}},
+                    ),
+                    3: RoundFaultPlan(
+                        crashes={11: frozenset({10})},  # final broadcast reaches 10 only
+                        receive_omissions={4: frozenset({3})},
+                    ),
+                    5: RoundFaultPlan(forgeries={8: {9: lambda _: 0}}),
+                },
+            ),
+            initial_corruption=RandomCorruption(seed=16),
+        )
+
+    report = check_conformance(
+        MinUnison(),
+        16,
+        8,
+        plan_factories=[plan, plan],
+        topology=RingTopology(16),
+        backend=backend,
+    )
+    assert report.ok, report

@@ -32,9 +32,20 @@ from repro.verify.minimal import certify_minimal
 from repro.verify.result import FrontierStats, frontier_from_digests
 from repro.verify.targets import confirm_verdict, streaming_verdict
 
-THM1_ARTIFACT = pathlib.Path(__file__).parents[2] / (
-    "explore-artifacts/thm1-counterexample.json"
-)
+
+@pytest.fixture(scope="session")
+def thm1_artifact(tmp_path_factory) -> pathlib.Path:
+    """The shrunk thm1 counterexample, built once per session.
+
+    EXPLORE is byte-deterministic at seed 0, so this is the same file
+    ``python -m repro.explore --smoke`` leaves in its (git-ignored)
+    ``explore-artifacts/`` — without depending on anyone having run it.
+    """
+    from repro.explore.__main__ import main
+
+    out = tmp_path_factory.mktemp("explore-artifacts")
+    assert main(["--smoke", "--seed", "0", "--jobs", "1", "--out", str(out)]) == 0
+    return out / "thm1-counterexample.json"
 
 
 # -- target registry ---------------------------------------------------------
@@ -290,8 +301,8 @@ class TestMinimality:
         assert all(spec_size(s) < spec_size(spec) for s in closure)
         assert spec not in closure
 
-    def test_committed_thm1_artifact_certifies_minimal(self):
-        artifact = load_artifact(THM1_ARTIFACT)
+    def test_committed_thm1_artifact_certifies_minimal(self, thm1_artifact):
+        artifact = load_artifact(thm1_artifact)
         result = certify_minimal(artifact)
         assert result.reproduced
         assert result.minimal
@@ -301,11 +312,11 @@ class TestMinimality:
         assert cert.neighborhood["violating"] == 0
         assert cert.embedded_artifact.spec == artifact.spec
 
-    def test_non_minimal_artifact_is_caught(self):
+    def test_non_minimal_artifact_is_caught(self, thm1_artifact):
         # Grow the committed counterexample by one redundant crash late
         # in the run: the original (smaller) spec still violates, so
         # the grown artifact must NOT certify.
-        artifact = load_artifact(THM1_ARTIFACT)
+        artifact = load_artifact(thm1_artifact)
         grown_spec = PlanSpec(
             n=artifact.spec.n,
             rounds=artifact.spec.rounds,
@@ -316,7 +327,7 @@ class TestMinimality:
         from repro.explore.targets import get_target
 
         verdict = get_target("thm1").confirm(grown_spec)
-        grown = load_artifact(THM1_ARTIFACT)
+        grown = load_artifact(thm1_artifact)
         object.__setattr__(grown, "spec", grown_spec)
         object.__setattr__(grown, "verdict_holds", verdict.holds)
         object.__setattr__(grown, "violations", tuple(verdict.violations))
@@ -331,10 +342,10 @@ class TestMinimality:
 
 
 class TestBridge:
-    def test_committed_artifact_replays_through_both_planes(self):
+    def test_committed_artifact_replays_through_both_planes(self, thm1_artifact):
         """Regression: the shrunk thm1 artifact means the same thing to
         the streaming checker and the verify model."""
-        artifact = load_artifact(THM1_ARTIFACT)
+        artifact = load_artifact(thm1_artifact)
         name, at, spec = artifact.to_verify_instance()
         assert name == "thm1"
         assert at == VERIFY_TARGETS["thm1"].default_at
@@ -345,8 +356,8 @@ class TestBridge:
         assert not check.streaming.holds
         assert not check.confirm.holds
 
-    def test_uncovered_target_raises(self):
-        artifact = load_artifact(THM1_ARTIFACT)
+    def test_uncovered_target_raises(self, thm1_artifact):
+        artifact = load_artifact(thm1_artifact)
         object.__setattr__(artifact, "target", "fig4")
         with pytest.raises(ValueError):
             artifact.to_verify_instance()
