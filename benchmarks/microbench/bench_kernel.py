@@ -2,7 +2,7 @@
 
 Times the primitives every experiment and exploration run bottoms out
 in, and emits ``benchmarks/results/BENCH_MICRO.json`` for
-``benchmarks/compare.py``.  Four rows carry a ``speedup_vs_ref`` ratio
+``benchmarks/compare.py``.  Five rows carry a ``speedup_vs_ref`` ratio
 against an in-file reference implementation (the seed's uncached
 snapshot walk, a recorded-history round loop, a fresh-pool-per-sweep
 dispatch); ratios are machine-independent, so CI regresses on them
@@ -28,6 +28,7 @@ else:
 
 from repro.analysis.report import ExperimentReport
 from repro.experiments import base as experiments_base
+from repro.experiments import fig4
 from repro.histories.history import CLOCK_KEY, Message
 from repro.kernel import snapshot
 from repro.kernel.snapshot import copy_payload, snapshot_states
@@ -113,6 +114,16 @@ def make_view_payload(n: int = 8, depth: int = 24) -> Any:
     )
 
 
+_FD_NUMS = list(range(8))
+_FD_STATUSES = ["alive", "dead"] * 4
+
+
+def make_flat_payload() -> Any:
+    """A fresh Figure 4 gossip payload, as ``fd_tick`` builds one per tick:
+    never seen before, so no cached proof can answer for it."""
+    return ("fd", tuple(_FD_NUMS), tuple(_FD_STATUSES))
+
+
 class ViewProtocol(SyncProtocol):
     """Full-information broadcast with a bounded growing view window."""
 
@@ -174,6 +185,10 @@ def _sweep_fresh() -> None:
     # fallback makes the ratio an honest 1.0x there.
     getattr(experiments_base, "shutdown_pool", lambda: None)()
     experiments_base.run_sweep(_sweep_worker, _SWEEP_POINTS, jobs=2)
+
+
+def _run_fig4() -> None:
+    fig4.one_run(4, 0, False)
 
 
 def _clear_snapshot_caches() -> None:
@@ -239,6 +254,14 @@ def main(argv=None) -> int:
     )
     row("payload/view", pay, pay_ref)
 
+    flat = best_per_call(
+        lambda: copy_payload(make_flat_payload()), number=n_of(2000), repeat=repeat
+    )
+    flat_ref = best_per_call(
+        lambda: _ref_copy_value(make_flat_payload()), number=n_of(2000), repeat=repeat
+    )
+    row("payload/flat", flat, flat_ref)
+
     # -- the round loop --------------------------------------------------
     recorded = best_per_call(_run_recorded, number=n_of(10), repeat=repeat)
     row("round/recorded", recorded)
@@ -246,6 +269,12 @@ def main(argv=None) -> int:
     row("round/streaming", streaming, recorded)
     faulty = best_per_call(_run_faulty, number=n_of(10), repeat=repeat)
     row("round/faulty", faulty)
+
+    # -- the asynchronous event loop --------------------------------------
+    fig4_run = best_per_call(
+        _run_fig4, number=n_of(10), repeat=repeat, setup=_clear_snapshot_caches
+    )
+    row("async/fig4_run", fig4_run)
 
     # -- sweep dispatch --------------------------------------------------
     fresh = best_per_call(_sweep_fresh, number=1, repeat=max(2, repeat))

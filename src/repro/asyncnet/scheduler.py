@@ -15,8 +15,10 @@ classic ``crash_times``/``corruption``/``gst`` knobs or as one unified
 :class:`~repro.kernel.faults.FaultPlan`, and the run is narrated to an
 observer bus (sends, deliveries, crashes, corruption, state commits,
 samples).  The :class:`AsyncTrace` is rebuilt from that event stream by
-an :class:`~repro.kernel.recorders.AsyncTraceRecorder`; callers may
-attach further observers via ``observers``.
+an :class:`~repro.kernel.recorders.AsyncTraceRecorder` — all but its two
+traffic counts, which the event loop tallies itself, so that a send or
+a delivery is narrated (an :class:`AsyncMessage` built, a bus call made)
+only when one of the caller's ``observers`` subscribes to it.
 
 Asynchrony knobs:
 
@@ -34,6 +36,7 @@ exactly reproducible.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -42,6 +45,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -53,7 +57,7 @@ from repro.kernel.corruptions import apply_corruption
 from repro.kernel.events import AsyncMessage, EventBus, FaultEvent, FaultKind, Observer
 from repro.kernel.faults import FaultPlan
 from repro.kernel.recorders import AsyncTraceRecorder
-from repro.kernel.snapshot import copy_payload
+from repro.kernel.snapshot import UNPROVEN, copy_payload, prove_payload
 from repro.util.rng import make_rng
 from repro.util.validation import require, require_process_count
 
@@ -96,13 +100,12 @@ class AsyncProtocol(ABC):
 class ProcessContext:
     """The face a protocol handler sees: its state, clock, and network."""
 
+    __slots__ = ("_scheduler", "pid", "n")
+
     def __init__(self, scheduler: "AsyncScheduler", pid: int):
         self._scheduler = scheduler
         self.pid = pid
-
-    @property
-    def n(self) -> int:
-        return self._scheduler.n
+        self.n = scheduler.n
 
     @property
     def time(self) -> float:
@@ -116,13 +119,13 @@ class ProcessContext:
 
     def send(self, dest: int, payload: Any) -> None:
         """Send one message; it will arrive after an arbitrary delay."""
-        self._scheduler._enqueue_message(self.pid, dest, payload)
+        self._scheduler._fan_out(self.pid, (dest,), payload)
 
     def broadcast(self, payload: Any) -> None:
         """Send along my current out-edges (every process, including
         self, on the default complete topology)."""
-        for dest in self._scheduler._broadcast_targets(self.pid):
-            self.send(dest, payload)
+        scheduler = self._scheduler
+        scheduler._fan_out(self.pid, scheduler._broadcast_targets(self.pid), payload)
 
     def weak_suspects(self) -> FrozenSet[int]:
         """Query the Eventually-Weak failure-detector oracle (◇W).
@@ -289,6 +292,7 @@ class AsyncScheduler:
 
         self._recorder = AsyncTraceRecorder()
         self._bus = EventBus((self._recorder, *observers))
+        self._messages_sent = 0
         self._bus.on_run_start(n, protocol)
 
         states: Dict[int, Optional[Dict[str, Any]]] = {
@@ -299,15 +303,15 @@ class AsyncScheduler:
         self.states = states
 
         self._crashed: set = set()
-        self._queue: List[Tuple[float, int, str, Tuple]] = []
-        self._seq = 0
-        self._contexts = {pid: ProcessContext(self, pid) for pid in range(n)}
+        #: (time, seq, kind, data); seq is unique, so ties break by push order.
+        self._queue: List[Tuple[float, int, str, Any]] = []
+        self._next_seq = itertools.count(1).__next__
+        self._contexts = [ProcessContext(self, pid) for pid in range(n)]
 
     # -- event plumbing ------------------------------------------------------
 
-    def _push(self, time: float, kind: str, data: Tuple) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (time, self._seq, kind, data))
+    def _push(self, time: float, kind: str, data: Any) -> None:
+        heapq.heappush(self._queue, (time, self._next_seq(), kind, data))
 
     def _corrupt(
         self,
@@ -328,32 +332,58 @@ class AsyncScheduler:
             return range(self.n)
         return self._topology.receivers(pid, max(1, math.ceil(self.now)))
 
-    def _enqueue_message(self, sender: int, dest: int, payload: Any) -> None:
-        if self._bus.wants_send:
-            self._bus.on_send(
-                AsyncMessage(
-                    sender=sender, receiver=dest, payload=payload, sent_time=self.now
-                ),
-                self.now,
-            )
-        copies = 1
-        if self._duplicate_probability and self._rng.random() < self._duplicate_probability:
-            copies = 2
-        lo, hi = self._delay
-        for _ in range(copies):
-            if self.now < self.gst:
-                delay = self._rng.uniform(lo, self._pre_gst_delay_max)
-            else:
-                delay = self._rng.uniform(lo, hi)
-            self._push(
-                self.now + delay,
-                "deliver",
-                (dest, sender, copy_payload(payload), self.now),
-            )
+    def _fan_out(self, sender: int, dests: Iterable[int], payload: Any) -> None:
+        """Queue ``payload`` for every destination: ``send`` and ``broadcast``.
 
-    def _next_tick_delay(self, pid: int) -> float:
-        jitter = self._rng.uniform(0.8, 1.2)
-        return self._tick_interval * self._speed[pid] * jitter
+        The payload is proved immutable once for the whole fan-out and
+        then shared by every queued delivery; one that cannot be proved
+        is defensively copied per delivery, here at enqueue time.  Per
+        destination the seeded RNG gives the duplicate draw, then one
+        delay draw per copy — an order every golden digest pins.
+        """
+        now = self.now
+        shared = prove_payload(payload)
+        bus = self._bus
+        wants_send = bus.wants_send
+        duplicate_probability = self._duplicate_probability
+        random = self._rng.random
+        lo, hi = self._delay
+        if now < self.gst:
+            hi = self._pre_gst_delay_max
+        span = hi - lo
+        queue = self._queue
+        next_seq = self._next_seq
+        push = heapq.heappush
+        sent = 0
+        for dest in dests:
+            sent += 1
+            if wants_send:
+                bus.on_send(
+                    AsyncMessage(
+                        sender=sender, receiver=dest, payload=payload, sent_time=now
+                    ),
+                    now,
+                )
+            copies = 1
+            if duplicate_probability and random() < duplicate_probability:
+                copies = 2
+            for _ in range(copies):
+                # lo + span * random() is what rng.uniform(lo, hi) computes.
+                push(
+                    queue,
+                    (
+                        now + (lo + span * random()),
+                        next_seq(),
+                        "deliver",
+                        (
+                            dest,
+                            sender,
+                            copy_payload(payload) if shared is UNPROVEN else shared,
+                            now,
+                        ),
+                    ),
+                )
+        self._messages_sent += sent
 
     # -- the run ----------------------------------------------------------------
 
@@ -365,43 +395,39 @@ class AsyncScheduler:
         """Execute until ``max_time`` (or the stop condition) and trace it."""
         require(max_time > 0, "max_time must be positive")
 
+        random = self._rng.random
+        period = [self._tick_interval * self._speed[pid] for pid in range(self.n)]
+        # Every tick is jittered by rng.uniform(0.8, 1.2), spelled out as
+        # the lo + (hi - lo) * random() it computes to save the loop a call.
+        jitter_lo, jitter_span = 0.8, 1.2 - 0.8
         for pid in range(self.n):
-            self._push(self._next_tick_delay(pid), "tick", (pid,))
+            self._push(period[pid] * (jitter_lo + jitter_span * random()), "tick", pid)
         for pid, time in self._crash_times.items():
-            self._push(time, "crash", (pid,))
+            self._push(time, "crash", pid)
         for time in sorted(self._mid_corruptions):
-            self._push(time, "corrupt", (self._mid_corruptions[time],))
-        self._push(self._sample_interval, "sample", ())
+            self._push(time, "corrupt", self._mid_corruptions[time])
+        self._push(self._sample_interval, "sample", None)
 
         bus = self._bus
         wants_state_commit = bus.wants_state_commit
         wants_deliver = bus.wants_deliver
-        while self._queue:
-            time, _seq, kind, data = heapq.heappop(self._queue)
+        queue = self._queue
+        pop, push = heapq.heappop, heapq.heappush
+        next_seq = self._next_seq
+        crashed = self._crashed
+        contexts = self._contexts
+        on_tick, on_message = self.protocol.on_tick, self.protocol.on_message
+        deliveries = 0
+        while queue:
+            time, _seq, kind, data = pop(queue)
             if time > max_time:
                 break
             self.now = time
-            if kind == "crash":
-                (pid,) = data
-                self._crashed.add(pid)
-                self.states[pid] = None
-                bus.on_fault(
-                    FaultEvent(kind=FaultKind.CRASH, time=time, pid=pid)
-                )
-                if wants_state_commit:
-                    bus.on_state_commit(pid, time, None)
-            elif kind == "tick":
-                (pid,) = data
-                if pid in self._crashed:
-                    continue
-                self.protocol.on_tick(self._contexts[pid])
-                if wants_state_commit:
-                    bus.on_state_commit(pid, time, self.states[pid])
-                self._push(time + self._next_tick_delay(pid), "tick", (pid,))
-            elif kind == "deliver":
+            if kind == "deliver":
                 dest, sender, payload, sent_at = data
-                if dest in self._crashed:
+                if dest in crashed:
                     continue
+                deliveries += 1
                 if wants_deliver:
                     bus.on_deliver(
                         AsyncMessage(
@@ -412,22 +438,46 @@ class AsyncScheduler:
                         ),
                         time,
                     )
-                self.protocol.on_message(self._contexts[dest], sender, payload)
+                on_message(contexts[dest], sender, payload)
                 if wants_state_commit:
                     bus.on_state_commit(dest, time, self.states[dest])
-            elif kind == "corrupt":
-                (plan,) = data
-                self.states = self._corrupt(plan, self.states, time)
+            elif kind == "tick":
+                pid = data
+                if pid in crashed:
+                    continue
+                on_tick(contexts[pid])
+                if wants_state_commit:
+                    bus.on_state_commit(pid, time, self.states[pid])
+                push(
+                    queue,
+                    (
+                        time + period[pid] * (jitter_lo + jitter_span * random()),
+                        next_seq(),
+                        "tick",
+                        pid,
+                    ),
+                )
             elif kind == "sample":
                 outputs = {
                     pid: self.protocol.output(state)
                     for pid, state in self.states.items()
                     if state is not None
                 }
-                self._bus.on_sample(time, outputs)
-                self._push(time + self._sample_interval, "sample", ())
+                bus.on_sample(time, outputs)
+                self._push(time + self._sample_interval, "sample", None)
+            elif kind == "crash":
+                pid = data
+                crashed.add(pid)
+                self.states[pid] = None
+                bus.on_fault(
+                    FaultEvent(kind=FaultKind.CRASH, time=time, pid=pid)
+                )
+                if wants_state_commit:
+                    bus.on_state_commit(pid, time, None)
+            elif kind == "corrupt":
+                self.states = self._corrupt(data, self.states, time)
             if stop_condition is not None and stop_condition(self):
                 break
 
-        self._bus.on_run_end(max_time, self.states)
-        return self._recorder.trace()
+        bus.on_run_end(max_time, self.states)
+        return self._recorder.trace(self._messages_sent, deliveries)

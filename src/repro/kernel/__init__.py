@@ -41,7 +41,11 @@ from repro.kernel.faults import (
     FaultPlan,
     SyncFaultView,
 )
-from repro.kernel.recorders import AsyncTraceRecorder, HistoryRecorder
+from repro.kernel.recorders import (
+    AsyncTraceRecorder,
+    HistoryRecorder,
+    LiveTraceRecorder,
+)
 from repro.kernel.snapshot import (
     FrozenDict,
     copy_payload,
@@ -82,6 +86,7 @@ __all__ = [
     "FaultPlan",
     "FrozenDict",
     "HistoryRecorder",
+    "LiveTraceRecorder",
     "Observer",
     "RandomTopology",
     "RingTopology",

@@ -1,7 +1,7 @@
 """Observers that rebuild the classic run artifacts from the event stream.
 
 The engines used to assemble :class:`ExecutionHistory` /
-:class:`AsyncTrace` inline; now they only narrate events and these two
+:class:`AsyncTrace` inline; now they only narrate events and these
 observers do the bookkeeping.  Any other observer on the same bus sees
 exactly the information the recorders see — which is the point: the
 recorded history is *derived from* the event stream, never privileged.
@@ -19,7 +19,7 @@ from repro.histories.history import (
 )
 from repro.kernel.events import FaultEvent, FaultKind, Observer
 
-__all__ = ["AsyncTraceRecorder", "HistoryRecorder"]
+__all__ = ["AsyncTraceRecorder", "HistoryRecorder", "LiveTraceRecorder"]
 
 ProcessId = int
 
@@ -139,25 +139,23 @@ class HistoryRecorder(Observer):
 
 
 class AsyncTraceRecorder(Observer):
-    """Rebuilds the asynchronous :class:`AsyncTrace` from events."""
+    """Rebuilds the asynchronous :class:`AsyncTrace` from events.
+
+    All but its two traffic counts: the simulator's event loop tallies
+    its own sends and deliveries and passes them to :meth:`trace`, so a
+    run nobody else watches narrates no message at all.  Where the
+    counts can only come from events, use :class:`LiveTraceRecorder`.
+    """
 
     def __init__(self) -> None:
         self._n = 0
         self._samples: List[tuple] = []
         self._crashed: Set[ProcessId] = set()
-        self._messages_sent = 0
-        self._deliveries = 0
         self._final_states: Dict[ProcessId, Optional[Dict[str, Any]]] = {}
         self._duration = 0.0
 
     def on_run_start(self, n, protocol, first_round=1):
         self._n = n
-
-    def on_send(self, message, time):
-        self._messages_sent += 1
-
-    def on_deliver(self, message, time):
-        self._deliveries += 1
 
     def on_fault(self, fault: FaultEvent):
         if fault.kind == FaultKind.CRASH:
@@ -173,7 +171,7 @@ class AsyncTraceRecorder(Observer):
             for pid, state in final_states.items()
         }
 
-    def trace(self):
+    def trace(self, messages_sent: int, deliveries: int):
         """The reconstructed :class:`~repro.asyncnet.scheduler.AsyncTrace`."""
         from repro.asyncnet.scheduler import AsyncTrace
 
@@ -183,6 +181,29 @@ class AsyncTraceRecorder(Observer):
             samples=self._samples,
             final_states=self._final_states,
             crashed=frozenset(self._crashed),
-            messages_sent=self._messages_sent,
-            deliveries=self._deliveries,
+            messages_sent=messages_sent,
+            deliveries=deliveries,
         )
+
+
+class LiveTraceRecorder(AsyncTraceRecorder):
+    """An :class:`AsyncTraceRecorder` that counts traffic from events.
+
+    The live cluster has no single loop to tally in: every host narrates
+    its own sends and deliveries to the shared bus, and this recorder
+    counts them there.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._messages_sent = 0
+        self._deliveries = 0
+
+    def on_send(self, message, time):
+        self._messages_sent += 1
+
+    def on_deliver(self, message, time):
+        self._deliveries += 1
+
+    def trace(self):
+        return super().trace(self._messages_sent, self._deliveries)

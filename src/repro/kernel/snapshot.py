@@ -33,7 +33,10 @@ the per-round cost.  Three caches remove it:
   recycled by the allocator while the proof is live; a generation
   counter clears the cache wholesale when it reaches its size bound
   (the *generation guard* — stale ids are impossible because nothing
-  survives a generation);
+  survives a generation).  Tuples and frozensets whose items are all
+  atoms are *not* cached: one pass over their items proves them again
+  for less than an entry costs, and they are the short-lived values
+  that would otherwise fill a generation as a process lives;
 - a **hash-cons table**: equal proven-immutable containers collapse to
   one canonical instance (first one wins), so identical view tuples
   built independently by different processes — or by the same process
@@ -56,12 +59,14 @@ from typing import Any, Dict, Iterator, Mapping, Optional
 
 __all__ = [
     "FrozenDict",
+    "UNPROVEN",
     "cache_stats",
     "clear_caches",
     "copy_payload",
     "copy_value",
     "freeze",
     "imm",
+    "prove_payload",
     "snapshot_state",
     "snapshot_states",
 ]
@@ -176,39 +181,55 @@ def _intern(value: Any) -> Any:
         return value
 
 
-#: Failure sentinel for ``_prove`` (``None`` is a real provable value).
-_MISS = object()
+#: Failure sentinel of ``_prove`` and :func:`prove_payload` (``None`` is
+#: a real provable value).
+UNPROVEN = object()
 
 
 def _prove(value: Any) -> Any:
-    """Canonical equal object if deeply immutable, else ``_MISS``."""
+    """Canonical equal object if deeply immutable, else ``UNPROVEN``.
+
+    Atom items are recognised inline from the type table, without a
+    recursive call.  A tuple or frozenset whose items are *all* atoms is
+    returned as it is, neither cached nor interned: proving it again is
+    one pass over its items, which costs less than a cache entry, and
+    such values are the short-lived ones (counters, vectors, message
+    fields) that would otherwise fill a generation.
+    """
     verdict = _TYPE_TABLE.get(type(value))
     if verdict is None:
         verdict = _classify(type(value))
     if verdict == _ALWAYS:
         return value
     if verdict == _NEVER:
-        return _MISS
+        return UNPROVEN
     cached = _PROOFS.get(id(value))
     if cached is not None:
         return cached[1]
     if isinstance(value, (tuple, frozenset)):
+        verdicts = _TYPE_TABLE.get
+        flat = True
         for item in value:
-            if _prove(item) is _MISS:
-                return _MISS
+            if verdicts(type(item)) == _ALWAYS:
+                continue
+            if _prove(item) is UNPROVEN:
+                return UNPROVEN
+            flat = False
+        if flat:
+            return value
     elif isinstance(value, FrozenDict):
         for key, item in value.items():
-            if _prove(key) is _MISS or _prove(item) is _MISS:
-                return _MISS
+            if _prove(key) is UNPROVEN or _prove(item) is UNPROVEN:
+                return UNPROVEN
     else:  # frozen dataclass
         for field in dataclasses.fields(value):
-            if _prove(getattr(value, field.name)) is _MISS:
-                return _MISS
+            if _prove(getattr(value, field.name)) is UNPROVEN:
+                return UNPROVEN
     return _register(value, _intern(value))
 
 
 def _is_deeply_immutable(value: Any) -> bool:
-    return _prove(value) is not _MISS
+    return _prove(value) is not UNPROVEN
 
 
 def clear_caches() -> None:
@@ -231,11 +252,13 @@ def imm(value: Any) -> Any:
 
     Protocols that broadcast hand-built immutable payloads call
     ``imm(payload)`` so the engine's defensive :func:`copy_payload`
-    becomes an O(1) cache hit.  Raises ``TypeError`` when the value is
+    becomes an O(1) cache hit.  A tuple or frozenset of atoms only is
+    checked and returned as it is (nothing to cache: re-checking it is
+    one pass over its items).  Raises ``TypeError`` when the value is
     not deeply immutable (use :func:`freeze` to convert).
     """
     canonical = _prove(value)
-    if canonical is _MISS:
+    if canonical is UNPROVEN:
         raise TypeError(
             f"imm(): {type(value).__name__!r} value is not deeply "
             "immutable; freeze() converts lists/sets/dicts to immutable "
@@ -252,7 +275,7 @@ def freeze(value: Any) -> Any:
     Anything unconvertible (arbitrary objects) raises ``TypeError``.
     """
     canonical = _prove(value)
-    if canonical is not _MISS:
+    if canonical is not UNPROVEN:
         return canonical
     kind = type(value)
     if kind is dict:
@@ -270,7 +293,7 @@ def freeze(value: Any) -> Any:
 def copy_value(value: Any) -> Any:
     """A defensive copy of ``value``, sharing immutable substructure."""
     canonical = _prove(value)
-    if canonical is not _MISS:
+    if canonical is not UNPROVEN:
         return canonical
     kind = type(value)
     if kind is dict:
@@ -301,6 +324,16 @@ def copy_value(value: Any) -> Any:
 def copy_payload(payload: Any) -> Any:
     """Defensive copy of a message payload (immutable fast path)."""
     return copy_value(payload)
+
+
+def prove_payload(payload: Any) -> Any:
+    """One immutability proof for a whole fan-out of ``payload``.
+
+    Returns the instance every delivery may share, or :data:`UNPROVEN`
+    when the payload is not deeply immutable and each delivery needs its
+    own :func:`copy_payload`.
+    """
+    return _prove(payload)
 
 
 def snapshot_state(state: Optional[Mapping[str, Any]]) -> Optional[Dict[str, Any]]:

@@ -28,8 +28,8 @@ Two pacing disciplines:
 :class:`~repro.asyncnet.scheduler.AsyncScheduler` for the Fig 4
 detector/consensus stack: per-process tick and receive tasks against a
 :class:`~repro.net.host.LiveClock` (virtual time scaled onto wall
-time), crash and corruption timers, a sampling task, and an
-:class:`~repro.kernel.recorders.AsyncTraceRecorder` rebuilding the
+time), crash and corruption timers, a sampling task, and a
+:class:`~repro.kernel.recorders.LiveTraceRecorder` rebuilding the
 :class:`~repro.asyncnet.scheduler.AsyncTrace` from the event stream.
 
 Both runners take a ``deadline`` (wall seconds): a watchdog that
@@ -48,7 +48,7 @@ from repro.histories.history import CLOCK_KEY, ExecutionHistory, Message
 from repro.kernel.corruptions import apply_corruption
 from repro.kernel.events import EventBus, FaultEvent, FaultKind, Observer
 from repro.kernel.faults import FaultPlan
-from repro.kernel.recorders import AsyncTraceRecorder, HistoryRecorder
+from repro.kernel.recorders import HistoryRecorder, LiveTraceRecorder
 from repro.kernel.snapshot import snapshot_states
 from repro.kernel.topology import (
     CompleteTopology,
@@ -460,7 +460,7 @@ async def _live_detector_body(
             topology.n == n, f"topology is sized for n={topology.n}, run has n={n}"
         )
 
-    recorder = AsyncTraceRecorder()
+    recorder = LiveTraceRecorder()
     bus = EventBus((recorder, *observers))
     bus.on_run_start(n, protocol)
 

@@ -88,3 +88,19 @@ def test_detector_deadline_raises():
             time_scale=1.0,  # 80 wall seconds — far past the watchdog
             deadline=0.2,
         )
+
+
+def test_live_trace_counts_its_traffic_from_events():
+    # The simulator tallies traffic in its loop; the live plane has no
+    # such loop, so its recorder must keep counting the narrated events.
+    trace = run_detector_live(
+        StrongDetector(),
+        N,
+        40.0,
+        fault_plan=plan(),
+        oracle=oracle(),
+        time_scale=TIME_SCALE,
+        deadline=30,
+    )
+    assert trace.messages_sent > 0
+    assert 0 < trace.deliveries <= trace.messages_sent

@@ -12,6 +12,9 @@ These pin down the *equivalence* guarantees the optimizations rely on:
   semantics;
 - the event bus reports capability flags that reflect which hooks its
   observers actually override;
+- an asynchronous run builds an ``AsyncMessage`` only for a subscriber,
+  counts its traffic either way, and keeps the proof cache to one entry
+  per broadcast;
 - the persistent sweep pool is reused across sweeps and keeps results
   equal to the sequential baseline;
 - ``benchmarks/compare.py`` flags regressions and accepts improvements.
@@ -196,6 +199,18 @@ class TestInterning:
         assert stats["proofs"] == 0
         assert stats["interned"] == 0
 
+    def test_containers_of_atoms_are_proved_but_not_cached(self):
+        flat = (1, "x", None, 2.5)
+        assert copy_value(flat) is flat
+        assert imm(frozenset({1, 2})) == frozenset({1, 2})
+        stats = snapshot.cache_stats()
+        assert stats["proofs"] == 0 and stats["interned"] == 0
+        # One level up the container is cached; its flat items still are not.
+        nested = ("fd", (1, 2), ("alive", "dead"))
+        assert copy_value(nested) is nested
+        stats = snapshot.cache_stats()
+        assert stats["proofs"] == 1 and stats["interned"] == 1
+
     def test_snapshot_semantics_unchanged_by_interning(self):
         state = {"clock": 1, "log": [1, [2]], "view": ("a", ("b",))}
         snap = snapshot.snapshot_state(state)
@@ -239,6 +254,105 @@ class TestCapabilityFlags:
         run_sync(EchoProtocol(), n=3, rounds=2,
                  observers=(counter,), record_history=False)
         assert counter.sends == 3 * 3 * 2
+
+
+class _Narration(Observer):
+    def __init__(self):
+        self.sends = []
+        self.deliveries = []
+
+    def on_send(self, message, time):
+        self.sends.append((message, time))
+
+    def on_deliver(self, message, time):
+        self.deliveries.append((message, time))
+
+
+class TestAsyncNarration:
+    """The scheduler counts its traffic; it narrates it only on request."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every ``AsyncMessage`` the scheduler constructs during the test."""
+        from repro.asyncnet import scheduler
+
+        real = scheduler.AsyncMessage
+        built = []
+
+        def counting(**fields):
+            built.append(real(**fields))
+            return built[-1]
+
+        monkeypatch.setattr(scheduler, "AsyncMessage", counting)
+        return built
+
+    @staticmethod
+    def run_fig4(observers=()):
+        from repro.asyncnet.oracle import WeakDetectorOracle
+        from repro.asyncnet.scheduler import AsyncScheduler
+        from repro.detectors.strong import StrongDetector
+
+        crashes = {3: 10.0}
+        return AsyncScheduler(
+            StrongDetector(),
+            4,
+            seed=3,
+            gst=15.0,
+            crash_times=crashes,
+            oracle=WeakDetectorOracle(4, crashes, gst=15.0, seed=3),
+            duplicate_probability=0.1,
+            observers=observers,
+        ).run(max_time=40.0)
+
+    def test_unobserved_run_builds_no_message(self, built):
+        trace = self.run_fig4()
+        assert built == []
+        assert trace.messages_sent > 0
+        assert 0 < trace.deliveries
+
+    def test_inherited_noop_hooks_do_not_count_as_a_subscriber(self, built):
+        self.run_fig4(observers=(Observer(),))
+        assert built == []
+
+    def test_send_only_subscriber_pays_for_sends_only(self, built):
+        counter = _SendCounter()
+        trace = self.run_fig4(observers=(counter,))
+        assert counter.sends == trace.messages_sent == len(built)
+
+    def test_narrated_sequence_matches_the_counts_and_the_run(self):
+        narration = _Narration()
+        trace = self.run_fig4(observers=(narration,))
+        quiet = self.run_fig4()
+        assert (trace.samples, trace.final_states) == (quiet.samples, quiet.final_states)
+        assert len(narration.sends) == trace.messages_sent == quiet.messages_sent
+        assert len(narration.deliveries) == trace.deliveries == quiet.deliveries
+        for message, time in narration.sends:
+            assert message.sent_time == time and message.payload[0] == "fd"
+        times = [time for _message, time in narration.deliveries]
+        assert times == sorted(times)
+        for message, time in narration.deliveries:
+            assert message.sent_time < time
+        # A duplicated message is one send and two deliveries.
+        sent = {(m.sender, m.receiver, m.sent_time) for m, _t in narration.sends}
+        assert {(m.sender, m.receiver, m.sent_time) for m, _t in narration.deliveries} <= sent
+        assert len(sent) == len(narration.sends)
+
+
+class TestProofCacheStaysBounded:
+    def test_one_entry_per_broadcast_and_no_generation_turnover(self):
+        from repro.experiments import fig4
+
+        snapshot.clear_caches()
+        generation = snapshot.cache_stats()["generation"]
+        trace = fig4.one_run(4, 0, False)
+        broadcasts = trace.messages_sent // 4
+        stats = snapshot.cache_stats()
+        assert 0 < stats["proofs"] <= broadcasts
+        assert stats["interned"] <= broadcasts
+        fig4.one_run(4, 0, False)
+        again = snapshot.cache_stats()
+        assert again["generation"] == generation
+        assert again["proofs"] <= 2 * broadcasts
 
 
 def _cube(x):

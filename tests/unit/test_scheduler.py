@@ -132,3 +132,96 @@ class TestWeakSuspectsWithoutOracle:
 
         AsyncScheduler(Probe(), n=2, seed=1).run(max_time=3.0)
         assert captured and all(s == frozenset() for s in captured)
+
+
+class ListGossip(AsyncProtocol):
+    """Broadcasts one mutable list per tick, then scribbles on it; every
+    receiver keeps what it was handed and scribbles on that too."""
+
+    name = "list-gossip"
+
+    def initial_state(self, pid, n):
+        return {"ticks": 0, "inbox": []}
+
+    def on_tick(self, ctx):
+        ctx.state["ticks"] += 1
+        payload = ["tick", ctx.pid, ctx.state["ticks"]]
+        ctx.broadcast(payload)
+        payload.append("mutated-after-send")
+
+    def on_message(self, ctx, sender, payload):
+        ctx.state["inbox"].append((tuple(payload), payload))
+        payload.append(("seen-by", ctx.pid))
+
+
+class TupleGossip(ListGossip):
+    name = "tuple-gossip"
+
+    def on_tick(self, ctx):
+        ctx.state["ticks"] += 1
+        ctx.broadcast(("tick", ctx.pid, (ctx.state["ticks"], "nested")))
+
+    def on_message(self, ctx, sender, payload):
+        ctx.state["inbox"].append(payload)
+
+
+class TestDefensiveCopies:
+    def received(self, trace):
+        return [
+            entry for state in trace.final_states.values() for entry in state["inbox"]
+        ]
+
+    def test_sender_mutation_after_send_is_invisible(self):
+        trace = AsyncScheduler(ListGossip(), n=3, seed=2).run(max_time=15.0)
+        received = self.received(trace)
+        assert received
+        for as_delivered, _kept in received:
+            assert len(as_delivered) == 3 and as_delivered[0] == "tick"
+
+    def test_receiver_mutation_reaches_nobody_else(self):
+        trace = AsyncScheduler(ListGossip(), n=3, seed=2).run(max_time=15.0)
+        kept = [kept for _seen, kept in self.received(trace)]
+        # Each delivery is its own object, so it carries exactly one
+        # scribble: that of the process it was delivered to.
+        assert len({id(payload) for payload in kept}) == len(kept)
+        for pid, state in trace.final_states.items():
+            for _seen, payload in state["inbox"]:
+                assert payload[3:] == [("seen-by", pid)]
+
+    def test_duplicated_copies_are_independent(self):
+        trace = AsyncScheduler(
+            ListGossip(), n=3, seed=2, duplicate_probability=0.6
+        ).run(max_time=15.0)
+        assert trace.deliveries > 1.3 * sum(
+            state["ticks"] for state in trace.final_states.values()
+        )
+        kept = [kept for _seen, kept in self.received(trace)]
+        assert len({id(payload) for payload in kept}) == len(kept)
+        for as_delivered, payload in self.received(trace):
+            assert len(as_delivered) == 3 and len(payload) == 4
+
+    def test_immutable_payload_arrives_as_an_equal_value(self):
+        trace = AsyncScheduler(TupleGossip(), n=3, seed=2).run(max_time=15.0)
+        received = self.received(trace)
+        assert received
+        for kind, sender, (tick, tag) in received:
+            assert kind == "tick" and sender in range(3) and tag == "nested"
+            assert 1 <= tick <= trace.final_states[sender]["ticks"]
+
+    def test_point_to_point_send_is_the_one_destination_fan_out(self):
+        class Ring(ListGossip):
+            def on_tick(self, ctx):
+                ctx.state["ticks"] += 1
+                payload = ["tick", ctx.pid, ctx.state["ticks"]]
+                ctx.send((ctx.pid + 1) % ctx.n, payload)
+                payload.append("mutated-after-send")
+
+        trace = AsyncScheduler(Ring(), n=3, seed=2).run(max_time=15.0)
+        assert trace.messages_sent == sum(
+            state["ticks"] for state in trace.final_states.values()
+        )
+        for pid, state in trace.final_states.items():
+            assert state["inbox"]
+            for as_delivered, _kept in state["inbox"]:
+                assert as_delivered[:2] == ("tick", (pid - 1) % 3)
+                assert len(as_delivered) == 3
