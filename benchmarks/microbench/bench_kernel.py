@@ -27,9 +27,11 @@ else:
     from ._harness import best_per_call, emit, ratio, us
 
 from repro.analysis.report import ExperimentReport
+from repro.analysis.stabilization import empirical_stabilization
+from repro.core.solvability import ftss_check
 from repro.experiments import base as experiments_base
-from repro.experiments import fig4
-from repro.histories.history import CLOCK_KEY, Message
+from repro.experiments import fig1, fig4
+from repro.histories.history import CLOCK_KEY, ExecutionHistory, Message
 from repro.kernel import snapshot
 from repro.kernel.snapshot import copy_payload, snapshot_states
 from repro.sync.adversary import FaultMode, RandomAdversary
@@ -269,6 +271,18 @@ def main(argv=None) -> int:
     row("round/streaming", streaming, recorded)
     faulty = best_per_call(_run_faulty, number=n_of(10), repeat=repeat)
     row("round/faulty", faulty)
+
+    # -- judging a recorded history ---------------------------------------
+    fig1_rounds = tuple(fig1.one_run(16, 5, 0).history)
+
+    def judge() -> None:
+        # What FIG1's worker does with its run.  A history built afresh
+        # has no coterie timeline yet, so each call pays for the one pass.
+        history = ExecutionHistory(fig1_rounds)
+        ftss_check(history, fig1.SIGMA, stabilization_time=1)
+        empirical_stabilization(history, fig1.SIGMA)
+
+    row("history/judge", best_per_call(judge, number=n_of(10), repeat=repeat))
 
     # -- the asynchronous event loop --------------------------------------
     fig4_run = best_per_call(

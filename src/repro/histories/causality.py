@@ -52,6 +52,7 @@ class CausalityTracker:
 
     def __init__(self, n: int):
         self._n = n
+        self._everyone: FrozenSet[ProcessId] = frozenset(range(n))
         self._know: List[set] = [set() for _ in range(n)]
         self._acted: List[bool] = [False] * n
         #: know-sets as of the end of each folded round, for send-time lookups.
@@ -91,13 +92,19 @@ class CausalityTracker:
             )
         if self._first_round is None:
             self._first_round = round_history.round_no
-        # Influence available at the *start* of this round (i.e. end of the
-        # previous round).  Copy before mutating.
-        before = [frozenset(s) for s in self._know]
+        # Influence available at the *start* of this round, i.e. as the
+        # previous round left it: know-sets change nowhere else.
+        before = (
+            self._round_snapshots[-1]
+            if self._round_snapshots
+            else [frozenset()] * self._n
+        )
         current_index = round_history.round_no - self._first_round
+        everyone = self._everyone
 
         for record in round_history.records:
             pid = record.pid
+            know = self._know[pid]
             took_step = (
                 record.state_before is not None
                 or bool(record.sent)
@@ -105,17 +112,25 @@ class CausalityTracker:
             )
             if took_step:
                 # Program order: an acting process influences itself.
-                self._know[pid].add(pid)
+                know.add(pid)
                 self._acted[pid] = True
+            if know == everyone:
+                # Know-sets only grow, so one that already holds every
+                # process has nothing left to learn from its deliveries.
+                # The test is against the process set itself, not its
+                # size: a hand-built history may name a sender outside
+                # ``0 .. n-1``, and n ids are not necessarily *the* n.
+                # (Such an id reaching a process that already knows all
+                # n is not recorded: it changes no happened-before answer
+                # about a process.)
+                continue
             for message in record.delivered:
                 sender = message.sender
-                self._know[pid].add(sender)
+                know.add(sender)
                 if message.sent_round == round_history.round_no:
-                    self._know[pid] |= before[sender]
+                    know |= before[sender]
                 else:
-                    self._know[pid] |= self._knowledge_at_send(
-                        sender, message.sent_round
-                    )
+                    know |= self._knowledge_at_send(sender, message.sent_round)
 
         assert current_index == len(self._round_snapshots)
         self._round_snapshots.append([frozenset(s) for s in self._know])

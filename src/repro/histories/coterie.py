@@ -43,7 +43,20 @@ def coterie_timeline(history: ExecutionHistory) -> List[FrozenSet[ProcessId]]:
     Element ``i`` is ``coterie_Π(prefix of length i+1)``.  Computed in a
     single pass: knowledge sets are maintained incrementally and the
     cumulative deviator set gives each prefix's correct set.
+
+    A history is immutable and compared by identity, so the pass runs
+    once per :class:`ExecutionHistory` object and every judge of that
+    history (``ftss_check``, ``empirical_stabilization``, the stability
+    scan, the trace formatter) shares it; each caller gets its own list.
+    Slices are new objects and compute their own.
     """
+    timeline = history._coterie_timeline
+    if timeline is None:
+        timeline = history._coterie_timeline = tuple(_compute_timeline(history))
+    return list(timeline)
+
+
+def _compute_timeline(history: ExecutionHistory) -> List[FrozenSet[ProcessId]]:
     tracker = CausalityTracker(history.n)
     everyone = frozenset(history.processes)
     faulty_so_far: set = set()

@@ -50,6 +50,19 @@ class Message:
     payload: Any
 
     def __post_init__(self) -> None:
+        # The engines build one Message per copy: a well-formed one costs
+        # this single branch, and only a suspect one pays for the checks
+        # that name what is wrong with it.
+        sent_round = self.sent_round
+        if not (
+            self.sender >= 0
+            and self.receiver >= 0
+            and type(sent_round) is int
+            and sent_round > 0
+        ):
+            self._validate()
+
+    def _validate(self) -> None:
         require(self.sender >= 0, f"sender must be a process id, got {self.sender}")
         require(
             self.receiver >= 0, f"receiver must be a process id, got {self.receiver}"
@@ -183,6 +196,9 @@ class ExecutionHistory:
             )
         self._rounds = rounds
         self._n = n
+        #: Memo of :func:`repro.histories.coterie.coterie_timeline`: a
+        #: history never changes, so its timeline is computed once.
+        self._coterie_timeline: Optional[Tuple[frozenset, ...]] = None
 
     # -- basic accessors -------------------------------------------------
 

@@ -21,7 +21,9 @@ synchronous substrate and the virtual time in the asynchronous one):
                     uses a non-complete or dynamic topology (never fired
                     on the default complete graph)
 ``on_send``         one message actually placed on the network
+``on_sends``        (sync) one round's whole wire, in wire order
 ``on_deliver``      one message actually delivered
+``on_deliveries``   (sync) one round's inboxes, receiver -> messages
 ``on_fault``        one :class:`FaultEvent` (crash, omission, forgery,
                     corruption)
 ``on_state_commit`` a process committed a new state (``None`` = crashed)
@@ -33,6 +35,16 @@ synchronous substrate and the virtual time in the asynchronous one):
                     emitted by :mod:`repro.serve`, not by the engines)
 ``on_run_end``      final states at the end of the run
 ================== ======================================================
+
+The round-based producers (the synchronous engine, the live cluster and
+its interposer) narrate messages a round at a time through the batch
+hooks; the base implementations replay the batch through ``on_send`` /
+``on_deliver`` in wire order (receivers ascending, then delivery
+order), so an observer that overrides only the per-message form sees
+one call per message, as it always has.  The event-driven producers
+(the asynchronous scheduler, a live host) learn of messages one at a
+time and call the per-message form directly — which an observer that
+overrides *only* the batch form does not hear.
 """
 
 from __future__ import annotations
@@ -151,8 +163,23 @@ class Observer:
     def on_send(self, message: Any, time: float) -> None:
         pass
 
+    def on_sends(self, messages: Sequence[Any], time: float) -> None:
+        """One round's wire; by default replayed through :meth:`on_send`."""
+        on_send = self.on_send
+        for message in messages:
+            on_send(message, time)
+
     def on_deliver(self, message: Any, time: float) -> None:
         pass
+
+    def on_deliveries(
+        self, inboxes: Mapping[ProcessId, Sequence[Any]], time: float
+    ) -> None:
+        """One round's inboxes; by default replayed through :meth:`on_deliver`."""
+        on_deliver = self.on_deliver
+        for receiver in sorted(inboxes):
+            for message in inboxes[receiver]:
+                on_deliver(message, time)
 
     def on_fault(self, fault: FaultEvent) -> None:
         pass
@@ -198,12 +225,22 @@ _FLAGGED_HOOKS = (
 )
 
 
+#: Per-message hooks that also come in a per-round batch form; either
+#: override makes an observer a subscriber.
+_BATCH_FORMS = {"send": "on_sends", "deliver": "on_deliveries"}
+
+
+def _overrides(observer: Observer, method: str) -> bool:
+    return getattr(type(observer), method) is not getattr(Observer, method)
+
+
 def _subscribes(observer: Observer, hook: str) -> bool:
     """Does ``observer`` override ``on_<hook>`` (transitively for buses)?"""
     if isinstance(observer, EventBus):
         return getattr(observer, f"wants_{hook}")
-    return getattr(type(observer), f"on_{hook}") is not getattr(
-        Observer, f"on_{hook}"
+    batch_form = _BATCH_FORMS.get(hook)
+    return _overrides(observer, f"on_{hook}") or (
+        batch_form is not None and _overrides(observer, batch_form)
     )
 
 
@@ -218,12 +255,17 @@ class EventBus(Observer):
     overrides that hook (nested buses are inspected transitively).  The
     engines consult these flags to skip work that exists only to be
     narrated: state snapshots when nothing listens to ``round_start``,
-    per-message ``on_send``/``on_deliver`` fan-out, per-transition
+    the ``on_sends``/``on_deliveries`` fan-out, per-transition
     ``on_state_commit`` calls.  An observer that merely inherits the
-    base no-op does not count as a subscriber.
+    base no-op does not count as a subscriber.  A batch is forwarded
+    whole, once, to each observer that subscribes to messages in either
+    form — so within a round one observer sees the whole batch before
+    the next sees its first message.
     """
 
-    __slots__ = ("_observers",) + tuple(f"wants_{hook}" for hook in _FLAGGED_HOOKS)
+    __slots__ = ("_observers", "_send_observers", "_deliver_observers") + tuple(
+        f"wants_{hook}" for hook in _FLAGGED_HOOKS
+    )
 
     def __init__(self, observers: Sequence[Observer] = ()):
         self._observers = tuple(observers)
@@ -233,6 +275,12 @@ class EventBus(Observer):
                 f"wants_{hook}",
                 any(_subscribes(observer, hook) for observer in self._observers),
             )
+        self._send_observers = tuple(
+            observer for observer in self._observers if _subscribes(observer, "send")
+        )
+        self._deliver_observers = tuple(
+            observer for observer in self._observers if _subscribes(observer, "deliver")
+        )
 
     @property
     def observers(self) -> "tuple[Observer, ...]":
@@ -251,12 +299,20 @@ class EventBus(Observer):
             observer.on_topology(round_no, edges)
 
     def on_send(self, message, time):
-        for observer in self._observers:
+        for observer in self._send_observers:
             observer.on_send(message, time)
 
+    def on_sends(self, messages, time):
+        for observer in self._send_observers:
+            observer.on_sends(messages, time)
+
     def on_deliver(self, message, time):
-        for observer in self._observers:
+        for observer in self._deliver_observers:
             observer.on_deliver(message, time)
+
+    def on_deliveries(self, inboxes, time):
+        for observer in self._deliver_observers:
+            observer.on_deliveries(inboxes, time)
 
     def on_fault(self, fault):
         for observer in self._observers:

@@ -9,6 +9,8 @@ recorded history is *derived from* the event stream, never privileged.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Set
 
 from repro.histories.history import (
@@ -22,6 +24,8 @@ from repro.kernel.events import FaultEvent, FaultKind, Observer
 __all__ = ["AsyncTraceRecorder", "HistoryRecorder", "LiveTraceRecorder"]
 
 ProcessId = int
+
+_SENDER = attrgetter("sender")
 
 
 class HistoryRecorder(Observer):
@@ -65,11 +69,25 @@ class HistoryRecorder(Observer):
     def on_topology(self, round_no, edges):
         self._edges = tuple(tuple(receivers) for receivers in edges)
 
+    def on_sends(self, messages, time):
+        # The wire is sender-major, so each run of equal senders is filed
+        # with one extend; a sender seen again later just extends further.
+        sent = self._sent
+        for sender, copies in groupby(messages, _SENDER):
+            sent.setdefault(sender, []).extend(copies)
+
+    def on_deliveries(self, inboxes, time):
+        delivered = self._delivered
+        for receiver, inbox in inboxes.items():
+            delivered.setdefault(receiver, []).extend(inbox)
+
+    # Producers that learn of messages one at a time (the asynchronous
+    # scheduler, a live host) feed the same two filing passes.
     def on_send(self, message, time):
-        self._sent.setdefault(message.sender, []).append(message)
+        self.on_sends((message,), time)
 
     def on_deliver(self, message, time):
-        self._delivered.setdefault(message.receiver, []).append(message)
+        self.on_deliveries({message.receiver: (message,)}, time)
 
     def on_fault(self, fault: FaultEvent):
         if self._round_no is None:

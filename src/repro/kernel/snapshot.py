@@ -347,7 +347,9 @@ def snapshot_state(state: Optional[Mapping[str, Any]]) -> Optional[Dict[str, Any
     """
     if state is None:
         return None
-    if not isinstance(state, Mapping):
+    # Nearly every state is a plain dict; only the rest pay for the ABC's
+    # subclass check.
+    if type(state) is not dict and not isinstance(state, _MappingABC):
         raise TypeError(
             f"process state must be a mapping, got {type(state).__name__!r}; "
             "__slots__/dataclass states must expose their fields as a dict "

@@ -266,17 +266,13 @@ async def _live_sync_body(
             delivered: Dict[ProcessId, List[Message]] = {}
             for pid in sorted(interposer.alive):
                 inbox = [
-                    Message(
-                        sender=src, receiver=pid, sent_round=round_no, payload=body
-                    )
+                    Message(src, pid, round_no, body)
                     for src, body in hosts[pid].collect(round_no)
                 ]
                 if inbox:
                     delivered[pid] = inbox
             if wants_deliver:
-                for pid in sorted(delivered):
-                    for message in delivered[pid]:
-                        bus.on_deliver(message, round_no)
+                bus.on_deliveries(delivered, round_no)
 
             for pid in range(n):
                 if pid in interposer.crashed:

@@ -145,9 +145,7 @@ class WireInterposer:
         if lies and dst in lies and dst != src:  # own broadcast stays true
             payload = lies[dst](copy_payload(payload))
             self._forged_sends.setdefault(src, set()).add(dst)
-        self._wire_log.append(
-            Message(sender=src, receiver=dst, sent_round=round_no, payload=payload)
-        )
+        self._wire_log.append(Message(src, dst, round_no, payload))
         if dst in self.crashed or dst in self._crashing_now:
             return []  # a crashed process receives nothing (but the send happened)
         drops = plan.receive_omissions.get(dst)
@@ -204,10 +202,10 @@ class WireInterposer:
         if bus.wants_send:
             # Concurrent send phases log in arrival order; the engine's
             # wire order is (sender asc, receiver asc).
-            for message in sorted(
-                self._wire_log, key=lambda m: (m.sender, m.receiver)
-            ):
-                bus.on_send(message, round_no)
+            bus.on_sends(
+                sorted(self._wire_log, key=lambda m: (m.sender, m.receiver)),
+                round_no,
+            )
         if bus.wants_fault:
             for pid in sorted(self._omitted_receives):
                 bus.on_fault(

@@ -315,8 +315,7 @@ def run_sync(
                         )
                     )
         if wants_send:
-            for message in wire:
-                bus.on_send(message, round_no)
+            bus.on_sends(wire, round_no)
 
         immediate = _route_delays(wire, round_no, delay_model, in_flight)
         pending = in_flight.pop(round_no, None)
@@ -340,9 +339,7 @@ def run_sync(
                     )
                 )
         if wants_deliver:
-            for pid in sorted(delivered):
-                for message in delivered[pid]:
-                    bus.on_deliver(message, round_no)
+            bus.on_deliveries(delivered, round_no)
 
         _update_phase(
             protocol, n, bus, round_no, states, delivered, crashed, crashing_now
@@ -419,15 +416,10 @@ def _send_phase(
             if payload is None:
                 continue
             payload = copy_payload(payload)
-            for receiver in receivers if edges is None else edges[pid]:
-                wire.append(
-                    Message(
-                        sender=pid,
-                        receiver=receiver,
-                        sent_round=round_no,
-                        payload=payload,
-                    )
-                )
+            wire += [
+                Message(pid, receiver, round_no, payload)
+                for receiver in (receivers if edges is None else edges[pid])
+            ]
         return wire, {}, {}, crashing_now
 
     omitted_sends: Dict[ProcessId, set] = {}
@@ -470,26 +462,13 @@ def _send_phase(
                     # the wire without ever escaping elsewhere.
                     message_payload = lies[receiver](copy_payload(payload))
                     forged.add(receiver)
-                wire.append(
-                    Message(
-                        sender=pid,
-                        receiver=receiver,
-                        sent_round=round_no,
-                        payload=message_payload,
-                    )
-                )
+                wire.append(Message(pid, receiver, round_no, message_payload))
             if not forged:
                 del forged_sends[pid]
         else:
-            for receiver in receivers:
-                wire.append(
-                    Message(
-                        sender=pid,
-                        receiver=receiver,
-                        sent_round=round_no,
-                        payload=payload,
-                    )
-                )
+            wire += [
+                Message(pid, receiver, round_no, payload) for receiver in receivers
+            ]
     return wire, omitted_sends, forged_sends, crashing_now
 
 

@@ -31,6 +31,21 @@ __all__ = [
 ]
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _run_cache_default_outside_the_cwd(tmp_path_factory):
+    """Move the *default* run-cache directory out of the CWD for the session.
+
+    The per-test fixture below covers test bodies.  This one covers what
+    runs outside them: session- and module-scoped fixtures (pytest sets
+    those up before any function-scoped fixture, so they used to write
+    ``./.repro-cache/``), and every ``python -m repro...`` or example
+    subprocess, which inherits the environment.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("run-cache")))
+        yield
+
+
 @pytest.fixture(autouse=True)
 def _isolated_run_cache(tmp_path):
     """Point the run cache at a per-test directory (and restore after).

@@ -5,7 +5,7 @@ from repro.histories.causality import (
     happened_before,
     knowledge_timeline,
 )
-from repro.histories.history import ExecutionHistory, Message
+from repro.histories.history import ExecutionHistory, Message, RoundHistory
 
 from tests.conftest import broadcast_round, make_record
 
@@ -34,8 +34,6 @@ def silent_round(round_no, n, senders_to_receivers):
         records.append(
             make_record(pid, clock=round_no, sent=sent, delivered=deliveries)
         )
-    from repro.histories.history import RoundHistory
-
     return RoundHistory(round_no=round_no, records=tuple(records))
 
 
@@ -72,6 +70,40 @@ class TestCausalityTracker:
         tracker.advance(silent_round(1, 2, [(0, 1)]))
         tracker.advance(silent_round(2, 2, []))
         assert tracker.happened_before(0, 1)
+
+    def test_saturated_process_learns_nothing_more_and_says_the_same(self):
+        # After two full rounds everyone knows everyone; further rounds
+        # take the shortcut and must leave every answer as it was.
+        tracker = CausalityTracker(3)
+        for round_no in (1, 2, 3, 4):
+            tracker.advance(broadcast_round(round_no, [round_no] * 3))
+            assert tracker.snapshot() == {pid: frozenset({0, 1, 2}) for pid in range(3)}
+
+    def test_n_ids_are_not_necessarily_the_n_processes(self):
+        # ``Message`` does not bound ``sender`` by n.  Round 5 brings
+        # process 0 a late copy from an id outside the system: it then
+        # knows n ids, {0, 1, 7}, without knowing process 2 — which it
+        # must still learn of in round 6.
+        n = 3
+        own = [Message(pid, pid, 5, None) for pid in range(n)]
+        round_five = RoundHistory(
+            round_no=5,
+            records=(
+                make_record(
+                    0,
+                    sent=[own[0]],
+                    delivered=[own[0], Message(1, 0, 5, None), Message(7, 0, 4, None)],
+                ),
+                make_record(1, sent=[own[1], Message(1, 0, 5, None)], delivered=[own[1]]),
+                make_record(2, sent=[own[2]], delivered=[own[2]]),
+            ),
+        )
+        tracker = CausalityTracker(n)
+        tracker.advance(round_five)
+        assert tracker.know(0) == frozenset({0, 1, 7})
+        tracker.advance(silent_round(6, n, [(2, 0)]))
+        assert tracker.know(0) == frozenset({0, 1, 2, 7})
+        assert tracker.happened_before(2, 0)
 
     def test_mismatched_round_size_raises(self):
         tracker = CausalityTracker(3)

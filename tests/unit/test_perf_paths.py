@@ -12,6 +12,9 @@ These pin down the *equivalence* guarantees the optimizations rely on:
   semantics;
 - the event bus reports capability flags that reflect which hooks its
   observers actually override;
+- a round's messages narrated as one batch reach a per-message observer
+  as the same calls in the same order, and a recorder fed one message
+  at a time builds the same history;
 - an asynchronous run builds an ``AsyncMessage`` only for a subscriber,
   counts its traffic either way, and keeps the proof cache to one entry
   per broadcast;
@@ -28,9 +31,11 @@ import pytest
 
 from repro.experiments import base as experiments_base
 from repro.experiments.base import run_sweep, shutdown_pool
-from repro.histories.history import CLOCK_KEY
+from repro.analysis.metrics import StreamingMessageStats, run_message_stats
+from repro.histories.history import CLOCK_KEY, Message
 from repro.kernel import snapshot
 from repro.kernel.events import EventBus, Observer
+from repro.kernel.recorders import HistoryRecorder
 from repro.kernel.snapshot import (
     FrozenDict,
     copy_value,
@@ -39,7 +44,7 @@ from repro.kernel.snapshot import (
 )
 from repro.sync.adversary import FaultMode, RandomAdversary
 from repro.sync.corruption import ClockSkewCorruption, RandomCorruption
-from repro.sync.delays import TargetedLag
+from repro.sync.delays import RandomDelay, TargetedLag
 from repro.sync.engine import run_sync
 from repro.sync.protocol import SyncProtocol
 
@@ -254,6 +259,159 @@ class TestCapabilityFlags:
         run_sync(EchoProtocol(), n=3, rounds=2,
                  observers=(counter,), record_history=False)
         assert counter.sends == 3 * 3 * 2
+
+
+class _BatchCounter(Observer):
+    """Overrides only the batch form of the two message hooks."""
+
+    def __init__(self):
+        self.wires = []
+        self.inboxes = []
+
+    def on_sends(self, messages, time):
+        self.wires.append((time, list(messages)))
+
+    def on_deliveries(self, inboxes, time):
+        self.inboxes.append((time, {pid: list(box) for pid, box in inboxes.items()}))
+
+
+class _Sequence(Observer):
+    """Overrides only the per-message form; keeps the order it is told in."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_send(self, message, time):
+        self.events.append(("send", message, time))
+
+    def on_deliver(self, message, time):
+        self.events.append(("deliver", message, time))
+
+
+class _MessageByMessage(Observer):
+    """Relays a run to a second recorder one message at a time, the way a
+    producer that never sees a whole round (a live host) would feed it."""
+
+    def __init__(self):
+        self.recorder = HistoryRecorder()
+        self.bus = EventBus((self.recorder,))
+
+    def on_run_start(self, n, protocol, first_round=1):
+        self.bus.on_run_start(n, protocol, first_round)
+
+    def on_round_start(self, round_no, snapshots):
+        self.bus.on_round_start(round_no, snapshots)
+
+    def on_send(self, message, time):
+        self.bus.on_send(message, time)
+
+    def on_deliver(self, message, time):
+        self.bus.on_deliver(message, time)
+
+    def on_fault(self, fault):
+        self.bus.on_fault(fault)
+
+    def on_round_end(self, round_no):
+        self.bus.on_round_end(round_no)
+
+
+def _faulty_delayed_run(observers=(), record_history=True):
+    """Crashes, omissions and corruption with some copies a round late."""
+    return run_sync(
+        EchoProtocol(),
+        n=5,
+        rounds=10,
+        adversary=RandomAdversary(
+            n=5,
+            f=2,
+            mode=FaultMode.GENERAL_OMISSION,
+            rate=0.6,
+            seed=13,
+            crash_probability=0.2,
+        ),
+        corruption=RandomCorruption(seed=5),
+        delay_model=RandomDelay(seed=7, p_late=0.3),
+        observers=observers,
+        record_history=record_history,
+    )
+
+
+class TestBatchNarration:
+    """A round's messages travel as one batch; nobody can tell."""
+
+    @pytest.mark.parametrize(
+        "observer, send, deliver",
+        [
+            (_BatchCounter(), True, True),
+            (_Sequence(), True, True),
+            (_SendCounter(), True, False),
+            (HistoryRecorder(), True, True),
+            (Observer(), False, False),
+        ],
+    )
+    def test_either_form_subscribes(self, observer, send, deliver):
+        for bus in (EventBus((observer,)), EventBus((EventBus((observer,)),))):
+            assert bus.wants_send is send
+            assert bus.wants_deliver is deliver
+
+    def test_batch_observer_gets_one_call_of_each_per_round(self):
+        batches = _BatchCounter()
+        result = _faulty_delayed_run(observers=(batches,))
+        rounds = [rh.round_no for rh in result.history]
+        assert [time for time, _ in batches.wires] == rounds
+        assert [time for time, _ in batches.inboxes] == rounds
+        for rh, (_, wire), (_, inboxes) in zip(
+            result.history, batches.wires, batches.inboxes
+        ):
+            assert wire == [m for record in rh.records for m in record.sent]
+            assert inboxes == {
+                record.pid: list(record.delivered)
+                for record in rh.records
+                if record.delivered
+            }
+
+    def test_per_message_observer_beside_it_sees_the_old_sequence(self):
+        # Per round: the wire (sender, then receiver, ascending), then the
+        # deliveries (receiver ascending, each inbox in delivery order).
+        sequence = _Sequence()
+        result = _faulty_delayed_run(observers=(_BatchCounter(), sequence))
+        expected = []
+        for rh in result.history:
+            for record in rh.records:
+                expected += [("send", m, rh.round_no) for m in record.sent]
+            for record in rh.records:
+                expected += [("deliver", m, rh.round_no) for m in record.delivered]
+        assert sequence.events == expected
+        assert any(m.sent_round < time for kind, m, time in expected if kind == "deliver")
+
+    def test_streaming_stats_equal_the_recorded_ones(self):
+        stats = StreamingMessageStats()
+        result = _faulty_delayed_run(observers=(stats,))
+        assert stats.stats() == run_message_stats(result.history)
+        unrecorded = StreamingMessageStats()
+        _faulty_delayed_run(observers=(unrecorded,), record_history=False)
+        assert unrecorded.stats() == stats.stats()
+
+    def test_recorder_fed_message_by_message_builds_the_same_history(self):
+        relay = _MessageByMessage()
+        result = _faulty_delayed_run(observers=(relay,))
+        assert result.faulty  # faults were injected, and ...
+        assert result.history.messages_delivered() < result.history.messages_sent()
+        assert list(relay.recorder.history()) == list(result.history)
+
+    @pytest.mark.parametrize(
+        "fields, text",
+        [
+            ((-1, 0, 1, None), "sender must be a process id, got -1"),
+            ((0, -1, 1, None), "receiver must be a process id, got -1"),
+            ((0, 0, 0, None), "sent_round must be a positive integer, got 0"),
+            ((0, 0, True, None), "sent_round must be a positive integer, got True"),
+        ],
+    )
+    def test_message_still_rejects_what_it_rejected(self, fields, text):
+        with pytest.raises(ValueError) as error:
+            Message(*fields)
+        assert str(error.value) == text
 
 
 class _Narration(Observer):
