@@ -95,12 +95,11 @@ class StreamingFtssClock(StreamingClockStabilization):
         if fault.kind == FaultKind.CORRUPTION and fault.time >= self._first_round:
             self._corruption_pending = True
 
-    def on_round_end(self, round_no):
+    def _score_round(self, round_history):
         if not self._corruption_pending:
-            super().on_round_end(round_no)
+            super()._score_round(round_history)
             return
-        self._corruption_pending = False
-        self._finish_round(round_no)  # flush and discard the fault round
+        self._corruption_pending = False  # the fault round itself is not scored
         self._reset_stream()
 
     def _reset_stream(self) -> None:

@@ -12,7 +12,9 @@ A target bundles everything the engine needs to judge one fault plan:
   shrinker uses and the verdict artifacts carry.
 
 Both paths derive every random stream from the spec's seed, so a spec
-fully determines its run and artifacts replay byte-identically.
+fully determines its run and artifacts replay byte-identically.  The
+synchronous targets are each stated once, as a :class:`SyncClaim`, and
+both paths (and the proof plane's) are read off that statement.
 
 Six targets ship: ``fig1``/``fig3``/``fig4`` (Theorems 3-5 — every
 plan must hold; a confirmed violation is a reproduction bug),
@@ -25,6 +27,7 @@ every churn schedule must re-stabilize within a diameter).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.compiler import compile_protocol
@@ -46,8 +49,14 @@ from repro.explore.checkers import (
     StreamingTentativeClock,
 )
 from repro.explore.space import PlanSpace, PlanSpec
+from repro.histories.history import ExecutionHistory
+from repro.kernel.events import Observer
+from repro.kernel.recorders import HistoryRecorder
+from repro.kernel.topology import RingTopology, Topology
 from repro.protocols.floodmin import FloodMinConsensus
+from repro.protocols.unison import MinUnison
 from repro.sync.engine import run_sync
+from repro.sync.protocol import SyncProtocol
 from repro.util.rng import derive_seed
 from repro.workloads.spaces import (
     FIG1_SPACE,
@@ -59,7 +68,7 @@ from repro.workloads.spaces import (
     UNISON_SPACE,
 )
 
-__all__ = ["ExplorationTarget", "TARGETS", "get_target"]
+__all__ = ["ExplorationTarget", "SYNC_CLAIMS", "SyncClaim", "TARGETS", "get_target"]
 
 #: Violations carried per verdict (artifacts stay small; determinism is
 #: unaffected because violation lists are generated in round order).
@@ -112,44 +121,104 @@ def _post_corruption_suffix(history, spec: PlanSpec):
 
 
 # ---------------------------------------------------------------------------
-# fig1 — round agreement (Figure 1), ftss@1 (Theorem 3)
+# The synchronous targets, each stated once
 # ---------------------------------------------------------------------------
 
 
-def _fig1_streaming(spec: PlanSpec) -> SpecVerdict:
-    checker = StreamingFtssClock(stabilization_time=1)
-    run_sync(
-        RoundAgreementProtocol(),
-        n=spec.n,
-        rounds=spec.rounds,
-        fault_plan=spec.fault_plan(),
-        observers=(checker,),
-        record_history=False,
-    )
-    return checker.verdict()
+@dataclass(frozen=True)
+class SyncClaim:
+    """One synchronous target: how to run, stream and judge a plan.
+
+    Everything that judges a synchronous plan — ``ExplorationTarget``'s
+    two paths here, :mod:`repro.verify.targets`' two verdict functions
+    and its joint judgement — is one of the three methods below, so a
+    target's protocol, topology, checker and predicate are written down
+    exactly once.
+    """
+
+    #: Canonical stabilization time the claim is instantiated at.
+    at: int
+    protocol: Callable[[], SyncProtocol]
+    #: ``(history, spec, at) -> SpecVerdict``: the definition-grade
+    #: predicate on a recorded history.
+    judge: Callable[[ExecutionHistory, PlanSpec, int], SpecVerdict]
+    #: ``at -> observer with .verdict()``; ``None`` where no streaming
+    #: checker models the predicate and the judge doubles as the fast
+    #: path (thm2, unison — the documented streaming == confirm exception).
+    checker: Optional[Callable[[int], Observer]] = None
+    topology: Optional[Callable[[int], Topology]] = None
+
+    def _at(self, at: Optional[int]) -> int:
+        return self.at if at is None else at
+
+    def run(self, spec: PlanSpec, observers=(), record_history: bool = True):
+        return run_sync(
+            self.protocol(),
+            n=spec.n,
+            rounds=spec.rounds,
+            fault_plan=spec.fault_plan(),
+            observers=observers,
+            record_history=record_history,
+            topology=None if self.topology is None else self.topology(spec.n),
+        )
+
+    def streaming(
+        self, spec: PlanSpec, at: Optional[int] = None, observers=()
+    ) -> SpecVerdict:
+        """The fast filter: streaming observers only, no history."""
+        if self.checker is None:
+            return self.confirm(spec, at, observers)
+        checker = self.checker(self._at(at))
+        self.run(spec, (checker, *observers), record_history=False)
+        return checker.verdict()
+
+    def confirm(
+        self, spec: PlanSpec, at: Optional[int] = None, observers=()
+    ) -> SpecVerdict:
+        """The oracle: record the history, evaluate the definition on it."""
+        return self.judge(self.run(spec, observers).history, spec, self._at(at))
+
+    def both(
+        self, spec: PlanSpec, at: int, observers=()
+    ) -> Tuple[SpecVerdict, SpecVerdict]:
+        """``(streaming, confirm)`` off a single execution of the plan.
+
+        The engine is deterministic in the spec, so the events the
+        checker streams and the history the judge reads may come from
+        one run without either verdict changing.  A checker that is
+        itself a :class:`HistoryRecorder` already assembles every round:
+        it is told to keep them and no second recorder is attached.
+        """
+        if self.checker is None:
+            verdict = self.confirm(spec, at, observers)
+            return verdict, verdict
+        checker = self.checker(at)
+        records = isinstance(checker, HistoryRecorder)
+        if records:
+            checker.keeps_rounds = True
+        result = self.run(spec, (checker, *observers), record_history=not records)
+        history = checker.history() if records else result.history
+        return checker.verdict(), self.judge(history, spec, at)
 
 
-def _fig1_confirm(spec: PlanSpec) -> SpecVerdict:
-    result = run_sync(
-        RoundAgreementProtocol(),
-        n=spec.n,
-        rounds=spec.rounds,
-        fault_plan=spec.fault_plan(),
-    )
-    history = _post_corruption_suffix(result.history, spec)
-    if history is None:
-        return SpecVerdict(checker="confirm-ftss-clock@1", holds=True)
-    verdict = check_definition("ftss", history, ClockAgreementProblem(), 1)
+def _judge_ftss(
+    label: str,
+    sigma: Callable[[], Problem],
+    history: ExecutionHistory,
+    spec: PlanSpec,
+    at: int,
+    whole_history: bool = False,
+) -> SpecVerdict:
+    """Definition 2.4 at ``at`` on the post-corruption suffix."""
+    checker = f"confirm-ftss-{label}@{at}"
+    obliged = history if whole_history else _post_corruption_suffix(history, spec)
+    if obliged is None:
+        return SpecVerdict(checker=checker, holds=True)
+    verdict = check_definition("ftss", obliged, sigma(), at)
     return SpecVerdict(
-        checker="confirm-ftss-clock@1",
-        holds=verdict.holds,
-        violations=_cap(verdict.violations),
+        checker=checker, holds=verdict.holds, violations=_cap(verdict.violations)
     )
 
-
-# ---------------------------------------------------------------------------
-# fig3 — compiled FloodMin (Figure 3), ftss@final_round (Theorem 4)
-# ---------------------------------------------------------------------------
 
 #: Fixed per-pid proposals for the n=4 compiled-consensus target.
 FIG3_PROPOSALS = (3, 1, 4, 1)
@@ -167,35 +236,115 @@ def _fig3_sigma() -> Problem:
     return RepeatedConsensusProblem(pi.final_round, valid_proposals=valid)
 
 
-def _fig3_streaming(spec: PlanSpec) -> SpecVerdict:
-    pi, plus, valid = _fig3_instance()
-    checker = StreamingCompilerCheck(
-        final_round=pi.final_round, valid_proposals=valid
-    )
-    run_sync(
-        plus,
-        n=spec.n,
-        rounds=spec.rounds,
-        fault_plan=spec.fault_plan(),
-        observers=(checker,),
-        record_history=False,
-    )
-    return checker.verdict()
-
-
-def _fig3_confirm(spec: PlanSpec) -> SpecVerdict:
-    pi, plus, _valid = _fig3_instance()
-    result = run_sync(
-        plus, n=spec.n, rounds=spec.rounds, fault_plan=spec.fault_plan()
-    )
-    history = _post_corruption_suffix(result.history, spec)
-    checker = f"confirm-ftss-compiler@{pi.final_round}"
-    if history is None:
-        return SpecVerdict(checker=checker, holds=True)
-    verdict = check_definition("ftss", history, _fig3_sigma(), pi.final_round)
+def _judge_thm1(history: ExecutionHistory, spec: PlanSpec, at: int) -> SpecVerdict:
+    sigma = ClockAgreementProblem()
+    tentative = check_definition("tentative", history, sigma, at)
+    # The dichotomy that motivates Definition 2.4: the very runs that
+    # refute the tentative definition still ftss-solve Σ at time 1.
+    ftss = check_definition("ftss", history, sigma, 1)
     return SpecVerdict(
-        checker=checker, holds=verdict.holds, violations=_cap(verdict.violations)
+        checker=f"confirm-tentative@{at}",
+        holds=tentative.holds,
+        violations=_cap(tentative.violations),
+        details=(("ftss_at_1_holds", ftss.holds),),
     )
+
+
+def _thm2_sigma() -> Problem:
+    return ConjunctionProblem(ClockAgreementProblem(), UniformityCondition())
+
+
+def _judge_unison(history: ExecutionHistory, spec: PlanSpec, at: int) -> SpecVerdict:
+    """Unison re-agreement after quiescence, on the recorded history.
+
+    The obligation: let *quiet* be the last churn or mid-run corruption
+    round; the processes still attached must agree (and tick +1) from
+    round ``quiet + diameter + 1`` to the horizon.  A process whose
+    churn window never rejoins free-runs detached and is exempt.  The
+    deadline is spec-dependent, so ``at`` does not enter.
+    """
+    diameter = RingTopology(spec.n).diameter()
+    quiet = max(spec.corruption_rounds, default=0)
+    for ch in spec.churn:
+        quiet = max(quiet, ch.leave_round, ch.rejoin_round or 0)
+    deadline = quiet + diameter
+    exempt = {ch.pid for ch in spec.churn if ch.rejoin_round is None}
+    violations: list = []
+    previous: Optional[Dict[int, int]] = None
+    for round_no in range(deadline + 1, spec.rounds + 1):
+        clocks = {
+            pid: clock
+            for pid, clock in history.clocks(round_no).items()
+            if pid not in exempt and clock is not None
+        }
+        if len(set(clocks.values())) > 1:
+            violations.append(
+                f"[round {round_no}] agreement: attached clocks differ "
+                f"{deadline - quiet} rounds after quiescence: "
+                f"{dict(sorted(clocks.items()))}"
+            )
+        if previous is not None:
+            for pid in sorted(clocks):
+                if pid in previous and clocks[pid] != previous[pid] + 1:
+                    violations.append(
+                        f"[round {round_no}] rate: process {pid} went "
+                        f"{previous[pid]} -> {clocks[pid]}"
+                    )
+        previous = clocks
+    return SpecVerdict(
+        checker=f"confirm-unison-ring@diameter={diameter}",
+        holds=not violations,
+        violations=_cap(violations),
+        details=(("quiet_round", quiet), ("deadline", deadline)),
+    )
+
+
+SYNC_CLAIMS: Dict[str, SyncClaim] = {
+    # Round agreement (Figure 1), ftss@1 (Theorem 3).
+    "fig1": SyncClaim(
+        at=1,
+        protocol=RoundAgreementProtocol,
+        checker=StreamingFtssClock,
+        judge=partial(_judge_ftss, "clock", ClockAgreementProblem),
+    ),
+    # Compiled FloodMin (Figure 3), ftss@final_round (Theorem 4); the
+    # obligation time is structural, so ``at`` is always the final round.
+    "fig3": SyncClaim(
+        at=FloodMinConsensus(f=1, proposals=FIG3_PROPOSALS).final_round,
+        protocol=lambda: _fig3_instance()[1],
+        checker=lambda at: StreamingCompilerCheck(
+            final_round=at, valid_proposals=frozenset(FIG3_PROPOSALS)
+        ),
+        judge=partial(_judge_ftss, "compiler", _fig3_sigma),
+    ),
+    # Min-rule unison on a churning ring (topology layer).  Its
+    # obligation starts at the churn schedule's quiescence point, which
+    # the generic streaming clock checkers cannot express; the runs are
+    # small, so the definition-grade path doubles as the fast path.
+    "unison": SyncClaim(
+        at=0,
+        protocol=MinUnison,
+        topology=RingTopology,
+        judge=_judge_unison,
+    ),
+    # The tentative definition is refutable (Theorem 1).
+    "thm1": SyncClaim(
+        at=THM1_CANDIDATE,
+        protocol=RoundAgreementProtocol,
+        checker=StreamingTentativeClock,
+        judge=_judge_thm1,
+    ),
+    # Uniformity is impossible with process failures (Theorem 2).  Σ
+    # mixes clock agreement with the uniformity condition on *faulty*
+    # processes — a predicate the streaming clock checkers do not model;
+    # the runs are 2-process and 12 rounds, so the definition-grade path
+    # doubles as the fast path (documented search-target exception).
+    "thm2": SyncClaim(
+        at=THM2_PATIENCE + 1,
+        protocol=partial(UniformRoundAgreement, patience=THM2_PATIENCE),
+        judge=partial(_judge_ftss, "uniform", _thm2_sigma, whole_history=True),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -260,151 +409,6 @@ def _fig4_confirm(spec: PlanSpec) -> SpecVerdict:
     )
 
 
-# ---------------------------------------------------------------------------
-# unison — min-rule unison on a churning ring re-stabilizes (topology layer)
-# ---------------------------------------------------------------------------
-
-
-def _unison_confirm(spec: PlanSpec) -> SpecVerdict:
-    """Unison re-agreement after quiescence, on the recorded history.
-
-    The obligation: let *quiet* be the last churn or mid-run corruption
-    round; the processes still attached must agree (and tick +1) from
-    round ``quiet + diameter + 1`` to the horizon.  A process whose
-    churn window never rejoins free-runs detached and is exempt.
-    """
-    # Imported lazily: only this target pulls in the topology layer.
-    from repro.kernel.topology import RingTopology
-    from repro.protocols.unison import MinUnison
-
-    topology = RingTopology(spec.n)
-    result = run_sync(
-        MinUnison(),
-        n=spec.n,
-        rounds=spec.rounds,
-        fault_plan=spec.fault_plan(),
-        topology=topology,
-    )
-    quiet = max(spec.corruption_rounds, default=0)
-    for ch in spec.churn:
-        quiet = max(quiet, ch.leave_round, ch.rejoin_round or 0)
-    deadline = quiet + topology.diameter()
-    exempt = {ch.pid for ch in spec.churn if ch.rejoin_round is None}
-    violations: list = []
-    previous: Optional[Dict[int, int]] = None
-    for round_no in range(deadline + 1, spec.rounds + 1):
-        clocks = {
-            pid: clock
-            for pid, clock in result.history.clocks(round_no).items()
-            if pid not in exempt and clock is not None
-        }
-        if len(set(clocks.values())) > 1:
-            violations.append(
-                f"[round {round_no}] agreement: attached clocks differ "
-                f"{deadline - quiet} rounds after quiescence: "
-                f"{dict(sorted(clocks.items()))}"
-            )
-        if previous is not None:
-            for pid in sorted(clocks):
-                if pid in previous and clocks[pid] != previous[pid] + 1:
-                    violations.append(
-                        f"[round {round_no}] rate: process {pid} went "
-                        f"{previous[pid]} -> {clocks[pid]}"
-                    )
-        previous = clocks
-    return SpecVerdict(
-        checker=f"confirm-unison-ring@diameter={topology.diameter()}",
-        holds=not violations,
-        violations=_cap(violations),
-        details=(("quiet_round", quiet), ("deadline", deadline)),
-    )
-
-
-#: Unison's obligation starts at a spec-dependent round (the churn
-#: schedule's quiescence point), which the generic streaming clock
-#: checkers cannot express.  The runs are n=6 and 16 rounds, so the
-#: definition-grade path doubles as the fast path (same documented
-#: exception as thm2).
-_unison_streaming = _unison_confirm
-
-
-# ---------------------------------------------------------------------------
-# thm1 — the tentative definition is refutable (Theorem 1)
-# ---------------------------------------------------------------------------
-
-
-def _thm1_streaming(spec: PlanSpec) -> SpecVerdict:
-    checker = StreamingTentativeClock(THM1_CANDIDATE)
-    run_sync(
-        RoundAgreementProtocol(),
-        n=spec.n,
-        rounds=spec.rounds,
-        fault_plan=spec.fault_plan(),
-        observers=(checker,),
-        record_history=False,
-    )
-    return checker.verdict()
-
-
-def _thm1_confirm(spec: PlanSpec) -> SpecVerdict:
-    result = run_sync(
-        RoundAgreementProtocol(),
-        n=spec.n,
-        rounds=spec.rounds,
-        fault_plan=spec.fault_plan(),
-    )
-    sigma = ClockAgreementProblem()
-    tentative = check_definition(
-        "tentative", result.history, sigma, THM1_CANDIDATE
-    )
-    # The dichotomy that motivates Definition 2.4: the very runs that
-    # refute the tentative definition still ftss-solve Σ at time 1.
-    ftss = check_definition("ftss", result.history, sigma, 1)
-    return SpecVerdict(
-        checker=f"confirm-tentative@{THM1_CANDIDATE}",
-        holds=tentative.holds,
-        violations=_cap(tentative.violations),
-        details=(("ftss_at_1_holds", ftss.holds),),
-    )
-
-
-# ---------------------------------------------------------------------------
-# thm2 — uniformity is impossible with process failures (Theorem 2)
-# ---------------------------------------------------------------------------
-
-
-def _thm2_sigma() -> Problem:
-    return ConjunctionProblem(ClockAgreementProblem(), UniformityCondition())
-
-
-def _thm2_run(spec: PlanSpec):
-    return run_sync(
-        UniformRoundAgreement(patience=THM2_PATIENCE),
-        n=spec.n,
-        rounds=spec.rounds,
-        fault_plan=spec.fault_plan(),
-    )
-
-
-def _thm2_confirm(spec: PlanSpec) -> SpecVerdict:
-    result = _thm2_run(spec)
-    verdict = check_definition(
-        "ftss", result.history, _thm2_sigma(), THM2_PATIENCE + 1
-    )
-    return SpecVerdict(
-        checker=f"confirm-ftss-uniform@{THM2_PATIENCE + 1}",
-        holds=verdict.holds,
-        violations=_cap(verdict.violations),
-    )
-
-
-#: thm2's Σ mixes clock agreement with the uniformity condition on
-#: *faulty* processes — a predicate the streaming clock checkers do not
-#: model.  The runs are 2-process and 12 rounds, so the definition-grade
-#: path doubles as the fast path (documented search-target exception).
-_thm2_streaming = _thm2_confirm
-
-
 TARGETS: Dict[str, ExplorationTarget] = {
     "fig1": ExplorationTarget(
         name="fig1",
@@ -412,8 +416,8 @@ TARGETS: Dict[str, ExplorationTarget] = {
         expect_violation=False,
         symmetric=True,
         default_space=FIG1_SPACE,
-        streaming=_fig1_streaming,
-        confirm=_fig1_confirm,
+        streaming=SYNC_CLAIMS["fig1"].streaming,
+        confirm=SYNC_CLAIMS["fig1"].confirm,
     ),
     "fig3": ExplorationTarget(
         name="fig3",
@@ -421,8 +425,8 @@ TARGETS: Dict[str, ExplorationTarget] = {
         expect_violation=False,
         symmetric=False,  # per-pid proposals
         default_space=FIG3_SPACE,
-        streaming=_fig3_streaming,
-        confirm=_fig3_confirm,
+        streaming=SYNC_CLAIMS["fig3"].streaming,
+        confirm=SYNC_CLAIMS["fig3"].confirm,
         smoke_space=FIG3_SMOKE_SPACE,
     ),
     "fig4": ExplorationTarget(
@@ -440,8 +444,8 @@ TARGETS: Dict[str, ExplorationTarget] = {
         expect_violation=False,
         symmetric=False,  # ring adjacency is pid-dependent
         default_space=UNISON_SPACE,
-        streaming=_unison_streaming,
-        confirm=_unison_confirm,
+        streaming=SYNC_CLAIMS["unison"].streaming,
+        confirm=SYNC_CLAIMS["unison"].confirm,
     ),
     "thm1": ExplorationTarget(
         name="thm1",
@@ -449,8 +453,8 @@ TARGETS: Dict[str, ExplorationTarget] = {
         expect_violation=True,
         symmetric=True,
         default_space=THM1_SPACE,
-        streaming=_thm1_streaming,
-        confirm=_thm1_confirm,
+        streaming=SYNC_CLAIMS["thm1"].streaming,
+        confirm=SYNC_CLAIMS["thm1"].confirm,
     ),
     "thm2": ExplorationTarget(
         name="thm2",
@@ -461,8 +465,8 @@ TARGETS: Dict[str, ExplorationTarget] = {
         expect_violation=True,
         symmetric=True,
         default_space=THM2_SPACE,
-        streaming=_thm2_streaming,
-        confirm=_thm2_confirm,
+        streaming=SYNC_CLAIMS["thm2"].streaming,
+        confirm=SYNC_CLAIMS["thm2"].confirm,
     ),
 }
 

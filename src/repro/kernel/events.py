@@ -50,6 +50,7 @@ overrides *only* the batch form does not hear.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Dict, FrozenSet, Mapping, Optional, Sequence
 
 __all__ = [
@@ -230,18 +231,32 @@ _FLAGGED_HOOKS = (
 _BATCH_FORMS = {"send": "on_sends", "deliver": "on_deliveries"}
 
 
-def _overrides(observer: Observer, method: str) -> bool:
-    return getattr(type(observer), method) is not getattr(Observer, method)
+def _overrides(cls: type, method: str) -> bool:
+    return getattr(cls, method) is not getattr(Observer, method)
 
 
-def _subscribes(observer: Observer, hook: str) -> bool:
-    """Does ``observer`` override ``on_<hook>`` (transitively for buses)?"""
-    if isinstance(observer, EventBus):
-        return getattr(observer, f"wants_{hook}")
-    batch_form = _BATCH_FORMS.get(hook)
-    return _overrides(observer, f"on_{hook}") or (
-        batch_form is not None and _overrides(observer, batch_form)
+@lru_cache(maxsize=None)
+def _class_hooks(cls: type) -> FrozenSet[str]:
+    """The flagged hooks observer class ``cls`` overrides, in either form.
+
+    A class's methods are fixed once it is defined, so the reflection is
+    paid once per class, not once per bus (every run builds a bus).
+    """
+    return frozenset(
+        hook
+        for hook in _FLAGGED_HOOKS
+        if _overrides(cls, f"on_{hook}")
+        or (hook in _BATCH_FORMS and _overrides(cls, _BATCH_FORMS[hook]))
     )
+
+
+def _subscribed_hooks(observer: Observer) -> FrozenSet[str]:
+    """The hooks ``observer`` listens to (transitively for buses)."""
+    if isinstance(observer, EventBus):  # per instance: it depends on its observers
+        return frozenset(
+            hook for hook in _FLAGGED_HOOKS if getattr(observer, f"wants_{hook}")
+        )
+    return _class_hooks(type(observer))
 
 
 class EventBus(Observer):
@@ -268,18 +283,20 @@ class EventBus(Observer):
     )
 
     def __init__(self, observers: Sequence[Observer] = ()):
-        self._observers = tuple(observers)
+        self._observers = observers = tuple(observers)
+        subscribed = [_subscribed_hooks(observer) for observer in observers]
+        wanted = frozenset().union(*subscribed)
         for hook in _FLAGGED_HOOKS:
-            setattr(
-                self,
-                f"wants_{hook}",
-                any(_subscribes(observer, hook) for observer in self._observers),
-            )
+            setattr(self, f"wants_{hook}", hook in wanted)
         self._send_observers = tuple(
-            observer for observer in self._observers if _subscribes(observer, "send")
+            observer
+            for observer, hooks in zip(observers, subscribed)
+            if "send" in hooks
         )
         self._deliver_observers = tuple(
-            observer for observer in self._observers if _subscribes(observer, "deliver")
+            observer
+            for observer, hooks in zip(observers, subscribed)
+            if "deliver" in hooks
         )
 
     @property

@@ -36,7 +36,16 @@ class HistoryRecorder(Observer):
     appear in pid order, sent tuples in emission order, delivered
     tuples in the engine's (sender, sent_round) order, and deviation
     flags exactly as the fault events report them.
+
+    Every finished round passes through :meth:`_round_finished`, the one
+    seam a subclass overrides to score a round as it completes; whether
+    the round is also *kept* for :meth:`history` is ``keeps_rounds`` —
+    true here, false on the streaming checkers, and set back to true on
+    a checker instance whose caller wants both its verdict and the
+    history out of one execution (:mod:`repro.verify`).
     """
+
+    keeps_rounds = True
 
     def __init__(self) -> None:
         self._n: Optional[int] = None
@@ -105,10 +114,15 @@ class HistoryRecorder(Observer):
         # paper's faulty set counts process failures only).
 
     def on_round_end(self, round_no):
-        self._rounds.append(self._finish_round(round_no))
+        self._round_finished(self._finish_round(round_no))
+
+    def _round_finished(self, round_history: RoundHistory) -> None:
+        """A round's records are complete: keep them, score them, or both."""
+        if self.keeps_rounds:
+            self._rounds.append(round_history)
 
     def _finish_round(self, round_no) -> RoundHistory:
-        """Assemble this round's records (subclasses may discard them)."""
+        """Assemble this round's records."""
         records = []
         for pid in range(self._n or 0):
             if pid in self._crashed:

@@ -2,8 +2,8 @@
 
 Pure Python, always available.  The engine enumerates *every* fault
 plan in the target's :class:`~repro.explore.space.PlanSpace` (after
-symmetry dedup, exactly the explorer's), judges each plan on **both**
-of EXPLORE's codepaths — the streaming checker and the definition-grade
+symmetry dedup, exactly the explorer's), puts each plan before **both**
+of EXPLORE's judges — the streaming checker and the definition-grade
 confirm oracle — and hash-conses every per-round global state it meets
 along the way into a canonical frontier.  The outcome:
 
@@ -13,11 +13,20 @@ along the way into a canonical frontier.  The outcome:
   as a counterexample whose confirm verdict is byte-identical to what
   EXPLORE would put in a replay artifact.
 
-The confirm path is the verdict of record on *every* plan — not just
+The confirm judge's is the verdict of record on *every* plan — not just
 streaming-flagged ones, as in EXPLORE's sampling posture — because a
 proof must not inherit a streaming checker's blind spots.  Any
 streaming/confirm disagreement is returned as a mismatch and blocks
 certification.
+
+Two judges, one execution: a plan is run through the engine once
+(:func:`repro.verify.targets.judge_plan`), with the streaming checker
+and the frontier observer on its event bus and the recorded history
+handed to ``check_definition`` afterwards.  That is sound because a
+spec fully determines its run — a second execution would narrate the
+same events and record an equal history — and it leaves the cross-check
+intact, because what is shared is the judges' *input*, not their
+reasoning.
 
 Per-plan work is memoized through the content-addressed run cache
 under the ``verify:<target>@verify`` namespace, so re-proving an
@@ -29,17 +38,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from collections.abc import Mapping
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.base import run_sweep
 from repro.explore.space import PlanSpace, PlanSpec, dedupe
 from repro.kernel.events import Observer
 from repro.verify.result import VerifyResult, frontier_from_digests
-from repro.verify.targets import (
-    VerifyTarget,
-    confirm_verdict,
-    streaming_verdict,
-)
+from repro.verify.targets import VerifyTarget, judge_plan
 
 __all__ = [
     "FrontierObserver",
@@ -59,14 +65,21 @@ class SpaceTooLargeError(ValueError):
     """The space exceeds what the explicit engine will exhaust."""
 
 
+_ATOMS = frozenset({int, str, bool, float, type(None)})
+
+
 def _canon(value: Any) -> str:
     """A deterministic textual form for state values.
 
     ``repr`` alone is not canonical for unordered containers (set and
-    frozenset iteration order follows hash seeds for str members), so
-    mappings and sets are rendered with sorted members.
+    frozenset iteration order follows hash seeds for str members, a
+    mapping's follows insertion), so mappings — the kernel's
+    ``FrozenDict`` snapshots as much as plain dicts — and sets are
+    rendered with sorted members.
     """
-    if isinstance(value, dict):
+    if type(value) in _ATOMS:  # most values; spares them the Mapping ABC check
+        return repr(value)
+    if isinstance(value, Mapping):
         items = ", ".join(
             f"{_canon(k)}: {_canon(value[k])}" for k in sorted(value, key=repr)
         )
@@ -111,7 +124,7 @@ class FrontierObserver(Observer):
 
 
 def _verify_worker(task: Tuple[str, int, PlanSpec]) -> Dict[str, Any]:
-    """Judge one plan on both codepaths and capture its frontier.
+    """Put one plan before both judges and capture its frontier.
 
     Module-level and pure in its task, as :func:`run_sweep`'s fork pool
     and the run cache both require.
@@ -121,8 +134,7 @@ def _verify_worker(task: Tuple[str, int, PlanSpec]) -> Dict[str, Any]:
     target_name, at, spec = task
     target = get_verify_target(target_name)
     frontier = FrontierObserver()
-    streaming = streaming_verdict(target, at, spec, frontier)
-    confirm = confirm_verdict(target, at, spec)
+    streaming, confirm = judge_plan(target, at, spec, frontier)
     return {
         "streaming": streaming,
         "confirm": confirm,

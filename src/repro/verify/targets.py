@@ -7,18 +7,27 @@ curated small space *exhaustively* and renders a verdict about the
 whole space — ``proved`` (no plan violates the claim) or ``refuted``
 (with a concrete counterexample plan).
 
-The division of labor per plan mirrors the exploration engine exactly:
+Every plan faces EXPLORE's two judges, both read off the target's one
+:class:`~repro.explore.targets.SyncClaim`:
 
-- the **streaming** path re-runs the plan with the same streaming
-  checker EXPLORE uses (``record_history=False``), plus a frontier
-  observer digesting every per-round global state for the
-  canonical-state statistics;
-- the **confirm** path re-runs the plan recording the history and
-  evaluates the definition-grade predicates from
-  :mod:`repro.core.solvability`.  *This* is the verdict of record —
-  the streaming verdict is cross-checked against it on every single
-  plan, and any disagreement is surfaced as a mismatch that blocks
-  certification.
+- the **streaming** judge is the streaming checker EXPLORE uses, fed
+  by the run's events as they happen;
+- the **confirm** judge evaluates the definition-grade predicates from
+  :mod:`repro.core.solvability` on the recorded history.  *This* is
+  the verdict of record — the streaming verdict is cross-checked
+  against it on every single plan, and any disagreement is surfaced as
+  a mismatch that blocks certification.
+
+:func:`streaming_verdict` and :func:`confirm_verdict` each execute the
+plan for their one judge (replays, cross-checks, the SMT engine's
+concrete counterexamples).  :func:`judge_plan` — what the explicit
+engine walks a space with — executes it once for both: the engine is
+deterministic in the spec, so the event stream and the history of two
+executions would be equal anyway, and what the judges share is only
+that input.  They stay separate code (window scoring on clock digests
+vs ``check_definition`` on an ``ExecutionHistory``) and can still
+disagree; thm2 and unison have no streaming checker, so their single
+judge's verdict is reported on both sides.
 
 ``fig1`` and ``thm1`` additionally support re-instantiating the claim
 at a caller-chosen stabilization time ``--at R`` (the claims are
@@ -34,30 +43,12 @@ finite fault-plan product the bounded engines exhaust.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from repro.core.impossibility import UniformRoundAgreement
-from repro.core.problems import ClockAgreementProblem
-from repro.core.rounds import RoundAgreementProtocol
-from repro.core.solvability import check_definition
-from repro.explore.checkers import (
-    SpecVerdict,
-    StreamingCompilerCheck,
-    StreamingFtssClock,
-    StreamingTentativeClock,
-)
+from repro.explore.checkers import SpecVerdict
 from repro.explore.space import PlanSpace, PlanSpec
-from repro.explore.targets import (
-    THM1_CANDIDATE,
-    THM2_PATIENCE,
-    _cap,
-    _fig3_instance,
-    _post_corruption_suffix,
-    get_target,
-)
+from repro.explore.targets import SYNC_CLAIMS
 from repro.kernel.events import Observer
-from repro.protocols.floodmin import FloodMinConsensus
-from repro.sync.engine import run_sync
 from repro.workloads.spaces import (
     THM1_SPACE,
     THM2_SPACE,
@@ -72,14 +63,9 @@ __all__ = [
     "VERIFY_TARGETS",
     "get_verify_target",
     "confirm_verdict",
+    "judge_plan",
     "streaming_verdict",
 ]
-
-#: Figure 3's obligation time is the compiled protocol's final round —
-#: a structural constant of the FloodMin instance, not a free parameter.
-_FIG3_FINAL_ROUND = FloodMinConsensus(
-    f=1, proposals=(3, 1, 4, 1)
-).final_round
 
 
 @dataclass(frozen=True)
@@ -127,7 +113,7 @@ VERIFY_TARGETS: Dict[str, VerifyTarget] = {
             "the Σ⁺ obligation at its final round"
         ),
         expect="proved",
-        default_at=_FIG3_FINAL_ROUND,
+        default_at=SYNC_CLAIMS["fig3"].at,  # structural: the final round
         supports_at=False,
         symmetric=False,  # per-pid proposals
         space=VERIFY_FIG3_SPACE,
@@ -153,7 +139,7 @@ VERIFY_TARGETS: Dict[str, VerifyTarget] = {
             "Definition 1 at r"
         ),
         expect="refuted",
-        default_at=THM1_CANDIDATE,
+        default_at=SYNC_CLAIMS["thm1"].at,
         supports_at=True,
         symmetric=True,
         space=THM1_SPACE,
@@ -166,7 +152,7 @@ VERIFY_TARGETS: Dict[str, VerifyTarget] = {
             "clock agreement ∧ uniformity"
         ),
         expect="refuted",
-        default_at=THM2_PATIENCE + 1,
+        default_at=SYNC_CLAIMS["thm2"].at,
         supports_at=False,
         symmetric=True,
         space=THM2_SPACE,
@@ -194,8 +180,12 @@ def _require_at(target: VerifyTarget, at: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The streaming path, with a frontier observer riding along
+# The two judges, apart and together
 # ---------------------------------------------------------------------------
+
+
+def _riders(frontier: Optional[Observer]) -> Tuple[Observer, ...]:
+    return () if frontier is None else (frontier,)
 
 
 def streaming_verdict(
@@ -206,87 +196,16 @@ def streaming_verdict(
 ) -> SpecVerdict:
     """EXPLORE's streaming verdict for one plan, plus frontier capture.
 
-    For the observer-based checkers (fig1/thm1/fig3) the frontier
-    observer rides on the *same* run; thm2 and unison judge on a
-    recorded history (their documented streaming==confirm exception),
-    so the frontier is captured by a second observers-only run of the
-    same deterministic plan.
+    The frontier observer rides on the same run as the checker (for
+    thm2 and unison, whose judge reads a recorded history, on that
+    recorded run).
     """
-    extra = () if frontier is None else (frontier,)
-    if target.name == "fig1":
-        checker = StreamingFtssClock(stabilization_time=at)
-        run_sync(
-            RoundAgreementProtocol(),
-            n=spec.n,
-            rounds=spec.rounds,
-            fault_plan=spec.fault_plan(),
-            observers=(checker, *extra),
-            record_history=False,
-        )
-        return checker.verdict()
-    if target.name == "thm1":
-        checker = StreamingTentativeClock(at)
-        run_sync(
-            RoundAgreementProtocol(),
-            n=spec.n,
-            rounds=spec.rounds,
-            fault_plan=spec.fault_plan(),
-            observers=(checker, *extra),
-            record_history=False,
-        )
-        return checker.verdict()
-    if target.name == "fig3":
-        pi, plus, valid = _fig3_instance()
-        checker = StreamingCompilerCheck(
-            final_round=pi.final_round, valid_proposals=valid
-        )
-        run_sync(
-            plus,
-            n=spec.n,
-            rounds=spec.rounds,
-            fault_plan=spec.fault_plan(),
-            observers=(checker, *extra),
-            record_history=False,
-        )
-        return checker.verdict()
-    if target.name == "thm2":
-        verdict = get_target("thm2").streaming(spec)
-        if frontier is not None:
-            run_sync(
-                UniformRoundAgreement(patience=THM2_PATIENCE),
-                n=spec.n,
-                rounds=spec.rounds,
-                fault_plan=spec.fault_plan(),
-                observers=(frontier,),
-                record_history=False,
-            )
-        return verdict
-    if target.name == "unison":
-        from repro.kernel.topology import RingTopology
-        from repro.protocols.unison import MinUnison
-
-        verdict = get_target("unison").streaming(spec)
-        if frontier is not None:
-            run_sync(
-                MinUnison(),
-                n=spec.n,
-                rounds=spec.rounds,
-                fault_plan=spec.fault_plan(),
-                observers=(frontier,),
-                record_history=False,
-                topology=RingTopology(spec.n),
-            )
-        return verdict
-    raise ValueError(f"target {target.name!r} has no streaming path")
-
-
-# ---------------------------------------------------------------------------
-# The confirm path — the verdict of record
-# ---------------------------------------------------------------------------
+    _require_at(target, at)
+    return SYNC_CLAIMS[target.name].streaming(spec, at, _riders(frontier))
 
 
 def confirm_verdict(target: VerifyTarget, at: int, spec: PlanSpec) -> SpecVerdict:
-    """The definition-grade verdict for one plan.
+    """The definition-grade verdict for one plan — the verdict of record.
 
     At the canonical instantiation this *is* the exploration target's
     confirm path — byte-identical checker names and violation strings,
@@ -294,39 +213,15 @@ def confirm_verdict(target: VerifyTarget, at: int, spec: PlanSpec) -> SpecVerdic
     parametric targets (fig1/thm1) additionally accept any ``at``.
     """
     _require_at(target, at)
-    if at == target.default_at:
-        return get_target(target.name).confirm(spec)
-    if target.name == "fig1":
-        result = run_sync(
-            RoundAgreementProtocol(),
-            n=spec.n,
-            rounds=spec.rounds,
-            fault_plan=spec.fault_plan(),
-        )
-        history = _post_corruption_suffix(result.history, spec)
-        checker = f"confirm-ftss-clock@{at}"
-        if history is None:
-            return SpecVerdict(checker=checker, holds=True)
-        verdict = check_definition("ftss", history, ClockAgreementProblem(), at)
-        return SpecVerdict(
-            checker=checker,
-            holds=verdict.holds,
-            violations=_cap(verdict.violations),
-        )
-    if target.name == "thm1":
-        result = run_sync(
-            RoundAgreementProtocol(),
-            n=spec.n,
-            rounds=spec.rounds,
-            fault_plan=spec.fault_plan(),
-        )
-        sigma = ClockAgreementProblem()
-        tentative = check_definition("tentative", result.history, sigma, at)
-        ftss = check_definition("ftss", result.history, sigma, 1)
-        return SpecVerdict(
-            checker=f"confirm-tentative@{at}",
-            holds=tentative.holds,
-            violations=_cap(tentative.violations),
-            details=(("ftss_at_1_holds", ftss.holds),),
-        )
-    raise AssertionError("unreachable: _require_at vetted the target")
+    return SYNC_CLAIMS[target.name].confirm(spec, at)
+
+
+def judge_plan(
+    target: VerifyTarget,
+    at: int,
+    spec: PlanSpec,
+    frontier: Optional[Observer] = None,
+) -> Tuple[SpecVerdict, SpecVerdict]:
+    """``(streaming_verdict, confirm_verdict)`` off one execution of the plan."""
+    _require_at(target, at)
+    return SYNC_CLAIMS[target.name].both(spec, at, _riders(frontier))

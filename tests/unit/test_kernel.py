@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.base import default_jobs, run_sweep
-from repro.kernel import snapshot
+from repro.kernel import events, snapshot
 from repro.kernel import (
     ComposedAdversary,
     CrashScheduleAdversary,
@@ -12,6 +12,7 @@ from repro.kernel import (
     snapshot_state,
     snapshot_states,
 )
+from repro.kernel.events import EventBus, Observer
 from repro.sync.adversary import FaultMode, RandomAdversary
 from repro.sync.corruption import RandomCorruption
 from repro.util.rng import sweep_seed
@@ -183,3 +184,62 @@ class TestSweepSeed:
         assert sweep_seed("FIG1", "n=4,f=1", 0) != sweep_seed("FIG1", "n=6,f=2", 0)
         assert sweep_seed("FIG1", "n=4,f=1", 0) != sweep_seed("FIG2", "n=4,f=1", 0)
         assert sweep_seed("FIG1", "n=4,f=1", 0) != sweep_seed("FIG1", "n=4,f=1", 1)
+
+
+class _FaultListener(Observer):
+    def on_fault(self, fault):
+        pass
+
+
+class _WireListener(_FaultListener):
+    """Subscribes to sends in the batch form only, on top of its parent's hook."""
+
+    def on_sends(self, messages, time):
+        pass
+
+
+def _wanted(bus):
+    return {hook for hook in events._FLAGGED_HOOKS if getattr(bus, f"wants_{hook}")}
+
+
+class TestBusSubscriptionMemo:
+    """Which hooks a class overrides is worked out once per class."""
+
+    def test_reflection_runs_once_per_observer_class(self, monkeypatch):
+        class Fresh(Observer):
+            def on_round_end(self, round_no):
+                pass
+
+        inspected = []
+        overrides = events._overrides
+
+        def counting(cls, method):
+            inspected.append(cls)
+            return overrides(cls, method)
+
+        monkeypatch.setattr(events, "_overrides", counting)
+        first = EventBus((Fresh(),))
+        assert set(inspected) == {Fresh}
+        del inspected[:]
+        for _ in range(3):
+            again = EventBus((Fresh(), Fresh()))
+            assert _wanted(again) == _wanted(first) == {"round_end"}
+        assert inspected == []
+
+    def test_subclass_is_not_answered_from_its_parent(self):
+        assert _wanted(EventBus((_FaultListener(),))) == {"fault"}
+        bus = EventBus((_FaultListener(), _WireListener()))
+        assert _wanted(bus) == {"fault", "send"}
+        # The batch form alone subscribes, and only the subscriber is forwarded to.
+        assert [type(o) for o in bus._send_observers] == [_WireListener]
+        assert bus._deliver_observers == ()
+
+    def test_nested_buses_are_inspected_per_instance(self):
+        # Every bus is an EventBus: a per-class answer would make these equal.
+        faults = EventBus((_FaultListener(),))
+        wires = EventBus((_WireListener(),))
+        nothing = EventBus(())
+        assert _wanted(EventBus((faults,))) == {"fault"}
+        assert _wanted(EventBus((wires,))) == {"fault", "send"}
+        assert _wanted(EventBus((nothing,))) == set()
+        assert _wanted(EventBus((nothing, faults))) == {"fault"}

@@ -20,6 +20,8 @@ These pin down the *equivalence* guarantees the optimizations rely on:
   per broadcast;
 - the persistent sweep pool is reused across sweeps and keeps results
   equal to the sequential baseline;
+- the explicit verify engine executes each plan once and assembles each
+  executed round's records once, whichever judge reads them;
 - ``benchmarks/compare.py`` flags regressions and accepts improvements.
 """
 
@@ -540,6 +542,41 @@ class TestPersistentPool:
         points = list(range(17))
         assert run_sweep(_cube, points, jobs=4) == [p**3 for p in points]
         shutdown_pool()
+
+
+class TestOneExecutionPerVerifiedPlan:
+    @pytest.mark.parametrize("name, smoke", [("fig1", True), ("fig3", False)])
+    def test_one_run_and_one_round_assembly_per_plan(self, monkeypatch, name, smoke):
+        import repro.cache
+        from repro.verify import get_verify_target, verify
+        from repro.verify.explicit import enumerate_space
+
+        target = get_verify_target(name)
+        space = target.smoke_space if smoke else target.space
+        specs, _raw, _dropped = enumerate_space(space, target.symmetric)
+
+        repro.cache.disable()  # a cache hit executes nothing at all
+        # Class-level counters see every run and every round assembly,
+        # whichever module's reference to run_sync started it: a run
+        # announces itself once on its bus.
+        runs, rounds = [], []
+        on_run_start = EventBus.on_run_start
+        finish_round = HistoryRecorder._finish_round
+        monkeypatch.setattr(
+            EventBus,
+            "on_run_start",
+            lambda self, *args: runs.append(1) or on_run_start(self, *args),
+        )
+        monkeypatch.setattr(
+            HistoryRecorder,
+            "_finish_round",
+            lambda self, round_no: rounds.append(round_no) or finish_round(self, round_no),
+        )
+        result = verify(name, space=space, jobs=1)
+        assert result.proved and not result.mismatches
+        assert result.examined == len(specs)
+        assert len(runs) == result.examined
+        assert len(rounds) == sum(spec.rounds for spec in specs)
 
 
 def _load_compare():

@@ -87,6 +87,22 @@ class TestFrontier:
         b = {1: {"x": 2}, 0: {"x": 1}}
         assert state_digest(a) == state_digest(b)
 
+    def test_state_digest_canonicalises_every_mapping(self):
+        # A FrozenDict (the kernel's freeze() image of a dict) used to fall
+        # through to repr, which follows insertion order — equal states
+        # digested differently unless the snapshot layer happened to have
+        # interned them (not across pool workers or after clear_caches()).
+        from repro.kernel.snapshot import FrozenDict, freeze
+
+        def state(m):
+            return {0: {"clock": 1, "m": m}}
+
+        plain = state_digest(state({"x": 1, "y": 2}))
+        assert state_digest(state(FrozenDict({"x": 1, "y": 2}))) == plain
+        assert state_digest(state(FrozenDict({"y": 2, "x": 1}))) == plain
+        assert state_digest(state(freeze({"y": 2, "x": 1}))) == plain
+        assert state_digest(state(FrozenDict({"x": 1, "y": 3}))) != plain
+
     def test_state_digest_distinguishes_states(self):
         assert state_digest({0: {"x": 1}}) != state_digest({0: {"x": 2}})
         assert state_digest({0: {"x": 1}}) != state_digest({0: None})
