@@ -10,7 +10,9 @@ corrupted clocks, no history):
   loop, one lane at a time;
 - ``array-numpy`` — :func:`repro.array.engine.run_array` on the NumPy
   data plane, all lanes in one batched pass (skipped, with a note row,
-  when NumPy is absent — the committed baseline always has it);
+  when NumPy is absent — the committed baseline always has it); the
+  grid and ring rows ride the wire's column kernel (bounded in-degree),
+  the ``star`` row its ``reduceat`` kernel (one hub of degree n);
 - ``array-python`` — the same batched driver on the pure-Python
   fallback data plane, at a smaller n (the fallback is a correctness
   path, not a performance claim; its row documents that batching alone
@@ -54,6 +56,7 @@ from repro.analysis.report import ExperimentReport
 from repro.array import has_numpy, run_array
 from repro.experiments.array_scale import _corruption, make_topology
 from repro.kernel.faults import FaultPlan
+from repro.kernel.topology import ExplicitTopology
 from repro.protocols.unison import MinUnison
 from repro.sync.engine import run_sync
 
@@ -69,7 +72,8 @@ ROUNDS = 60
 REFERENCE_ROUNDS = 10
 
 #: The chunked-scale rows: small chunk to genuinely exercise the chunk
-#: loop (ring n=10^5 has ~3n edges, so ~40 chunks per lane per round).
+#: loop (ring n=10^5 rides the column kernel: 7 receiver ranges of 3
+#: in-edge slots each per round).
 N_CHUNK = 100_000
 CHUNK_CELLS = 1 << 14
 CHUNK_LANES = 2
@@ -81,6 +85,12 @@ CEILING_LANES = 2
 CEILING_ROUNDS = 6
 
 
+def _topology(family: str, n: int):
+    if family == "star":
+        return ExplicitTopology(n, [(0, pid) for pid in range(1, n)])
+    return make_topology(family, n)
+
+
 def _plans(family: str, n: int, lanes: int):
     return [
         FaultPlan(initial_corruption=_corruption(family, n, seed))
@@ -89,7 +99,7 @@ def _plans(family: str, n: int, lanes: int):
 
 
 def _array_call(family: str, n: int, rounds: int, lanes: int, backend: str, chunk=None):
-    topology = make_topology(family, n)
+    topology = _topology(family, n)
     plans = _plans(family, n, lanes)
 
     def call():
@@ -107,7 +117,7 @@ def _array_call(family: str, n: int, rounds: int, lanes: int, backend: str, chun
 
 
 def _reference_call(family: str, n: int, rounds: int):
-    topology = make_topology(family, n)
+    topology = _topology(family, n)
 
     def call():
         run_sync(
@@ -177,24 +187,25 @@ def _main_report(repeat: int) -> ExperimentReport:
         ],
     )
 
-    for n, backend, available in (
-        (N_NUMPY, "numpy", has_numpy()),
-        (N_PYTHON, "python", True),
+    for family, n, backend, available in (
+        ("grid", N_NUMPY, "numpy", has_numpy()),
+        ("star", N_NUMPY, "numpy", has_numpy()),
+        ("grid", N_PYTHON, "python", True),
     ):
-        ref_call = _reference_call("grid", n, REFERENCE_ROUNDS)
+        ref_call = _reference_call(family, n, REFERENCE_ROUNDS)
         _, ref_peak = _fork_probe(ref_call)
         ref_s = best_per_call(ref_call, number=1, repeat=repeat)
         ref_pps = _pps(ref_s, n, REFERENCE_ROUNDS, 1)
-        report.add_row(f"reference/grid-{n}", n, 1, ref_pps, None, round(ref_peak, 1))
+        report.add_row(f"reference/{family}-{n}", n, 1, ref_pps, None, round(ref_peak, 1))
         if not available:
-            report.add_row(f"array-{backend}/grid-{n}", n, LANES, None, None, None)
+            report.add_row(f"array-{backend}/{family}-{n}", n, LANES, None, None, None)
             continue
-        array_call = _array_call("grid", n, ROUNDS, LANES, backend)
+        array_call = _array_call(family, n, ROUNDS, LANES, backend)
         _, array_peak = _fork_probe(array_call)
         array_s = best_per_call(array_call, number=1, repeat=repeat)
         array_pps = _pps(array_s, n, ROUNDS, LANES)
         report.add_row(
-            f"array-{backend}/grid-{n}",
+            f"array-{backend}/{family}-{n}",
             n,
             LANES,
             array_pps,

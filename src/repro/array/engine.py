@@ -46,6 +46,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.array.backend import get_numpy, pick_backend
 from repro.array.protocols import (
+    BIG,
+    SMALL,
     ArrayEligibilityError,
     ArrayProtocol,
     as_array_protocol,
@@ -82,12 +84,15 @@ ProcessId = int
 class RoundWire:
     """One round's delivery structure, in backend-native form.
 
-    ``csr`` protocols consume either the ``complete_fast`` form (global
-    reduction; ``send_ok`` masks silenced senders) or the CSR form
-    (``src``/``indptr`` edge list grouped by receiver, plus an optional
-    ``keep`` mask).  ``dense`` protocols consume ``delivered``:
-    numpy — a ``(lanes, n, n)`` bool cube ``[lane, receiver, sender]``;
-    python — per-lane lists of per-receiver sender sets.
+    ``csr`` protocols consume it through :meth:`reduce` alone: min/max
+    over the copies delivered this round.  Underneath is either the
+    ``complete_fast`` form (one global reduction per lane; ``send_ok``
+    masks silenced senders) or the CSR form (``src``/``indptr`` edge
+    list grouped by receiver, plus an optional ``keep`` mask), which
+    stay readable for third-party twins.  ``dense`` protocols consume
+    ``delivered``: numpy — a ``(lanes, n, n)`` bool cube ``[lane,
+    receiver, sender]``; python — per-lane lists of per-receiver sender
+    sets.
     """
 
     __slots__ = (
@@ -95,8 +100,7 @@ class RoundWire:
         "lanes",
         "n",
         "complete_fast",
-        "src",
-        "indptr",
+        "graph",
         "keep",
         "send_ok",
         "delivered",
@@ -108,16 +112,138 @@ class RoundWire:
         self.lanes = lanes
         self.n = n
         self.complete_fast = False
-        self.src = None
-        self.indptr = None
+        self.graph: Optional[_CsrGraph] = None
         self.keep = None
         self.send_ok = None
         self.delivered = None
         #: Memory bound on data-plane temporaries: at most ``chunk``
         #: cells *per lane* per intermediate array (None = unchunked).
-        #: csr protocols honor it as an edge budget per receiver block,
-        #: complete_fast reductions as a column budget.
         self.chunk = chunk
+
+    @property
+    def src(self):
+        """Edge sources grouped by receiver (``None`` off the CSR form)."""
+        return None if self.graph is None else self.graph.src
+
+    @property
+    def indptr(self):
+        """Receiver ``p``'s edges are ``src[indptr[p]:indptr[p + 1]]``."""
+        return None if self.graph is None else self.graph.indptr
+
+    def reduce(self, column, op: str):
+        """Per-receiver ``op`` ("min" / "max") of a per-sender column.
+
+        ``column`` is ``(lanes, n)`` in the wire's backend form; cell
+        ``[lane, p]`` of the result reduces ``column[lane, q]`` over the
+        senders ``q`` whose copy reached ``p`` this round — crashes,
+        omissions, ``chunk`` and the backend are the wire's business.  A
+        receiver that heard nobody (dead cells only) gets the identity
+        (``BIG`` for min, ``SMALL`` for max).  Treat the result as
+        read-only: on the complete graph it is a broadcast view.
+        """
+        if op not in ("min", "max"):
+            raise ValueError(f"unknown reduction {op!r}")
+        identity = BIG if op == "min" else SMALL
+        if self.backend != "numpy":
+            return self._reduce_python(column, min if op == "min" else max, identity)
+        np = get_numpy()
+        ufunc = np.minimum if op == "min" else np.maximum
+        if self.complete_fast:
+            red = None
+            for a, b in _col_chunks(self.n, self.chunk):
+                part = column[:, a:b]
+                if self.send_ok is not None:
+                    part = np.where(self.send_ok[:, a:b], part, identity)
+                part = ufunc.reduce(part, axis=1, keepdims=True)
+                red = part if red is None else ufunc(red, part)
+            return np.broadcast_to(red, column.shape)
+        blocks = self._column_blocks if self.graph.columnar else self._segment_blocks
+        out = None
+        for a, b, red in blocks(np, column, ufunc, identity):
+            if b - a == self.n:
+                return red
+            if out is None:
+                out = np.empty_like(column)
+            out[:, a:b] = red
+        return out
+
+    def _column_blocks(self, np, column, ufunc, identity):
+        """The bounded-in-degree kernel: per receiver range, one gather per
+        in-edge slot, accumulated in place (temporaries: ``chunk`` cells)."""
+        graph, keep = self.graph, self.keep
+        senders = graph.sender_columns
+        edge_ids = graph.edge_columns if keep is not None else None
+        for a, b in _col_chunks(self.n, self.chunk):
+            acc = None
+            for slot in range(graph.max_degree):
+                vals = np.take(column, senders[slot, a:b], axis=1)
+                if keep is not None:
+                    kept = np.take(keep, edge_ids[slot, a:b], axis=1)
+                    vals = np.where(kept, vals, identity)
+                acc = vals if acc is None else ufunc(acc, vals, out=acc)
+            yield a, b, acc
+
+    def _segment_blocks(self, np, column, ufunc, identity):
+        """The general kernel: gather every edge of a receiver range (at
+        most ``chunk`` edges, whole segments), then ``reduceat``."""
+        src, indptr, keep = self.graph.src, self.graph.indptr, self.keep
+        for a, b in _edge_chunks(np, indptr, self.chunk):
+            lo, hi = int(indptr[a]), int(indptr[b])
+            vals = np.take(column, src[lo:hi], axis=1)
+            if keep is not None:
+                vals = np.where(keep[:, lo:hi], vals, identity)
+            yield a, b, ufunc.reduceat(vals, indptr[a:b] - lo, axis=1)
+
+    def _reduce_python(self, column, best_of, identity):
+        """The pure-Python plane: one lane, one receiver at a time."""
+        n = self.n
+        out = []
+        for lane, row in enumerate(column):
+            if self.complete_fast:
+                silenced = self.send_ok[lane] if self.send_ok is not None else ()
+                pool = [row[q] for q in range(n) if q not in silenced] if silenced else row
+                out.append([best_of(pool, default=identity)] * n)
+                continue
+            dropped = self.keep[lane] if self.keep is not None else ()
+            heard = []
+            for senders, first in zip(self.graph._edges, self.graph.indptr):
+                if dropped:
+                    senders = [
+                        q for e, q in enumerate(senders, first) if e not in dropped
+                    ]
+                heard.append(best_of(map(row.__getitem__, senders), default=identity))
+            out.append(heard)
+        return out
+
+
+def _col_chunks(n: int, chunk: Optional[int]):
+    """Column ranges ``[a, b)`` of at most ``chunk`` columns (None: one range)."""
+    chunk = chunk or n
+    for a in range(0, n, chunk):
+        yield a, min(a + chunk, n)
+
+
+def _edge_chunks(np, indptr, chunk: Optional[int]):
+    """Receiver ranges ``[a, b)`` whose CSR edge segments fit ``chunk``
+    (None: one range).
+
+    Greedy: each range holds as many whole receiver segments as fit in
+    ``chunk`` edges (always at least one receiver, so a single segment
+    larger than the budget still makes progress).  O(#chunks · log n),
+    not O(n), so million-process rounds don't pay a Python loop.
+    """
+    n = int(indptr.shape[0]) - 1
+    if chunk is None:
+        yield 0, n
+        return
+    a = 0
+    while a < n:
+        b = int(np.searchsorted(indptr, int(indptr[a]) + chunk, side="right")) - 1
+        if b <= a:
+            b = a + 1
+        b = min(b, n)
+        yield a, b
+        a = b
 
 
 class _Segments:
@@ -133,6 +259,19 @@ class _Segments:
         return self.ids[self.bounds[p] : self.bounds[p + 1]]
 
 
+#: The column kernel makes one gather-and-accumulate pass per in-edge
+#: slot over all n receivers; ``reduceat`` makes one pass over the E
+#: edges.  Columns win while a pass covers enough cells to hide its
+#: fixed cost, the slots are few, and padding at most doubles the cells
+#: touched.  The n and padding bounds sit at the crossovers measured on
+#: rounds that carry a ``keep`` mask (the tighter ones), the degree bound
+#: between the masked and the fault-free one (docs/perf.md, "The
+#: per-round step").
+_COLUMN_MIN_N = 1024
+_COLUMN_MAX_DEGREE = 32
+_COLUMN_MAX_PADDING = 2
+
+
 class _CsrGraph:
     """CSR edge list of one topology state: edges grouped by receiver.
 
@@ -142,8 +281,9 @@ class _CsrGraph:
 
     Only ``src``/``indptr`` are built eagerly (on the NumPy plane without
     a Python loop over processes); ``dst``, ``by_src`` and
-    ``receiver_sets`` are read by fault rounds alone and derived on
-    first use, so fault-free runs never pay for them.
+    ``receiver_sets`` are read by fault rounds alone, the slot columns
+    by the column kernel alone, and all are derived on first use, so no
+    run pays for what it does not read.
     """
 
     def __init__(self, edges: Tuple[Tuple[int, ...], ...], backend: str):
@@ -153,6 +293,8 @@ class _CsrGraph:
         if np is not None:
             lengths = np.fromiter(map(len, edges), dtype=np.int64, count=n)
             self.indptr = np.concatenate(([0], np.cumsum(lengths)))
+            #: Largest in-degree, self-loop included (the column kernel's slots).
+            self.max_degree = int(lengths.max())
             self.num_edges = int(self.indptr[-1])
             self.src = np.fromiter(
                 chain.from_iterable(edges), dtype=np.int64, count=self.num_edges
@@ -187,6 +329,38 @@ class _CsrGraph:
         for e, q in enumerate(self.src):
             by_src[q].append(e)
         return by_src
+
+    @cached_property
+    def columnar(self) -> bool:
+        """Does the NumPy plane reduce this graph slot column by slot
+        column (bounded in-degree) rather than with ``reduceat``?  Decided
+        by the graph alone, so a run cannot change its own kernel."""
+        return (
+            self.n >= _COLUMN_MIN_N
+            and self.max_degree <= _COLUMN_MAX_DEGREE
+            and self.max_degree * self.n <= _COLUMN_MAX_PADDING * self.num_edges
+        )
+
+    def _slot_columns(self, of_edge=None):
+        """``(max_degree, n)``: row ``j`` holds every receiver's ``j``-th
+        in-edge id (or ``of_edge`` of it), a shorter segment repeating its
+        last edge — the same copy under the same ``keep`` bit, which an
+        idempotent min/max cannot see."""
+        np = self._np
+        first, last = self.indptr[:-1], np.diff(self.indptr) - 1
+        ids = (first + np.minimum(slot, last) for slot in range(self.max_degree))
+        return np.stack([e if of_edge is None else of_edge[e] for e in ids])
+
+    @cached_property
+    def sender_columns(self):
+        """One contiguous gather index per in-edge slot (column kernel)."""
+        return self._slot_columns(self.src)
+
+    @cached_property
+    def edge_columns(self):
+        """The edge ids behind :attr:`sender_columns`; only a round with a
+        ``keep`` mask reads them, so fault-free runs never build them."""
+        return self._slot_columns()
 
     def edge_id(self, sender: int, receiver: int) -> Optional[int]:
         """Edge id of the copy sender→receiver, or None if no such edge."""
@@ -295,11 +469,10 @@ class ArrayRunResult:
         )
 
     def final_clocks(self, lane: int) -> Dict[int, Optional[int]]:
-        states = self.final_states(lane)
-        return {
-            pid: None if state is None else state[CLOCK_KEY]
-            for pid, state in states.items()
-        }
+        row = self.array_protocol.clock_column(self._state)[lane]
+        clocks = dict(enumerate(row.tolist() if self.backend == "numpy" else row))
+        clocks.update(dict.fromkeys(self.crashed[lane]))
+        return clocks
 
     def clock_spread(self, lane: int) -> Optional[Tuple[int, int]]:
         """(min, max) final round variable over alive processes, fast."""
@@ -729,12 +902,12 @@ def _apply_corruption(
     """Route corruption through the real plan object: same rng stream."""
     states = _extract_states(array_protocol, state, lane.index, lane.crashed, n)
     corrupted = plan.corrupt(protocol, states, n)
-    # crashed processes (``None``) are never revived
-    array_protocol.load_states(
-        state,
-        lane.index,
-        {pid: s for pid in range(n) if (s := corrupted.get(pid)) is not None},
-    )
+    if lane.crashed or len(corrupted) != n:
+        # crashed processes (``None``) are never revived
+        corrupted = {
+            pid: s for pid in range(n) if (s := corrupted.get(pid)) is not None
+        }
+    array_protocol.load_states(state, lane.index, corrupted)
 
 
 # ---------------------------------------------------------------------------
@@ -1012,8 +1185,7 @@ def _build_csr_wire(
                 csr, lane_states, np, wire.lanes
             )
 
-    wire.src = csr.src
-    wire.indptr = csr.indptr
+    wire.graph = csr
 
     if not transient:
         if not any_dead and not any(f.crashing_now for f in round_faults):

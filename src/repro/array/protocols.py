@@ -19,10 +19,11 @@ canonical form.
 Two wire kinds:
 
 - ``kind="csr"`` — scalable protocols whose update is a neighborhood
-  reduction (min/max over delivered clocks).  The driver hands them a
-  CSR edge list (edge sources grouped by receiver, self-loop included)
-  plus an optional per-edge keep mask; on the fault-free complete
-  graph the reduction collapses to one global reduction per lane.
+  reduction (min/max over delivered clocks) followed by an elementwise
+  rule.  They ask the wire for ``reduce(column, op)`` and nothing else:
+  the CSR edge list, the per-edge keep mask, the complete graph's one
+  global reduction per lane, chunking and the data plane are the
+  wire's (:class:`repro.array.engine.RoundWire`).
 - ``kind="dense"`` — full-information protocols (FloodMin under
   Figure 2, and the Figure 3 compilation) that need per-(sender,
   receiver) delivery info.  The driver hands them a dense delivered
@@ -36,6 +37,7 @@ append a matcher with :func:`register_array_protocol` (see
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import cache
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.array.backend import get_numpy
@@ -217,49 +219,29 @@ def _store_columns(
                 row[pid] = value
 
 
-def _edge_chunks(np, indptr, chunk: int):
-    """Receiver ranges ``[a, b)`` whose CSR edge segments fit ``chunk``.
+def _pick(condition, then, otherwise):
+    return then if condition else otherwise
 
-    Greedy: each range holds as many whole receiver segments as fit in
-    ``chunk`` edges (always at least one receiver, so a single segment
-    larger than the budget still makes progress).  O(#chunks · log n),
-    not O(n), so million-process rounds don't pay a Python loop.
+
+def _elementwise(state: Any, update: Callable, *columns):
+    """``update(where, *cells)`` over ``(lanes, n)`` columns, on either plane.
+
+    ``update`` is written once, with ``where(condition, a, b)`` for its
+    selections and ``&`` between its conditions: it sees whole arrays and
+    ``np.where`` on the NumPy plane, one cell's ints and a plain
+    conditional on the Python plane.  Cells that read alike are computed
+    once: a lane of broadcast columns (what ``RoundWire.reduce`` returns
+    on the complete graph) on the NumPy plane, every repeated cell tuple
+    on the Python plane.
     """
-    n = int(indptr.shape[0]) - 1
-    a = 0
-    while a < n:
-        b = int(np.searchsorted(indptr, int(indptr[a]) + chunk, side="right")) - 1
-        if b <= a:
-            b = a + 1
-        b = min(b, n)
-        yield a, b
-        a = b
-
-
-def _col_chunks(n: int, chunk: int):
-    """Column ranges ``[a, b)`` of at most ``chunk`` columns each."""
-    for a in range(0, n, chunk):
-        yield a, min(a + chunk, n)
-
-
-def _csr_reduce_python(
-    row: List[int],
-    src: List[int],
-    indptr: List[int],
-    dropped: Optional[set],
-    best_of: Callable[[int, int], int],
-    identity: int,
-) -> List[int]:
-    """Per-receiver reduction over kept edges for one lane (python path)."""
-    out = []
-    for p in range(len(row)):
-        best = identity
-        for e in range(indptr[p], indptr[p + 1]):
-            if dropped is not None and e in dropped:
-                continue
-            best = best_of(best, row[src[e]])
-        out.append(best)
-    return out
+    if state["backend"] == "numpy":
+        np = get_numpy()
+        if all(column.strides[1] == 0 for column in columns):
+            one = update(np.where, *(column[:, :1] for column in columns))
+            return np.repeat(one, state["n"], axis=1)
+        return update(np.where, *columns)
+    once = cache(lambda *cells: update(_pick, *cells))
+    return [[once(*cells) for cells in zip(*rows)] for rows in zip(*columns)]
 
 
 # ---------------------------------------------------------------------------
@@ -312,81 +294,10 @@ class ArrayClockMerge(_ClockColumnProtocol):
         }
 
     def step(self, state, wire) -> None:
-        if self.merge == "free":
-            if state["backend"] == "numpy":
-                state["clock"] = state["clock"] + 1
-            else:
-                state["clock"] = [[c + 1 for c in row] for row in state["clock"]]
-            return
-        lowest = self.merge == "min"
-        identity = BIG if lowest else SMALL
-        if state["backend"] == "numpy":
-            np = get_numpy()
-            clock = state["clock"]
-            reduce = np.minimum if lowest else np.maximum
-            chunk = wire.chunk
-            if wire.complete_fast:
-                if chunk is not None and state["n"] > chunk:
-                    red = None
-                    for a, b in _col_chunks(state["n"], chunk):
-                        part = clock[:, a:b]
-                        if wire.send_ok is not None:
-                            part = np.where(wire.send_ok[:, a:b], part, identity)
-                        part_red = (
-                            part.min(axis=1, keepdims=True)
-                            if lowest
-                            else part.max(axis=1, keepdims=True)
-                        )
-                        red = part_red if red is None else reduce(red, part_red)
-                else:
-                    vals = clock
-                    if wire.send_ok is not None:
-                        vals = np.where(wire.send_ok, clock, identity)
-                    red = (
-                        vals.min(axis=1, keepdims=True)
-                        if lowest
-                        else vals.max(axis=1, keepdims=True)
-                    )
-                state["clock"] = np.broadcast_to(red + 1, clock.shape).copy()
-                return
-            if chunk is not None and int(wire.indptr[-1]) > chunk:
-                out = np.empty_like(clock)
-                for a, b in _edge_chunks(np, wire.indptr, chunk):
-                    lo, hi = int(wire.indptr[a]), int(wire.indptr[b])
-                    vals = clock[:, wire.src[lo:hi]]
-                    if wire.keep is not None:
-                        vals = np.where(wire.keep[:, lo:hi], vals, identity)
-                    out[:, a:b] = reduce.reduceat(
-                        vals, wire.indptr[a:b] - lo, axis=1
-                    )
-                out += 1
-                state["clock"] = out
-                return
-            vals = clock[:, wire.src]
-            if wire.keep is not None:
-                vals = np.where(wire.keep, vals, identity)
-            red = reduce.reduceat(vals, wire.indptr[:-1], axis=1)
-            state["clock"] = red + 1
-            return
-        best_of = min if lowest else max
         clock = state["clock"]
-        for lane in range(state["lanes"]):
-            row = clock[lane]
-            if wire.complete_fast:
-                silenced = wire.send_ok[lane] if wire.send_ok is not None else None
-                pool = (
-                    row
-                    if not silenced
-                    else [row[q] for q in range(state["n"]) if q not in silenced]
-                )
-                merged = (min(pool) if lowest else max(pool)) if pool else identity
-                clock[lane] = [merged + 1] * state["n"]
-                continue
-            dropped = wire.keep[lane] if wire.keep is not None else None
-            red = _csr_reduce_python(
-                row, wire.src, wire.indptr, dropped, best_of, identity
-            )
-            clock[lane] = [value + 1 for value in red]
+        if self.merge != "free":
+            clock = wire.reduce(clock, self.merge)
+        state["clock"] = _elementwise(state, lambda where, c: c + 1, clock)
 
 
 class ArrayBoundedUnison(_ClockColumnProtocol):
@@ -412,119 +323,34 @@ class ArrayBoundedUnison(_ClockColumnProtocol):
             "clock": _int_matrix(backend, lanes, n, 0),
         }
 
-    def _next_value(self, lowest: int, highest: int, has_inner: bool) -> int:
-        if lowest < 0:
-            return lowest + 1
-        if highest - lowest <= 1:
-            return (lowest + 1) % self.K
-        if not has_inner:
-            return 0  # seen <= {0, K-1}: the wrap pair
-        return -self.alpha
-
     def step(self, state, wire) -> None:
         K, alpha = self.K, self.alpha
-        if state["backend"] == "numpy":
-            np = get_numpy()
-            clock = state["clock"]
-            chunk = wire.chunk
+        # Clamp per sender, once; a non-inner ring value reads BIG, so
+        # "heard an inner value" is one more min.
+        clamped = _elementwise(
+            state,
+            lambda where, c: where((c >= -alpha) & (c < K), c, -alpha),
+            state["clock"],
+        )
+        inner = _elementwise(
+            state, lambda where, c: where((c > 0) & (c < K - 1), c, BIG), clamped
+        )
 
-            def reductions(vals, mask):
-                """(min, max, inner-min) of one clamped value block."""
-                clamped = np.where((vals >= -alpha) & (vals < K), vals, -alpha)
-                mn_v = clamped if mask is None else np.where(mask, clamped, BIG)
-                mx_v = clamped if mask is None else np.where(mask, clamped, SMALL)
-                inner_sel = (clamped > 0) & (clamped < K - 1)
-                if mask is not None:
-                    inner_sel &= mask
-                in_v = np.where(inner_sel, clamped, BIG)
-                return mn_v, mx_v, in_v
-
-            if wire.complete_fast:
-                if chunk is not None and state["n"] > chunk:
-                    mn = mx = inner = None
-                    for a, b in _col_chunks(state["n"], chunk):
-                        ok = None if wire.send_ok is None else wire.send_ok[:, a:b]
-                        mn_v, mx_v, in_v = reductions(clock[:, a:b], ok)
-                        p_mn = mn_v.min(axis=1, keepdims=True)
-                        p_mx = mx_v.max(axis=1, keepdims=True)
-                        p_in = in_v.min(axis=1, keepdims=True)
-                        mn = p_mn if mn is None else np.minimum(mn, p_mn)
-                        mx = p_mx if mx is None else np.maximum(mx, p_mx)
-                        inner = p_in if inner is None else np.minimum(inner, p_in)
-                    has_inner = inner < BIG
-                else:
-                    mn_v, mx_v, in_v = reductions(clock, wire.send_ok)
-                    mn = mn_v.min(axis=1, keepdims=True)
-                    mx = mx_v.max(axis=1, keepdims=True)
-                    has_inner = in_v.min(axis=1, keepdims=True) < BIG
-            elif chunk is not None and int(wire.indptr[-1]) > chunk:
-                lanes_n = clock.shape
-                mn = np.empty(lanes_n, dtype=clock.dtype)
-                mx = np.empty(lanes_n, dtype=clock.dtype)
-                inner = np.empty(lanes_n, dtype=clock.dtype)
-                for a, b in _edge_chunks(np, wire.indptr, chunk):
-                    lo, hi = int(wire.indptr[a]), int(wire.indptr[b])
-                    keep = None if wire.keep is None else wire.keep[:, lo:hi]
-                    mn_v, mx_v, in_v = reductions(clock[:, wire.src[lo:hi]], keep)
-                    starts = wire.indptr[a:b] - lo
-                    mn[:, a:b] = np.minimum.reduceat(mn_v, starts, axis=1)
-                    mx[:, a:b] = np.maximum.reduceat(mx_v, starts, axis=1)
-                    inner[:, a:b] = np.minimum.reduceat(in_v, starts, axis=1)
-                has_inner = inner < BIG
-            else:
-                mn_v, mx_v, in_v = reductions(clock[:, wire.src], wire.keep)
-                starts = wire.indptr[:-1]
-                mn = np.minimum.reduceat(mn_v, starts, axis=1)
-                mx = np.maximum.reduceat(mx_v, starts, axis=1)
-                has_inner = np.minimum.reduceat(in_v, starts, axis=1) < BIG
-            new = np.where(
-                mn < 0,
-                mn + 1,
-                np.where(mx - mn <= 1, (mn + 1) % K, np.where(has_inner, -alpha, 0)),
+        def update(where, lowest, highest, inner_lowest):
+            ring = where(
+                highest - lowest <= 1,
+                (lowest + 1) % K,
+                where(inner_lowest < BIG, -alpha, 0),  # 0: seen <= {0, K-1}, the wrap pair
             )
-            if wire.complete_fast:
-                new = np.broadcast_to(new, clock.shape).copy()
-            state["clock"] = new
-            return
+            return where(lowest < 0, lowest + 1, ring)
 
-        def clamp(value: int) -> int:
-            return value if -alpha <= value < K else -alpha
-
-        clock = state["clock"]
-        for lane in range(state["lanes"]):
-            row = clock[lane]
-            if wire.complete_fast:
-                silenced = wire.send_ok[lane] if wire.send_ok is not None else None
-                seen = {
-                    clamp(row[q])
-                    for q in range(state["n"])
-                    if silenced is None or q not in silenced
-                }
-                if not seen:
-                    continue  # every sender dead: no live receivers either
-                lowest, highest = min(seen), max(seen)
-                has_inner = any(0 < v < K - 1 for v in seen)
-                clock[lane] = [self._next_value(lowest, highest, has_inner)] * state[
-                    "n"
-                ]
-                continue
-            dropped = wire.keep[lane] if wire.keep is not None else None
-            out = []
-            for p in range(state["n"]):
-                lowest, highest, has_inner = BIG, SMALL, False
-                for e in range(wire.indptr[p], wire.indptr[p + 1]):
-                    if dropped is not None and e in dropped:
-                        continue
-                    value = clamp(row[wire.src[e]])
-                    lowest = min(lowest, value)
-                    highest = max(highest, value)
-                    if 0 < value < K - 1:
-                        has_inner = True
-                if lowest == BIG:  # dead receiver: frozen garbage
-                    out.append(row[p])
-                    continue
-                out.append(self._next_value(lowest, highest, has_inner))
-            clock[lane] = out
+        state["clock"] = _elementwise(
+            state,
+            update,
+            wire.reduce(clamped, "min"),
+            wire.reduce(clamped, "max"),
+            wire.reduce(inner, "min"),
+        )
 
 
 # ---------------------------------------------------------------------------

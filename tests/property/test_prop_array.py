@@ -9,6 +9,8 @@ installed).  This is the generative widening of the pinned scenarios in
 ``tests/unit/test_array_engine.py``.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,8 @@ from repro.array import (
     has_numpy,
     run_array,
 )
+from repro.array.engine import _CsrGraph, RoundWire
+from repro.array.protocols import BIG, SMALL
 from repro.net.conformance import history_digest
 from repro.core.canonical import CanonicalRunner
 from repro.core.compiler import compile_protocol
@@ -32,11 +36,20 @@ from repro.core.rounds import (
 from repro.detectors.stack import DetectorStack
 from repro.histories.history import CLOCK_KEY
 from repro.kernel.faults import FaultPlan
-from repro.kernel.topology import ChurnEvent, ChurnSchedule, GridTopology, RingTopology
+from repro.kernel.topology import (
+    ChurnEvent,
+    ChurnSchedule,
+    ExplicitTopology,
+    GridTopology,
+    RandomTopology,
+    RingTopology,
+    TreeTopology,
+    round_edges,
+)
 from repro.protocols.floodmin import FloodMinConsensus
 from repro.protocols.phaseking import PhaseQueenConsensus
 from repro.protocols.unison import BoundedUnison, MinUnison
-from repro.sync.adversary import FaultMode, RandomAdversary
+from repro.sync.adversary import ByzantineAdversary, FaultMode, RandomAdversary
 from repro.sync.corruption import ClockSkewCorruption, RandomCorruption
 from repro.util.rng import make_rng
 
@@ -57,21 +70,41 @@ def _make_protocol(name, n):
     )
 
 
-def _make_topology(name, n):
+def _make_topology(name, n, seed=0):
     if name == "ring":
         return RingTopology(n)
     if name == "grid":
         return GridTopology(2, n // 2)
+    if name == "tree":
+        return TreeTopology(n)
+    if name == "star":
+        return ExplicitTopology(n, [(0, pid) for pid in range(1, n)])
+    if name == "random":
+        return RandomTopology(n, p=0.3, seed=seed)
     return None  # complete graph
+
+
+def _forge(rng, payload):
+    return (payload or 0) + rng.randrange(-3, 4)
+
+
+#: The clock protocols broadcast a bare int, which ``_forge`` can lie about.
+FORGEABLE = ("min-unison", "round-agreement", "bounded-unison")
+OMISSION_MODES = [
+    FaultMode.CRASH,
+    FaultMode.SEND_OMISSION,
+    FaultMode.RECEIVE_OMISSION,
+    FaultMode.GENERAL_OMISSION,
+]
 
 
 @st.composite
 def scenarios(draw):
     n = draw(st.integers(min_value=4, max_value=8))
-    if n % 2:
-        topology_name = draw(st.sampled_from(["complete", "ring"]))
-    else:
-        topology_name = draw(st.sampled_from(["complete", "ring", "grid"]))
+    # star and tree are the skewed shapes: with ring and grid they put
+    # both CSR kernels (see ``columnar`` below) under every fault kind
+    shapes = ["complete", "ring", "star", "tree"] + ([] if n % 2 else ["grid"])
+    topology_name = draw(st.sampled_from(shapes))
     protocol_name = draw(
         st.sampled_from(
             ["min-unison", "round-agreement", "bounded-unison", "compiled-floodmin"]
@@ -103,12 +136,8 @@ def scenarios(draw):
                 draw(st.integers(min_value=0, max_value=2)),  # f
                 draw(
                     st.sampled_from(
-                        [
-                            FaultMode.CRASH,
-                            FaultMode.SEND_OMISSION,
-                            FaultMode.RECEIVE_OMISSION,
-                            FaultMode.GENERAL_OMISSION,
-                        ]
+                        OMISSION_MODES
+                        + (["forge"] if protocol_name in FORGEABLE else [])
                     )
                 ),
                 draw(st.floats(min_value=0.0, max_value=0.5)),
@@ -138,7 +167,10 @@ def _plan_factory(n, spec, churn):
         adversary = None
         if spec["adversary"] is not None:
             f, mode, rate, seed = spec["adversary"]
-            adversary = RandomAdversary(n, f, mode=mode, rate=rate, seed=seed)
+            if mode == "forge":
+                adversary = ByzantineAdversary(n, f, _forge, rate=rate, seed=seed)
+            else:
+                adversary = RandomAdversary(n, f, mode=mode, rate=rate, seed=seed)
         mid = {}
         if spec["skew_round"] is not None:
             mid[float(spec["skew_round"])] = ClockSkewCorruption(
@@ -181,23 +213,31 @@ def test_random_scenarios_are_digest_identical(backend, scenario):
 # — and the drawn crashes / mid-run corruption / churn epochs land on
 # or next to those edges.  Conformance against ``run_sync`` pins the
 # chunked run to the reference engine; the direct chunked-vs-unchunked
-# digest comparison pins it to the unchunked batched run as well.
+# digest comparison pins it to the unchunked batched run as well.  A
+# graph picks its own CSR kernel and at these sizes always picks
+# ``reduceat``; the drawn ``columnar`` overrides the pick, so the column
+# kernel meets the same crashes, omissions, forgeries and churn epochs.
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=20, deadline=None)
-@given(scenario=scenarios(), chunk=st.integers(min_value=1, max_value=40))
-def test_chunked_random_scenarios_match_run_sync(backend, scenario, chunk):
+@given(
+    scenario=scenarios(),
+    chunk=st.integers(min_value=1, max_value=40),
+    columnar=st.booleans(),
+)
+def test_chunked_random_scenarios_match_run_sync(backend, scenario, chunk, columnar):
     n, protocol_name, topology_name, lane_specs, churn = scenario
-    assert_conformance(
-        _make_protocol(protocol_name, n),
-        n=n,
-        rounds=ROUNDS,
-        plan_factories=[_plan_factory(n, spec, churn) for spec in lane_specs],
-        topology=_make_topology(topology_name, n),
-        backend=backend,
-        chunk=chunk,
-    )
+    with mock.patch.object(_CsrGraph, "columnar", columnar):
+        assert_conformance(
+            _make_protocol(protocol_name, n),
+            n=n,
+            rounds=ROUNDS,
+            plan_factories=[_plan_factory(n, spec, churn) for spec in lane_specs],
+            topology=_make_topology(topology_name, n),
+            backend=backend,
+            chunk=chunk,
+        )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -230,6 +270,98 @@ def test_chunked_equals_unchunked_batched_run(backend, scenario, chunk, max_byte
             plain.histories[lane]
         )
         assert chunked.final_states(lane) == plain.final_states(lane)
+
+
+# -- the wire's reduction: one definition, three kernels ---------------------
+#
+# ``RoundWire.reduce`` is the only thing a CSR twin asks of the wire.  On
+# the NumPy plane two kernels answer it (slot columns for bounded
+# in-degree, ``reduceat`` otherwise) and the Python plane a third; all
+# must equal the definition, cell for cell, under any ``keep`` mask and
+# any chunk budget.
+
+
+def _csr_wire(backend, edges, lanes, kept, chunk, columnar=None):
+    """A CSR wire over ``edges`` whose lane ``l`` keeps edge ``e`` iff
+    ``kept[l][e]`` (``kept=None``: an unmasked wire)."""
+    graph = _CsrGraph(edges, backend)
+    if columnar is not None:
+        graph.columnar = columnar  # override the graph's own pick
+    wire = RoundWire(backend, lanes, len(edges), chunk)
+    wire.graph = graph
+    if kept is not None and backend == "numpy":
+        import numpy as np
+
+        wire.keep = np.array(kept, dtype=bool)
+    elif kept is not None:
+        wire.keep = [{e for e, bit in enumerate(row) if not bit} for row in kept]
+    return wire
+
+
+@st.composite
+def reductions(draw):
+    family = draw(st.sampled_from(["ring", "grid", "tree", "star", "random"]))
+    n = 2 * draw(st.integers(min_value=2, max_value=6))
+    edges = round_edges(_make_topology(family, n, draw(st.integers(0, 20))), 1)
+    num_edges = sum(map(len, edges))
+    lanes = draw(st.integers(min_value=1, max_value=3))
+    column = draw(
+        st.lists(
+            st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+            min_size=lanes,
+            max_size=lanes,
+        )
+    )
+    kept = None
+    if draw(st.booleans()):
+        kept = draw(
+            st.lists(
+                st.lists(st.booleans(), min_size=num_edges, max_size=num_edges),
+                min_size=lanes,
+                max_size=lanes,
+            )
+        )
+        # one receiver of lane 0 hears only itself
+        lonely = draw(st.integers(0, n - 1))
+        first = sum(map(len, edges[:lonely]))
+        for slot, sender in enumerate(edges[lonely]):
+            kept[0][first + slot] = sender == lonely
+    return edges, column, kept
+
+
+@pytest.mark.skipif(not has_numpy(), reason="compares the two NumPy kernels")
+@settings(max_examples=60, deadline=None)
+@given(
+    drawn=reductions(),
+    chunk=st.sampled_from([1, 2, 3, None]),
+    op=st.sampled_from(["min", "max"]),
+)
+def test_wire_reduce_kernels_agree_with_the_definition(drawn, chunk, op):
+    import numpy as np
+
+    edges, column, kept = drawn
+    lanes = len(column)
+    best_of, identity = (min, BIG) if op == "min" else (max, SMALL)
+    expected, edge = [[] for _ in range(lanes)], 0
+    for senders in edges:  # edges[p] is also p's in-neighborhood
+        for lane in range(lanes):
+            heard = [
+                column[lane][q]
+                for slot, q in enumerate(senders)
+                if kept is None or kept[lane][edge + slot]
+            ]
+            expected[lane].append(best_of(heard, default=identity))
+        edge += len(senders)
+
+    def reduced(backend, columnar=None):
+        wire = _csr_wire(backend, edges, lanes, kept, chunk, columnar)
+        if backend == "numpy":
+            return wire.reduce(np.array(column, dtype=np.int64), op).tolist()
+        return wire.reduce(column, op)
+
+    assert reduced("python") == expected
+    assert reduced("numpy", columnar=True) == expected
+    assert reduced("numpy", columnar=False) == expected
 
 
 # -- the state bridge: bulk is the primitive, per-cell a view of it ----------
@@ -380,6 +512,8 @@ def test_final_states_skip_crashed_cells(backend, seed, crashed):
     assert list(states) == list(range(n))
     assert states == {pid: result.final_state(0, pid) for pid in range(n)}
     assert {pid for pid, cell in states.items() if cell is None} == crashed
-    assert result.final_clocks(0) == {
+    clocks = result.final_clocks(0)  # read off the clock column, not the dicts
+    _assert_plain(clocks)
+    assert clocks == {
         pid: None if cell is None else cell[CLOCK_KEY] for pid, cell in states.items()
     }

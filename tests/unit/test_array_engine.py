@@ -47,7 +47,12 @@ from repro.sync.adversary import (
     RoundFaultPlan,
     ScriptedAdversary,
 )
-from repro.sync.corruption import ClockSkewCorruption, RandomCorruption
+from repro.histories.history import CLOCK_KEY
+from repro.sync.corruption import (
+    ClockSkewCorruption,
+    CorruptionPlan,
+    RandomCorruption,
+)
 
 BACKENDS = ["python"] + (["numpy"] if has_numpy() else [])
 
@@ -290,6 +295,54 @@ def test_forged_detector_vectors_conform(backend):
 
 
 # -- chunked execution: bounded-memory temporaries, identical digests --------
+
+
+class _Overwriting(CorruptionPlan):
+    """Hands back a state for every pid — crashed ones included, which
+    breaks the ``CorruptionPlan`` contract (the dead stay ``None``)."""
+
+    def __init__(self):
+        self.returned = []
+
+    def corrupt(self, protocol, states, n):
+        self.returned.append({pid: {CLOCK_KEY: 100 + pid} for pid in range(n)})
+        return self.returned[-1]
+
+
+@backends
+def test_corruption_cannot_revive_a_crashed_process(backend, monkeypatch):
+    n, dead = 6, 2
+    twin_class = type(as_array_protocol(MinUnison()))
+    loaded = []
+    load_states = twin_class.load_states
+    monkeypatch.setattr(
+        twin_class,
+        "load_states",
+        lambda self, state, lane, mappings: loaded.append(mappings)
+        or load_states(self, state, lane, mappings),
+    )
+    initial = _Overwriting()
+    result = run_array(
+        MinUnison(),
+        n,
+        5,
+        fault_plans=[
+            FaultPlan(
+                crashes={dead: 2.0},
+                initial_corruption=initial,
+                mid_corruptions={4.0: _Overwriting()},
+            )
+        ],
+        topology=RingTopology(n),
+        backend=backend,
+    )
+    # nobody had crashed at the start: the plan's own dict is ingested as is
+    assert loaded[0] is initial.returned[0]
+    # by round 4 pid 2 is dead; its state, had it been read back, would
+    # have pulled its neighbour 3 down to 104
+    assert result.crashed == [frozenset({dead})]
+    assert result.final_state(0, dead) is None
+    assert result.final_clocks(0) == {0: 102, 1: 102, 2: None, 3: 105, 4: 102, 5: 102}
 
 
 @backends

@@ -22,6 +22,9 @@ These pin down the *equivalence* guarantees the optimizations rely on:
   equal to the sequential baseline;
 - the explicit verify engine executes each plan once and assembles each
   executed round's records once, whichever judge reads them;
+- the array wire owns the reduction: the CSR twins ask it for nothing
+  but ``reduce``, bounded in-degree graphs never pay ``reduceat``, and a
+  chunk budget bounds every temporary of either kernel;
 - ``benchmarks/compare.py`` flags regressions and accepts improvements.
 """
 
@@ -31,6 +34,8 @@ import pickle
 
 import pytest
 
+from repro.array import as_array_protocol, has_numpy, run_array
+from repro.array.engine import RoundWire, _CsrGraph
 from repro.experiments import base as experiments_base
 from repro.experiments.base import run_sweep, shutdown_pool
 from repro.analysis.metrics import StreamingMessageStats, run_message_stats
@@ -38,6 +43,15 @@ from repro.histories.history import CLOCK_KEY, Message
 from repro.kernel import snapshot
 from repro.kernel.events import EventBus, Observer
 from repro.kernel.recorders import HistoryRecorder
+from repro.kernel.faults import FaultPlan
+from repro.kernel.topology import (
+    ExplicitTopology,
+    GridTopology,
+    RingTopology,
+    TreeTopology,
+    round_edges,
+)
+from repro.protocols.unison import BoundedUnison, MinUnison
 from repro.kernel.snapshot import (
     FrozenDict,
     copy_value,
@@ -577,6 +591,152 @@ class TestOneExecutionPerVerifiedPlan:
         assert result.examined == len(specs)
         assert len(runs) == result.examined
         assert len(rounds) == sum(spec.rounds for spec in specs)
+
+
+def _log_lane_array(log, call, result):
+    """Log ``(call, cells per lane)`` of a ``(lanes, cells)`` array; the 1-D
+    arrays are the graph deriving its slot columns, once, not a round's
+    temporaries."""
+    if result.ndim == 2:
+        log.append((call, result.shape[1]))
+    return result
+
+
+class _UfuncSpy:
+    """Stands in for ``np.minimum`` / ``np.maximum`` and logs what the
+    wire's reduction allocates through it."""
+
+    def __init__(self, ufunc, log):
+        self.ufunc, self.log = ufunc, log
+
+    def __call__(self, *args, out=None, **kwargs):
+        result = self.ufunc(*args, out=out, **kwargs)
+        return result if out is not None else _log_lane_array(self.log, "ufunc", result)
+
+    def reduce(self, *args, **kwargs):
+        return _log_lane_array(self.log, "reduce", self.ufunc.reduce(*args, **kwargs))
+
+    def reduceat(self, *args, **kwargs):
+        return _log_lane_array(
+            self.log, "reduceat", self.ufunc.reduceat(*args, **kwargs)
+        )
+
+
+@pytest.mark.skipif(not has_numpy(), reason="the kernels are NumPy's")
+class TestWireReduce:
+    @pytest.fixture
+    def allocations(self, monkeypatch):
+        """``(call, cells per lane)`` of every per-lane array a
+        ``RoundWire.reduce`` call builds on the NumPy plane."""
+        import numpy as np
+
+        log = []
+
+        def spied(name):
+            real = getattr(np, name)
+
+            def call(*args, **kwargs):
+                return _log_lane_array(log, name, real(*args, **kwargs))
+
+            return call
+
+        reduce = RoundWire.reduce
+
+        def spying_reduce(wire, column, op):
+            with monkeypatch.context() as patch:
+                for name in ("take", "where"):
+                    patch.setattr(np, name, spied(name))
+                for name in ("minimum", "maximum"):
+                    patch.setattr(np, name, _UfuncSpy(getattr(np, name), log))
+                return reduce(wire, column, op)
+
+        monkeypatch.setattr(RoundWire, "reduce", spying_reduce)
+        return log
+
+    LANES = 2
+
+    @classmethod
+    def _run(cls, topology, **kwargs):
+        n = topology.n
+        plans = [
+            FaultPlan(crashes={n // 2: 2.0}, initial_corruption=RandomCorruption(seed=s))
+            for s in range(cls.LANES)
+        ]
+        return run_array(
+            MinUnison(), n, 4, fault_plans=plans, topology=topology,
+            backend="numpy", **kwargs,
+        )
+
+    @pytest.mark.parametrize("topology", [RingTopology(1200), GridTopology(30, 40)])
+    def test_bounded_in_degree_never_pays_reduceat(self, allocations, topology):
+        self._run(topology)
+        calls = {call for call, _cells in allocations}
+        assert "take" in calls and "reduceat" not in calls
+
+    def test_a_star_keeps_reduceat(self, allocations):
+        n = 1200
+        self._run(ExplicitTopology(n, [(0, pid) for pid in range(1, n)]))
+        assert "reduceat" in {call for call, _cells in allocations}
+
+    @pytest.mark.parametrize(
+        "topology, reduceat",
+        [(RingTopology(1200), False), (TreeTopology(200), True)],
+        ids=["column", "reduceat"],
+    )
+    @pytest.mark.parametrize("chunk", [8, 100])
+    def test_no_temporary_exceeds_the_chunk_budget(
+        self, allocations, topology, reduceat, chunk
+    ):
+        chunked = self._run(topology, chunk=chunk)
+        assert allocations and max(cells for _call, cells in allocations) <= chunk
+        calls = {call for call, _cells in allocations}
+        assert ("reduceat" in calls) == reduceat
+        assert "where" in calls  # the crash put a keep mask on the wire
+        del allocations[:]
+        plain = self._run(topology)
+        assert max(cells for _call, cells in allocations) > chunk
+        assert [chunked.final_clocks(lane) for lane in range(self.LANES)] == [
+            plain.final_clocks(lane) for lane in range(self.LANES)
+        ]
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize(
+        "protocol", [MinUnison(), BoundedUnison(n=6)], ids=lambda p: p.name
+    )
+    def test_csr_twins_reach_the_wire_only_through_reduce(self, backend, protocol):
+        class ReduceOnly:
+            """All a CSR twin may know of the wire."""
+
+            __slots__ = ("_reduce",)
+
+            def __init__(self, wire):
+                self._reduce = wire.reduce
+
+            def reduce(self, column, op):
+                return self._reduce(column, op)
+
+        n = 6
+        twin = as_array_protocol(protocol)
+        graph = _CsrGraph(round_edges(RingTopology(n), 1), backend)
+        wire = RoundWire(backend, 1, n)
+        wire.graph = graph
+        states = {pid: {CLOCK_KEY: (5 * pid) % 7 - 2} for pid in range(n)}
+        whole, narrow = (twin.initial_states(n, 1, backend) for _ in range(2))
+        for state, seen in ((whole, wire), (narrow, ReduceOnly(wire))):
+            twin.load_states(state, 0, states)
+            twin.step(state, seen)
+        assert twin.read_states(narrow, 0) == twin.read_states(whole, 0)
+        assert twin.read_states(narrow, 0) == [
+            protocol.update(
+                pid,
+                states[pid],
+                [
+                    Message(q, pid, 1, protocol.send(q, states[q]))
+                    for q in sorted({(pid - 1) % n, pid, (pid + 1) % n})
+                ],
+            )
+            for pid in range(n)
+        ]
 
 
 def _load_compare():
