@@ -7,20 +7,21 @@ one Python object per process per round.
 
 Division of labor
 -----------------
-The **control plane** stays exact Python, per lane: adversary
-``plan_round``/``validate`` calls, corruption plans (applied through
-the real :class:`CorruptionPlan` objects so seeded rng streams match
-the reference engine bit-for-bit), liveness and faulty-set bookkeeping.
-This is O(faults + 1) per round per lane, independent of ``n`` on the
-fault-free fast paths.  The **data plane** — who hears whom, and every
-process's transition — is vectorized over ``(lanes, n)`` by the
+The **control plane** is the kernel's, per lane: adversary
+``plan_round``/``validate`` calls replayed against one
+:class:`~repro.kernel.delivery.Liveness`, one
+:class:`~repro.kernel.delivery.RoundLedger` per round (built with the
+twin's ``silent_pids``, so every effective deviation is known up front
+in O(planned deviations), independent of ``n``), and corruption plans
+applied through the real :class:`CorruptionPlan` objects so seeded rng
+streams match the reference engine bit-for-bit.  The **data plane** —
+every process's transition over the ledger's deliveries — is vectorized
+over ``(lanes, n)`` by the
 :class:`~repro.array.protocols.ArrayProtocol`.
 
-Why the adversary cannot be precompiled into masks: the reference
-engine feeds each round's *filtered* deviation sets (a planned send
-omission that drops no live edge is not recorded; a receive omission
-is recorded only when a copy actually arrived) back into
-``faulty_so_far``, which the adversary sees on the next
+Why the adversary cannot be precompiled into masks: each round's
+*recorded* deviations (docs/kernel.md, "The round ledger") feed back
+into ``faulty_so_far``, which the adversary sees on the next
 ``plan_round``.  Replaying the adversary inside the loop, against the
 same evolving views, is what makes the two engines digest-identical.
 
@@ -39,7 +40,7 @@ costs O(lanes · n) memory.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -59,12 +60,13 @@ from repro.histories.history import (
     ProcessRoundRecord,
     RoundHistory,
 )
+from repro.kernel.delivery import Liveness, RoundLedger, quiet
 from repro.kernel.faults import FaultPlan
 from repro.kernel.snapshot import copy_payload
 from repro.kernel.topology import (
-    CompleteTopology,
     DynamicTopology,
     Topology,
+    normalize_topology,
     round_edges,
 )
 from repro.sync.adversary import Adversary, NullAdversary
@@ -280,8 +282,8 @@ class _CsrGraph:
     the ascending senders whose broadcasts reach ``p`` (self included).
 
     Only ``src``/``indptr`` are built eagerly (on the NumPy plane without
-    a Python loop over processes); ``dst``, ``by_src`` and
-    ``receiver_sets`` are read by fault rounds alone, the slot columns
+    a Python loop over processes); ``dst`` and ``by_src`` are read by
+    fault rounds alone, the slot columns
     by the column kernel alone, and all are derived on first use, so no
     run pays for what it does not read.
     """
@@ -303,10 +305,6 @@ class _CsrGraph:
             self.indptr = list(accumulate(map(len, edges), initial=0))
             self.src = list(chain.from_iterable(edges))
             self.num_edges = len(self.src)
-
-    @cached_property
-    def receiver_sets(self) -> List[frozenset]:
-        return [frozenset(receivers) for receivers in self._edges]
 
     @cached_property
     def dst(self):
@@ -384,10 +382,7 @@ class _Lane:
         "adversary",
         "corruption",
         "mid_run",
-        "crashed",
-        "alive_order",
-        "alive_view",
-        "faulty",
+        "live",
         "rounds",  # reconstructed RoundHistory list (record mode)
         "dropped_edges",  # python-CSR persistent dead-sender edge ids
     )
@@ -397,37 +392,9 @@ class _Lane:
         self.adversary = adversary
         self.corruption = corruption
         self.mid_run = dict(mid_run)
-        self.crashed: set = set()
-        self.alive_order: List[int] = list(range(n))
-        self.alive_view: frozenset = frozenset(self.alive_order)
-        self.faulty: frozenset = frozenset()
+        self.live = Liveness(n)
         self.rounds: List[RoundHistory] = []
         self.dropped_edges: set = set()
-
-
-@dataclass
-class _RoundFaults:
-    """One lane's *effective* deviations this round (engine-filtered)."""
-
-    crashing_now: set = field(default_factory=set)
-    crash_deliveries: Dict[int, frozenset] = field(default_factory=dict)
-    omitted_sends: Dict[int, set] = field(default_factory=dict)
-    omitted_receives: Dict[int, set] = field(default_factory=dict)
-    receive_plans: Dict[int, frozenset] = field(default_factory=dict)
-    silent: frozenset = frozenset()
-    #: Planned payload lies per broadcasting sender: pid -> {receiver: mutator}.
-    forgeries: Dict[int, Mapping] = field(default_factory=dict)
-    #: Wire-level forged targets (engine-filtered): pid -> frozenset(receivers).
-    forged_sends: Dict[int, frozenset] = field(default_factory=dict)
-    #: Forged copies on the wire: (sender, receiver) -> forged payload.
-    forged_payloads: Dict[Tuple[int, int], Any] = field(default_factory=dict)
-
-    @property
-    def transient(self) -> bool:
-        """Does this round need per-edge (not per-sender) masking?"""
-        return bool(
-            self.crash_deliveries or self.omitted_sends or self.receive_plans
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -630,22 +597,11 @@ def run_array(
         snapshots: Optional[List[Dict[int, Optional[Dict[str, Any]]]]] = None
         if record_history:
             snapshots = [
-                _extract_states(array_protocol, state, lane.index, lane.crashed, n)
+                _extract_states(array_protocol, state, lane.index, lane.live.crashed, n)
                 for lane in lane_states
             ]
 
-        # 2. adversary control plane (exact, per lane)
-        round_faults: List[_RoundFaults] = []
-        for lane in lane_states:
-            plan = lane.adversary.plan_round(round_no, lane.alive_view, lane.faulty)
-            lane.adversary.validate(plan, lane.faulty)
-            round_faults.append(
-                _effective_faults(
-                    array_protocol, state, lane, plan, round_no, topo, n
-                )
-            )
-
-        # 3. topology state for this round
+        # 2. topology state for this round
         edges = None
         if topo is not None:
             key = _topology_key(topo, round_no)
@@ -661,33 +617,38 @@ def run_array(
                         )
             edges = edges_cache
 
-        # 4. finish the filtered bookkeeping that needs edge sets
-        for lane, faults in zip(lane_states, round_faults):
-            _filter_receive_omissions(lane, faults, csr, edges)
+        # 3. adversary control plane (exact, per lane): one ledger each
+        ledgers: List[RoundLedger] = []
+        for lane in lane_states:
+            live = lane.live
+            plan = lane.adversary.plan_round(round_no, live.alive_view, live.faulty)
+            lane.adversary.validate(plan, live.faulty)
+            silent = (
+                _NOBODY
+                if quiet(plan)
+                else array_protocol.silent_pids(state, lane.index)
+            )
+            ledgers.append(RoundLedger(plan, n, live, round_no, edges, silent))
 
-        # 4b. dense forgery path: apply payload lies in the control
+        # 4. dense forgery path: apply payload lies in the control
         # plane (pre-step snapshots) and precompute receiver patches
         patches: Optional[List[Dict[int, Dict[str, Any]]]] = None
-        if any(faults.forgeries for faults in round_faults):
+        liars = [ledger.liars() for ledger in ledgers]
+        if any(liars):
             patches = [
-                _compile_forgeries(
-                    protocol, array_protocol, state, lane, faults,
-                    edges, round_no, n,
-                )
-                for lane, faults in zip(lane_states, round_faults)
+                _compile_forgeries(protocol, array_protocol, state, lane, ledger, pids)
+                for lane, ledger, pids in zip(lane_states, ledgers, liars)
             ]
 
         # 5. build the wire and step the data plane
         wire = RoundWire(resolved_backend, lanes, n, chunk_cells)
         if dense:
-            _build_dense_wire(
-                wire, lane_states, round_faults, edges, alive_mask, np, n
-            )
+            _build_dense_wire(wire, lane_states, ledgers, edges, alive_mask, np, n)
         else:
             dead_keep, csr = _build_csr_wire(
                 wire,
                 lane_states,
-                round_faults,
+                ledgers,
                 topo,
                 csr,
                 dead_keep,
@@ -700,13 +661,7 @@ def run_array(
 
         if record_history:
             _reconstruct_round(
-                protocol,
-                lane_states,
-                round_faults,
-                snapshots,
-                edges,
-                round_no,
-                n,
+                protocol, lane_states, ledgers, snapshots, edges, round_no, n
             )
 
         array_protocol.step(state, wire)
@@ -718,16 +673,12 @@ def run_array(
                 array_protocol.load_states(state, lane.index, lane_patches)
 
         # 6. commit deaths and deviations (exactly the engine's order)
-        for lane, faults in zip(lane_states, round_faults):
-            if faults.crashing_now:
-                lane.crashed |= faults.crashing_now
-                lane.alive_order = [
-                    pid for pid in lane.alive_order if pid not in faults.crashing_now
-                ]
-                lane.alive_view = frozenset(lane.alive_order)
+        for lane, ledger in zip(lane_states, ledgers):
+            crashing = ledger.crashing_now
+            if crashing:
                 any_dead = True
                 if alive_mask is not None:
-                    for pid in faults.crashing_now:
+                    for pid in crashing:
                         alive_mask[lane.index, pid] = False
                 if not dense and csr is not None:
                     if np is not None:
@@ -735,24 +686,12 @@ def run_array(
                             dead_keep = np.ones(
                                 (lanes, csr.num_edges), dtype=bool
                             )
-                        for pid in faults.crashing_now:
+                        for pid in crashing:
                             dead_keep[lane.index, csr.by_src[pid]] = False
                     else:
-                        for pid in faults.crashing_now:
+                        for pid in crashing:
                             lane.dropped_edges.update(csr.by_src[pid])
-            if (
-                faults.crashing_now
-                or faults.omitted_sends
-                or faults.omitted_receives
-                or faults.forged_sends
-            ):
-                lane.faulty = (
-                    lane.faulty
-                    | lane.crashed
-                    | faults.omitted_sends.keys()
-                    | faults.omitted_receives.keys()
-                    | faults.forged_sends.keys()
-                )
+            lane.live.fold(ledger)
 
     histories = None
     if record_history:
@@ -765,8 +704,8 @@ def run_array(
         backend=resolved_backend,
         executed_rounds=rounds,
         histories=histories,
-        faulty=[lane.faulty for lane in lane_states],
-        crashed=[frozenset(lane.crashed) for lane in lane_states],
+        faulty=[lane.live.faulty for lane in lane_states],
+        crashed=[frozenset(lane.live.crashed) for lane in lane_states],
         last_disagreement=last_disagreement,
         _state=state,
         _chunk=chunk_cells,
@@ -774,6 +713,7 @@ def run_array(
 
 
 _UNSET = object()
+_NOBODY: frozenset = frozenset()
 
 #: Safety factor for max_bytes -> chunk derivation: this many int64
 #: temporaries may coexist per chunked reduction.
@@ -820,14 +760,7 @@ def _normalize_topology(
                     "topology is shared, so churn must be identical "
                     "across lanes"
                 )
-    topo: Optional[Topology] = topology
-    if churn:
-        topo = DynamicTopology(topo or CompleteTopology(n), churn)
-    elif topo is not None and topo.complete:
-        topo = None
-    if topo is not None:
-        require(topo.n == n, f"topology is sized for n={topo.n}, run has n={n}")
-    return topo
+    return normalize_topology(n, topology, churn)
 
 
 def _build_lanes(plans: Sequence[Optional[FaultPlan]], n: int) -> List[_Lane]:
@@ -900,9 +833,10 @@ def _apply_corruption(
     n: int,
 ) -> None:
     """Route corruption through the real plan object: same rng stream."""
-    states = _extract_states(array_protocol, state, lane.index, lane.crashed, n)
+    crashed = lane.live.crashed
+    states = _extract_states(array_protocol, state, lane.index, crashed, n)
     corrupted = plan.corrupt(protocol, states, n)
-    if lane.crashed or len(corrupted) != n:
+    if crashed or len(corrupted) != n:
         # crashed processes (``None``) are never revived
         corrupted = {
             pid: s for pid in range(n) if (s := corrupted.get(pid)) is not None
@@ -915,117 +849,20 @@ def _apply_corruption(
 # ---------------------------------------------------------------------------
 
 
-def _effective_faults(
-    array_protocol: ArrayProtocol,
-    state: Any,
-    lane: _Lane,
-    plan,
-    round_no: int,
-    topo: Optional[Topology],
-    n: int,
-) -> _RoundFaults:
-    """Apply the engine's send-side filtering rules to one lane's plan."""
-    faults = _RoundFaults()
-    any_forgeries = any(lies for lies in plan.forgeries.values())
-    if not (
-        plan.crashes or plan.send_omissions or plan.receive_omissions
-        or any_forgeries
-    ):
-        return faults
-    faults.silent = array_protocol.silent_pids(state, lane.index)
-    alive = lane.alive_view
-    if any_forgeries:
-        for pid, lies in plan.forgeries.items():
-            if lies and pid in alive and pid not in faults.silent:
-                faults.forgeries[pid] = lies
-    for pid in lane.alive_order:
-        survivors = plan.crashes.get(pid)
-        if survivors is not None:
-            faults.crashing_now.add(pid)
-            if pid not in faults.silent and survivors:
-                faults.crash_deliveries[pid] = frozenset(survivors)
-            continue
-        if pid in faults.silent:
-            continue  # no payload: nothing to omit
-        dropped = set(plan.send_omissions.get(pid, frozenset()))
-        if dropped:
-            dropped.discard(pid)  # self-delivery is sacred
-            if dropped:
-                # edge intersection happens later, once edges are known
-                faults.omitted_sends[pid] = dropped
-    if plan.receive_omissions:
-        for pid, drops in plan.receive_omissions.items():
-            if pid in alive and pid not in faults.crashing_now and drops:
-                faults.receive_plans[pid] = frozenset(drops)
-    return faults
-
-
-def _filter_receive_omissions(
-    lane: _Lane,
-    faults: _RoundFaults,
-    csr: Optional[_CsrGraph],
-    edges: Optional[Tuple[Tuple[int, ...], ...]],
-) -> None:
-    """Finish the engine's edge-aware filtering for this round.
-
-    Send omissions intersect the sender's live out-edges (an omission
-    aimed at a non-neighbor drops nothing and is not recorded); a
-    receive omission is recorded only for copies that actually arrived
-    — sender alive, broadcasting, reaching this receiver.  Cost is
-    O(planned deviations), never O(n), so fault-free rounds stay cheap.
-    """
-    if edges is not None and faults.omitted_sends:
-        for pid in list(faults.omitted_sends):
-            dropped = faults.omitted_sends[pid]
-            dropped.intersection_update(
-                csr.receiver_sets[pid] if csr is not None else edges[pid]
-            )
-            if not dropped:
-                del faults.omitted_sends[pid]
-    if not faults.receive_plans:
-        return
-    alive = lane.alive_view
-    for pid, drops in faults.receive_plans.items():
-        arrived: set = set()
-        for sender in drops:
-            if sender == pid or sender not in alive or sender in faults.silent:
-                continue
-            if edges is not None and pid not in (
-                csr.receiver_sets[sender]
-                if csr is not None
-                else edges[sender]
-            ):
-                continue
-            crash_targets = faults.crash_deliveries.get(sender)
-            if sender in faults.crashing_now:
-                if crash_targets is None or pid not in crash_targets:
-                    continue
-            elif pid in faults.omitted_sends.get(sender, ()):
-                continue
-            arrived.add(sender)
-        if arrived:
-            faults.omitted_receives[pid] = arrived
-
-
 def _compile_forgeries(
     protocol: SyncProtocol,
     array_protocol: ArrayProtocol,
     state: Any,
     lane: _Lane,
-    faults: _RoundFaults,
-    edges: Optional[Tuple[Tuple[int, ...], ...]],
-    round_no: int,
-    n: int,
+    ledger: RoundLedger,
+    liars: Sequence[int],
 ) -> Dict[int, Dict[str, Any]]:
     """The dense forgery path: apply payload lies, precompute patches.
 
-    Mirrors ``_send_phase``'s forgery block exactly: mutators run once
-    per forged wire copy, in (sender asc, receiver asc) order, on a
-    fresh copy of the true payload — the same seeded rng streams as the
-    reference engine.  A sender enters ``forged_sends`` only when at
-    least one forged copy is placed on the wire (copies addressed to
-    already-dead receivers count; they are dropped at delivery, exactly
-    as ``run_sync`` drops them).
+    The ledger forges exactly as it does for ``run_sync`` — the same
+    mutators on the same seeded rng streams, in (sender asc, receiver
+    asc) order (copies addressed to already-dead receivers count; they
+    are dropped at delivery, exactly as ``run_sync`` drops them).
 
     Every receiver that *delivers* at least one forged copy gets its
     entire transition recomputed by the reference protocol from the
@@ -1034,6 +871,7 @@ def _compile_forgeries(
     receiver — proportional to the forgery footprint, not to the run.
     """
     cache: Dict[int, Dict[str, Any]] = {}
+    round_no = ledger.round_no
 
     def state_of(pid: int) -> Dict[str, Any]:
         got = cache.get(pid)
@@ -1042,79 +880,33 @@ def _compile_forgeries(
             cache[pid] = got
         return got
 
-    dead_now = lane.crashed | faults.crashing_now
-    forged_payloads = faults.forged_payloads
-    affected: set = set()
-    for sender in lane.alive_order:
-        lies = faults.forgeries.get(sender)
-        if not lies:
-            continue
+    lies: List[Message] = []
+    for sender in liars:
         payload = protocol.send(sender, state_of(sender))
         if payload is None:
             continue
-        payload = copy_payload(payload)
-        if sender in faults.crashing_now:
-            targets = faults.crash_deliveries.get(sender, frozenset())
-            receivers = (
-                sorted(targets)
-                if edges is None
-                else [r for r in edges[sender] if r in targets]
-            )
-        else:
-            dropped = faults.omitted_sends.get(sender, ())
-            pool = range(n) if edges is None else edges[sender]
-            receivers = [r for r in pool if r not in dropped]
-        forged: set = set()
-        for receiver in receivers:
-            if receiver in lies and receiver != sender:
-                forged_payloads[(sender, receiver)] = lies[receiver](
-                    copy_payload(payload)
-                )
-                forged.add(receiver)
-        if not forged:
-            continue
-        faults.forged_sends[sender] = frozenset(forged)
-        for receiver in forged:
-            if receiver in dead_now:
-                continue  # dropped at delivery: crashed receivers hear nothing
-            drops = faults.receive_plans.get(receiver)
-            if drops and sender in drops:
-                continue  # dropped at delivery: receive omission
-            affected.add(receiver)
-
-    patches: Dict[int, Dict[str, Any]] = {}
+        _, forged = ledger.broadcast(sender, copy_payload(payload))
+        lies += [Message(sender, r, round_no, lie) for r, lie in forged.items()]
+    affected = sorted(ledger.deliver(lies))
     if not affected:
-        return patches
-    silent = faults.silent
-    for receiver in sorted(affected):
-        inbox: List[Message] = []
-        drops = faults.receive_plans.get(receiver)
-        for sender in lane.alive_order:
-            if sender in silent:
-                continue
-            if edges is not None and receiver not in edges[sender]:
-                continue
-            if sender in faults.crashing_now:
-                targets = faults.crash_deliveries.get(sender)
-                if not targets or receiver not in targets:
-                    continue
-            elif receiver in faults.omitted_sends.get(sender, ()):
-                continue
-            if drops and sender in drops and sender != receiver:
-                continue
-            payload = forged_payloads.get((sender, receiver), _UNSET)
-            if payload is _UNSET:
-                payload = copy_payload(protocol.send(sender, state_of(sender)))
-            inbox.append(
-                Message(
-                    sender=sender,
-                    receiver=receiver,
-                    sent_round=round_no,
-                    payload=payload,
-                )
-            )
-        patches[receiver] = protocol.update(receiver, state_of(receiver), inbox)
-    return patches
+        return {}
+
+    arriving: List[Message] = []
+    for sender in lane.live.alive_order:
+        hears = [r for r in affected if ledger.reaches(sender, r)]
+        if not hears:
+            continue
+        payload = copy_payload(protocol.send(sender, state_of(sender)))
+        forged = ledger.forged_sends.get(sender, ())
+        arriving += [
+            Message(sender, r, round_no, forged[r] if r in forged else payload)
+            for r in hears
+        ]
+    inboxes = ledger.deliver(arriving)
+    return {
+        receiver: protocol.update(receiver, state_of(receiver), inboxes.get(receiver, []))
+        for receiver in affected
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1127,12 +919,12 @@ def _rebuild_dead_keep(csr: _CsrGraph, lane_states, np, lanes: int):
     if np is None:
         for lane in lane_states:
             lane.dropped_edges = set()
-            for pid in lane.crashed:
+            for pid in lane.live.crashed:
                 lane.dropped_edges.update(csr.by_src[pid])
         return None
     dead_keep = np.ones((lanes, csr.num_edges), dtype=bool)
     for lane in lane_states:
-        for pid in lane.crashed:
+        for pid in lane.live.crashed:
             dead_keep[lane.index, csr.by_src[pid]] = False
     return dead_keep
 
@@ -1140,7 +932,7 @@ def _rebuild_dead_keep(csr: _CsrGraph, lane_states, np, lanes: int):
 def _build_csr_wire(
     wire: RoundWire,
     lane_states: List[_Lane],
-    round_faults: List[_RoundFaults],
+    ledgers: List[RoundLedger],
     topo: Optional[Topology],
     csr: Optional[_CsrGraph],
     dead_keep,
@@ -1151,23 +943,26 @@ def _build_csr_wire(
     backend: str,
 ):
     """Fill ``wire`` for a csr-kind protocol; returns (dead_keep, csr)."""
-    transient = any(f.transient for f in round_faults)
+    # per-edge (not per-sender) masking: partial crash deliveries or omissions
+    transient = any(
+        ledger.omitted_sends
+        or ledger.receive_drops
+        or any(ledger.crash_survivors.values())
+        for ledger in ledgers
+    )
     if topo is None and not transient:
         # complete graph, per-sender faults only: one global reduction
         wire.complete_fast = True
-        crashes = any(f.crashing_now for f in round_faults)
+        crashes = any(ledger.crashing_now for ledger in ledgers)
         if any_dead or crashes:
             if np is not None:
                 send_ok = alive_mask.copy()
-                for lane, faults in zip(lane_states, round_faults):
-                    for pid in faults.crashing_now:
+                for lane, ledger in zip(lane_states, ledgers):
+                    for pid in ledger.crashing_now:
                         send_ok[lane.index, pid] = False
                 wire.send_ok = send_ok
             else:
-                wire.send_ok = [
-                    lane.crashed | faults.crashing_now
-                    for lane, faults in zip(lane_states, round_faults)
-                ]
+                wire.send_ok = [ledger.dead for ledger in ledgers]
         return dead_keep, csr
 
     if csr is None:
@@ -1188,29 +983,29 @@ def _build_csr_wire(
     wire.graph = csr
 
     if not transient:
-        if not any_dead and not any(f.crashing_now for f in round_faults):
+        if not any_dead and not any(ledger.crashing_now for ledger in ledgers):
             wire.keep = None
             return dead_keep, csr
         # only permanent deaths (plus clean crashes) mask the wire
         if np is not None:
             if dead_keep is None:
                 dead_keep = np.ones((wire.lanes, csr.num_edges), dtype=bool)
-            clean = any(f.crashing_now for f in round_faults)
+            clean = any(ledger.crashing_now for ledger in ledgers)
             if not clean:
                 wire.keep = dead_keep
                 return dead_keep, csr
             keep = dead_keep.copy()
-            for lane, faults in zip(lane_states, round_faults):
-                for pid in faults.crashing_now:
+            for lane, ledger in zip(lane_states, ledgers):
+                for pid in ledger.crashing_now:
                     keep[lane.index, csr.by_src[pid]] = False
             wire.keep = keep
             return dead_keep, csr
         keep_sets = []
-        for lane, faults in zip(lane_states, round_faults):
+        for lane, ledger in zip(lane_states, ledgers):
             dropped = lane.dropped_edges
-            if faults.crashing_now:
+            if ledger.crashing_now:
                 dropped = set(dropped)
-                for pid in faults.crashing_now:
+                for pid in ledger.crashing_now:
                     dropped.update(csr.by_src[pid])
             keep_sets.append(dropped)
         wire.keep = keep_sets
@@ -1222,22 +1017,21 @@ def _build_csr_wire(
             keep = dead_keep.copy()
         else:
             keep = np.ones((wire.lanes, csr.num_edges), dtype=bool)
-        for lane, faults in zip(lane_states, round_faults):
+        for lane, ledger in zip(lane_states, ledgers):
             row = lane.index
-            for pid in faults.crashing_now:
-                targets = faults.crash_deliveries.get(pid)
+            for pid, targets in ledger.crash_survivors.items():
                 ids = csr.by_src[pid]
                 if targets:
                     for e in ids:
                         keep[row, e] = csr.dst[int(e)] in targets
                 else:
                     keep[row, ids] = False
-            for pid, dropped in faults.omitted_sends.items():
+            for pid, dropped in ledger.omitted_sends.items():
                 for receiver in dropped:
                     e = csr.edge_id(pid, receiver)
                     if e is not None:
                         keep[row, e] = False
-            for pid, drops in faults.receive_plans.items():
+            for pid, drops in ledger.receive_drops.items():
                 for sender in drops:
                     if sender == pid:
                         continue
@@ -1248,19 +1042,18 @@ def _build_csr_wire(
         return dead_keep, csr
 
     keep_sets = []
-    for lane, faults in zip(lane_states, round_faults):
+    for lane, ledger in zip(lane_states, ledgers):
         dropped = set(lane.dropped_edges)
-        for pid in faults.crashing_now:
-            targets = faults.crash_deliveries.get(pid)
+        for pid, targets in ledger.crash_survivors.items():
             for e in csr.by_src[pid]:
                 if not targets or csr.dst[e] not in targets:
                     dropped.add(e)
-        for pid, omit in faults.omitted_sends.items():
+        for pid, omit in ledger.omitted_sends.items():
             for receiver in omit:
                 e = csr.edge_id(pid, receiver)
                 if e is not None:
                     dropped.add(e)
-        for pid, drops in faults.receive_plans.items():
+        for pid, drops in ledger.receive_drops.items():
             for sender in drops:
                 if sender == pid:
                     continue
@@ -1279,7 +1072,7 @@ _COMPLETE_CSR_LIMIT = 1 << 26
 def _build_dense_wire(
     wire: RoundWire,
     lane_states: List[_Lane],
-    round_faults: List[_RoundFaults],
+    ledgers: List[RoundLedger],
     edges: Optional[Tuple[Tuple[int, ...], ...]],
     alive_mask,
     np,
@@ -1294,10 +1087,9 @@ def _build_dense_wire(
             for p, receivers in enumerate(edges):
                 adj[list(receivers), p] = True  # p's broadcast reaches them
         deliv = adj[None, :, :] & alive_mask[:, :, None] & alive_mask[:, None, :]
-        for lane, faults in zip(lane_states, round_faults):
+        for lane, ledger in zip(lane_states, ledgers):
             row = lane.index
-            for pid in faults.crashing_now:
-                targets = faults.crash_deliveries.get(pid)
+            for pid, targets in ledger.crash_survivors.items():
                 col = np.zeros(n, dtype=bool)
                 if targets:
                     col[sorted(targets)] = True
@@ -1306,12 +1098,12 @@ def _build_dense_wire(
                 deliv[row, :, pid] = col
             # rows zeroed after ALL columns: a crash column listing a
             # co-crashing survivor must not resurrect its zeroed row
-            for pid in faults.crashing_now:
+            for pid in ledger.crashing_now:
                 deliv[row, pid, :] = False  # a crashing process receives nothing
-            for pid, dropped in faults.omitted_sends.items():
+            for pid, dropped in ledger.omitted_sends.items():
                 targets = sorted(dropped)
                 deliv[row, targets, pid] = False
-            for pid, drops in faults.receive_plans.items():
+            for pid, drops in ledger.receive_drops.items():
                 for sender in drops:
                     if sender != pid:
                         deliv[row, pid, sender] = False
@@ -1324,24 +1116,21 @@ def _build_dense_wire(
         else [frozenset(e) for e in edges]
     )
     delivered = []
-    for lane, faults in zip(lane_states, round_faults):
-        alive = lane.alive_view
-        dead_now = lane.crashed | faults.crashing_now
+    for lane, ledger in zip(lane_states, ledgers):
+        alive, dead_now = ledger.alive, ledger.dead
         lane_rows: List[set] = []
         for p in range(n):
             if p in dead_now:
                 lane_rows.append(set())
                 continue
             inbox = {q for q in receiver_sets[p] if q in alive}
-            for q in faults.crashing_now:
-                if q in inbox:
-                    targets = faults.crash_deliveries.get(q)
-                    if not targets or p not in targets:
-                        inbox.discard(q)
-            for q, dropped in faults.omitted_sends.items():
+            for q in ledger.crashing_now:
+                if q in inbox and p not in ledger.crash_survivors[q]:
+                    inbox.discard(q)
+            for q, dropped in ledger.omitted_sends.items():
                 if p in dropped:
                     inbox.discard(q)
-            drops = faults.receive_plans.get(p)
+            drops = ledger.receive_drops.get(p)
             if drops:
                 inbox -= {q for q in drops if q != p}
             lane_rows.append(inbox)
@@ -1392,13 +1181,13 @@ def _measure_round(
     for lane in lane_states:
         if np is not None:
             row = column[lane.index]
-            mask = alive_mask[lane.index] if lane.crashed else None
+            mask = alive_mask[lane.index] if lane.live.crashed else None
             spread = _alive_min_max(row, mask, np, chunk)
             if spread is not None and spread[0] != spread[1]:
                 last_disagreement[lane.index] = round_no
         else:
             row = column[lane.index]
-            values = [row[p] for p in range(n) if p not in lane.crashed]
+            values = [row[p] for p in range(n) if p not in lane.live.crashed]
             if values and min(values) != max(values):
                 last_disagreement[lane.index] = round_no
 
@@ -1406,51 +1195,30 @@ def _measure_round(
 def _reconstruct_round(
     protocol: SyncProtocol,
     lane_states: List[_Lane],
-    round_faults: List[_RoundFaults],
+    ledgers: List[RoundLedger],
     snapshots: List[Dict[int, Optional[Dict[str, Any]]]],
     edges: Optional[Tuple[Tuple[int, ...], ...]],
     round_no: int,
     n: int,
 ) -> None:
     """Rebuild one RoundHistory per lane, in the recorder's exact shape."""
-    for lane, faults, states in zip(lane_states, round_faults, snapshots):
-        payloads: Dict[int, Any] = {}
-        for pid in lane.alive_order:
-            payloads[pid] = protocol.send(pid, states[pid])
-        forged_payloads = faults.forged_payloads
-
-        def wire_payload(sender: int, receiver: int):
-            got = forged_payloads.get((sender, receiver), _UNSET)
-            return payloads[sender] if got is _UNSET else got
-
-        # who actually hears whom (the engine's delivery phase)
-        inboxes: Dict[int, List[int]] = {}
-        dead_now = lane.crashed | faults.crashing_now
-        for sender in lane.alive_order:
-            payload = payloads[sender]
+    for lane, ledger, states in zip(lane_states, ledgers, snapshots):
+        sent: Dict[int, Tuple[Message, ...]] = {}
+        for pid in lane.live.alive_order:
+            payload = protocol.send(pid, states[pid])
             if payload is None:
                 continue
-            if sender in faults.crashing_now:
-                targets = faults.crash_deliveries.get(sender, frozenset())
-                receivers = (
-                    sorted(targets)
-                    if edges is None
-                    else [r for r in edges[sender] if r in targets]
-                )
-            else:
-                dropped = faults.omitted_sends.get(sender, ())
-                pool = range(n) if edges is None else edges[sender]
-                receivers = [r for r in pool if r not in dropped]
-            for receiver in receivers:
-                if receiver in dead_now:
-                    continue
-                if receiver in faults.omitted_receives and sender in faults.omitted_receives[receiver]:
-                    continue
-                inboxes.setdefault(receiver, []).append(sender)
+            forged = ledger.forged_sends.get(pid, ())
+            sent[pid] = tuple(
+                Message(pid, r, round_no, forged[r] if r in forged else payload)
+                for r in ledger.receivers(pid)
+            )
+        # sender-major arrivals: every inbox comes out sender-ascending
+        delivered = ledger.deliver(chain.from_iterable(sent.values()))
 
         records = []
         for pid in range(n):
-            if pid in lane.crashed:
+            if pid in lane.live.crashed:
                 records.append(
                     ProcessRoundRecord(
                         pid=pid, state_before=None, clock_before=None, crashed=True
@@ -1459,63 +1227,29 @@ def _reconstruct_round(
                 continue
             snapshot = states[pid]
             clock_before = None if snapshot is None else snapshot.get(CLOCK_KEY)
-            payload = payloads.get(pid)
-            sent: Tuple[Message, ...] = ()
-            if payload is not None:
-                if pid in faults.crashing_now:
-                    targets = faults.crash_deliveries.get(pid, frozenset())
-                    receivers = (
-                        sorted(targets)
-                        if edges is None
-                        else [r for r in edges[pid] if r in targets]
-                    )
-                else:
-                    dropped = faults.omitted_sends.get(pid, ())
-                    pool = range(n) if edges is None else edges[pid]
-                    receivers = [r for r in pool if r not in dropped]
-                sent = tuple(
-                    Message(
-                        sender=pid,
-                        receiver=receiver,
-                        sent_round=round_no,
-                        payload=wire_payload(pid, receiver),
-                    )
-                    for receiver in receivers
-                )
-            if pid in faults.crashing_now:
+            if pid in ledger.crashing_now:
                 records.append(
                     ProcessRoundRecord(
                         pid=pid,
                         state_before=snapshot,
                         clock_before=clock_before,
-                        sent=sent,
+                        sent=sent.get(pid, ()),
                         delivered=(),
                         crashed=True,
                     )
                 )
                 continue
-            delivered = tuple(
-                Message(
-                    sender=sender,
-                    receiver=pid,
-                    sent_round=round_no,
-                    payload=wire_payload(sender, pid),
-                )
-                for sender in sorted(inboxes.get(pid, ()))
-            )
             records.append(
                 ProcessRoundRecord(
                     pid=pid,
                     state_before=snapshot,
                     clock_before=clock_before,
-                    sent=sent,
-                    delivered=delivered,
+                    sent=sent.get(pid, ()),
+                    delivered=tuple(delivered.get(pid, ())),
                     crashed=False,
-                    omitted_sends=frozenset(faults.omitted_sends.get(pid, ())),
-                    omitted_receives=frozenset(
-                        faults.omitted_receives.get(pid, ())
-                    ),
-                    forged_sends=faults.forged_sends.get(pid, frozenset()),
+                    omitted_sends=frozenset(ledger.omitted_sends.get(pid, ())),
+                    omitted_receives=frozenset(ledger.omitted_receives.get(pid, ())),
+                    forged_sends=frozenset(ledger.forged_sends.get(pid, ())),
                 )
             )
         lane.rounds.append(

@@ -58,6 +58,7 @@ from repro.kernel.events import AsyncMessage, EventBus, FaultEvent, FaultKind, O
 from repro.kernel.faults import FaultPlan
 from repro.kernel.recorders import AsyncTraceRecorder
 from repro.kernel.snapshot import UNPROVEN, copy_payload, prove_payload
+from repro.kernel.topology import normalize_topology
 from repro.util.rng import make_rng
 from repro.util.validation import require, require_process_count
 
@@ -257,20 +258,9 @@ class AsyncScheduler:
             corruption = view.corruption
             mid_corruptions = dict(view.mid_corruptions)
             gst = view.gst
-        from repro.kernel.topology import CompleteTopology, DynamicTopology
-
-        if fault_plan is not None and fault_plan.churn:
-            topology = DynamicTopology(
-                topology or CompleteTopology(n), fault_plan.churn
-            )
-        elif topology is not None and topology.complete:
-            topology = None
-        if topology is not None:
-            require(
-                topology.n == n,
-                f"topology is sized for n={topology.n}, run has n={n}",
-            )
-        self._topology = topology
+        self._topology = normalize_topology(
+            n, topology, fault_plan.churn if fault_plan is not None else None
+        )
         self._duplicate_probability = duplicate_probability
         self.protocol = protocol
         self.n = n

@@ -9,6 +9,10 @@ and recording what happened.  This package extracts that common layer:
 - :mod:`repro.kernel.faults` — one :class:`FaultPlan` describing a
   fault scenario (crash schedule, omission adversary, systemic
   corruption, asynchrony knobs) that can be aimed at either substrate;
+- :mod:`repro.kernel.delivery` — the round ledger: the one definition
+  of who hears whom in a synchronous round under a fault plan, read by
+  the engine, the live interposer, the array control plane and the
+  proof plane;
 - :mod:`repro.kernel.events` — the observer/event-bus API
   (``on_round_start``, ``on_send``, ``on_deliver``, ``on_fault``,
   ``on_state_commit``, ...) both engines emit instead of doing inline
@@ -26,6 +30,7 @@ and recording what happened.  This package extracts that common layer:
   means in every substrate.
 """
 
+from repro.kernel.delivery import Liveness, RoundLedger
 from repro.kernel.events import (
     AsyncMessage,
     EventBus,
@@ -65,6 +70,7 @@ from repro.kernel.topology import (
     RingTopology,
     Topology,
     TreeTopology,
+    normalize_topology,
     round_edges,
 )
 
@@ -87,9 +93,11 @@ __all__ = [
     "FrozenDict",
     "HistoryRecorder",
     "LiveTraceRecorder",
+    "Liveness",
     "Observer",
     "RandomTopology",
     "RingTopology",
+    "RoundLedger",
     "ServeEvent",
     "SyncFaultView",
     "Topology",
@@ -97,6 +105,7 @@ __all__ = [
     "copy_payload",
     "freeze",
     "imm",
+    "normalize_topology",
     "round_edges",
     "snapshot_state",
     "snapshot_states",

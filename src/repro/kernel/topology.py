@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.util.rng import make_rng
+from repro.util.validation import require
 
 __all__ = [
     "ChurnEvent",
@@ -48,6 +49,7 @@ __all__ = [
     "RingTopology",
     "Topology",
     "TreeTopology",
+    "normalize_topology",
     "round_edges",
 ]
 
@@ -382,6 +384,27 @@ class DynamicTopology(Topology):
 
     def __repr__(self) -> str:
         return f"DynamicTopology({self.base!r}, events={len(self.schedule.events)})"
+
+
+def normalize_topology(
+    n: int, topology: Optional[Topology], churn: Optional[ChurnSchedule] = None
+) -> Optional[Topology]:
+    """The topology a run of ``n`` processes actually executes on.
+
+    Churn wraps whatever base was given in a :class:`DynamicTopology`; a
+    plain complete graph is erased to ``None`` so default runs stay on
+    the exact pre-topology code paths (byte-identical histories); a
+    sized topology must match ``n``.
+    """
+    if churn:
+        topology = DynamicTopology(topology or CompleteTopology(n), churn)
+    elif topology is not None and topology.complete:
+        topology = None
+    if topology is not None:
+        require(
+            topology.n == n, f"topology is sized for n={topology.n}, run has n={n}"
+        )
+    return topology
 
 
 def round_edges(topology: Topology, round_no: int) -> Tuple[Tuple[int, ...], ...]:

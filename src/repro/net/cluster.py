@@ -50,16 +50,11 @@ from repro.kernel.events import EventBus, FaultEvent, FaultKind, Observer
 from repro.kernel.faults import FaultPlan
 from repro.kernel.recorders import HistoryRecorder, LiveTraceRecorder
 from repro.kernel.snapshot import snapshot_states
-from repro.kernel.topology import (
-    CompleteTopology,
-    DynamicTopology,
-    Topology,
-    round_edges,
-)
+from repro.kernel.topology import Topology, normalize_topology, round_edges
 from repro.net.host import DetectorHost, LiveClock, ProcessHost
 from repro.net.interposer import WireInterposer
 from repro.net.transport import Transport, make_transport
-from repro.sync.engine import ProtocolError, StopCondition
+from repro.sync.engine import ProtocolError, StopCondition, update_phase
 from repro.util.rng import make_rng
 from repro.util.validation import require, require_positive, require_process_count
 
@@ -185,18 +180,9 @@ async def _live_sync_body(
     else:
         adversary, corruption, mid_run, wire = None, None, {}, None
 
-    # Same normalization as the engine: churn wraps the base graph; a
-    # plain complete graph is erased (histories stay pre-topology).
-    if fault_plan is not None and fault_plan.churn:
-        topology = DynamicTopology(
-            topology or CompleteTopology(n), fault_plan.churn
-        )
-    elif topology is not None and topology.complete:
-        topology = None
-    if topology is not None:
-        require(
-            topology.n == n, f"topology is sized for n={topology.n}, run has n={n}"
-        )
+    topology = normalize_topology(
+        n, topology, fault_plan.churn if fault_plan is not None else None
+    )
 
     recorder = HistoryRecorder() if record_history else None
     bus = EventBus(((recorder, *observers) if recorder else tuple(observers)))
@@ -222,16 +208,13 @@ async def _live_sync_body(
     await fabric.start()
     interposer = WireInterposer(n, bus, adversary=adversary, wire=wire)
     hosts = [
-        ProcessHost(
-            pid, protocol, n, fabric.endpoint(pid), interposer, topology=topology
-        )
+        ProcessHost(pid, protocol, n, fabric.endpoint(pid), interposer)
         for pid in range(n)
     ]
 
     wants_round_start = bus.wants_round_start
     wants_topology = bus.wants_topology
     wants_deliver = bus.wants_deliver
-    wants_state_commit = bus.wants_state_commit
     wants_round_end = bus.wants_round_end
 
     stopped_early = False
@@ -244,11 +227,12 @@ async def _live_sync_body(
                     bus, mid_run[round_no], protocol, states, n, time=round_no
                 )
 
-            interposer.begin_round(round_no)
+            edges = None if topology is None else round_edges(topology, round_no)
+            interposer.begin_round(round_no, edges)
             if wants_round_start:
                 bus.on_round_start(round_no, snapshot_states(states))
-            if topology is not None and wants_topology:
-                bus.on_topology(round_no, round_edges(topology, round_no))
+            if edges is not None and wants_topology:
+                bus.on_topology(round_no, edges)
 
             for pid in sorted(interposer.alive):
                 hosts[pid].send_phase(round_no, states[pid])
@@ -274,23 +258,10 @@ async def _live_sync_body(
             if wants_deliver:
                 bus.on_deliveries(delivered, round_no)
 
-            for pid in range(n):
-                if pid in interposer.crashed:
-                    if pid in crashed_now:
-                        states[pid] = None
-                        if wants_state_commit:
-                            bus.on_state_commit(pid, round_no, None)
-                    continue
-                new_state = protocol.update(pid, states[pid], delivered.get(pid, []))
-                if not isinstance(new_state, dict) or CLOCK_KEY not in new_state:
-                    raise ProtocolError(
-                        f"{protocol.name}: update() for process {pid} must "
-                        f"return a dict containing the round variable "
-                        f"({CLOCK_KEY!r})"
-                    )
-                states[pid] = new_state
-                if wants_state_commit:
-                    bus.on_state_commit(pid, round_no, new_state)
+            update_phase(
+                protocol, n, bus, round_no, states, delivered,
+                interposer.crashed, crashed_now,
+            )
 
             if wants_round_end:
                 bus.on_round_end(round_no)
@@ -445,16 +416,9 @@ async def _live_detector_body(
     else:
         crash_times, corruption, mid_corruptions, wire = {}, None, {}, None
 
-    if fault_plan is not None and fault_plan.churn:
-        topology = DynamicTopology(
-            topology or CompleteTopology(n), fault_plan.churn
-        )
-    elif topology is not None and topology.complete:
-        topology = None
-    if topology is not None:
-        require(
-            topology.n == n, f"topology is sized for n={topology.n}, run has n={n}"
-        )
+    topology = normalize_topology(
+        n, topology, fault_plan.churn if fault_plan is not None else None
+    )
 
     recorder = LiveTraceRecorder()
     bus = EventBus((recorder, *observers))

@@ -8,7 +8,7 @@ Two drivers for the two protocol models:
 - :class:`ProcessHost` drives a
   :class:`~repro.sync.protocol.SyncProtocol` under round pacing: the
   cluster opens a round, each host runs its send phase (one broadcast,
-  fanned out copy-by-copy through the interposer), the transport's
+  fanned out by the interposer), the transport's
   drain barrier (or a timeout, in ``timeout`` pacing) closes the wire,
   and each host collects its inbox and applies the transition function.
   Collection deduplicates by sender — the round layer's answer to
@@ -90,42 +90,30 @@ class ProcessHost:
         n: int,
         endpoint: Endpoint,
         interposer: WireInterposer,
-        topology: Any = None,
     ):
         self.pid = pid
         self.protocol = protocol
         self.n = n
         self.endpoint = endpoint
         self.interposer = interposer
-        self.topology = topology
 
     def send_phase(self, round_no: int, state: Dict[str, Any]) -> None:
-        """Broadcast this round's payload, copy-by-copy, via the wire.
+        """Broadcast this round's payload via the wire.
 
         Mirrors the engine's send phase: one ``protocol.send`` call, a
-        ``None`` payload means silence, and the copy to each receiver
-        (the current out-edges; everyone, self included, on the default
-        complete topology) runs the interposer's send-side gauntlet
-        before it is posted.  Copies the interposer drops never touch
-        the transport.
+        ``None`` payload means silence, and the interposer's ledger
+        decides which copies (along the round's out-edges) are posted.
+        Copies the interposer drops never touch the transport.
         """
         payload = self.protocol.send(self.pid, state)
         if payload is None:
             return
-        payload = copy_payload(payload)
-        if self.topology is None:
-            receivers = range(self.n)
-        else:
-            receivers = self.topology.receivers(self.pid, round_no)
-        for dst in receivers:
-            for final_dst, body, delay in self.interposer.route(
-                self.pid, dst, round_no, payload
-            ):
-                self.endpoint.post(
-                    final_dst,
-                    {"src": self.pid, "round": round_no, "body": body},
-                    delay=delay,
-                )
+        for dst, body, delay in self.interposer.broadcast(
+            self.pid, round_no, copy_payload(payload)
+        ):
+            self.endpoint.post(
+                dst, {"src": self.pid, "round": round_no, "body": body}, delay=delay
+            )
 
     def collect(self, round_no: int) -> List[Tuple[ProcessId, Any]]:
         """Drain the inbox; return this round's copies as (sender, payload).

@@ -18,21 +18,21 @@ evaluated on the live execution with the same code.
 Division of labor per round (barrier-paced mode):
 
 1. cluster calls :meth:`begin_round` — the adversary plans and the
-   round's crashing set is fixed;
-2. each process's send path calls :meth:`route` once per (src, dst)
-   copy; the interposer returns the surviving copies (possibly forged,
-   delayed, or duplicated) which the caller posts to the transport —
-   dropped copies never reach the wire;
+   round's :class:`~repro.kernel.delivery.RoundLedger` is opened (the
+   one definition of who hears whom, shared with the simulator);
+2. each process's send path calls :meth:`broadcast` once; the
+   interposer returns the surviving copies (possibly forged, delayed,
+   or duplicated) which the caller posts to the transport — dropped
+   copies never reach the wire;
 3. after the transport's drain barrier the cluster calls
    :meth:`finish_round`, which narrates this round's faults and sends
-   in engine order and folds the round into the crash/faulty
-   bookkeeping.
+   in engine order and folds the round into the liveness record.
 
 Send-side events (crash, send omission, forgery, ``on_send``) are
-narrated from the interposer's own bookkeeping — they describe what was
-*placed on* the wire.  Deliveries are narrated by the cluster from what
-each endpoint *actually received*, so a transport bug surfaces as a
-history divergence instead of being papered over.
+narrated from the ledger and the interposer's wire log — they describe
+what was *placed on* the wire.  Deliveries are narrated by the cluster
+from what each endpoint *actually received*, so a transport bug
+surfaces as a history divergence instead of being papered over.
 
 In event-driven (asynchronous) mode there is no round plan; the
 interposer only enforces the crash schedule (a crashed process neither
@@ -53,10 +53,10 @@ import random
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.histories.history import Message
-from repro.kernel.events import EventBus, FaultEvent, FaultKind
+from repro.kernel.delivery import Liveness, RoundLedger
+from repro.kernel.events import EventBus
 from repro.kernel.faults import WireFaults
-from repro.kernel.snapshot import copy_payload
-from repro.sync.adversary import Adversary, NullAdversary, RoundFaultPlan
+from repro.sync.adversary import Adversary, NullAdversary
 from repro.util.validation import require
 
 __all__ = ["WireInterposer"]
@@ -84,157 +84,94 @@ class WireInterposer:
         self._wire = wire
         self._wire_rng = random.Random(wire.seed) if wire is not None else None
         self._crash_times = dict(crash_times or {})
-
-        self.crashed: Set[ProcessId] = set()
-        self.alive: FrozenSet[ProcessId] = frozenset(range(n))
-        self.faulty_so_far: FrozenSet[ProcessId] = frozenset()
-
-        self._round_no: Optional[int] = None
-        self._plan: RoundFaultPlan = RoundFaultPlan()
-        self._crashing_now: Set[ProcessId] = set()
-        self._omitted_sends: Dict[ProcessId, Set[ProcessId]] = {}
-        self._omitted_receives: Dict[ProcessId, Set[ProcessId]] = {}
-        self._forged_sends: Dict[ProcessId, Set[ProcessId]] = {}
+        self._live = Liveness(n)
+        self._ledger: Optional[RoundLedger] = None
         self._wire_log: List[Message] = []
+
+    @property
+    def crashed(self) -> Set[ProcessId]:
+        return self._live.crashed
+
+    @property
+    def alive(self) -> FrozenSet[ProcessId]:
+        return self._live.alive_view
+
+    @property
+    def faulty_so_far(self) -> FrozenSet[ProcessId]:
+        return self._live.faulty
 
     # -- round-paced (synchronous) mode --------------------------------------
 
-    def begin_round(self, round_no: int) -> FrozenSet[ProcessId]:
+    def begin_round(self, round_no: int, edges=None) -> FrozenSet[ProcessId]:
         """Plan this round's process failures; returns who crashes now.
 
         Mirrors the engine: the adversary is consulted with the same
-        ``(round_no, alive, faulty_so_far)`` it would see in simulation
-        and its plan is validated against the same budget rules.
+        ``(round_no, alive, faulty_so_far)`` it would see in simulation,
+        its plan is validated against the same budget rules, and the
+        ledger is opened over the same ``edges`` (``None``: complete).
         """
-        require(self._round_no is None, "begin_round inside an open round")
-        plan = self._adversary.plan_round(round_no, self.alive, self.faulty_so_far)
-        self._adversary.validate(plan, self.faulty_so_far)
-        self._plan = plan
-        self._round_no = round_no
-        self._crashing_now = {pid for pid in plan.crashes if pid in self.alive}
-        self._omitted_sends = {}
-        self._omitted_receives = {}
-        self._forged_sends = {}
+        require(self._ledger is None, "begin_round inside an open round")
+        live = self._live
+        plan = self._adversary.plan_round(round_no, live.alive_view, live.faulty)
+        self._adversary.validate(plan, live.faulty)
+        self._ledger = RoundLedger(plan, self.n, live, round_no, edges)
         self._wire_log = []
-        return frozenset(self._crashing_now)
+        return self._ledger.crashing_now
 
-    def route(
-        self, src: ProcessId, dst: ProcessId, round_no: int, payload: Any
-    ) -> List[Copy]:
-        """Filter one (src, dst) copy; return the copies to actually post.
+    def broadcast(self, src: ProcessId, round_no: int, payload: Any) -> List[Copy]:
+        """Filter one broadcast; return the copies to actually post.
 
-        The returned list is empty when the copy is dropped (crash,
-        omission), carries one entry normally, and more when wire-level
-        duplication strikes.  Payloads may be forged in flight.
+        A copy the ledger keeps off the wire (crash, send omission) or
+        the receiver refuses (dead, receive omission) is absent; wire-
+        level duplication may add extras.  Payloads may be forged.
         """
-        require(round_no == self._round_no, "route outside the current round")
-        plan = self._plan
-        if src in self.crashed:
+        ledger = self._ledger
+        require(
+            ledger is not None and round_no == ledger.round_no,
+            "broadcast outside the current round",
+        )
+        if src in self._live.crashed:
             return []
-        if src in self._crashing_now:
-            # A crash mid-broadcast: only the plan's chosen survivors
-            # receive the final message.
-            if dst not in plan.crashes[src]:
-                return []
-        else:
-            dropped = plan.send_omissions.get(src)
-            if dropped and dst in dropped and dst != src:
-                self._omitted_sends.setdefault(src, set()).add(dst)
-                return []
-        lies = plan.forgeries.get(src)
-        if lies and dst in lies and dst != src:  # own broadcast stays true
-            payload = lies[dst](copy_payload(payload))
-            self._forged_sends.setdefault(src, set()).add(dst)
-        self._wire_log.append(Message(src, dst, round_no, payload))
-        if dst in self.crashed or dst in self._crashing_now:
-            return []  # a crashed process receives nothing (but the send happened)
-        drops = plan.receive_omissions.get(dst)
-        if drops and src in drops and src != dst:  # self-delivery is sacred
-            self._omitted_receives.setdefault(dst, set()).add(src)
-            return []
-        return self._wire_copies(dst, payload)
+        receivers, forged = ledger.broadcast(src, payload)
+        sent = [
+            Message(src, dst, round_no, forged[dst] if dst in forged else payload)
+            for dst in receivers
+        ]
+        self._wire_log += sent
+        # a refused copy was still sent: it stays in the wire log
+        return [
+            copy
+            for inbox in ledger.deliver(sent).values()
+            for message in inbox
+            for copy in self._wire_copies(message.receiver, message.payload)
+        ]
 
     def finish_round(self) -> FrozenSet[ProcessId]:
         """Narrate the round's faults/sends; fold the crash bookkeeping.
 
         Returns the set of processes that crashed *this* round (the
         cluster's update phase commits ``None`` for exactly these).
-        Event order matches the engine: crashes, then send omissions and
-        forgeries interleaved per pid, then every wire message, then
-        receive omissions.  Deliveries are narrated by the caller.
+        Event order matches the engine: send-side faults, then every
+        wire message, then receive omissions.  Deliveries are narrated
+        by the caller.
         """
-        round_no = self._round_no
-        require(round_no is not None, "finish_round without begin_round")
+        ledger = self._ledger
+        require(ledger is not None, "finish_round without begin_round")
         bus = self._bus
-        plan = self._plan
-        crashing_now = frozenset(self._crashing_now)
         if bus.wants_fault:
-            for pid in sorted(crashing_now):
-                bus.on_fault(
-                    FaultEvent(
-                        kind=FaultKind.CRASH,
-                        time=round_no,
-                        pid=pid,
-                        targets=plan.crashes.get(pid, frozenset()),
-                    )
-                )
-            for pid in sorted(self._omitted_sends.keys() | self._forged_sends.keys()):
-                dropped = self._omitted_sends.get(pid)
-                if dropped:
-                    bus.on_fault(
-                        FaultEvent(
-                            kind=FaultKind.SEND_OMISSION,
-                            time=round_no,
-                            pid=pid,
-                            targets=frozenset(dropped),
-                        )
-                    )
-                forged = self._forged_sends.get(pid)
-                if forged:
-                    bus.on_fault(
-                        FaultEvent(
-                            kind=FaultKind.FORGERY,
-                            time=round_no,
-                            pid=pid,
-                            targets=frozenset(forged),
-                        )
-                    )
+            ledger.narrate_sends(bus)
         if bus.wants_send:
             # Concurrent send phases log in arrival order; the engine's
             # wire order is (sender asc, receiver asc).
             bus.on_sends(
                 sorted(self._wire_log, key=lambda m: (m.sender, m.receiver)),
-                round_no,
+                ledger.round_no,
             )
         if bus.wants_fault:
-            for pid in sorted(self._omitted_receives):
-                bus.on_fault(
-                    FaultEvent(
-                        kind=FaultKind.RECEIVE_OMISSION,
-                        time=round_no,
-                        pid=pid,
-                        targets=frozenset(self._omitted_receives[pid]),
-                    )
-                )
-        if crashing_now:
-            self.crashed |= crashing_now
-            self.alive = self.alive - crashing_now
-        if (
-            crashing_now
-            or self._omitted_sends
-            or self._omitted_receives
-            or self._forged_sends
-        ):
-            self.faulty_so_far = (
-                self.faulty_so_far
-                | self.crashed
-                | self._omitted_sends.keys()
-                | self._omitted_receives.keys()
-                | self._forged_sends.keys()
-            )
-        self._round_no = None
-        self._plan = RoundFaultPlan()
-        return crashing_now
+            ledger.narrate_receives(bus)
+        self._live.fold(ledger)
+        self._ledger = None
+        return ledger.crashing_now
 
     # -- event-driven (asynchronous) mode ------------------------------------
 
@@ -244,9 +181,7 @@ class WireInterposer:
 
     def mark_crashed(self, pid: ProcessId) -> None:
         """Record an event-driven crash (the cluster fires the timer)."""
-        self.crashed.add(pid)
-        self.alive = self.alive - {pid}
-        self.faulty_so_far = self.faulty_so_far | {pid}
+        self._live.crash((pid,))
 
     def route_async(self, src: ProcessId, dst: ProcessId, payload: Any) -> List[Copy]:
         """Crash-schedule filtering + wire extras, no round structure."""

@@ -18,14 +18,11 @@ Round structure (paper, Section 2):
 1. *(systemic failures)* any corruption scheduled for this round is
    applied to the surviving processes' memories;
 2. *start of round* — every alive process broadcasts one payload;
-   the adversary may crash a process mid-broadcast (its final message
-   reaches only a chosen subset) or drop individual copies
-   (send omission);
-3. *delivery* — every copy that survived send-side filtering is
-   delivered within the round (constant delivery time), except copies
-   dropped by receive omission at a faulty receiver.  Self-delivery is
-   never dropped (paper footnote: every process, correct or faulty,
-   correctly receives its own broadcast);
+3. *delivery* — the round's :class:`~repro.kernel.delivery.RoundLedger`
+   (the one definition of the paper's crash / send-omission /
+   receive-omission semantics, self-delivery never dropped) decides
+   which copies reach the wire, which of them lie and which arrivals
+   are accepted, all within the round (constant delivery time);
 4. *end of round* — every alive, non-crashing process applies the
    protocol's transition function to its delivered messages.
 
@@ -41,6 +38,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Container,
     Dict,
     List,
     Mapping,
@@ -54,25 +52,21 @@ from repro.histories.history import (
     Message,
 )
 from repro.kernel.corruptions import apply_corruption
-from repro.kernel.events import EventBus, FaultEvent, FaultKind, Observer
+from repro.kernel.delivery import Liveness, RoundLedger, quiet
+from repro.kernel.events import EventBus, Observer
 from repro.kernel.recorders import HistoryRecorder
 
 if TYPE_CHECKING:  # runtime import would close the kernel↔sync cycle
     from repro.kernel.faults import FaultPlan
 from repro.kernel.snapshot import copy_payload, snapshot_states
-from repro.kernel.topology import (
-    CompleteTopology,
-    DynamicTopology,
-    Topology,
-    round_edges,
-)
-from repro.sync.adversary import Adversary, NullAdversary, RoundFaultPlan
+from repro.kernel.topology import Topology, normalize_topology, round_edges
+from repro.sync.adversary import Adversary, NullAdversary
 from repro.sync.corruption import CorruptionPlan
 from repro.sync.delays import DelayModel, NoDelay
 from repro.sync.protocol import SyncProtocol
 from repro.util.validation import require, require_positive, require_process_count
 
-__all__ = ["SyncRunResult", "run_sync", "ProtocolError"]
+__all__ = ["SyncRunResult", "run_sync", "update_phase", "ProtocolError"]
 
 ProcessId = int
 
@@ -213,16 +207,9 @@ def run_sync(
     mid_run = dict(mid_run_corruptions or {})
     in_flight: Dict[int, List[Message]] = {}
 
-    # Normalize the topology: churn wraps whatever base was given; a
-    # plain complete graph is erased so the default runs stay on the
-    # exact pre-topology code paths (byte-identical histories).
-    topo: Optional[Topology] = topology
-    if fault_plan is not None and fault_plan.churn:
-        topo = DynamicTopology(topo or CompleteTopology(n), fault_plan.churn)
-    elif topo is not None and topo.complete:
-        topo = None
-    if topo is not None:
-        require(topo.n == n, f"topology is sized for n={topo.n}, run has n={n}")
+    topo = normalize_topology(
+        n, topology, fault_plan.churn if fault_plan is not None else None
+    )
 
     recorder = HistoryRecorder() if record_history else None
     bus = EventBus(((recorder, *observers) if recorder else tuple(observers)))
@@ -244,13 +231,7 @@ def run_sync(
             bus, corruption, protocol, states, n, time=first_round - 1
         )
 
-    crashed: set = set()
-    # Liveness has a single source of truth: ``alive_order`` (ascending
-    # pids, crashed ones removed).  The set view handed to the adversary
-    # is *derived* from it, never maintained in parallel.
-    alive_order: List[ProcessId] = list(range(n))
-    alive_view: frozenset = frozenset(alive_order)
-    faulty_so_far: frozenset = frozenset()
+    live = Liveness(n)
     stopped_early = False
     last_round = first_round
 
@@ -268,8 +249,8 @@ def run_sync(
                 bus, mid_run[round_no], protocol, states, n, time=round_no
             )
 
-        plan = adversary.plan_round(round_no, alive_view, faulty_so_far)
-        adversary.validate(plan, faulty_so_far)
+        plan = adversary.plan_round(round_no, live.alive_view, live.faulty)
+        adversary.validate(plan, live.faulty)
 
         if wants_round_start:
             bus.on_round_start(round_no, snapshot_states(states))
@@ -280,83 +261,33 @@ def run_sync(
             if wants_topology:
                 bus.on_topology(round_no, edges)
 
-        wire, omitted_sends, forged_sends, crashing_now = _send_phase(
-            protocol, n, round_no, states, alive_order, plan, edges
-        )
-        if wants_fault:
-            for pid in sorted(crashing_now):
-                bus.on_fault(
-                    FaultEvent(
-                        kind=FaultKind.CRASH,
-                        time=round_no,
-                        pid=pid,
-                        targets=plan.crashes.get(pid, frozenset()),
-                    )
-                )
-            for pid in sorted(omitted_sends.keys() | forged_sends.keys()):
-                dropped = omitted_sends.get(pid)
-                if dropped:
-                    bus.on_fault(
-                        FaultEvent(
-                            kind=FaultKind.SEND_OMISSION,
-                            time=round_no,
-                            pid=pid,
-                            targets=frozenset(dropped),
-                        )
-                    )
-                forged = forged_sends.get(pid)
-                if forged:
-                    bus.on_fault(
-                        FaultEvent(
-                            kind=FaultKind.FORGERY,
-                            time=round_no,
-                            pid=pid,
-                            targets=frozenset(forged),
-                        )
-                    )
+        # A quiet round (empty plan, nobody dead) keeps no ledger at all.
+        idle = not live.crashed and quiet(plan)
+        ledger = None if idle else RoundLedger(plan, n, live, round_no, edges)
+
+        wire = _send_phase(protocol, n, round_no, states, live.alive_order, ledger, edges)
+        if wants_fault and ledger is not None:
+            ledger.narrate_sends(bus)
         if wants_send:
             bus.on_sends(wire, round_no)
 
         immediate = _route_delays(wire, round_no, delay_model, in_flight)
         pending = in_flight.pop(round_no, None)
-        if pending:
-            arriving = immediate + pending
-            presorted = False
-        else:
-            arriving = immediate
-            presorted = True
-        delivered, omitted_receives = _delivery_phase(
-            arriving, crashed, crashing_now, plan, presorted
-        )
-        if wants_fault:
-            for pid in sorted(omitted_receives):
-                bus.on_fault(
-                    FaultEvent(
-                        kind=FaultKind.RECEIVE_OMISSION,
-                        time=round_no,
-                        pid=pid,
-                        targets=frozenset(omitted_receives[pid]),
-                    )
-                )
+        arriving = immediate + pending if pending else immediate
+        delivered = _delivery_phase(arriving, ledger, presorted=not pending)
+        if wants_fault and ledger is not None:
+            ledger.narrate_receives(bus)
         if wants_deliver:
             bus.on_deliveries(delivered, round_no)
 
-        _update_phase(
-            protocol, n, bus, round_no, states, delivered, crashed, crashing_now
-        )
-
-        if crashing_now:
-            crashed |= crashing_now
-            alive_order = [pid for pid in alive_order if pid not in crashing_now]
-            alive_view = frozenset(alive_order)
-        if crashing_now or omitted_sends or omitted_receives or forged_sends:
-            faulty_so_far = (
-                faulty_so_far
-                | crashed
-                | omitted_sends.keys()
-                | omitted_receives.keys()
-                | forged_sends.keys()
+        if ledger is None:
+            update_phase(protocol, n, bus, round_no, states, delivered)
+        else:
+            update_phase(
+                protocol, n, bus, round_no, states, delivered,
+                live.crashed, ledger.crashing_now,
             )
+            live.fold(ledger)
 
         if wants_round_end:
             bus.on_round_end(round_no)
@@ -373,7 +304,7 @@ def run_sync(
         n=n,
         history=history,
         final_states=final_states,
-        faulty=history.faulty() if history is not None else faulty_so_far,
+        faulty=history.faulty() if history is not None else live.faulty,
         stopped_early=stopped_early,
         executed_rounds=last_round - first_round + 1,
     )
@@ -389,87 +320,39 @@ def _send_phase(
     round_no: int,
     states: Dict[ProcessId, Optional[Dict[str, Any]]],
     alive_order: List[ProcessId],
-    plan: RoundFaultPlan,
+    ledger: Optional[RoundLedger],
     edges=None,
-):
-    """Compute the messages actually placed on the wire this round.
+) -> List[Message]:
+    """The messages actually placed on the wire this round, as one flat
+    list in (sender asc, receiver asc) order — the narration order.
 
-    Returns the wire as one flat list in (sender asc, receiver asc)
-    order — the narration order — plus sparse per-pid omission/forgery
-    target sets (only faulty pids appear as keys) and the set of
-    processes crashing mid-broadcast.  Fault-free rounds take a fast
-    path with none of the omission/forgery bookkeeping.
-
-    ``edges`` (``None`` on the complete graph) restricts every
-    broadcast to the sender's current out-edges; faults are per-edge,
-    so crash survivor sets and omission targets are intersected with
-    the live neighborhood — an omission aimed at a non-neighbor drops
-    nothing and is not recorded.
+    ``edges`` (``None`` on the complete graph) restricts every broadcast
+    to the sender's current out-edges; only the senders the ledger names
+    as deviating ask it who gets which copy.
     """
     wire: List[Message] = []
-    crashing_now: set = set()
-
-    if not (plan.crashes or plan.send_omissions or plan.forgeries):
-        receivers = range(n)
-        for pid in alive_order:
-            payload = protocol.send(pid, states[pid])
-            if payload is None:
-                continue
-            payload = copy_payload(payload)
-            wire += [
-                Message(pid, receiver, round_no, payload)
-                for receiver in (receivers if edges is None else edges[pid])
-            ]
-        return wire, {}, {}, crashing_now
-
-    omitted_sends: Dict[ProcessId, set] = {}
-    forged_sends: Dict[ProcessId, set] = {}
+    everyone = range(n)
+    deviants = () if ledger is None else ledger.deviants
     for pid in alive_order:
         payload = protocol.send(pid, states[pid])
-        crash_survivors = plan.crashes.get(pid)
-        if crash_survivors is not None:
-            crashing_now.add(pid)
         if payload is None:
             continue
         payload = copy_payload(payload)
-        if crash_survivors is not None:
-            if edges is None:
-                receivers = sorted(crash_survivors)
-            else:
-                receivers = [r for r in edges[pid] if r in crash_survivors]
-        else:
-            dropped = set(plan.send_omissions.get(pid, frozenset()))
-            dropped.discard(pid)  # self-delivery is sacred
-            if edges is not None:
-                dropped.intersection_update(edges[pid])
-            if dropped:
-                omitted_sends[pid] = dropped
-                receivers = [
-                    r
-                    for r in (range(n) if edges is None else edges[pid])
-                    if r not in dropped
-                ]
-            else:
-                receivers = range(n) if edges is None else edges[pid]
-        lies = plan.forgeries.get(pid)
-        if lies:
-            forged = forged_sends.setdefault(pid, set())
-            for receiver in receivers:
-                message_payload = payload
-                if receiver in lies and receiver != pid:  # own broadcast stays true
-                    # One defensive copy suffices: the mutator gets its own
-                    # copy to work on, and its result goes straight onto
-                    # the wire without ever escaping elsewhere.
-                    message_payload = lies[receiver](copy_payload(payload))
-                    forged.add(receiver)
-                wire.append(Message(pid, receiver, round_no, message_payload))
-            if not forged:
-                del forged_sends[pid]
-        else:
+        if pid not in deviants:
             wire += [
-                Message(pid, receiver, round_no, payload) for receiver in receivers
+                Message(pid, receiver, round_no, payload)
+                for receiver in (everyone if edges is None else edges[pid])
             ]
-    return wire, omitted_sends, forged_sends, crashing_now
+            continue
+        receivers, forged = ledger.broadcast(pid, payload)
+        if forged:
+            wire += [
+                Message(pid, r, round_no, forged[r] if r in forged else payload)
+                for r in receivers
+            ]
+        else:
+            wire += [Message(pid, r, round_no, payload) for r in receivers]
+    return wire
 
 
 def _route_delays(
@@ -499,44 +382,21 @@ def _route_delays(
 
 
 def _delivery_phase(
-    arriving: List[Message],
-    crashed: set,
-    crashing_now: set,
-    plan: RoundFaultPlan,
-    presorted: bool,
-):
-    """Deliver surviving copies, applying receive omissions.
+    arriving: List[Message], ledger: Optional[RoundLedger], presorted: bool
+) -> Dict[ProcessId, List[Message]]:
+    """File the copies that survive the ledger's receive-side filtering.
 
-    ``delivered``/``omitted_receives`` are sparse: only receivers with at
-    least one delivery (resp. dropped copy) appear as keys.  When
-    ``presorted`` is true the arrivals are already in wire order (sender
-    asc within each receiver, one round), so the per-receiver delivery
-    sort is skipped.
+    ``delivered`` is sparse: only receivers with at least one delivery
+    appear as keys.  When ``presorted`` is true the arrivals are already
+    in wire order (sender asc within each receiver, one round), so the
+    per-receiver delivery sort is skipped.
     """
-    delivered: Dict[ProcessId, List[Message]] = {}
-    omitted_receives: Dict[ProcessId, set] = {}
-    receive_omissions = plan.receive_omissions
-    dead = (crashed | crashing_now) if (crashed or crashing_now) else None
-
-    if dead is None and not receive_omissions:
+    if ledger is not None and ledger.filters_arrivals:
+        delivered = ledger.deliver(arriving)
+    else:
+        delivered = {}
         for message in arriving:
             receiver = message.receiver
-            inbox = delivered.get(receiver)
-            if inbox is None:
-                delivered[receiver] = [message]
-            else:
-                inbox.append(message)
-    else:
-        if dead is None:
-            dead = frozenset()
-        for message in arriving:
-            receiver, sender = message.receiver, message.sender
-            if receiver in dead:
-                continue  # a crashed process receives nothing
-            drops = receive_omissions.get(receiver)
-            if drops and sender in drops and sender != receiver:
-                omitted_receives.setdefault(receiver, set()).add(sender)
-                continue
             inbox = delivered.get(receiver)
             if inbox is None:
                 delivered[receiver] = [message]
@@ -546,28 +406,32 @@ def _delivery_phase(
     if not presorted:
         for inbox in delivered.values():
             inbox.sort(key=_DELIVERY_ORDER)
-    return delivered, omitted_receives
+    return delivered
 
 
-def _update_phase(
+def update_phase(
     protocol: SyncProtocol,
     n: int,
     bus: EventBus,
     round_no: int,
     states: Dict[ProcessId, Optional[Dict[str, Any]]],
-    delivered: Dict[ProcessId, List[Message]],
-    crashed: set,
-    crashing_now: set,
+    delivered: Mapping[ProcessId, List[Message]],
+    crashed: Container[ProcessId] = (),
+    crashing_now: Container[ProcessId] = (),
 ) -> None:
-    """Apply transitions and narrate the committed states."""
+    """Apply transitions and narrate the committed states.
+
+    ``crashed`` may or may not already include ``crashing_now`` (the
+    simulated loop folds after this phase, the live one before it).
+    """
     wants_state_commit = bus.wants_state_commit
     for pid in range(n):
-        if pid in crashed:
-            continue
         if pid in crashing_now:
             states[pid] = None
             if wants_state_commit:
                 bus.on_state_commit(pid, round_no, None)
+            continue
+        if pid in crashed:
             continue
         inbox = delivered.get(pid)
         if inbox is None:

@@ -16,8 +16,8 @@ small:
    which round depends only on the plan's crashes and omission
    campaigns — never on the clock values being checked.  The per-round
    sender sets are therefore *concrete* (computed by
-   :func:`delivered_senders`, a pure-Python twin that is property-tested
-   against the real engine), and only the clocks are symbolic.
+   :func:`delivered_senders`, a replay of the kernel's own round
+   ledger), and only the clocks are symbolic.
 2. **The obligation structure is clock-independent.**  Stable-coterie
    windows, faulty sets, and obligation spans derive from deviations
    (crashes/omissions), so one concrete reference run of the plan
@@ -48,6 +48,9 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.experiments.base import run_sweep
 from repro.explore.space import PlanSpace, PlanSpec
 from repro.explore.targets import _post_corruption_suffix
+from repro.kernel.delivery import Liveness, Probe, RoundLedger
+from repro.kernel.topology import Topology, normalize_topology, round_edges
+from repro.sync.adversary import NullAdversary
 from repro.verify.result import VerifyResult
 from repro.verify.targets import VerifyTarget, confirm_verdict
 
@@ -104,74 +107,54 @@ def _z3():
 
 
 # ---------------------------------------------------------------------------
-# Pure-Python twins of the engine's delivery and clock semantics
+# The delivery and clock model
 # ---------------------------------------------------------------------------
 #
 # These two functions ARE the model: the z3 encoding below is a direct
 # symbolic transcription of them.  They import no solver, so the
 # property suite pins them against the real engine (run_sync histories)
-# in every environment — when they match the engine and z3 transcribes
-# them faithfully, the solver's verdicts are about the same system the
-# explicit engine exhausts.
+# in every environment.  Deliveries are not re-derived here: they are the
+# kernel's own round ledger (docs/kernel.md, "The round ledger"), so
+# topologies and churn come with it.
 
 
-def _crash_row(time: int) -> int:
-    """The last round a process crashing at ``time`` has a state row."""
-    return max(1, int(time))
-
-
-def _last_row(spec: PlanSpec, pid: int) -> int:
-    """The last history row ``pid`` owns (its crash round, or the horizon)."""
-    for cpid, time in spec.crashes:
-        if cpid == pid:
-            return min(_crash_row(time), spec.rounds)
-    return spec.rounds
-
-
-def delivered_senders(spec: PlanSpec) -> Dict[int, Dict[int, FrozenSet[int]]]:
+def delivered_senders(
+    spec: PlanSpec, topology: Optional[Topology] = None
+) -> Dict[int, Dict[int, FrozenSet[int]]]:
     """``senders[r][i]``: whose round-``r`` states reach ``i``'s row ``r+1``.
 
-    The kernel's synchronous semantics, re-derived from the spec alone:
-
-    - a process's rows exist through its crash round, but *during* the
-      crash round it neither sends nor receives (so it feeds nobody's
-      next row, and its own next row never exists);
-    - a send omission by ``j`` over rounds ``[a, b]`` drops ``j → i``
-      for ``i ≠ j`` (restricted to ``targets`` when given); a receive
-      omission by ``i`` drops ``j → i`` for ``j ≠ i``; a general
-      omission does both — self-delivery is never omitted;
-    - churn and non-complete topologies are out of scope
-      (:class:`SmtUnsupportedError` upstream).
-
+    A replay of ``spec.fault_plan()``'s adversary through the kernel's
+    liveness record and round ledger — exactly what ``run_sync`` does,
+    minus the payloads (the clock protocols broadcast every round).
     Only receivers alive at row ``r+1`` get an entry.
     """
+    n, plan = spec.n, spec.fault_plan()
+    adversary = plan.to_sync().adversary or NullAdversary()
+    topo = normalize_topology(n, topology, plan.churn)
+    live = Liveness(n)
     senders: Dict[int, Dict[int, FrozenSet[int]]] = {}
-    pids = range(spec.n)
     for r in range(1, spec.rounds):
-        per_receiver: Dict[int, FrozenSet[int]] = {}
-        for i in pids:
-            if _last_row(spec, i) < r + 1:
-                continue  # i has no row r+1: crashed
-            arrived = set()
-            for j in pids:
-                if _last_row(spec, j) < r + 1 and j != i:
-                    # j's crash round is <= r: it does not send in round r.
-                    # (j == i is unreachable here: i is alive at r + 1.)
-                    continue
-                dropped = False
-                for om in spec.omissions:
-                    if not (om.first_round <= r <= om.last_round):
-                        continue
-                    if om.kind in ("send", "general") and om.pid == j and j != i:
-                        if om.targets is None or i in om.targets:
-                            dropped = True
-                    if om.kind in ("receive", "general") and om.pid == i and j != i:
-                        dropped = True
-                if not dropped:
-                    arrived.add(j)
-            per_receiver[i] = frozenset(arrived)
-        senders[r] = per_receiver
+        ledger = RoundLedger(
+            adversary.plan_round(r, live.alive_view, live.faulty),
+            n,
+            live,
+            r,
+            None if topo is None else round_edges(topo, r),
+        )
+        heard = ledger.deliver(
+            Probe(j, i) for j in live.alive_order for i in ledger.receivers(j)
+        )
+        senders[r] = {
+            i: frozenset(copy.sender for copy in inbox) for i, inbox in heard.items()
+        }
+        live.fold(ledger)
     return senders
+
+
+def _row_owners(spec: PlanSpec, senders, row: int):
+    """The pids that own history row ``row``: everyone owns row 1, later
+    rows belong to whoever survived the round before."""
+    return range(spec.n) if row <= 1 else sorted(senders[row - 1])
 
 
 def concrete_clocks(
@@ -188,14 +171,12 @@ def concrete_clocks(
     clock 1 (seeded corruption has no closed form — pass the engine's
     recorded row instead).
     """
+    senders = delivered_senders(spec)
     if initial_row is None:
         skew = dict(spec.clock_skews)
         initial_row = {
-            pid: skew.get(pid, 1)
-            for pid in range(spec.n)
-            if _last_row(spec, pid) >= first_round
+            pid: skew.get(pid, 1) for pid in _row_owners(spec, senders, first_round)
         }
-    senders = delivered_senders(spec)
     rows: Dict[int, Dict[int, int]] = {first_round: dict(initial_row)}
     for r in range(first_round, spec.rounds):
         nxt: Dict[int, int] = {}
@@ -234,9 +215,8 @@ def _symbolic_rows(spec: PlanSpec, z3, solver, start_row: int, symbolic_start: b
     rows: Dict[int, Dict[int, object]] = {}
     first: Dict[int, object] = {}
     skew = dict(spec.clock_skews)
-    for pid in range(spec.n):
-        if _last_row(spec, pid) < start_row:
-            continue
+    senders = delivered_senders(spec)
+    for pid in _row_owners(spec, senders, start_row):
         if symbolic_start:
             var = z3.Int(f"clock_r{start_row}_p{pid}")
             solver.add(var >= 0)
@@ -244,7 +224,6 @@ def _symbolic_rows(spec: PlanSpec, z3, solver, start_row: int, symbolic_start: b
         else:
             first[pid] = z3.IntVal(skew.get(pid, 1))
     rows[start_row] = first
-    senders = delivered_senders(spec)
     for r in range(start_row, spec.rounds):
         nxt: Dict[int, object] = {}
         for i, arrived in senders[r].items():

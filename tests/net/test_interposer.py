@@ -30,10 +30,10 @@ class Events(Observer):
 
 def route_all(ip, round_no, n=4, payload="p"):
     """Run a full all-to-all send phase; return {(src, dst): copies}."""
-    out = {}
+    out = {(src, dst): [] for src in range(n) for dst in range(n)}
     for src in range(n):
-        for dst in range(n):
-            out[(src, dst)] = ip.route(src, dst, round_no, payload)
+        for copy in ip.broadcast(src, round_no, payload):
+            out[(src, copy[0])].append(copy)
     return out
 
 
@@ -99,10 +99,9 @@ class TestRoundMode:
         }
         ip = interposer(script=script)
         ip.begin_round(1)
-        honest = ip.route(0, 1, 1, payload)
-        forged = ip.route(0, 2, 1, payload)
-        assert honest[0][1] == {"v": 1}
-        assert forged[0][1] == {"v": 99}
+        bodies = {dst: body for dst, body, _ in ip.broadcast(0, 1, payload)}
+        assert bodies[1] == {"v": 1}
+        assert bodies[2] == {"v": 99}
         assert payload == {"v": 1}
         ip.finish_round()
         assert ip.faulty_so_far == frozenset({0})
@@ -133,7 +132,7 @@ class TestRoundMode:
     def test_route_outside_round_is_loud(self):
         ip = interposer()
         with pytest.raises(ValueError, match="outside the current round"):
-            ip.route(0, 1, 1, "p")
+            ip.broadcast(0, 1, "p")
 
     def test_begin_round_twice_is_loud(self):
         ip = interposer()
@@ -169,7 +168,7 @@ class TestWireExtras:
         wire = WireFaults(delay=(0.0, 0.0), duplication=1.0, seed=1)
         ip = interposer(wire=wire)
         ip.begin_round(1)
-        copies = ip.route(0, 1, 1, "p")
+        copies = [c for c in ip.broadcast(0, 1, "p") if c[0] == 1]
         assert len(copies) == 2
         assert copies[0][:2] == copies[1][:2] == (1, "p")
         ip.finish_round()

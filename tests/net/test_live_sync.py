@@ -184,5 +184,9 @@ class TestPacingAndGuards:
             def update(self, pid, state, delivered):
                 return {"no_clock": True}
 
-        with pytest.raises(ProtocolError, match="round variable"):
+        with pytest.raises(ProtocolError, match="round variable") as live:
             run_live_sync(Broken(), 3, 2, deadline=20)
+        # one update phase behind both loops: the two cannot word it apart
+        with pytest.raises(ProtocolError) as simulated:
+            run_sync(Broken(), 3, 2)
+        assert str(live.value) == str(simulated.value)

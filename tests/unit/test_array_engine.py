@@ -533,7 +533,6 @@ def test_csr_graph_matches_list_built_reference(backend, topology, round_no):
     assert list(csr.dst) == dst
     for p in range(n):
         assert list(csr.by_src[p]) == by_src[p]
-        assert csr.receiver_sets[p] == frozenset(edges[p])
     for sender in range(n):
         for receiver in range(-1, n + 1):
             assert csr.edge_id(sender, receiver) == edge_index.get((sender, receiver))
@@ -542,7 +541,7 @@ def test_csr_graph_matches_list_built_reference(backend, topology, round_no):
 @backends
 def test_crash_omission_and_forgery_share_one_ring_run(backend):
     """One run whose rounds read every lazy CSR field (``by_src`` for the
-    crash, ``receiver_sets``/``edge_id`` for the omissions, ``dst`` for
+    crash, ``edge_id`` for the omissions, ``dst`` for
     the partial crash delivery) next to a forged copy."""
 
     def plan():

@@ -19,6 +19,7 @@ from repro.kernel.topology import (
     RandomTopology,
     RingTopology,
     TreeTopology,
+    normalize_topology,
     round_edges,
 )
 
@@ -174,3 +175,28 @@ class TestDynamicTopology:
         )
         assert round_edges(topo, 1) == ((0, 1, 2), (0, 1, 2), (0, 1, 2))
         assert round_edges(topo, 2) == ((0, 1), (0, 1), (2,))
+
+
+class TestNormalizeTopology:
+    """The one rule every substrate applies before its first round."""
+
+    def test_plain_complete_graph_is_erased(self):
+        assert normalize_topology(4, None) is None
+        assert normalize_topology(4, CompleteTopology(4)) is None
+
+    def test_sparse_topology_passes_through(self):
+        ring = RingTopology(4)
+        assert normalize_topology(4, ring) is ring
+
+    def test_churn_wraps_whatever_base_was_given(self):
+        churn = ChurnSchedule((ChurnEvent(2, "leave", pids=(1,)),))
+        wrapped = normalize_topology(4, None, churn)
+        assert isinstance(wrapped, DynamicTopology) and wrapped.base.complete
+        ring = RingTopology(4)
+        assert normalize_topology(4, ring, churn).base is ring
+        # an empty schedule is no churn at all
+        assert normalize_topology(4, None, ChurnSchedule()) is None
+
+    def test_sized_topology_must_match_the_run(self):
+        with pytest.raises(ValueError, match="topology is sized for n=5, run has n=4"):
+            normalize_topology(4, RingTopology(5))

@@ -9,7 +9,8 @@ run only where the ``smt`` extra is installed (CI's ``verify-smt`` leg).
 import pytest
 
 from repro.core.rounds import RoundAgreementProtocol
-from repro.explore.space import OmissionSpec, PlanSpec
+from repro.explore.space import ChurnSpec, OmissionSpec, PlanSpec
+from repro.kernel.topology import RingTopology
 from repro.sync.engine import run_sync
 from repro.verify import verify
 from repro.verify.smt import (
@@ -94,7 +95,59 @@ def engine_clock_rows(spec):
     }
 
 
+def engine_senders(spec, topology=None):
+    """senders[r][i] read off an actual run_sync history."""
+    history = run_sync(
+        RoundAgreementProtocol(),
+        n=spec.n,
+        rounds=spec.rounds,
+        fault_plan=spec.fault_plan(),
+        topology=topology,
+    ).history
+    return {
+        r: {
+            record.pid: frozenset(m.sender for m in record.delivered)
+            for record in history.round(r).records
+            if not record.crashed
+        }
+        for r in range(1, spec.rounds)
+    }
+
+
+#: What the twin inherits from the kernel's ledger: topologies and churn.
+INHERITED_SPECS = [
+    (
+        PlanSpec(
+            n=5,
+            rounds=6,
+            crashes=((3, 3),),
+            omissions=(
+                # 2 is no ring neighbour of 0: that leg drops nothing
+                OmissionSpec(pid=0, kind="send", first_round=2, last_round=5, targets=(1, 2)),
+                OmissionSpec(pid=2, kind="receive", first_round=1, last_round=4),
+            ),
+        ),
+        RingTopology(5),
+    ),
+    (
+        PlanSpec(
+            n=4,
+            rounds=7,
+            crashes=((0, 4),),
+            omissions=(OmissionSpec(pid=1, kind="general", first_round=2, last_round=3),),
+            churn=(ChurnSpec(pid=2, leave_round=2, rejoin_round=5),),
+        ),
+        None,
+    ),
+    (PlanSpec(n=5, rounds=6, churn=(ChurnSpec(pid=4, leave_round=3),)), RingTopology(5)),
+]
+
+
 class TestModelTwins:
+    @pytest.mark.parametrize("spec,topology", INHERITED_SPECS)
+    def test_delivered_senders_inherit_topologies_and_churn(self, spec, topology):
+        assert delivered_senders(spec, topology) == engine_senders(spec, topology)
+
     @pytest.mark.parametrize("spec", TWIN_SPECS, ids=lambda s: repr(s.to_jsonable()))
     def test_concrete_clocks_match_run_sync(self, spec):
         assert concrete_clocks(spec) == engine_clock_rows(spec)
