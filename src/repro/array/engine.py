@@ -13,7 +13,8 @@ The **control plane** is the kernel's, per lane: adversary
 :class:`~repro.kernel.delivery.RoundLedger` per round (built with the
 twin's ``silent_pids``, so every effective deviation is known up front
 in O(planned deviations), independent of ``n``), and corruption plans
-applied through the real :class:`CorruptionPlan` objects so seeded rng
+applied through the real :class:`CorruptionPlan` objects — as columns
+when plan and protocol offer them, as dicts otherwise — so seeded rng
 streams match the reference engine bit-for-bit.  The **data plane** —
 every process's transition over the ledger's deliveries — is vectorized
 over ``(lanes, n)`` by the
@@ -832,8 +833,18 @@ def _apply_corruption(
     protocol: SyncProtocol,
     n: int,
 ) -> None:
-    """Route corruption through the real plan object: same rng stream."""
+    """Route corruption through the real plan object: same rng stream.
+
+    A plan that answers in columns never sees a state and writes none it
+    did not replace; any other plan takes the dict bridge."""
     crashed = lane.live.crashed
+    columns_of = getattr(plan, "corrupt_columns", None)
+    if columns_of is not None:
+        alive = [pid for pid in range(n) if pid not in crashed] if crashed else range(n)
+        drawn = columns_of(protocol, alive, n)
+        if drawn is not None:
+            array_protocol.load_columns(state, lane.index, *drawn)
+            return
     states = _extract_states(array_protocol, state, lane.index, crashed, n)
     corrupted = plan.corrupt(protocol, states, n)
     if crashed or len(corrupted) != n:

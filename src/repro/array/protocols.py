@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import cache
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.array.backend import get_numpy
 from repro.core.canonical import CanonicalRunner
@@ -54,7 +54,7 @@ from repro.histories.history import CLOCK_KEY
 from repro.protocols.floodmin import FloodMinConsensus
 from repro.protocols.phaseking import PhaseQueenConsensus
 from repro.protocols.unison import BoundedUnison, MinUnison
-from repro.sync.protocol import SyncProtocol
+from repro.sync.protocol import SyncProtocol, column_cells, column_states
 
 __all__ = [
     "ArrayEligibilityError",
@@ -126,6 +126,22 @@ class ArrayProtocol(ABC):
         """Cells ``pids`` (default: all ``n``, ascending) of one lane as the
         exact plain-Python dicts ``run_sync`` would hold."""
 
+    def load_columns(
+        self, state: Any, lane: int, pids: Sequence[int], columns: Mapping[str, Sequence]
+    ) -> None:
+        """:meth:`load_states` for states that arrive as columns.
+
+        ``columns[field][i]`` is field ``field`` of the new state of
+        ``pids[i]`` (ascending, distinct); a column is a list or a NumPy
+        array.  Same promise as :meth:`load_states`: all of it is
+        validated before the first cell is written.  This default builds
+        the dicts and hands them over, so every twin accepts columns; a
+        twin whose cells *are* its fields overrides it with one
+        assignment per column.
+        """
+        _require_lengths(self.name, pids, columns)
+        self.load_states(state, lane, dict(zip(pids, column_states(columns))))
+
     def load_state(self, state: Any, lane: int, pid: int, mapping: Mapping) -> None:
         """One-cell :meth:`load_states`."""
         self.load_states(state, lane, {pid: mapping})
@@ -182,6 +198,16 @@ def _require_fields(name: str, mapping: Mapping, allowed: frozenset) -> int:
     return value
 
 
+def _require_lengths(name: str, pids: Sequence[int], columns: Mapping[str, Sequence]) -> None:
+    if not columns:
+        raise ArrayEligibilityError(f"{name}: no state columns for {len(pids)} pids")
+    for field, column in columns.items():
+        if len(column) != len(pids):
+            raise ArrayEligibilityError(
+                f"{name}: column {field!r} holds {len(column)} cells for {len(pids)} pids"
+            )
+
+
 def _require_run_n(name: str, mapping: Mapping, n: int) -> None:
     if mapping.get("n") != n:
         raise ArrayEligibilityError(
@@ -204,12 +230,13 @@ def _lane_rows(state: Any, keys: Sequence[str], lane: int, pids: Optional[Sequen
 
 
 def _store_columns(
-    state: Any, lane: int, mappings: Mapping[int, Any], keys: Sequence[str], columns
+    state: Any, lane: int, pids: Iterable[int], keys: Sequence[str], columns
 ) -> None:
     """Write already-validated values (``columns[i]`` holds the ``keys[i]``
-    value of every pid of ``mappings``, in its order) into one lane: one
-    indexed assignment per column on the NumPy plane."""
-    pids = list(mappings)
+    value of every one of ``pids`` — a sequence, or a mapping keyed by
+    them — in its order) into one lane: one indexed assignment per column
+    on the NumPy plane."""
+    pids = list(pids)
     for key, values in zip(keys, columns):
         if state["backend"] == "numpy":
             state[key][lane, pids] = values
@@ -263,6 +290,34 @@ class _ClockColumnProtocol(ArrayProtocol):
                 value = _require_fields(name, mapping, self._FIELDS)
             clocks.append(value)
         _store_columns(state, lane, mappings, ("clock",), (clocks,))
+
+    def load_columns(self, state, lane, pids, columns) -> None:
+        name = self.name
+        _require_lengths(name, pids, columns)
+        if columns.keys() != self._FIELDS:
+            raise ArrayEligibilityError(
+                f"{name}: state columns {sorted(columns)}, expected {sorted(self._FIELDS)}"
+            )
+        clocks = columns[CLOCK_KEY]
+        dtype = getattr(clocks, "dtype", None)
+        if dtype is None:
+            for value in clocks:
+                if type(value) is not int:
+                    _require_clock({CLOCK_KEY: value})
+        elif (
+            clocks.ndim != 1
+            or dtype.kind not in "iu"  # not bool, not float
+            or not get_numpy().can_cast(dtype, "int64")
+        ):
+            raise ArrayEligibilityError(
+                f"{name}: a {clocks.ndim}-d {dtype} clock column cannot be batched"
+            )
+        if state["backend"] == "numpy":
+            # ascending distinct pids: the whole lane is one slice
+            where = slice(None) if pids == range(state["n"]) else list(pids)
+            state["clock"][lane, where] = clocks
+        else:
+            _store_columns(state, lane, pids, ("clock",), (column_cells(clocks),))
 
     def read_states(self, state, lane, pids=None) -> List[Dict[str, Any]]:
         return [{CLOCK_KEY: c} for c in _lane_cells(state, "clock", lane, pids)]

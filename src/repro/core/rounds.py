@@ -42,6 +42,7 @@ from typing import Any, Dict, Mapping, Sequence
 
 from repro.histories.history import CLOCK_KEY, Message
 from repro.sync.protocol import SyncProtocol
+from repro.util.rng import randrange_block
 
 __all__ = [
     "RoundAgreementProtocol",
@@ -84,6 +85,9 @@ class RoundAgreementProtocol(SyncProtocol):
 
     def arbitrary_state(self, pid: int, n: int, rng: random.Random) -> Dict[str, Any]:
         return {CLOCK_KEY: rng.randrange(0, self.max_corrupt_clock)}
+
+    def arbitrary_columns(self, pids: Sequence[int], n: int, rng: random.Random):
+        return {CLOCK_KEY: randrange_block(rng, 0, self.max_corrupt_clock, len(pids))}
 
 
 class MinMergeRoundProtocol(RoundAgreementProtocol):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import time
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from repro.analysis.report import ExperimentReport
@@ -60,8 +61,12 @@ def make_topology(family: str, n: int) -> Topology:
     raise ValueError(f"unknown topology family {family!r}")
 
 
+@lru_cache(maxsize=None)
 def rounds_for(family: str, n: int) -> int:
-    """Diameter plus slack: enough for the law, no scale padding."""
+    """Diameter plus slack: enough for the law, no scale padding.
+
+    Memoised: sizing and costing every task of a sweep point builds its
+    graph once per process, not once per call."""
     return make_topology(family, n).diameter() + 10
 
 

@@ -152,6 +152,9 @@ class RingTopology(_StaticTopology):
             raise ValueError("a ring needs n >= 2")
         super().__init__(n, ((pid, (pid + 1) % n) for pid in range(n)))
 
+    def diameter(self) -> int:
+        return self.n // 2
+
     def __repr__(self) -> str:
         return f"RingTopology(n={self.n})"
 
@@ -412,8 +415,11 @@ def round_edges(topology: Topology, round_no: int) -> Tuple[Tuple[int, ...], ...
 
     This is the exact value the engines hand to ``Observer.on_topology``
     and recorders attach to ``RoundHistory.edges`` — index p holds p's
-    receivers (ascending, self included).
+    receivers (ascending, self included).  A static graph holds exactly
+    that value already.
     """
+    if type(topology).receivers is _StaticTopology.receivers:
+        return topology._receivers
     return tuple(
         tuple(topology.receivers(pid, round_no)) for pid in range(topology.n)
     )

@@ -41,6 +41,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.histories.history import CLOCK_KEY, Message
 from repro.sync.protocol import SyncProtocol
+from repro.util.rng import randrange_block
 
 __all__ = ["BoundedUnison", "MinUnison"]
 
@@ -77,6 +78,9 @@ class MinUnison(SyncProtocol):
 
     def arbitrary_state(self, pid: int, n: int, rng: random.Random) -> Dict[str, Any]:
         return {CLOCK_KEY: rng.randrange(0, self.max_corrupt_clock)}
+
+    def arbitrary_columns(self, pids: Sequence[int], n: int, rng: random.Random):
+        return {CLOCK_KEY: randrange_block(rng, 0, self.max_corrupt_clock, len(pids))}
 
 
 class BoundedUnison(SyncProtocol):
@@ -141,3 +145,6 @@ class BoundedUnison(SyncProtocol):
 
     def arbitrary_state(self, pid: int, n: int, rng: random.Random) -> Dict[str, Any]:
         return {CLOCK_KEY: rng.randrange(-self.alpha, self.K)}
+
+    def arbitrary_columns(self, pids: Sequence[int], n: int, rng: random.Random):
+        return {CLOCK_KEY: randrange_block(rng, -self.alpha, self.K, len(pids))}

@@ -19,10 +19,11 @@ the program text is intact).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, FrozenSet, Mapping, Optional
+from functools import lru_cache
+from typing import Any, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from repro.histories.history import CLOCK_KEY
-from repro.sync.protocol import SyncProtocol
+from repro.sync.protocol import SyncProtocol, column_states
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -62,6 +63,20 @@ class CorruptionPlan(ABC):
         plan that knows which processes it targets reports them here so
         the diff is O(touched) instead of O(n x state).  ``None`` (the
         base default) means "unknown — diff everyone"."""
+        return None
+
+    def corrupt_columns(
+        self, protocol: SyncProtocol, alive: Sequence[int], n: int
+    ) -> Optional[Tuple[Sequence[int], Dict[str, Sequence]]]:
+        """:meth:`corrupt` without the states, or ``None`` (not offered).
+
+        ``alive`` lists the non-crashed pids, ascending.  The answer is
+        the ascending pids whose whole state the plan replaces and one
+        column per state field holding their new states — exactly what
+        :meth:`corrupt` would have put there; every other process keeps
+        its state.  Columnar hosts (:mod:`repro.array`) ask this first
+        and fall back to :meth:`corrupt` on ``None``.
+        """
         return None
 
 
@@ -117,16 +132,29 @@ class RandomCorruption(CorruptionPlan):
     """Scramble every (or a chosen subset of) process state randomly.
 
     Each affected process gets a state drawn from the protocol's
-    arbitrary-state generator.  The draw is seeded, so campaigns are
-    reproducible.  ``victims=None`` corrupts everyone — the headline
-    regime of self-stabilization, where *all* process memories may be
-    corrupted simultaneously (unlike Byzantine tolerance, which caps the
-    number of affected processes).
+    arbitrary-state generator — in bulk when the protocol offers
+    :meth:`~repro.sync.protocol.SyncProtocol.arbitrary_columns`, one by
+    one otherwise, the same values either way.  The draw is seeded, so
+    campaigns are reproducible.  ``victims=None`` corrupts everyone —
+    the headline regime of self-stabilization, where *all* process
+    memories may be corrupted simultaneously (unlike Byzantine
+    tolerance, which caps the number of affected processes).
     """
 
     def __init__(self, seed: int, victims: Optional[frozenset] = None):
         self._seed = seed
         self._victims = victims
+
+    def _draw(self, protocol, alive: Sequence[int], n: int):
+        """The one statement of who is hit, in which order, from which
+        stream: ``(victims, their columns or None, the stream)``."""
+        rng = make_rng(self._seed, f"corruption:{protocol.name}")
+        victims = self._victims
+        hit = alive if victims is None else [pid for pid in alive if pid in victims]
+        columns = None
+        if _bulk_twin_is_current(type(protocol)):
+            columns = protocol.arbitrary_columns(hit, n, rng)
+        return hit, columns, rng
 
     def corrupt(
         self,
@@ -134,19 +162,40 @@ class RandomCorruption(CorruptionPlan):
         states: Mapping[int, Optional[Dict[str, Any]]],
         n: int,
     ) -> Dict[int, Optional[Dict[str, Any]]]:
-        rng = make_rng(self._seed, f"corruption:{protocol.name}")
-        out: Dict[int, Optional[Dict[str, Any]]] = {}
-        for pid in sorted(states):
-            state = states[pid]
-            hit = self._victims is None or pid in self._victims
-            if state is None or not hit:
-                out[pid] = None if state is None else dict(state)
-            else:
-                out[pid] = protocol.arbitrary_state(pid, n, rng)
+        order = sorted(states)
+        alive = [pid for pid in order if states[pid] is not None]
+        hit, columns, rng = self._draw(protocol, alive, n)
+        if columns is None:
+            fresh = [protocol.arbitrary_state(pid, n, rng) for pid in hit]
+        else:
+            fresh = column_states(columns)
+        out: Dict[int, Optional[Dict[str, Any]]] = dict.fromkeys(order)
+        out.update(zip(hit, fresh))
+        for pid in alive:
+            if out[pid] is None:  # alive and not hit: keeps (a copy of) its state
+                out[pid] = dict(states[pid])
         return out
+
+    def corrupt_columns(self, protocol, alive, n):
+        hit, columns, _rng = self._draw(protocol, alive, n)
+        return None if columns is None else (hit, columns)
 
     def touched_pids(self, states, n) -> Optional[FrozenSet[int]]:
         return None if self._victims is None else frozenset(self._victims)
+
+
+@lru_cache(maxsize=None)
+def _bulk_twin_is_current(protocol_class: type) -> bool:
+    """Is the class's ``arbitrary_columns`` defined at or below its
+    ``arbitrary_state``?  A subclass that re-defines the single draw alone
+    has orphaned the twin it inherits, and a protocol of another family
+    (:class:`~repro.asyncnet.scheduler.AsyncProtocol`) has none."""
+    for klass in protocol_class.__mro__:
+        if "arbitrary_columns" in vars(klass):
+            return True
+        if "arbitrary_state" in vars(klass):
+            return False
+    return False
 
 
 class ClockSkewCorruption(CorruptionPlan):

@@ -24,11 +24,28 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Mapping, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.histories.history import CLOCK_KEY, Message
 
-__all__ = ["SyncProtocol"]
+__all__ = ["SyncProtocol", "column_cells", "column_states"]
+
+
+def column_cells(column: Sequence) -> List[Any]:
+    """A state column's cells as plain Python values.
+
+    A column is a list, or a NumPy array on installs that have NumPy;
+    recorded states must never hold NumPy scalars (they would change the
+    canonical digest form).
+    """
+    tolist = getattr(column, "tolist", None)
+    return list(column) if tolist is None else tolist()
+
+
+def column_states(columns: Mapping[str, Sequence]) -> List[Dict[str, Any]]:
+    """The state dicts a ``{field: column}`` mapping stands for, row by row."""
+    rows = zip(*map(column_cells, columns.values()))
+    return [dict(zip(columns, row)) for row in rows]
 
 
 class SyncProtocol(ABC):
@@ -38,7 +55,8 @@ class SyncProtocol(ABC):
     payload broadcast at the start of a round, and the end-of-round
     state update.  Optionally they override :meth:`arbitrary_state` to
     let the systemic-failure injector produce arbitrary states over the
-    protocol's full state space (the default only corrupts the clock).
+    protocol's full state space (the default only corrupts the clock),
+    and :meth:`arbitrary_columns` to draw many such states at once.
     """
 
     #: Human-readable protocol name (used in reports).
@@ -80,6 +98,21 @@ class SyncProtocol(ABC):
         state = self.initial_state(pid, n)
         state[CLOCK_KEY] = rng.randrange(0, 1 << 20)
         return state
+
+    def arbitrary_columns(
+        self, pids: Sequence[int], n: int, rng: random.Random
+    ) -> Optional[Dict[str, Sequence]]:
+        """Bulk twin of :meth:`arbitrary_state`, or ``None`` (not offered).
+
+        For ascending ``pids``, one column per state field: cell ``i`` of
+        column ``field`` is ``arbitrary_state(pids[i], n, rng)[field]``
+        had the states been drawn one by one in that order, and ``rng``
+        ends where those draws would have left it (see
+        :func:`repro.util.rng.randrange_block`).  A protocol that
+        declines returns ``None`` *before* touching ``rng``; the caller
+        then draws state by state.
+        """
+        return None
 
     def clock_of(self, state: Mapping[str, Any]) -> int:
         """Read the round variable ``c_p`` out of a state."""

@@ -51,7 +51,8 @@ from repro.protocols.phaseking import PhaseQueenConsensus
 from repro.protocols.unison import BoundedUnison, MinUnison
 from repro.sync.adversary import ByzantineAdversary, FaultMode, RandomAdversary
 from repro.sync.corruption import ClockSkewCorruption, RandomCorruption
-from repro.util.rng import make_rng
+from repro.util import rng as rng_module
+from repro.util.rng import BLOCK_MIN_COUNT, make_rng, randrange_block
 
 BACKENDS = ["python"] + (["numpy"] if has_numpy() else [])
 
@@ -517,3 +518,136 @@ def test_final_states_skip_crashed_cells(backend, seed, crashed):
     assert clocks == {
         pid: None if cell is None else cell[CLOCK_KEY] for pid, cell in states.items()
     }
+
+
+# -- the column bridge: a systemic failure without a dict --------------------
+#
+# A plan that answers ``corrupt_columns`` and a twin that overrides
+# ``load_columns`` never build a state dict, and above
+# ``BLOCK_MIN_COUNT`` victims the draw itself is one block.  Ground truth
+# stays the per-process loop: ``run_sync`` for whole runs, a literal
+# ``arbitrary_state`` loop for the plan.
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("twin", sorted(TWINS))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000), loaded=pid_sets)
+def test_column_bridge_agrees_with_dict_bridge(backend, twin, seed, loaded):
+    n = BRIDGE_N
+    protocol = TWINS[twin]()
+    array_protocol = as_array_protocol(protocol)
+    rng = make_rng(seed, f"bridge:{twin}")
+    pids = sorted(loaded)
+    mappings = {pid: protocol.arbitrary_state(pid, n, rng) for pid in pids}
+    fields = list(protocol.initial_state(0, n))
+    columns = {field: [mappings[pid][field] for pid in pids] for field in fields}
+
+    by_dicts = array_protocol.initial_states(n, 2, backend)
+    by_columns = array_protocol.initial_states(n, 2, backend)
+    array_protocol.load_states(by_dicts, 1, mappings)
+    array_protocol.load_columns(by_columns, 1, pids, columns)
+    for lane in (0, 1):
+        cells = array_protocol.read_states(by_columns, lane)
+        _assert_plain(cells)
+        assert cells == array_protocol.read_states(by_dicts, lane)
+
+
+BLOCK_N = BLOCK_MIN_COUNT + 40
+
+
+def _blocked(n):
+    """Does a draw for ``n`` victims take the block path on this install?"""
+    return not isinstance(randrange_block(make_rng(0), 0, 8, n), list)
+
+
+def _systemic_plans(n):
+    """Two lanes: everyone corrupted at the start; after pid 3 crashes, a
+    ``victims`` subset (the dead pid among them) and then everyone alive."""
+    victims = frozenset(range(0, n, 3))
+
+    def lane(seed, mid):
+        return lambda: FaultPlan(
+            crashes={3: 2.0},
+            initial_corruption=RandomCorruption(seed=seed),
+            mid_corruptions={4.0: mid()},
+        )
+
+    return [
+        lane(1, lambda: RandomCorruption(seed=7, victims=victims)),
+        lane(2, lambda: RandomCorruption(seed=8)),
+    ]
+
+
+CLOCK_TWINS = {
+    "min-unison": lambda n: MinUnison(),
+    "round-agreement": lambda n: RoundAgreementProtocol(),
+    "bounded-unison": lambda n: BoundedUnison(n=n),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("protocol", sorted(CLOCK_TWINS))
+def test_block_drawn_ring_runs_are_digest_identical(backend, protocol):
+    n = BLOCK_N
+    assert _blocked(n) == has_numpy()
+    assert_conformance(
+        CLOCK_TWINS[protocol](n),
+        n=n,
+        rounds=6,
+        plan_factories=_systemic_plans(n),
+        topology=RingTopology(n),
+        backend=backend,
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("protocol", sorted(CLOCK_TWINS))
+def test_block_drawn_complete_graph_runs_are_digest_identical(
+    backend, protocol, monkeypatch
+):
+    # a recorded complete-graph round is n^2 messages: lower the constant
+    # (a cost model, never semantics) so n = 24 is above it
+    monkeypatch.setattr(rng_module, "BLOCK_MIN_COUNT", 4)
+    n = 24
+    assert _blocked(n // 3) == has_numpy()
+    assert_conformance(
+        CLOCK_TWINS[protocol](n),
+        n=n,
+        rounds=6,
+        plan_factories=_systemic_plans(n),
+        backend=backend,
+    )
+
+
+def _loop_corrupt(seed, victims, protocol, states, n):
+    """``RandomCorruption.corrupt`` as the per-process loop it used to be."""
+    rng = make_rng(seed, f"corruption:{protocol.name}")
+    out = {}
+    for pid in sorted(states):
+        state = states[pid]
+        if state is None or not (victims is None or pid in victims):
+            out[pid] = None if state is None else dict(state)
+        else:
+            out[pid] = protocol.arbitrary_state(pid, n, rng)
+    return out
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [MinUnison(), BoundedUnison(n=BLOCK_N), DetectorStack(initial_timeout=1, max_timeout=4)],
+    ids=lambda p: p.name,
+)
+@pytest.mark.parametrize("victims", [None, frozenset(range(BLOCK_N + 9)) - {5, 6}])
+def test_random_corruption_equals_the_per_process_loop(protocol, victims):
+    """One that offers columns (twice) and one that does not."""
+    n = BLOCK_N
+    offered = protocol.arbitrary_columns(range(n), n, make_rng(0)) is not None
+    assert offered == (not isinstance(protocol, DetectorStack))
+    states = {pid: protocol.initial_state(pid, n) for pid in reversed(range(n))}
+    states[9] = states[n - 1] = None  # crashed: never drawn for, never revived
+    corrupted = RandomCorruption(seed=12, victims=victims).corrupt(protocol, states, n)
+    _assert_plain(corrupted)
+    assert list(corrupted) == list(range(n))
+    assert corrupted == _loop_corrupt(12, victims, protocol, states, n)
+    assert all(corrupted[pid] is not states[pid] for pid in range(n) if states[pid])

@@ -53,6 +53,7 @@ from repro.sync.corruption import (
     CorruptionPlan,
     RandomCorruption,
 )
+from repro.util.rng import make_rng
 
 BACKENDS = ["python"] + (["numpy"] if has_numpy() else [])
 
@@ -400,6 +401,88 @@ def test_unencodable_forged_patch_is_rejected():
 
     with pytest.raises(ArrayEligibilityError):
         run_array(MinUnison(), 4, 5, fault_plans=[plan()], backend="python")
+
+
+def _bad_columns(np):
+    """(why, pids, columns) a clock twin must refuse."""
+    cases = [
+        ("unexpected field", [0, 1], {CLOCK_KEY: [4, 5], "decision": [0, 0]}),
+        ("no clock", [0, 1], {"decision": [0, 0]}),
+        ("no column", [0, 1], {}),
+        ("float cell", [0, 1], {CLOCK_KEY: [4, 5.0]}),
+        ("bool cell", [0, 1], {CLOCK_KEY: [4, True]}),
+        ("too short", [0, 1, 2], {CLOCK_KEY: [4, 5]}),
+        ("too long", [0], {CLOCK_KEY: [4, 5]}),
+    ]
+    if np is not None:
+        cases += [
+            ("float dtype", [0, 1], {CLOCK_KEY: np.array([4.0, 5.0])}),
+            ("bool dtype", [0, 1], {CLOCK_KEY: np.array([True, False])}),
+            ("uint64 dtype", [0, 1], {CLOCK_KEY: np.array([4, 5], dtype=np.uint64)}),
+            ("two-dimensional", [0, 1], {CLOCK_KEY: np.array([[4, 5]])}),
+            ("array too short", [0, 1, 2], {CLOCK_KEY: np.array([4, 5])}),
+        ]
+    return cases
+
+
+@backends
+@pytest.mark.parametrize("protocol", [MinUnison(), BoundedUnison(n=4)], ids=lambda p: p.name)
+def test_load_columns_refuses_bad_columns_and_leaves_the_lane_untouched(backend, protocol):
+    np = None
+    if has_numpy():
+        import numpy as np
+    n, twin = 4, as_array_protocol(protocol)
+    state = twin.initial_states(n, 2, backend)
+    twin.load_columns(state, 1, range(n), {CLOCK_KEY: [9, 8, 7, 6]})
+    before = [twin.read_states(state, lane) for lane in range(2)]
+    for why, pids, columns in _bad_columns(np):
+        with pytest.raises(ArrayEligibilityError):
+            twin.load_columns(state, 1, pids, columns)
+        assert [twin.read_states(state, lane) for lane in range(2)] == before, why
+    # what it accepts: a list, any narrower integer dtype, a subset of pids
+    twin.load_columns(state, 0, [1, 3], {CLOCK_KEY: [-2, 11]})
+    if np is not None:
+        twin.load_columns(state, 1, [0, 2], {CLOCK_KEY: np.array([3, 4], dtype=np.uint32)})
+        before[1] = [{CLOCK_KEY: 3}, before[1][1], {CLOCK_KEY: 4}, before[1][3]]
+    assert twin.read_states(state, 0) == [
+        before[0][0], {CLOCK_KEY: -2}, before[0][2], {CLOCK_KEY: 11}
+    ]
+    assert twin.read_states(state, 1) == before[1]
+    assert all(type(cell[CLOCK_KEY]) is int for cell in twin.read_states(state, 1))
+
+
+@backends
+def test_every_twin_accepts_columns_through_its_dict_bridge(backend):
+    """The base ``load_columns`` builds the dicts and validates as ``load_states``."""
+    n = 4
+    protocol = CanonicalRunner(FloodMinConsensus(f=1, proposals=list(range(n))))
+    twin = as_array_protocol(protocol)
+    by_dicts, by_columns = (twin.initial_states(n, 1, backend) for _ in range(2))
+    states = {pid: protocol.arbitrary_state(pid, n, make_rng(pid)) for pid in (0, 2, 3)}
+    twin.load_states(by_dicts, 0, states)
+    columns = {field: [states[pid][field] for pid in states] for field in states[0]}
+    twin.load_columns(by_columns, 0, list(states), columns)
+    assert twin.read_states(by_columns, 0) == twin.read_states(by_dicts, 0)
+    for bad in ({**columns, CLOCK_KEY: [1, 2]}, {**columns, CLOCK_KEY: [1, 2.5, 3]}):
+        with pytest.raises(ArrayEligibilityError):
+            twin.load_columns(by_columns, 0, list(states), bad)
+        assert twin.read_states(by_columns, 0) == twin.read_states(by_dicts, 0)
+
+
+class _FloatColumns(CorruptionPlan):
+    """A third-party plan whose columns a clock twin cannot hold."""
+
+    def corrupt(self, protocol, states, n):
+        raise AssertionError("columns were offered; the dict bridge must not run")
+
+    def corrupt_columns(self, protocol, alive, n):
+        return alive, {CLOCK_KEY: [0.5] * len(alive)}
+
+
+def test_a_plan_offering_unencodable_columns_is_rejected():
+    plan = FaultPlan(initial_corruption=_FloatColumns())
+    with pytest.raises(ArrayEligibilityError):
+        run_array(MinUnison(), 4, 3, fault_plans=[plan], backend="python")
 
 
 def test_shared_adversary_object_across_lanes_is_rejected():

@@ -1,6 +1,8 @@
 """Unit tests for repro.sync.corruption."""
 
+from repro.detectors.stack import DetectorStack
 from repro.histories.history import CLOCK_KEY
+from repro.protocols.unison import MinUnison
 from repro.sync.corruption import (
     ClockSkewCorruption,
     ExplicitCorruption,
@@ -76,6 +78,30 @@ class TestRandomCorruption:
     def test_skips_crashed(self, round_agreement):
         out = RandomCorruption(seed=1).corrupt(round_agreement, {0: None, 1: {"clock": 1}}, 2)
         assert out[0] is None
+
+    def test_column_form_names_the_victims_and_draws_the_same_values(self, round_agreement):
+        plan = RandomCorruption(seed=5, victims=frozenset({0, 2, 3, 9}))
+        states = {**fresh_states(round_agreement, 5), 3: None}
+        pids, columns = plan.corrupt_columns(round_agreement, [0, 1, 2, 4], 5)
+        assert list(pids) == [0, 2] and list(columns) == [CLOCK_KEY]
+        out = plan.corrupt(round_agreement, states, 5)
+        assert [out[pid][CLOCK_KEY] for pid in pids] == list(columns[CLOCK_KEY])
+
+    def test_column_form_is_not_offered_without_a_bulk_twin(self):
+        detector = DetectorStack(initial_timeout=1, max_timeout=4)
+        assert RandomCorruption(seed=5).corrupt_columns(detector, range(3), 3) is None
+        for plan in (NoCorruption(), ExplicitCorruption({}), ClockSkewCorruption({})):
+            assert plan.corrupt_columns(detector, range(3), 3) is None
+
+    def test_redefining_the_single_draw_orphans_the_inherited_bulk_twin(self):
+        class Descending(MinUnison):
+            def arbitrary_state(self, pid, n, rng):
+                return {CLOCK_KEY: -pid}
+
+        plan = RandomCorruption(seed=5)
+        out = plan.corrupt(Descending(), fresh_states(MinUnison(), 3), 3)
+        assert out == {0: {CLOCK_KEY: 0}, 1: {CLOCK_KEY: -1}, 2: {CLOCK_KEY: -2}}
+        assert plan.corrupt_columns(Descending(), range(3), 3) is None
 
 
 class TestClockSkewCorruption:

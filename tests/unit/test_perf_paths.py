@@ -25,6 +25,10 @@ These pin down the *equivalence* guarantees the optimizations rely on:
 - the array wire owns the reduction: the CSR twins ask it for nothing
   but ``reduce``, bounded in-degree graphs never pay ``reduceat``, and a
   chunk budget bounds every temporary of either kernel;
+- a systemic failure of a clock twin is columns end to end: no state is
+  read, no dict is loaded, no per-process draw is made and a static
+  topology is not re-walked; plans and twins that offer no columns keep
+  the dict bridge;
 - ``benchmarks/compare.py`` flags regressions and accepts improvements.
 """
 
@@ -36,6 +40,9 @@ import pytest
 
 from repro.array import as_array_protocol, has_numpy, run_array
 from repro.array.engine import RoundWire, _CsrGraph
+from repro.array.protocols import ArrayFtFloodMin, ArrayProtocol, _ClockColumnProtocol
+from repro.core.canonical import CanonicalRunner
+from repro.core.rounds import RoundAgreementProtocol
 from repro.experiments import base as experiments_base
 from repro.experiments.base import run_sweep, shutdown_pool
 from repro.analysis.metrics import StreamingMessageStats, run_message_stats
@@ -49,8 +56,10 @@ from repro.kernel.topology import (
     GridTopology,
     RingTopology,
     TreeTopology,
+    _StaticTopology,
     round_edges,
 )
+from repro.protocols.floodmin import FloodMinConsensus
 from repro.protocols.unison import BoundedUnison, MinUnison
 from repro.kernel.snapshot import (
     FrozenDict,
@@ -63,6 +72,9 @@ from repro.sync.corruption import ClockSkewCorruption, RandomCorruption
 from repro.sync.delays import RandomDelay, TargetedLag
 from repro.sync.engine import run_sync
 from repro.sync.protocol import SyncProtocol
+from repro.util.rng import BLOCK_MIN_COUNT
+
+BACKENDS = ["python"] + (["numpy"] if has_numpy() else [])
 
 
 class EchoProtocol(SyncProtocol):
@@ -737,6 +749,73 @@ class TestWireReduce:
             )
             for pid in range(n)
         ]
+
+
+class TestColumnSetUp:
+    """``run_array`` from a systemic failure, above the block threshold."""
+
+    N = BLOCK_MIN_COUNT + 176
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Names of the per-process bridges an array call went through."""
+        log = []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                log.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, call)
+
+        # the classes that define each bridge: the clock twins share one,
+        # the dense FloodMin twin has its own and inherits ``load_columns``
+        for owner in (_ClockColumnProtocol, ArrayFtFloodMin):
+            spy(owner, "read_states")
+            spy(owner, "load_states")
+        spy(_ClockColumnProtocol, "load_columns")
+        spy(ArrayProtocol, "load_columns")
+        spy(_StaticTopology, "receivers")
+        for protocol in (MinUnison, BoundedUnison, RoundAgreementProtocol):
+            spy(protocol, "arbitrary_state")
+        return log
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "protocol",
+        [MinUnison(), RoundAgreementProtocol(), BoundedUnison(n=N)],
+        ids=lambda p: p.name,
+    )
+    def test_a_clock_twin_never_touches_a_dict(self, calls, backend, protocol):
+        n = self.N
+        plans = [
+            FaultPlan(
+                crashes={7: 2.0},
+                initial_corruption=RandomCorruption(seed=lane),
+                mid_corruptions={3.0: RandomCorruption(seed=9, victims=frozenset(range(5, n, 3)))},
+            )
+            for lane in range(2)
+        ]
+        result = run_array(
+            protocol, n, 4, fault_plans=plans, topology=RingTopology(n), backend=backend
+        )
+        assert calls == ["load_columns"] * 4  # two lanes, initial and mid-run
+        assert result.crashed == [frozenset({7})] * 2
+
+    def test_an_explicit_plan_still_takes_the_dict_bridge(self, calls):
+        n = self.N
+        plan = FaultPlan(initial_corruption=ClockSkewCorruption({3: 40}))
+        run_array(MinUnison(), n, 2, fault_plans=[plan], topology=RingTopology(n))
+        assert calls == ["read_states", "load_states"]
+
+    def test_a_dense_twin_still_takes_the_dict_bridge(self, calls):
+        n = 6
+        protocol = CanonicalRunner(FloodMinConsensus(f=1, proposals=list(range(n))))
+        plan = FaultPlan(initial_corruption=RandomCorruption(seed=2))
+        run_array(protocol, n, 3, fault_plans=[plan])
+        assert calls == ["read_states", "load_states"]
 
 
 def _load_compare():

@@ -16,9 +16,11 @@ from repro.kernel.topology import (
     CompleteTopology,
     DynamicTopology,
     ExplicitTopology,
+    GridTopology,
     RandomTopology,
     RingTopology,
     TreeTopology,
+    _StaticTopology,
     normalize_topology,
     round_edges,
 )
@@ -51,6 +53,11 @@ class TestRingTopology:
         assert RingTopology(6).diameter() == 3
         assert RingTopology(7).diameter() == 3
         assert RingTopology(8).diameter() == 4
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_closed_form_diameter_equals_the_bfs(self, n):
+        ring = RingTopology(n)
+        assert ring.diameter() == _StaticTopology.diameter(ring)
 
     def test_needs_two_processes(self):
         with pytest.raises(Exception):
@@ -175,6 +182,22 @@ class TestDynamicTopology:
         )
         assert round_edges(topo, 1) == ((0, 1, 2), (0, 1, 2), (0, 1, 2))
         assert round_edges(topo, 2) == ((0, 1), (0, 1), (2,))
+
+
+class TestRoundEdges:
+    def test_round_edges_of_a_static_graph_are_its_held_tuples(self):
+        for topo in (RingTopology(6), GridTopology(2, 3), TreeTopology(7)):
+            walked = tuple(tuple(topo.receivers(pid, 3)) for pid in range(topo.n))
+            assert round_edges(topo, 3) == walked
+            assert round_edges(topo, 3) is round_edges(topo, 1)  # no rebuild
+
+        class Rewired(RingTopology):
+            """Overrides the walk, so the held tuples no longer speak for it."""
+
+            def receivers(self, pid, round_no=1):
+                return (pid,)
+
+        assert round_edges(Rewired(4), 1) == ((0,), (1,), (2,), (3,))
 
 
 class TestNormalizeTopology:
