@@ -48,6 +48,7 @@ def run_message_stats(history: ExecutionHistory) -> MessageStats:
     payload_bytes = 0
     for round_history in history:
         for record in round_history.records:
+            # per-copy payloads (a forged one differs): built here, once per table row
             for message in record.sent:
                 payload_bytes += len(repr(message.payload))
     return MessageStats(

@@ -54,13 +54,7 @@ from repro.array.protocols import (
     ArrayProtocol,
     as_array_protocol,
 )
-from repro.histories.history import (
-    CLOCK_KEY,
-    ExecutionHistory,
-    Message,
-    ProcessRoundRecord,
-    RoundHistory,
-)
+from repro.histories.history import ExecutionHistory, Message, RoundHistory
 from repro.kernel.delivery import Liveness, RoundLedger, quiet
 from repro.kernel.faults import FaultPlan
 from repro.kernel.snapshot import copy_payload
@@ -1212,7 +1206,7 @@ def _reconstruct_round(
     round_no: int,
     n: int,
 ) -> None:
-    """Rebuild one RoundHistory per lane, in the recorder's exact shape."""
+    """Rebuild one RoundHistory per lane, through the recorder's own assembler."""
     for lane, ledger, states in zip(lane_states, ledgers, snapshots):
         sent: Dict[int, Tuple[Message, ...]] = {}
         for pid in lane.live.alive_order:
@@ -1227,44 +1221,11 @@ def _reconstruct_round(
         # sender-major arrivals: every inbox comes out sender-ascending
         delivered = ledger.deliver(chain.from_iterable(sent.values()))
 
-        records = []
-        for pid in range(n):
-            if pid in lane.live.crashed:
-                records.append(
-                    ProcessRoundRecord(
-                        pid=pid, state_before=None, clock_before=None, crashed=True
-                    )
-                )
-                continue
-            snapshot = states[pid]
-            clock_before = None if snapshot is None else snapshot.get(CLOCK_KEY)
-            if pid in ledger.crashing_now:
-                records.append(
-                    ProcessRoundRecord(
-                        pid=pid,
-                        state_before=snapshot,
-                        clock_before=clock_before,
-                        sent=sent.get(pid, ()),
-                        delivered=(),
-                        crashed=True,
-                    )
-                )
-                continue
-            records.append(
-                ProcessRoundRecord(
-                    pid=pid,
-                    state_before=snapshot,
-                    clock_before=clock_before,
-                    sent=sent.get(pid, ()),
-                    delivered=tuple(delivered.get(pid, ())),
-                    crashed=False,
-                    omitted_sends=frozenset(ledger.omitted_sends.get(pid, ())),
-                    omitted_receives=frozenset(ledger.omitted_receives.get(pid, ())),
-                    forged_sends=frozenset(ledger.forged_sends.get(pid, ())),
-                )
-            )
         lane.rounds.append(
-            RoundHistory(round_no=round_no, records=tuple(records), edges=edges)
+            RoundHistory.filed(
+                round_no, n, states, lane.live.crashed, ledger.crashing_now, sent, delivered,
+                ledger.omitted_sends, ledger.omitted_receives, ledger.forged_sends, edges,
+            )
         )
 
 

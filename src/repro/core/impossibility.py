@@ -362,7 +362,7 @@ def local_view(
     for round_no in range(history.first_round, history.last_round + 1):
         record = history.round(round_no).record(pid)
         deliveries = tuple(
-            (message.sender, message.payload) for message in record.delivered
+            (message.sender, message.payload) for message in record.heard
         )
         view.append((round_no, deliveries))
     return view

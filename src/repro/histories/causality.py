@@ -124,7 +124,7 @@ class CausalityTracker:
                 # n is not recorded: it changes no happened-before answer
                 # about a process.)
                 continue
-            for message in record.delivered:
+            for message in record.heard:  # sender and sent_round: no Message is built
                 sender = message.sender
                 know.add(sender)
                 if message.sent_round == round_history.round_no:

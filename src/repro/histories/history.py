@@ -22,11 +22,14 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from types import MappingProxyType
 from typing import Any, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.util.validation import require, require_positive
 
-__all__ = ["Message", "ProcessRoundRecord", "RoundHistory", "ExecutionHistory"]
+__all__ = ["Broadcast", "Message", "ProcessRoundRecord", "RoundHistory", "ExecutionHistory"]
+__all__ += ["inbox_copies", "wire_copies"]  # how a filed item reads as Message copies
 
 ProcessId = int
 
@@ -68,6 +71,71 @@ class Message:
             self.receiver >= 0, f"receiver must be a process id, got {self.receiver}"
         )
         require_positive(self.sent_round, "sent_round")
+
+
+class Broadcast:
+    """One process's broadcast in one round: the unit of the synchronous wire.
+    One payload, the ascending ``receivers`` whose copy is on the wire and
+    the few ``forged`` copies (``receiver -> Message``) whose payload lies.
+    It is the inbox item of every receiver it tells the truth to — like a
+    :class:`Message` it promises ``sender``, ``sent_round``, ``payload`` —
+    and a copy becomes a :class:`Message` only when somebody reads one."""
+
+    __slots__ = ("sender", "sent_round", "payload", "receivers", "forged")
+
+    def __init__(self, sender, sent_round, payload, receivers, forged=MappingProxyType({})):
+        self.sender = sender
+        self.sent_round = sent_round
+        self.payload = payload
+        self.receivers = receivers
+        self.forged = forged
+        # Message.__post_init__'s one branch, once for all the copies (the
+        # first receiver is the least); Message itself names what is wrong.
+        if receivers and not (
+            sender >= 0 and receivers[0] >= 0 and type(sent_round) is int and sent_round > 0
+        ):
+            self.copies()
+
+    def copy_to(self, receiver: ProcessId) -> Message:
+        """The copy ``receiver`` was sent (its inbox item, if that is a lie)."""
+        lie = self.forged.get(receiver)
+        return lie or Message(self.sender, receiver, self.sent_round, self.payload)
+
+    def copies(self) -> Tuple[Message, ...]:
+        """Every copy on the wire, receivers ascending."""
+        return tuple([self.copy_to(receiver) for receiver in self.receivers])
+
+    def __repr__(self) -> str:
+        return f"Broadcast({self.sender}, {self.sent_round}, {self.payload!r}, {list(self.receivers)})"
+
+
+def wire_copies(items: Sequence[Any]) -> Tuple[Message, ...]:
+    """Wire items (broadcasts and messages), in order, as messages."""
+    copies = (w.copies() if type(w) is Broadcast else (w,) for w in items)
+    return tuple(chain.from_iterable(copies))
+
+
+def inbox_copies(items: Sequence[Any], receiver: ProcessId) -> Tuple[Message, ...]:
+    """``receiver``'s inbox items, in order, as the messages it was sent."""
+    return tuple([m if type(m) is Message else m.copy_to(receiver) for m in items])
+
+
+class _Derived:
+    """A record attribute worked out from its twin on first read, then kept.
+    A record a recorder filed (:meth:`RoundHistory.filed`) holds its ``wire``
+    and ``heard`` items and derives the ``sent`` / ``delivered`` tuples of
+    :class:`Message`; a hand-built one holds the tuples, and emitted and heard
+    what they say.  Not a data descriptor: a value the instance holds is found
+    first, at plain-attribute speed."""
+
+    def __init__(self, name, derive):
+        self.name, self.derive = name, derive
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return ()  # what the dataclass takes for the field's default
+        value = record.__dict__[self.name] = self.derive(record)
+        return value
 
 
 @dataclass(frozen=True)
@@ -116,12 +184,19 @@ class ProcessRoundRecord:
     pid: ProcessId
     state_before: Optional[Mapping[str, Any]]
     clock_before: Optional[int]
-    sent: Tuple[Message, ...] = ()
-    delivered: Tuple[Message, ...] = ()
+    sent: Tuple[Message, ...] = _Derived("sent", lambda r: wire_copies(r.wire))
+    delivered: Tuple[Message, ...] = _Derived("delivered", lambda r: inbox_copies(r.heard, r.pid))
     crashed: bool = False
     omitted_sends: frozenset = field(default_factory=frozenset)
     omitted_receives: frozenset = field(default_factory=frozenset)
     forged_sends: frozenset = field(default_factory=frozenset)
+
+    #: What it emitted (broadcasts, messages) and its inbox items: read without a copy built.
+    wire = _Derived("wire", lambda r: r.sent)
+    heard = _Derived("heard", lambda r: r.delivered)
+
+    def __getstate__(self) -> dict:  # pickles and copies carry the nine fields only
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @property
     def deviated(self) -> bool:
@@ -151,10 +226,44 @@ class RoundHistory:
     def __post_init__(self) -> None:
         require_positive(self.round_no, "round_no")
         for index, record in enumerate(self.records):
-            require(
-                record.pid == index,
-                f"records must be indexed by pid; slot {index} holds pid {record.pid}",
+            if record.pid != index:
+                raise ValueError(
+                    f"records must be indexed by pid; slot {index} holds pid {record.pid}"
+                )
+
+    @classmethod
+    def filed(
+        cls, round_no, n, snapshots, dead, crashing, wire, heard,
+        omitted_sends, omitted_receives, forged_sends, edges=None,
+    ) -> "RoundHistory":
+        """The round as a recorder filed it, by pid: ``wire[p]`` is what
+        ``p`` emitted (broadcasts and messages, in order), ``heard[p]`` its
+        inbox items as delivered.  Records keep both as they are and build
+        ``sent`` / ``delivered`` when first read.  A process in ``dead``
+        crashed earlier; one in ``crashing`` spoke its last words, heard
+        nothing and is charged nothing else."""
+        records = []
+        nothing = frozenset()
+        quiet = not (omitted_sends or omitted_receives or forged_sends)
+        for pid in range(n):
+            gone = pid in dead
+            snapshot = None if gone else snapshots.get(pid)
+            last = gone or pid in crashing
+            clean = quiet or last
+            record = object.__new__(ProcessRoundRecord)
+            record.__dict__.update(
+                pid=pid,
+                state_before=snapshot,
+                clock_before=None if snapshot is None else snapshot.get(CLOCK_KEY),
+                crashed=last,
+                omitted_sends=nothing if clean else frozenset(omitted_sends.get(pid, ())),
+                omitted_receives=nothing if clean else frozenset(omitted_receives.get(pid, ())),
+                forged_sends=nothing if clean else frozenset(forged_sends.get(pid, ())),
+                wire=() if gone else wire.get(pid, ()),
+                heard=() if last else heard.get(pid, ()),
             )
+            records.append(record)
+        return cls(round_no, tuple(records), edges)
 
     @property
     def n(self) -> int:
@@ -190,10 +299,10 @@ class ExecutionHistory:
         for rh in rounds:
             require(rh.n == n, "all round histories must cover the same process set")
         for prev, nxt in zip(rounds, rounds[1:]):
-            require(
-                nxt.round_no == prev.round_no + 1,
-                f"rounds must be consecutive: {prev.round_no} then {nxt.round_no}",
-            )
+            if nxt.round_no != prev.round_no + 1:
+                raise ValueError(
+                    f"rounds must be consecutive: {prev.round_no} then {nxt.round_no}"
+                )
         self._rounds = rounds
         self._n = n
         #: Memo of :func:`repro.histories.coterie.coterie_timeline`: a
@@ -303,10 +412,11 @@ class ExecutionHistory:
     # -- metrics -----------------------------------------------------------
 
     def messages_sent(self) -> int:
-        return sum(len(rec.sent) for rh in self._rounds for rec in rh.records)
+        wires = (rec.wire for rh in self._rounds for rec in rh.records)
+        return sum(len(w.receivers) if type(w) is Broadcast else 1 for wire in wires for w in wire)
 
     def messages_delivered(self) -> int:
-        return sum(len(rec.delivered) for rh in self._rounds for rec in rh.records)
+        return sum(len(rec.heard) for rh in self._rounds for rec in rh.records)
 
     # -- misc ----------------------------------------------------------------
 
@@ -330,5 +440,5 @@ def renumber(history: ExecutionHistory, first_round: int = 1) -> ExecutionHistor
     """
     rounds = []
     for offset, rh in enumerate(history):
-        rounds.append(RoundHistory(round_no=first_round + offset, records=rh.records))
+        rounds.append(RoundHistory(first_round + offset, rh.records, rh.edges))
     return ExecutionHistory(rounds)

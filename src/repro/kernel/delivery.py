@@ -16,8 +16,8 @@ records the deviations it filters out while answering:
   broadcast on the wire;
 - :meth:`~RoundLedger.broadcast` — the same, plus which of those copies
   lie;
-- :meth:`~RoundLedger.deliver` — which arriving copies their receivers
-  accept.
+- :meth:`~RoundLedger.hearers` — which receivers of a broadcast accept
+  their copy (:meth:`~RoundLedger.deliver` asks the same copy by copy).
 
 :class:`Liveness` is the run-long record the adversary is replayed
 against; :meth:`Liveness.fold` closes a round into it.
@@ -146,6 +146,8 @@ class RoundLedger:
         "receive_drops",
         "deviants",
         "filters_arrivals",
+        "refused",
+        "hearing",
         "omitted_sends",
         "forged_sends",
         "omitted_receives",
@@ -185,8 +187,11 @@ class RoundLedger:
             if crashing or plan.send_omissions or plan.forgeries
             else _NOBODY
         )
-        #: False: :meth:`deliver` can drop nothing this round.
+        #: False: every receiver accepts every copy this round.
         self.filters_arrivals = bool(self.dead or self.receive_drops)
+        #: Senders somebody refuses; anyone else's broadcast to all n is heard by ``hearing``.
+        self.refused = frozenset().union(*self.receive_drops.values())
+        self.hearing: Optional[List[ProcessId]] = None
         self.omitted_sends: Dict[ProcessId, set] = {}
         self.forged_sends: Dict[ProcessId, Dict[ProcessId, Any]] = {}
         self.omitted_receives: Dict[ProcessId, set] = {}
@@ -194,13 +199,10 @@ class RoundLedger:
             for pid in plan.send_omissions:
                 if pid in alive and pid not in crashing and pid not in silent:
                     self._send_drops(pid)
-            if self.receive_drops:
-                self.deliver(
-                    Probe(sender, pid)
-                    for pid, drops in self.receive_drops.items()
-                    for sender in drops
-                    if self.reaches(sender, pid)
-                )
+            for pid, drops in self.receive_drops.items():
+                for sender in drops:
+                    if self.reaches(sender, pid):
+                        self.accepts(sender, pid)
 
     # -- the send side -------------------------------------------------------
 
@@ -286,30 +288,38 @@ class RoundLedger:
 
     # -- the receive side ----------------------------------------------------
 
+    def accepts(self, sender: ProcessId, receiver: ProcessId) -> bool:
+        """Does ``receiver`` accept the copy ``sender`` got onto the wire?
+        The one statement of the receive side: dead and crashing receivers
+        hear nothing; a receive omission is recorded only for a copy that
+        actually arrived, never for the receiver's own."""
+        if receiver in self.dead:
+            return False
+        drops = self.receive_drops.get(receiver)
+        if drops and sender in drops and sender != receiver:
+            self.omitted_receives.setdefault(receiver, set()).add(sender)
+            return False
+        return True
+
+    def hearers(self, sender: ProcessId, receivers: Sequence[ProcessId]):
+        """Who among the ascending ``receivers`` of ``sender``'s broadcast
+        accepts a copy; one shared list whenever the answer is ``hearing``."""
+        if sender in self.refused or len(receivers) != self.n:
+            return [r for r in receivers if self.accepts(sender, r)]
+        if self.hearing is None:
+            self.hearing = [r for r in receivers if self.accepts(sender, r)]
+        return self.hearing
+
     def deliver(self, arriving: Iterable[Any]) -> Dict[ProcessId, list]:
         """File arriving copies (anything with ``sender``/``receiver``)
-        into per-receiver inboxes, in arrival order.
-
-        Dead and crashing receivers hear nothing; a receive omission is
-        recorded only for a copy that actually arrived, never for the
-        receiver's own.  Sparse: only receivers that accepted something
+        that their receiver :meth:`accepts` into per-receiver inboxes, in
+        arrival order.  Sparse: only receivers that accepted something
         appear.  May be called once per round or once per broadcast.
         """
         delivered: Dict[ProcessId, list] = {}
-        dead, receive_drops = self.dead, self.receive_drops
         for copy in arriving:
-            receiver, sender = copy.receiver, copy.sender
-            if receiver in dead:
-                continue
-            drops = receive_drops.get(receiver)
-            if drops and sender in drops and sender != receiver:
-                self.omitted_receives.setdefault(receiver, set()).add(sender)
-                continue
-            inbox = delivered.get(receiver)
-            if inbox is None:
-                delivered[receiver] = [copy]
-            else:
-                inbox.append(copy)
+            if self.accepts(copy.sender, copy.receiver):
+                delivered.setdefault(copy.receiver, []).append(copy)
         return delivered
 
     # -- narration -----------------------------------------------------------

@@ -21,9 +21,9 @@ synchronous substrate and the virtual time in the asynchronous one):
                     uses a non-complete or dynamic topology (never fired
                     on the default complete graph)
 ``on_send``         one message actually placed on the network
-``on_sends``        (sync) one round's whole wire, in wire order
+``on_sends``        (sync) one round's whole wire, in wire order (:class:`Wire`)
 ``on_deliver``      one message actually delivered
-``on_deliveries``   (sync) one round's inboxes, receiver -> messages
+``on_deliveries``   (sync) one round's inboxes, receiver -> messages (:class:`Inboxes`)
 ``on_fault``        one :class:`FaultEvent` (crash, omission, forgery,
                     corruption)
 ``on_state_commit`` a process committed a new state (``None`` = crashed)
@@ -49,9 +49,12 @@ overrides *only* the batch form does not hear.
 
 from __future__ import annotations
 
+from collections import UserDict, UserList
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any, Dict, FrozenSet, Mapping, Optional, Sequence
+
+from repro.histories.history import inbox_copies, wire_copies
 
 __all__ = [
     "AsyncMessage",
@@ -59,8 +62,10 @@ __all__ = [
     "EventBus",
     "FaultEvent",
     "FaultKind",
+    "Inboxes",
     "Observer",
     "ServeEvent",
+    "Wire",
 ]
 
 ProcessId = int
@@ -140,6 +145,30 @@ class AsyncMessage:
     receiver: ProcessId
     payload: Any
     sent_time: float
+
+
+class Wire(UserList):
+    """What the synchronous engine hands ``on_sends``: it keeps the round's
+    ``broadcasts`` and reads as the list of their :class:`Message` copies
+    in wire order, built on first use."""
+
+    def __init__(self, broadcasts: Sequence[Any]):
+        self.broadcasts = broadcasts
+
+    data = cached_property(lambda self: list(wire_copies(self.broadcasts)))
+
+
+class Inboxes(UserDict):
+    """What the synchronous engine hands ``on_deliveries``: it keeps what
+    each receiver ``heard`` (receiver -> inbox items) and reads as receiver
+    -> the :class:`Message` copies it was sent, built on first use."""
+
+    def __init__(self, heard: Mapping[ProcessId, Sequence[Any]]):
+        self.heard = heard
+
+    data = cached_property(
+        lambda self: {pid: inbox_copies(box, pid) for pid, box in self.heard.items()}
+    )
 
 
 class Observer:

@@ -9,23 +9,14 @@ recorded history is *derived from* the event stream, never privileged.
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import attrgetter
 from typing import Any, Dict, List, Optional, Set
 
-from repro.histories.history import (
-    CLOCK_KEY,
-    ExecutionHistory,
-    ProcessRoundRecord,
-    RoundHistory,
-)
+from repro.histories.history import ExecutionHistory, RoundHistory
 from repro.kernel.events import FaultEvent, FaultKind, Observer
 
 __all__ = ["AsyncTraceRecorder", "HistoryRecorder", "LiveTraceRecorder"]
 
 ProcessId = int
-
-_SENDER = attrgetter("sender")
 
 
 class HistoryRecorder(Observer):
@@ -51,15 +42,7 @@ class HistoryRecorder(Observer):
         self._n: Optional[int] = None
         self._rounds: List[RoundHistory] = []
         self._crashed: Set[ProcessId] = set()
-        self._round_no: Optional[int] = None
-        self._snapshots: Dict[ProcessId, Optional[Dict[str, Any]]] = {}
-        self._sent: Dict[ProcessId, list] = {}
-        self._delivered: Dict[ProcessId, list] = {}
-        self._crashing: Set[ProcessId] = set()
-        self._omitted_sends: Dict[ProcessId, frozenset] = {}
-        self._omitted_receives: Dict[ProcessId, frozenset] = {}
-        self._forged_sends: Dict[ProcessId, frozenset] = {}
-        self._edges: Optional[tuple] = None
+        HistoryRecorder.on_round_start(self, None, {})  # no round open, nothing filed
 
     def on_run_start(self, n, protocol, first_round=1):
         self._n = n
@@ -79,16 +62,18 @@ class HistoryRecorder(Observer):
         self._edges = tuple(tuple(receivers) for receivers in edges)
 
     def on_sends(self, messages, time):
-        # The wire is sender-major, so each run of equal senders is filed
-        # with one extend; a sender seen again later just extends further.
-        sent = self._sent
-        for sender, copies in groupby(messages, _SENDER):
-            sent.setdefault(sender, []).extend(copies)
+        # The engine's wire keeps its broadcasts; any other producer's is
+        # messages.  Either way each item is filed under its sender, in order.
+        for item in getattr(messages, "broadcasts", messages):
+            self._sent.setdefault(item.sender, []).append(item)
 
     def on_deliveries(self, inboxes, time):
+        # Likewise its inboxes keep their items; one filed once is kept as it is.
         delivered = self._delivered
-        for receiver, inbox in inboxes.items():
-            delivered.setdefault(receiver, []).extend(inbox)
+        for receiver, inbox in getattr(inboxes, "heard", inboxes).items():
+            if receiver in delivered:
+                inbox = [*delivered[receiver], *inbox]
+            delivered[receiver] = inbox
 
     # Producers that learn of messages one at a time (the asynchronous
     # scheduler, a live host) feed the same two filing passes.
@@ -122,48 +107,15 @@ class HistoryRecorder(Observer):
             self._rounds.append(round_history)
 
     def _finish_round(self, round_no) -> RoundHistory:
-        """Assemble this round's records."""
-        records = []
-        for pid in range(self._n or 0):
-            if pid in self._crashed:
-                records.append(
-                    ProcessRoundRecord(
-                        pid=pid, state_before=None, clock_before=None, crashed=True
-                    )
-                )
-                continue
-            snapshot = self._snapshots.get(pid)
-            clock_before = None if snapshot is None else snapshot.get(CLOCK_KEY)
-            if pid in self._crashing:
-                records.append(
-                    ProcessRoundRecord(
-                        pid=pid,
-                        state_before=snapshot,
-                        clock_before=clock_before,
-                        sent=tuple(self._sent.get(pid, ())),
-                        delivered=(),
-                        crashed=True,
-                    )
-                )
-                continue
-            records.append(
-                ProcessRoundRecord(
-                    pid=pid,
-                    state_before=snapshot,
-                    clock_before=clock_before,
-                    sent=tuple(self._sent.get(pid, ())),
-                    delivered=tuple(self._delivered.get(pid, ())),
-                    crashed=False,
-                    omitted_sends=self._omitted_sends.get(pid, frozenset()),
-                    omitted_receives=self._omitted_receives.get(pid, frozenset()),
-                    forged_sends=self._forged_sends.get(pid, frozenset()),
-                )
-            )
+        """Assemble this round's records from what was filed."""
+        round_history = RoundHistory.filed(
+            round_no, self._n or 0, self._snapshots, self._crashed, self._crashing,
+            self._sent, self._delivered, self._omitted_sends, self._omitted_receives,
+            self._forged_sends, self._edges,
+        )
         self._crashed |= self._crashing
         self._round_no = None
-        return RoundHistory(
-            round_no=round_no, records=tuple(records), edges=self._edges
-        )
+        return round_history
 
     def history(self) -> ExecutionHistory:
         """The reconstructed execution history (≥ 1 round required)."""

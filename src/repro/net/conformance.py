@@ -104,7 +104,8 @@ def history_digest(history: Optional[ExecutionHistory]) -> Optional[str]:
     Two histories are value-equal iff their digests match: the digest
     covers every record field plus the per-round edge sets, so it is a
     faithful proxy for :func:`histories_equal` that survives caching
-    (a 64-char hex string instead of an object graph).
+    (a 64-char hex string instead of an object graph).  It reads every
+    copy, so this is where a record's ``Message`` tuples do get built.
     """
     if history is None:
         return None

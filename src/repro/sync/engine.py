@@ -17,7 +17,8 @@ Round structure (paper, Section 2):
 
 1. *(systemic failures)* any corruption scheduled for this round is
    applied to the surviving processes' memories;
-2. *start of round* — every alive process broadcasts one payload;
+2. *start of round* — every alive process broadcasts one payload, and
+   that one :class:`~repro.histories.history.Broadcast` is what travels;
 3. *delivery* — the round's :class:`~repro.kernel.delivery.RoundLedger`
    (the one definition of the paper's crash / send-omission /
    receive-omission semantics, self-delivery never dropped) decides
@@ -32,6 +33,7 @@ history alone.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import (
@@ -44,16 +46,13 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Tuple,
 )
 
-from repro.histories.history import (
-    CLOCK_KEY,
-    ExecutionHistory,
-    Message,
-)
+from repro.histories.history import CLOCK_KEY, Broadcast, ExecutionHistory, Message
 from repro.kernel.corruptions import apply_corruption
 from repro.kernel.delivery import Liveness, RoundLedger, quiet
-from repro.kernel.events import EventBus, Observer
+from repro.kernel.events import EventBus, Inboxes, Observer, Wire
 from repro.kernel.recorders import HistoryRecorder
 
 if TYPE_CHECKING:  # runtime import would close the kernel↔sync cycle
@@ -205,7 +204,7 @@ def run_sync(
     adversary = adversary or NullAdversary()
     delay_model = delay_model or NoDelay()
     mid_run = dict(mid_run_corruptions or {})
-    in_flight: Dict[int, List[Message]] = {}
+    in_flight: Dict[int, Arrivals] = {}
 
     topo = normalize_topology(
         n, topology, fault_plan.churn if fault_plan is not None else None
@@ -269,7 +268,7 @@ def run_sync(
         if wants_fault and ledger is not None:
             ledger.narrate_sends(bus)
         if wants_send:
-            bus.on_sends(wire, round_no)
+            bus.on_sends(Wire(wire), round_no)
 
         immediate = _route_delays(wire, round_no, delay_model, in_flight)
         pending = in_flight.pop(round_no, None)
@@ -278,7 +277,7 @@ def run_sync(
         if wants_fault and ledger is not None:
             ledger.narrate_receives(bus)
         if wants_deliver:
-            bus.on_deliveries(delivered, round_no)
+            bus.on_deliveries(Inboxes(delivered), round_no)
 
         if ledger is None:
             update_phase(protocol, n, bus, round_no, states, delivered)
@@ -313,6 +312,9 @@ def run_sync(
 #: Deliveries are presented to the protocol sorted by (sender, round sent).
 _DELIVERY_ORDER = attrgetter("sender", "sent_round")
 
+#: Copies on their way: which inbox item reaches which (ascending) receivers.
+Arrivals = List[Tuple[Any, Sequence[ProcessId]]]
+
 
 def _send_phase(
     protocol: SyncProtocol,
@@ -322,15 +324,15 @@ def _send_phase(
     alive_order: List[ProcessId],
     ledger: Optional[RoundLedger],
     edges=None,
-) -> List[Message]:
-    """The messages actually placed on the wire this round, as one flat
-    list in (sender asc, receiver asc) order — the narration order.
+) -> List[Broadcast]:
+    """The broadcasts actually placed on the wire this round, senders
+    ascending — with each one's receivers ascending, the narration order.
 
     ``edges`` (``None`` on the complete graph) restricts every broadcast
     to the sender's current out-edges; only the senders the ledger names
     as deviating ask it who gets which copy.
     """
-    wire: List[Message] = []
+    wire: List[Broadcast] = []
     everyone = range(n)
     deviants = () if ledger is None else ledger.deviants
     for pid in alive_order:
@@ -339,74 +341,65 @@ def _send_phase(
             continue
         payload = copy_payload(payload)
         if pid not in deviants:
-            wire += [
-                Message(pid, receiver, round_no, payload)
-                for receiver in (everyone if edges is None else edges[pid])
-            ]
+            receivers = everyone if edges is None else edges[pid]
+            wire.append(Broadcast(pid, round_no, payload, receivers))
             continue
         receivers, forged = ledger.broadcast(pid, payload)
-        if forged:
-            wire += [
-                Message(pid, r, round_no, forged[r] if r in forged else payload)
-                for r in receivers
-            ]
-        else:
-            wire += [Message(pid, r, round_no, payload) for r in receivers]
+        lies = {r: Message(pid, r, round_no, lie) for r, lie in forged.items()}
+        wire.append(Broadcast(pid, round_no, payload, receivers, lies))
     return wire
 
 
 def _route_delays(
-    wire: List[Message],
-    round_no: int,
-    delay_model: DelayModel,
-    in_flight: Dict[int, List[Message]],
-) -> List[Message]:
+    wire: List[Broadcast], round_no: int, delay_model: DelayModel, in_flight: Dict[int, Arrivals]
+) -> Arrivals:
     """Split fresh sends into immediate arrivals and future deliveries."""
-    if type(delay_model) is NoDelay:
-        return wire  # perfect synchrony: everything arrives this round
-    immediate: List[Message] = []
+    immediate: Arrivals = []
+    whole = type(delay_model) is NoDelay  # perfect synchrony: broadcasts arrive whole
     max_extra = delay_model.max_extra_rounds
-    extra_rounds = delay_model.extra_rounds
-    for message in wire:
-        extra = extra_rounds(round_no, message.sender, message.receiver)
-        if not 0 <= extra <= max_extra:
-            raise ProtocolError(
-                f"delay model returned {extra} extra rounds, outside "
-                f"[0, {max_extra}]"
-            )
-        if extra == 0:
-            immediate.append(message)
-        else:
-            in_flight.setdefault(round_no + extra, []).append(message)
+    for broadcast in wire:
+        forged = broadcast.forged
+        if whole and not forged:
+            immediate.append((broadcast, broadcast.receivers))
+            continue
+        for receiver in broadcast.receivers:  # copy by copy
+            extra = delay_model.extra_rounds(round_no, broadcast.sender, receiver)
+            if not 0 <= extra <= max_extra:
+                raise ProtocolError(
+                    f"delay model returned {extra} extra rounds, outside "
+                    f"[0, {max_extra}]"
+                )
+            due = immediate if extra == 0 else in_flight.setdefault(round_no + extra, [])
+            due.append((forged.get(receiver, broadcast), (receiver,)))
     return immediate
 
 
 def _delivery_phase(
-    arriving: List[Message], ledger: Optional[RoundLedger], presorted: bool
-) -> Dict[ProcessId, List[Message]]:
+    arriving: Arrivals, ledger: Optional[RoundLedger], presorted: bool
+) -> Mapping[ProcessId, Sequence[Any]]:
     """File the copies that survive the ledger's receive-side filtering.
 
     ``delivered`` is sparse: only receivers with at least one delivery
-    appear as keys.  When ``presorted`` is true the arrivals are already
-    in wire order (sender asc within each receiver, one round), so the
-    per-receiver delivery sort is skipped.
+    appear as keys.  Inboxes are immutable, and arrivals all heard by the
+    same receivers are one inbox they share.  When ``presorted`` is true
+    the arrivals are already in wire order (sender asc, one round), so
+    the per-receiver delivery sort is skipped.
     """
     if ledger is not None and ledger.filters_arrivals:
-        delivered = ledger.deliver(arriving)
-    else:
-        delivered = {}
-        for message in arriving:
-            receiver = message.receiver
-            inbox = delivered.get(receiver)
-            if inbox is None:
-                delivered[receiver] = [message]
-            else:
-                inbox.append(message)
-
+        hearers = ledger.hearers
+        arriving = [(item, hearers(item.sender, to)) for item, to in arriving]
+    if presorted and arriving:
+        audience = arriving[0][1]
+        if all(to is audience for _, to in arriving):
+            return dict.fromkeys(audience, tuple([item for item, _ in arriving]))
+    delivered: Dict[ProcessId, List[Any]] = defaultdict(list)
+    for item, to in arriving:
+        for receiver in to:
+            delivered[receiver].append(item)
     if not presorted:
         for inbox in delivered.values():
             inbox.sort(key=_DELIVERY_ORDER)
-    return delivered
+    return {receiver: tuple(inbox) for receiver, inbox in delivered.items()}
 
 
 def update_phase(
@@ -415,7 +408,7 @@ def update_phase(
     bus: EventBus,
     round_no: int,
     states: Dict[ProcessId, Optional[Dict[str, Any]]],
-    delivered: Mapping[ProcessId, List[Message]],
+    delivered: Mapping[ProcessId, Sequence[Any]],
     crashed: Container[ProcessId] = (),
     crashing_now: Container[ProcessId] = (),
 ) -> None:
@@ -433,10 +426,7 @@ def update_phase(
             continue
         if pid in crashed:
             continue
-        inbox = delivered.get(pid)
-        if inbox is None:
-            inbox = []
-        new_state = protocol.update(pid, states[pid], inbox)
+        new_state = protocol.update(pid, states[pid], delivered.get(pid, ()))
         if not isinstance(new_state, dict) or CLOCK_KEY not in new_state:
             raise ProtocolError(
                 f"{protocol.name}: update() for process {pid} must return a "

@@ -74,16 +74,22 @@ class SyncProtocol(ABC):
     def send(self, pid: int, state: Mapping[str, Any]) -> Any:
         """Payload to broadcast at the start of a round, or None for silence.
 
-        The engine wraps the payload into one :class:`Message` per
-        destination.  Full-information protocols typically broadcast
-        (pid, state) wholesale.
+        The engine puts it on the wire as one broadcast; a per-copy
+        :class:`Message` exists once somebody reads a history.
+        Full-information protocols typically broadcast (pid, state) wholesale.
         """
 
     @abstractmethod
     def update(
         self, pid: int, state: Mapping[str, Any], delivered: Sequence[Message]
     ) -> Dict[str, Any]:
-        """End-of-round transition: return the next state (clock included)."""
+        """End-of-round transition: return the next state (clock included).
+
+        Each item of ``delivered`` promises ``sender``, ``sent_round`` and
+        ``payload`` and nothing else — the engine hands over whole
+        broadcasts, a live host :class:`Message` copies — and the inbox
+        is immutable and may be shared between receivers.
+        """
 
     # ------------------------------------------------------------------
 

@@ -147,14 +147,26 @@ def narrated(ledger):
 
 
 @st.composite
-def rounds(draw):
-    n = draw(st.integers(min_value=2, max_value=6))
+def fault_scripts(draw, n):
+    """One round's faults over pids ``0 .. n-1``, as plain data for ``lying_plan``."""
     pids = st.integers(min_value=0, max_value=n - 1)
     pid_sets = st.sets(pids, max_size=n)
 
     def per_pid(max_size):
         return st.dictionaries(pids, pid_sets, max_size=max_size)
 
+    return {
+        "crashes": draw(per_pid(2)),  # survivors may name dead, self, non-neighbours
+        "send": draw(per_pid(3)),
+        "receive": draw(per_pid(3)),
+        "lies": draw(per_pid(2)),  # may address the liar itself and the dead
+    }
+
+
+@st.composite
+def rounds(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    pids = st.integers(min_value=0, max_value=n - 1)
     shape = draw(st.sampled_from(["complete", "ring", "tree", "random"]))
     if shape == "complete":
         edges = None
@@ -164,12 +176,7 @@ def rounds(draw):
         edges = round_edges(TreeTopology(n), 1)
     else:
         edges = round_edges(RandomTopology(n, p=0.3, seed=draw(st.integers(0, 50))), 1)
-    script = {
-        "crashes": draw(per_pid(2)),  # survivors may name dead, self, non-neighbours
-        "send": draw(per_pid(3)),
-        "receive": draw(per_pid(3)),
-        "lies": draw(per_pid(2)),  # may address the liar itself and the dead
-    }
+    script = draw(fault_scripts(n))
     crashed = draw(st.sets(pids, max_size=n - 1))
     silent = draw(st.sets(pids, max_size=2))
     return n, edges, script, crashed, silent

@@ -175,3 +175,48 @@ class TestRenumber:
         fresh = renumber(suffix)
         assert fresh.first_round == 1
         assert len(fresh) == len(suffix)
+
+    def test_renumber_keeps_the_topology(self):
+        from repro.kernel.topology import ChurnEvent, ChurnSchedule, RingTopology
+        from repro.kernel.faults import FaultPlan
+        from repro.protocols.unison import MinUnison
+        from repro.sync.engine import run_sync
+
+        ring = run_sync(MinUnison(), 5, 4, topology=RingTopology(5)).history
+        churn = run_sync(
+            MinUnison(), 5, 4, topology=RingTopology(5),
+            fault_plan=FaultPlan(churn=ChurnSchedule((ChurnEvent(2, "leave", pids=(3,)),))),
+        ).history
+        for history in (ring, churn):
+            assert all(rh.edges is not None for rh in history)
+            assert list(renumber(history, history.first_round)) == list(history)
+            shifted = renumber(history.suffix(1), 7)
+            assert [rh.edges for rh in shifted] == [rh.edges for rh in history.suffix(1)]
+        assert churn.round(1).edges != churn.round(2).edges
+        # the complete graph stays the pre-topology history: no edges at all
+        complete = run_sync(MinUnison(), 5, 4).history
+        assert all(rh.edges is None for rh in renumber(complete, 3))
+        assert list(renumber(complete, complete.first_round)) == list(complete)
+
+
+class TestMalformedHistoriesStillSayWhy:
+    """The checks format their message only once they have failed."""
+
+    def test_round_history_names_the_slot(self):
+        with pytest.raises(ValueError) as error:
+            RoundHistory(round_no=1, records=(make_record(0), make_record(2), make_record(1)))
+        assert str(error.value) == "records must be indexed by pid; slot 1 holds pid 2"
+        with pytest.raises(ValueError) as error:
+            RoundHistory(round_no=0, records=(make_record(0),))
+        assert str(error.value) == "round_no must be a positive integer, got 0"
+
+    def test_execution_history_names_the_gap(self):
+        with pytest.raises(ValueError) as error:
+            ExecutionHistory([broadcast_round(r, [1, 1]) for r in (1, 2, 4)])
+        assert str(error.value) == "rounds must be consecutive: 2 then 4"
+        with pytest.raises(ValueError) as error:  # sizes are checked before gaps
+            ExecutionHistory([broadcast_round(1, [1, 1]), broadcast_round(3, [1, 1, 1])])
+        assert str(error.value) == "all round histories must cover the same process set"
+        with pytest.raises(ValueError) as error:
+            ExecutionHistory([])
+        assert str(error.value) == "an execution history needs at least one round"

@@ -15,6 +15,8 @@ These pin down the *equivalence* guarantees the optimizations rely on:
 - a round's messages narrated as one batch reach a per-message observer
   as the same calls in the same order, and a recorder fed one message
   at a time builds the same history;
+- a synchronous run moves broadcasts: a recorded, judged run builds fewer
+  ``Message``s than it has broadcasts and a streaming-checked one none;
 - an asynchronous run builds an ``AsyncMessage`` only for a subscriber,
   counts its traffic either way, and keeps the proof cache to one entry
   per broadcast;
@@ -440,6 +442,58 @@ class TestBatchNarration:
         with pytest.raises(ValueError) as error:
             Message(*fields)
         assert str(error.value) == text
+
+
+class TestBroadcastWire:
+    """A broadcast is one object; a ``Message`` exists once somebody reads it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every ``Message`` constructed during the test, whoever asked."""
+        built = []
+        validate = Message.__post_init__
+
+        def counting(message):
+            built.append(message)
+            validate(message)
+
+        monkeypatch.setattr(Message, "__post_init__", counting)
+        return built
+
+    def test_recorded_judged_run_builds_fewer_messages_than_broadcasts(self, built):
+        from repro.core.problems import ClockAgreementProblem
+        from repro.core.solvability import check_definition
+        from repro.experiments.fig1 import one_run
+
+        n, rounds = 16, 40
+        result = one_run(n, 5, seed=0, rounds=rounds)
+        verdict = check_definition("ftss", result.history, ClockAgreementProblem(), 1)
+        assert verdict.holds and result.faulty
+        assert result.history.messages_sent() > n * rounds  # counted off the columns
+        assert len(built) < n * rounds  # the per-copy loop built ~ n * n * rounds
+        # ... and a reader gets real messages, once
+        record = result.history.round(rounds).record(0)
+        assert record.delivered and type(record.delivered[0]) is Message
+        assert record.delivered is record.delivered
+
+    def test_streaming_checked_run_builds_none(self, built):
+        from repro.analysis.stabilization import StreamingClockStabilization
+
+        checker = StreamingClockStabilization()
+        result = run_sync(
+            RoundAgreementProtocol(),
+            n=8,
+            rounds=20,
+            adversary=RandomAdversary(
+                n=8, f=3, mode=FaultMode.GENERAL_OMISSION, rate=0.4, seed=3,
+                crash_probability=0.2,
+            ),
+            corruption=RandomCorruption(seed=4),
+            observers=(checker,),
+            record_history=False,
+        )
+        assert result.faulty and checker.result() is not None
+        assert built == []  # no forgery planned: nothing the checker reads is a copy
 
 
 class _Narration(Observer):

@@ -4,9 +4,14 @@
 ``RoundFaultPlan`` or to mint the omission / forgery fault events; the
 four consumers read its ledger.  This reads the sources (no imports),
 so it is cheap enough for the lint job and fails before a fifth copy of
-the semantics can land.
+the semantics can land.  The same goes for the receive side's one
+statement (``RoundLedger.accepts``) and for what a protocol may ask of
+an inbox item: ``sender``, ``sent_round``, ``payload`` — on the
+synchronous wire the item is a whole broadcast, which has no one
+``receiver``, and the inbox may be shared, so nobody mutates it.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -60,3 +65,69 @@ def test_only_the_ledger_builds_omission_and_forgery_events():
 def test_retired_copies_stay_retired(module, names):
     source = (SRC / module).read_text(encoding="utf-8")
     assert not [name for name in names if name in source]
+
+
+def test_receive_side_rule_is_stated_once():
+    """Whoever records a receive omission decides who hears whom."""
+    writers = {
+        str(path.relative_to(SRC)): len(
+            re.findall(
+                # the ledger's map, not the recorder's ``_omitted_receives`` of fault events
+                r"(?<!_)omitted_receives(\.setdefault|\[[^]]*\]\s*=[^=])",
+                path.read_text("utf-8"),
+            )
+        )
+        for path in SRC.rglob("*.py")
+    }
+    assert {name: count for name, count in writers.items() if count} == {LEDGER: 1}
+    ledger = ast.parse((SRC / LEDGER).read_text("utf-8"))
+    (accepts,) = [
+        node
+        for node in ast.walk(ledger)
+        if isinstance(node, ast.FunctionDef) and node.name == "accepts"
+    ]
+    assert "omitted_receives" in ast.unparse(accepts) and " in self.dead" in ast.unparse(accepts)
+    # ... and no other method of the ledger looks at the dead: they ask ``accepts``
+    others = [
+        node.name
+        for node in ast.walk(ledger)
+        if isinstance(node, ast.FunctionDef)
+        and node.name not in ("accepts", "__init__")
+        and re.search(r"\.dead\b", ast.unparse(node))
+    ]
+    assert others == []
+
+
+#: What ``update`` may do to the inbox it is handed would show as one of these.
+MUTATORS = {"append", "extend", "insert", "remove", "pop", "clear", "sort", "reverse"}
+
+
+def _protocol_updates():
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (
+                isinstance(node, ast.FunctionDef)
+                and node.name == "update"
+                and [arg.arg for arg in node.args.args[:3]] == ["self", "pid", "state"]
+            ):
+                yield str(path.relative_to(SRC)), node
+
+
+def test_no_update_reads_a_receiver_or_mutates_its_inbox():
+    updates = list(_protocol_updates())
+    assert len(updates) >= 8  # the walk found the protocols
+    for module, update in updates:
+        inbox = update.args.args[3].arg
+        for node in ast.walk(update):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "receiver", f"{module}: update() reads .receiver"
+                owner = node.value
+                if isinstance(owner, ast.Name) and owner.id == inbox:
+                    assert node.attr not in MUTATORS, f"{module}: update() mutates its inbox"
+            if isinstance(node, (ast.Subscript, ast.Delete)) and isinstance(
+                getattr(node, "ctx", None), (ast.Store, ast.Del)
+            ):
+                target = node.value if isinstance(node, ast.Subscript) else None
+                assert not (
+                    isinstance(target, ast.Name) and target.id == inbox
+                ), f"{module}: update() writes into its inbox"
