@@ -25,6 +25,7 @@ consumers' tolerance of everlasting mistakes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro.util.rng import derive_seed
@@ -49,6 +50,9 @@ class WeakDetectorOracle:
         self.n = n
         self.gst = gst
         self._crash_times = dict(crash_times)
+        self._crash_instants = sorted(self._crash_times.values())
+        #: (pid, crash instants passed) -> the post-GST answer.
+        self._stable: Dict[Tuple[int, int], FrozenSet[int]] = {}
         self._seed = derive_seed(seed, "weak-oracle")
         self._flicker_rate = flicker_rate
         self._flicker_bucket = flicker_bucket
@@ -81,8 +85,15 @@ class WeakDetectorOracle:
 
     def suspects(self, pid: int, time: float) -> FrozenSet[int]:
         """The processes ``pid`` is told to suspect at ``time``."""
+        stable = not time < self.gst
+        if stable:
+            # From GST on the answer changes only at a crash instant.
+            key = (pid, bisect_right(self._crash_instants, time))
+            answer = self._stable.get(key)
+            if answer is not None:
+                return answer
         out = {victim for watcher, victim in self._perpetual if watcher == pid}
-        if time < self.gst:
+        if not stable:
             bucket = int(time / self._flicker_bucket)
             for s in range(self.n):
                 if s == pid:
@@ -94,4 +105,5 @@ class WeakDetectorOracle:
         for s, crash_time in self._crash_times.items():
             if crash_time <= time and self._watcher[s] == pid:
                 out.add(s)
-        return frozenset(out)
+        answer = self._stable[key] = frozenset(out)
+        return answer

@@ -101,12 +101,15 @@ class AsyncProtocol(ABC):
 class ProcessContext:
     """The face a protocol handler sees: its state, clock, and network."""
 
-    __slots__ = ("_scheduler", "pid", "n")
+    __slots__ = ("_scheduler", "pid", "n", "state")
 
     def __init__(self, scheduler: "AsyncScheduler", pid: int):
         self._scheduler = scheduler
         self.pid = pid
         self.n = scheduler.n
+        #: ``scheduler.states[pid]``: mutated in place by handlers, rebound
+        #: by the scheduler when a crash or a corruption replaces it.
+        self.state: Optional[Dict[str, Any]] = scheduler.states[pid]
 
     @property
     def time(self) -> float:
@@ -114,12 +117,12 @@ class ProcessContext:
         beyond their regular tick cadence)."""
         return self._scheduler.now
 
-    @property
-    def state(self) -> Dict[str, Any]:
-        return self._scheduler.states[self.pid]
-
     def send(self, dest: int, payload: Any) -> None:
         """Send one message; it will arrive after an arbitrary delay."""
+        if not 0 <= dest < self.n:
+            raise ValueError(
+                f"process {self.pid} sent to process {dest!r}, but n = {self.n}"
+            )
         self._scheduler._fan_out(self.pid, (dest,), payload)
 
     def broadcast(self, payload: Any) -> None:
@@ -275,6 +278,11 @@ class AsyncScheduler:
         )
         self._sample_interval = sample_interval
         self._crash_times = dict(crash_times or {})
+        for pid in self._crash_times:
+            require(
+                isinstance(pid, int) and 0 <= pid < n,
+                f"crash schedule names process {pid!r}, but n = {n}",
+            )
         self._mid_corruptions = mid_corruptions
         self._speed = {
             pid: self._rng.uniform(0.5, 1.5) for pid in range(n)
@@ -293,8 +301,9 @@ class AsyncScheduler:
         self.states = states
 
         self._crashed: set = set()
+        #: (time, seq, dest, sender, payload, sent_at) for a delivery, else
         #: (time, seq, kind, data); seq is unique, so ties break by push order.
-        self._queue: List[Tuple[float, int, str, Any]] = []
+        self._queue: List[Tuple[Any, ...]] = []
         self._next_seq = itertools.count(1).__next__
         self._contexts = [ProcessContext(self, pid) for pid in range(n)]
 
@@ -329,7 +338,10 @@ class AsyncScheduler:
         then shared by every queued delivery; one that cannot be proved
         is defensively copied per delivery, here at enqueue time.  Per
         destination the seeded RNG gives the duplicate draw, then one
-        delay draw per copy — an order every golden digest pins.
+        delay draw per copy — an order every golden digest pins, so a
+        copy for a process that has already crashed (a crash is
+        permanent: it could only be dropped on arrival) is counted,
+        narrated and drawn for like any other, and just not queued.
         """
         now = self.now
         shared = prove_payload(payload)
@@ -341,6 +353,7 @@ class AsyncScheduler:
         if now < self.gst:
             hi = self._pre_gst_delay_max
         span = hi - lo
+        crashed = self._crashed
         queue = self._queue
         next_seq = self._next_seq
         push = heapq.heappush
@@ -357,22 +370,14 @@ class AsyncScheduler:
             copies = 1
             if duplicate_probability and random() < duplicate_probability:
                 copies = 2
+            if dest in crashed:  # a dead letter is drawn for, never queued
+                for _ in range(copies):
+                    random()
+                continue
             for _ in range(copies):
                 # lo + span * random() is what rng.uniform(lo, hi) computes.
-                push(
-                    queue,
-                    (
-                        now + (lo + span * random()),
-                        next_seq(),
-                        "deliver",
-                        (
-                            dest,
-                            sender,
-                            copy_payload(payload) if shared is UNPROVEN else shared,
-                            now,
-                        ),
-                    ),
-                )
+                body = copy_payload(payload) if shared is UNPROVEN else shared
+                push(queue, (now + (lo + span * random()), next_seq(), dest, sender, body, now))
         self._messages_sent += sent
 
     # -- the run ----------------------------------------------------------------
@@ -409,13 +414,14 @@ class AsyncScheduler:
         on_tick, on_message = self.protocol.on_tick, self.protocol.on_message
         deliveries = 0
         while queue:
-            time, _seq, kind, data = pop(queue)
+            event = pop(queue)
+            time = event[0]
             if time > max_time:
                 break
             self.now = time
-            if kind == "deliver":
-                dest, sender, payload, sent_at = data
-                if dest in crashed:
+            if len(event) == 6:
+                _time, _seq, dest, sender, payload, sent_at = event
+                if dest in crashed:  # its receiver crashed in flight
                     continue
                 deliveries += 1
                 if wants_deliver:
@@ -431,8 +437,8 @@ class AsyncScheduler:
                 on_message(contexts[dest], sender, payload)
                 if wants_state_commit:
                     bus.on_state_commit(dest, time, self.states[dest])
-            elif kind == "tick":
-                pid = data
+            elif event[2] == "tick":
+                pid = event[3]
                 if pid in crashed:
                     continue
                 on_tick(contexts[pid])
@@ -447,7 +453,7 @@ class AsyncScheduler:
                         pid,
                     ),
                 )
-            elif kind == "sample":
+            elif event[2] == "sample":
                 outputs = {
                     pid: self.protocol.output(state)
                     for pid, state in self.states.items()
@@ -455,17 +461,19 @@ class AsyncScheduler:
                 }
                 bus.on_sample(time, outputs)
                 self._push(time + self._sample_interval, "sample", None)
-            elif kind == "crash":
-                pid = data
+            elif event[2] == "crash":
+                pid = event[3]
                 crashed.add(pid)
-                self.states[pid] = None
+                self.states[pid] = contexts[pid].state = None
                 bus.on_fault(
                     FaultEvent(kind=FaultKind.CRASH, time=time, pid=pid)
                 )
                 if wants_state_commit:
                     bus.on_state_commit(pid, time, None)
-            elif kind == "corrupt":
-                self.states = self._corrupt(data, self.states, time)
+            elif event[2] == "corrupt":
+                self.states = self._corrupt(event[3], self.states, time)
+                for context in contexts:
+                    context.state = self.states[context.pid]
             if stop_condition is not None and stop_condition(self):
                 break
 

@@ -43,6 +43,7 @@ __all__ = [
     "fd_initial",
     "fd_tick",
     "fd_adopt",
+    "fd_overwrite",
     "fd_suspects",
     "fd_arbitrary",
 ]
@@ -70,24 +71,34 @@ def fd_tick(fd: Dict[str, Any], ctx: ProcessContext) -> Any:
     The caller is responsible for broadcasting the returned payload
     (standalone detector: as its whole message; embedded: piggybacked).
     """
-    suspected = ctx.weak_suspects()
-    for s in range(ctx.n):
-        if s in suspected:  # when detect(s)
-            fd["num"][s] += 1
-            fd["status"][s] = DEAD
-        if s == ctx.pid:  # when p = s
-            fd["num"][s] += 1
-            fd["status"][s] = ALIVE
-    return ("fd", tuple(fd["num"]), tuple(fd["status"]))
+    num, status = fd["num"], fd["status"]
+    n, p = ctx.n, ctx.pid
+    for s in ctx.weak_suspects():  # when detect(s)
+        if 0 <= s < n:
+            num[s] += 1
+            status[s] = DEAD
+    num[p] += 1  # when p = s
+    status[p] = ALIVE
+    return ("fd", tuple(num), tuple(status))
 
 
 def fd_adopt(fd: Dict[str, Any], payload: Any, n: int) -> None:
     """Apply the version-guarded adoption for one received gossip."""
     _kind, nums, statuses = payload
-    for s in range(min(n, len(nums))):
-        if nums[s] > fd["num"][s]:  # when deliver (s, n, st)
-            fd["num"][s] = nums[s]
-            fd["status"][s] = statuses[s]
+    num, status = fd["num"], fd["status"]
+    for s, version in enumerate(nums[:n]):
+        if version > num[s]:  # when deliver (s, n, st)
+            num[s] = version
+            status[s] = statuses[s]
+
+
+def fd_overwrite(fd: Dict[str, Any], payload: Any, n: int) -> None:
+    """:func:`fd_adopt` without its version guard: the last writer wins."""
+    _kind, nums, statuses = payload
+    num, status = fd["num"], fd["status"]
+    for s, version in enumerate(nums[:n]):
+        num[s] = version
+        status[s] = statuses[s]
 
 
 def fd_suspects(fd: Dict[str, Any]) -> FrozenSet[int]:
@@ -124,9 +135,8 @@ class StrongDetector(AsyncProtocol):
         ctx.broadcast(fd_tick(ctx.state, ctx))
 
     def on_message(self, ctx: ProcessContext, sender: int, payload: Any) -> None:
-        if payload[0] != "fd":
-            return
-        fd_adopt(ctx.state, payload, ctx.n)
+        if payload[0] == "fd":
+            fd_adopt(ctx.state, payload, ctx.n)
 
     def output(self, state: Mapping[str, Any]) -> FrozenSet[int]:
         """The ◇S suspect set: targets currently believed dead."""
@@ -153,10 +163,5 @@ class LastWriterDetector(StrongDetector):
     name = "last-writer-detector"
 
     def on_message(self, ctx: ProcessContext, sender: int, payload: Any) -> None:
-        if payload[0] != "fd":
-            return
-        _kind, nums, statuses = payload
-        state = ctx.state
-        for s in range(min(ctx.n, len(nums))):
-            state["num"][s] = nums[s]
-            state["status"][s] = statuses[s]
+        if payload[0] == "fd":
+            fd_overwrite(ctx.state, payload, ctx.n)

@@ -33,10 +33,12 @@ the per-round cost.  Three caches remove it:
   recycled by the allocator while the proof is live; a generation
   counter clears the cache wholesale when it reaches its size bound
   (the *generation guard* — stale ids are impossible because nothing
-  survives a generation).  Tuples and frozensets whose items are all
-  atoms are *not* cached: one pass over their items proves them again
-  for less than an entry costs, and they are the short-lived values
-  that would otherwise fill a generation as a process lives;
+  survives a generation).  Tuples and frozensets of atoms are *not*
+  cached, nor is one of atoms and atom-only tuples/frozensets proved on
+  its own (a detector's ``("fd", nums, statuses)`` gossip): one pass
+  over their leaves proves them again for less than an entry costs, and
+  they are the short-lived values that would otherwise fill a generation
+  as a process lives.  Inside a deeper value the latter is cached with it;
 - a **hash-cons table**: equal proven-immutable containers collapse to
   one canonical instance (first one wins), so identical view tuples
   built independently by different processes — or by the same process
@@ -186,15 +188,18 @@ def _intern(value: Any) -> Any:
 UNPROVEN = object()
 
 
-def _prove(value: Any) -> Any:
+def _prove(value: Any, nested: bool = False) -> Any:
     """Canonical equal object if deeply immutable, else ``UNPROVEN``.
 
-    Atom items are recognised inline from the type table, without a
-    recursive call.  A tuple or frozenset whose items are *all* atoms is
-    returned as it is, neither cached nor interned: proving it again is
-    one pass over its items, which costs less than a cache entry, and
-    such values are the short-lived ones (counters, vectors, message
-    fields) that would otherwise fill a generation.
+    Atom items, and atom-only tuples/frozensets among the items, are
+    recognised inline from the type table, without a recursive call.  A
+    tuple or frozenset of atoms is returned as it is, neither cached nor
+    interned, and so is one of atoms and atom-only containers unless it
+    is ``nested`` in a deeper value: proving it again is one pass over
+    its leaves, which costs less than a cache entry, and such values are
+    the short-lived ones that would otherwise fill a generation.
+    Anything deeper is cached and canonicalised, and its parts with it
+    (a growing view is rebuilt from them every round).
     """
     verdict = _TYPE_TABLE.get(type(value))
     if verdict is None:
@@ -208,22 +213,31 @@ def _prove(value: Any) -> Any:
         return cached[1]
     if isinstance(value, (tuple, frozenset)):
         verdicts = _TYPE_TABLE.get
-        flat = True
+        flat = shallow = True
         for item in value:
             if verdicts(type(item)) == _ALWAYS:
                 continue
-            if _prove(item) is UNPROVEN:
-                return UNPROVEN
             flat = False
-        if flat:
+            if type(item) is tuple or type(item) is frozenset:
+                for leaf in item:
+                    if verdicts(type(leaf)) != _ALWAYS:
+                        break
+                else:
+                    continue
+            elif verdicts(type(item)) == _NEVER:
+                return UNPROVEN
+            shallow = False
+            if _prove(item, True) is UNPROVEN:
+                return UNPROVEN
+        if flat or (shallow and not nested):
             return value
     elif isinstance(value, FrozenDict):
         for key, item in value.items():
-            if _prove(key) is UNPROVEN or _prove(item) is UNPROVEN:
+            if _prove(key, True) is UNPROVEN or _prove(item, True) is UNPROVEN:
                 return UNPROVEN
     else:  # frozen dataclass
         for field in dataclasses.fields(value):
-            if _prove(getattr(value, field.name)) is UNPROVEN:
+            if _prove(getattr(value, field.name), True) is UNPROVEN:
                 return UNPROVEN
     return _register(value, _intern(value))
 
@@ -252,10 +266,10 @@ def imm(value: Any) -> Any:
 
     Protocols that broadcast hand-built immutable payloads call
     ``imm(payload)`` so the engine's defensive :func:`copy_payload`
-    becomes an O(1) cache hit.  A tuple or frozenset of atoms only is
-    checked and returned as it is (nothing to cache: re-checking it is
-    one pass over its items).  Raises ``TypeError`` when the value is
-    not deeply immutable (use :func:`freeze` to convert).
+    becomes an O(1) cache hit.  A tuple or frozenset no deeper than
+    atom-only containers is checked and returned as it is (nothing to
+    cache: re-checking it is one pass).  Raises ``TypeError`` when the
+    value is not deeply immutable (use :func:`freeze` to convert).
     """
     canonical = _prove(value)
     if canonical is UNPROVEN:

@@ -18,8 +18,8 @@ These pin down the *equivalence* guarantees the optimizations rely on:
 - a synchronous run moves broadcasts: a recorded, judged run builds fewer
   ``Message``s than it has broadcasts and a streaming-checked one none;
 - an asynchronous run builds an ``AsyncMessage`` only for a subscriber,
-  counts its traffic either way, and keeps the proof cache to one entry
-  per broadcast;
+  counts its traffic either way, leaves no entry in the proof cache, and
+  queues no copy for a process that had crashed when it was sent;
 - the persistent sweep pool is reused across sweeps and keeps results
   equal to the sequential baseline;
 - the explicit verify engine executes each plan once and assembles each
@@ -177,8 +177,8 @@ class TestInterning:
         snapshot.clear_caches()
 
     def test_equal_views_collapse_to_one_canonical(self):
-        first = copy_value(("view", (1, 2), frozenset({3})))
-        second = copy_value(("view", (1, 2), frozenset({3})))
+        first = copy_value(("view", ((0, 1), (1, 2)), frozenset({3})))
+        second = copy_value(("view", ((0, 1), (1, 2)), frozenset({3})))
         assert first == second
         assert first is second
 
@@ -196,8 +196,8 @@ class TestInterning:
             imm((1, [2]))
 
     def test_imm_returns_canonical(self):
-        payload = (1, "x", frozenset({2}))
-        assert imm(payload) is copy_value((1, "x", frozenset({2})))
+        payload = (1, "x", (frozenset({2}), ("s", 3)))
+        assert imm(payload) is copy_value((1, "x", (frozenset({2}), ("s", 3))))
 
     def test_freeze_converts_and_interns(self):
         frozen = freeze({"log": [1, 2], "seen": {3}, "pair": (4, [5])})
@@ -240,11 +240,22 @@ class TestInterning:
         assert imm(frozenset({1, 2})) == frozenset({1, 2})
         stats = snapshot.cache_stats()
         assert stats["proofs"] == 0 and stats["interned"] == 0
-        # One level up the container is cached; its flat items still are not.
-        nested = ("fd", (1, 2), ("alive", "dead"))
-        assert copy_value(nested) is nested
+        # One level up is still one pass: Figure 4's gossip at n = 12
+        # (27 leaves) and a (pid, (clock, tag)) pair are not cached either.
+        gossip = ("fd", tuple(range(12)), ("alive", "dead") * 6, frozenset({1}))
+        assert copy_value(gossip) is gossip
+        assert imm((3, (7, "tag"))) == (3, (7, "tag"))
+        assert copy_value({"fd": [gossip]})["fd"][0] is gossip  # ... nor inside a state
         stats = snapshot.cache_stats()
-        assert stats["proofs"] == 1 and stats["interned"] == 1
+        assert stats["proofs"] == 0 and stats["interned"] == 0
+        # Two levels up the container is cached, and its two pairs with it
+        # (a view is rebuilt from its parts every round); their flat
+        # ("s", pid) items still are not.
+        view, twin = (tuple((pid, ("s", pid)) for pid in range(2)) for _ in range(2))
+        assert copy_value(view) is view
+        stats = snapshot.cache_stats()
+        assert stats["proofs"] == 3 and stats["interned"] == 3
+        assert twin is not view and copy_value(twin) is view
 
     def test_snapshot_semantics_unchanged_by_interning(self):
         state = {"clock": 1, "log": [1, [2]], "view": ("a", ("b",))}
@@ -579,20 +590,104 @@ class TestAsyncNarration:
 
 
 class TestProofCacheStaysBounded:
-    def test_one_entry_per_broadcast_and_no_generation_turnover(self):
-        from repro.experiments import fig4
+    """A live process pins nothing for the asynchronous runs it serves."""
 
+    @staticmethod
+    def assert_nothing_pinned(runs):
         snapshot.clear_caches()
         generation = snapshot.cache_stats()["generation"]
-        trace = fig4.one_run(4, 0, False)
-        broadcasts = trace.messages_sent // 4
-        stats = snapshot.cache_stats()
-        assert 0 < stats["proofs"] <= broadcasts
-        assert stats["interned"] <= broadcasts
-        fig4.one_run(4, 0, False)
-        again = snapshot.cache_stats()
-        assert again["generation"] == generation
-        assert again["proofs"] <= 2 * broadcasts
+        for run in runs:
+            assert run().messages_sent > 0
+            stats = snapshot.cache_stats()
+            assert (stats["proofs"], stats["interned"]) == (0, 0)
+            assert stats["generation"] == generation
+
+    def test_fig4_runs_back_to_back_leave_no_entry(self):
+        from repro.experiments import fig4
+
+        self.assert_nothing_pinned(
+            [
+                lambda: fig4.one_run(4, 0, False),
+                lambda: fig4.one_run(4, 1, True),
+                lambda: fig4.one_run(4, 2, False),
+            ]
+        )
+
+    def test_consensus_and_heartbeat_leave_no_entry(self):
+        from repro.experiments import async_cons, ext_heartbeat
+
+        self.assert_nothing_pinned(
+            [
+                lambda: async_cons.one_run("ss", 0, True),
+                lambda: ext_heartbeat.detector_run(1, 16.0),
+            ]
+        )
+
+
+class TestDeadLetters:
+    """A copy for a process already crashed is drawn for but never queued."""
+
+    CRASHES = {3: 10.0, 2: 20.0}
+    #: FIG4 n = 4, seed 0 at duplicate_probability = 0.5, captured on the
+    #: commit before dead letters stopped being queued: (trace, narration).
+    DUPLICATED = (
+        "34f88a5712f1e0e9f6108538635d68bd35c30cd7bd5dc125aaba8f4c9aa4ce71",
+        "189a24f3f0c3b50a11656b4ab09ae5651a7e8cbf4a3cd37be6589679ba46f463",
+    )
+
+    def run_fig4(self, narration, duplicate_probability=0.0, stop_condition=None):
+        from repro.asyncnet.oracle import WeakDetectorOracle
+        from repro.asyncnet.scheduler import AsyncScheduler
+        from repro.detectors.strong import StrongDetector
+        from repro.experiments import fig4
+
+        return AsyncScheduler(
+            StrongDetector(),
+            4,
+            seed=0,
+            gst=fig4.GST,
+            crash_times=self.CRASHES,
+            oracle=WeakDetectorOracle(4, self.CRASHES, gst=fig4.GST, seed=0),
+            duplicate_probability=duplicate_probability,
+            observers=(narration,),
+        ).run(max_time=fig4.MAX_TIME, stop_condition=stop_condition)
+
+    def test_the_heap_holds_only_copies_that_could_arrive(self):
+        from tests.integration.test_async_golden import PINNED, Narration, trace_digest
+
+        in_flight = {}
+
+        def inspect(scheduler):
+            for event in scheduler._queue:
+                if len(event) == 6 and event[2] in scheduler._crashed:
+                    _time, seq, dest, _sender, _payload, sent_at = event
+                    # Sent while its receiver lived, or it is not here.
+                    assert sent_at < self.CRASHES[dest]
+                    in_flight[seq] = event
+            return False
+
+        narration = Narration()
+        trace = self.run_fig4(narration, stop_condition=inspect)
+        assert trace_digest(trace) == PINNED["fig4-n4-clean"]
+        assert len(narration.sends) == trace.messages_sent == 2872
+        assert len(narration.deliveries) == trace.deliveries == 1556
+        # Sends to the dead are still narrated: 1,309 of the 2,872 copies ...
+        dead = [s for s in narration.sends if self.CRASHES.get(s[1], 1e9) <= s[3]]
+        assert len(dead) == 1309
+        # ... a receiver that crashes in flight is still dropped on arrival.
+        late = [d for d in narration.deliveries if self.CRASHES.get(d[1], 1e9) <= d[4]]
+        assert late == []
+        # Every copy is accounted for: 2,872 sent = 1,309 never queued
+        # + 7 dropped on arrival + 1,556 delivered.
+        assert len(in_flight) == 7
+        assert trace.messages_sent - len(dead) - len(in_flight) == trace.deliveries
+
+    def test_a_dead_duplicate_still_takes_both_draws(self):
+        from tests.integration.test_async_golden import Narration, trace_digest
+
+        narration = Narration()
+        trace = self.run_fig4(narration, duplicate_probability=0.5)
+        assert (trace_digest(trace), narration.digest()) == self.DUPLICATED
 
 
 def _cube(x):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.asyncnet.scheduler import AsyncProtocol, AsyncScheduler
+from repro.kernel.faults import FaultPlan
 
 
 class PingCounter(AsyncProtocol):
@@ -110,6 +111,40 @@ class TestValidation:
         sched = AsyncScheduler(PingCounter(), n=2)
         with pytest.raises(ValueError):
             sched.run(max_time=0)
+
+    @pytest.mark.parametrize("dest", [-1, 4])
+    def test_send_rejects_a_destination_that_is_no_process(self, dest):
+        # -1 used to reach process n - 1 through contexts[-1], and n died
+        # with a bare IndexError inside run(), far from the sender.
+        class Stray(PingCounter):
+            def on_tick(self, ctx):
+                if ctx.pid == 2:
+                    ctx.send(dest, ("ping", ctx.pid))
+
+        sched = AsyncScheduler(Stray(), n=4, seed=1)
+        with pytest.raises(ValueError, match=rf"process 2 sent to process {dest}, but n = 4"):
+            sched.run(max_time=10.0)
+
+    @pytest.mark.parametrize("pid", [7, -1, 4, "3"])
+    def test_rejects_a_crash_of_no_process(self, pid):
+        # Used to yield final_states with a phantom key, trace.crashed ==
+        # {7} and four "correct" processes.
+        with pytest.raises(ValueError, match=rf"crash schedule names process {pid!r}, but n = 4"):
+            AsyncScheduler(PingCounter(), n=4, crash_times={pid: 1.0})
+        with pytest.raises(ValueError, match="crash schedule names process"):
+            AsyncScheduler(PingCounter(), n=4, fault_plan=FaultPlan(crashes={pid: 1.0}))
+
+    def test_send_reaches_every_real_process_and_crashes_at_the_edge_are_fine(self):
+        class ToLast(PingCounter):
+            def on_tick(self, ctx):
+                ctx.send(ctx.n - 1, ("ping", ctx.pid))
+                ctx.send(0, ("ping", ctx.pid))
+
+        trace = AsyncScheduler(ToLast(), n=4, seed=1, crash_times={3: 5.0, 0: 8.0}).run(
+            max_time=20.0
+        )
+        assert trace.crashed == {0, 3} and trace.correct == {1, 2}
+        assert trace.deliveries < trace.messages_sent
 
 
 class TestStopCondition:
