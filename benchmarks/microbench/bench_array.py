@@ -11,8 +11,10 @@ corrupted clocks, no history):
 - ``array-numpy`` — :func:`repro.array.engine.run_array` on the NumPy
   data plane, all lanes in one batched pass (skipped, with a note row,
   when NumPy is absent — the committed baseline always has it); the
-  grid and ring rows ride the wire's column kernel (bounded in-degree),
-  the ``star`` row its ``reduceat`` kernel (one hub of degree n);
+  grid and ring rows ride the wire's column kernel laid out by offset
+  (slices, lattices), the ``tree`` row the same kernel laid out by
+  gather (bounded in-degree, no shared offsets), the ``star`` row its
+  ``reduceat`` kernel (one hub of degree n);
 - ``array-python`` — the same batched driver on the pure-Python
   fallback data plane, at a smaller n (the fallback is a correctness
   path, not a performance claim; its row documents that batching alone
@@ -56,7 +58,7 @@ from repro.analysis.report import ExperimentReport
 from repro.array import has_numpy, run_array
 from repro.experiments.array_scale import _corruption, make_topology
 from repro.kernel.faults import FaultPlan
-from repro.kernel.topology import ExplicitTopology
+from repro.kernel.topology import ExplicitTopology, TreeTopology
 from repro.protocols.unison import MinUnison
 from repro.sync.engine import run_sync
 
@@ -88,6 +90,8 @@ CEILING_ROUNDS = 6
 def _topology(family: str, n: int):
     if family == "star":
         return ExplicitTopology(n, [(0, pid) for pid in range(1, n)])
+    if family == "tree":
+        return TreeTopology(n)
     return make_topology(family, n)
 
 
@@ -189,6 +193,7 @@ def _main_report(repeat: int) -> ExperimentReport:
 
     for family, n, backend, available in (
         ("grid", N_NUMPY, "numpy", has_numpy()),
+        ("tree", N_NUMPY, "numpy", has_numpy()),
         ("star", N_NUMPY, "numpy", has_numpy()),
         ("grid", N_PYTHON, "python", True),
     ):

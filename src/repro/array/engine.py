@@ -154,7 +154,13 @@ class RoundWire:
                 part = ufunc.reduce(part, axis=1, keepdims=True)
                 red = part if red is None else ufunc(red, part)
             return np.broadcast_to(red, column.shape)
-        blocks = self._column_blocks if self.graph.columnar else self._segment_blocks
+        graph = self.graph
+        if not graph.columnar:
+            blocks = self._segment_blocks
+        elif self.keep is None and graph.shifts is not None:
+            blocks = self._shift_blocks
+        else:
+            blocks = self._column_blocks
         out = None
         for a, b, red in blocks(np, column, ufunc, identity):
             if b - a == self.n:
@@ -178,6 +184,28 @@ class RoundWire:
                     kept = np.take(keep, edge_ids[slot, a:b], axis=1)
                     vals = np.where(kept, vals, identity)
                 acc = vals if acc is None else ufunc(acc, vals, out=acc)
+            yield a, b, acc
+
+    def _shift_blocks(self, np, column, ufunc, identity):
+        """The column kernel laid out by offset (unmasked rounds on a
+        lattice): receiver ``p`` reads slot ``d`` at ``p + d``, so a slot
+        is a slice of ``column``, accumulated in place; the few boundary
+        receivers are then overwritten with their own padded gathers."""
+        n = self.n
+        offsets, boundary, edge = self.graph.shifts
+        for a, b in _col_chunks(n, self.chunk):
+            acc = np.copy(column[:, a:b])  # offset 0: every receiver hears itself
+            for d in offsets:
+                lo, hi = max(a, -d), min(b, n - d)
+                if d and lo < hi:
+                    part = acc[:, lo - a : hi - a]
+                    ufunc(part, column[:, lo + d : hi + d], out=part)
+            i, j = np.searchsorted(boundary, (a, b))
+            if i < j:
+                exact = np.take(column, edge[0, i:j], axis=1)
+                for senders in edge[1:, i:j]:
+                    ufunc(exact, np.take(column, senders, axis=1), out=exact)
+                acc[:, boundary[i:j] - a] = exact
             yield a, b, acc
 
     def _segment_blocks(self, np, column, ufunc, identity):
@@ -267,6 +295,10 @@ class _Segments:
 _COLUMN_MIN_N = 1024
 _COLUMN_MAX_DEGREE = 32
 _COLUMN_MAX_PADDING = 2
+#: A lattice's slots are slices of the column, except at its boundary
+#: receivers, which gather; past ``n / 8`` of them the gathers (and the
+#: slices they overwrite) stop paying for the slices.
+_SHIFT_MAX_BOUNDARY = 8
 
 
 class _CsrGraph:
@@ -278,9 +310,9 @@ class _CsrGraph:
 
     Only ``src``/``indptr`` are built eagerly (on the NumPy plane without
     a Python loop over processes); ``dst`` and ``by_src`` are read by
-    fault rounds alone, the slot columns
-    by the column kernel alone, and all are derived on first use, so no
-    run pays for what it does not read.
+    fault rounds alone, the slot tables and :attr:`shifts` by the column
+    kernel alone, and all are derived on first use, so no run pays for
+    what it does not read.
     """
 
     def __init__(self, edges: Tuple[Tuple[int, ...], ...], backend: str):
@@ -334,19 +366,62 @@ class _CsrGraph:
             and self.max_degree * self.n <= _COLUMN_MAX_PADDING * self.num_edges
         )
 
-    def _slot_columns(self, of_edge=None):
-        """``(max_degree, n)``: row ``j`` holds every receiver's ``j``-th
+    def _slot_columns(self, of_edge=None, receivers=None):
+        """``(slots, receivers)``: row ``j`` holds every receiver's ``j``-th
         in-edge id (or ``of_edge`` of it), a shorter segment repeating its
         last edge — the same copy under the same ``keep`` bit, which an
-        idempotent min/max cannot see."""
+        idempotent min/max cannot see.  All n receivers by default."""
         np = self._np
         first, last = self.indptr[:-1], np.diff(self.indptr) - 1
-        ids = (first + np.minimum(slot, last) for slot in range(self.max_degree))
+        slots = self.max_degree
+        if receivers is not None:
+            first, last = first[receivers], last[receivers]
+            slots = int(last.max(initial=0)) + 1
+        ids = (first + np.minimum(slot, last) for slot in range(slots))
         return np.stack([e if of_edge is None else of_edge[e] for e in ids])
 
     @cached_property
+    def shifts(self):
+        """The slot layout by offset, or None where it does not pay.
+
+        ``(offsets, boundary, edge)``: the ascending offsets ``d = sender −
+        receiver`` that a regular receiver ``p`` hears on exactly (``p +
+        d`` for each ``d``, 0 among them), the ascending *boundary*
+        receivers whose in-edges are any other set, and their padded
+        sender table (:meth:`_slot_columns` over the boundary alone).  The
+        offsets are read off one receiver of the commonest in-degree and
+        then checked against every receiver, so the answer is exact
+        whichever receiver was read.  None unless the boundary is at most
+        ``n / 8`` (ring: 2 receivers; grid: its rim).  O(degree · n)
+        vectorized, and nothing E-sized is kept."""
+        np, n, src = self._np, self.n, self.src
+        lengths = np.diff(self.indptr)
+        degree = int(np.bincount(lengths).argmax())
+        regular = lengths == degree
+        odd = n - int(np.count_nonzero(regular))
+        if odd * _SHIFT_MAX_BOUNDARY > n:
+            return None
+        sample = n // 2 + int(regular[n // 2 :].argmax())
+        first = int(self.indptr[sample])
+        offsets = (src[first : first + degree] - sample).tolist()
+        if 0 not in offsets:
+            return None
+        receivers = np.arange(n)
+        for slot, d in enumerate(offsets):
+            if odd:  # every receiver's slot-th in-edge (clipped past the end)
+                heard = np.take(src, self.indptr[:-1] + slot, mode="clip")
+            else:  # one in-degree: the slot-th in-edges are a strided view
+                heard = src[slot::degree]
+            regular &= heard - receivers == d
+        boundary = np.flatnonzero(~regular)
+        if boundary.size * _SHIFT_MAX_BOUNDARY > n:
+            return None
+        return offsets, boundary, self._slot_columns(src, boundary)
+
+    @cached_property
     def sender_columns(self):
-        """One contiguous gather index per in-edge slot (column kernel)."""
+        """One contiguous gather index per in-edge slot: the column kernel's
+        gather layout, which an unmasked round on a lattice never reads."""
         return self._slot_columns(self.src)
 
     @cached_property
@@ -382,12 +457,12 @@ class _Lane:
         "dropped_edges",  # python-CSR persistent dead-sender edge ids
     )
 
-    def __init__(self, index: int, adversary: Adversary, corruption, mid_run, n: int):
+    def __init__(self, index: int, adversary: Adversary, corruption, mid_run, live: Liveness):
         self.index = index
         self.adversary = adversary
         self.corruption = corruption
         self.mid_run = dict(mid_run)
-        self.live = Liveness(n)
+        self.live = live
         self.rounds: List[RoundHistory] = []
         self.dropped_edges: set = set()
 
@@ -612,26 +687,31 @@ def run_array(
                         )
             edges = edges_cache
 
-        # 3. adversary control plane (exact, per lane): one ledger each
-        ledgers: List[RoundLedger] = []
+        # 3. adversary control plane (exact, per lane): one ledger per
+        # lane with a fault or a dead process (record mode: every lane)
+        ledgers: List[Optional[RoundLedger]] = []
         for lane in lane_states:
             live = lane.live
             plan = lane.adversary.plan_round(round_no, live.alive_view, live.faulty)
             lane.adversary.validate(plan, live.faulty)
-            silent = (
-                _NOBODY
-                if quiet(plan)
-                else array_protocol.silent_pids(state, lane.index)
-            )
+            if quiet(plan):
+                if not (live.crashed or record_history):
+                    ledgers.append(None)
+                    continue
+                silent = _NOBODY
+            else:
+                silent = array_protocol.silent_pids(state, lane.index)
             ledgers.append(RoundLedger(plan, n, live, round_no, edges, silent))
 
         # 4. dense forgery path: apply payload lies in the control
         # plane (pre-step snapshots) and precompute receiver patches
         patches: Optional[List[Dict[int, Dict[str, Any]]]] = None
-        liars = [ledger.liars() for ledger in ledgers]
+        liars = [() if ledger is None else ledger.liars() for ledger in ledgers]
         if any(liars):
             patches = [
                 _compile_forgeries(protocol, array_protocol, state, lane, ledger, pids)
+                if pids
+                else {}
                 for lane, ledger, pids in zip(lane_states, ledgers, liars)
             ]
 
@@ -669,7 +749,7 @@ def run_array(
 
         # 6. commit deaths and deviations (exactly the engine's order)
         for lane, ledger in zip(lane_states, ledgers):
-            crashing = ledger.crashing_now
+            crashing = ledger is not None and ledger.crashing_now
             if crashing:
                 any_dead = True
                 if alive_mask is not None:
@@ -761,9 +841,10 @@ def _normalize_topology(
 def _build_lanes(plans: Sequence[Optional[FaultPlan]], n: int) -> List[_Lane]:
     lanes: List[_Lane] = []
     seen_adversaries: Dict[int, int] = {}
-    for index, plan in enumerate(plans):
+    lives = Liveness.batch(n, len(plans))
+    for index, (plan, live) in enumerate(zip(plans, lives)):
         if plan is None:
-            lanes.append(_Lane(index, NullAdversary(), None, {}, n))
+            lanes.append(_Lane(index, NullAdversary(), None, {}, live))
             continue
         view = plan.to_sync()
         adversary = view.adversary or NullAdversary()
@@ -776,7 +857,7 @@ def _build_lanes(plans: Sequence[Optional[FaultPlan]], n: int) -> List[_Lane]:
                     "lane its own"
                 )
             seen_adversaries[marker] = index
-        lane = _Lane(index, adversary, view.corruption, view.mid_run_corruptions, n)
+        lane = _Lane(index, adversary, view.corruption, view.mid_run_corruptions, live)
         lanes.append(lane)
     return lanes
 
@@ -937,7 +1018,7 @@ def _rebuild_dead_keep(csr: _CsrGraph, lane_states, np, lanes: int):
 def _build_csr_wire(
     wire: RoundWire,
     lane_states: List[_Lane],
-    ledgers: List[RoundLedger],
+    ledgers: List[Optional[RoundLedger]],
     topo: Optional[Topology],
     csr: Optional[_CsrGraph],
     dead_keep,
@@ -948,26 +1029,32 @@ def _build_csr_wire(
     backend: str,
 ):
     """Fill ``wire`` for a csr-kind protocol; returns (dead_keep, csr)."""
+    # a lane without a ledger (quiet round, nobody dead) masks nothing
+    faulted = [
+        (lane, ledger) for lane, ledger in zip(lane_states, ledgers) if ledger is not None
+    ]
     # per-edge (not per-sender) masking: partial crash deliveries or omissions
     transient = any(
         ledger.omitted_sends
         or ledger.receive_drops
         or any(ledger.crash_survivors.values())
-        for ledger in ledgers
+        for _, ledger in faulted
     )
+    crashes = any(ledger.crashing_now for _, ledger in faulted)
     if topo is None and not transient:
         # complete graph, per-sender faults only: one global reduction
         wire.complete_fast = True
-        crashes = any(ledger.crashing_now for ledger in ledgers)
         if any_dead or crashes:
             if np is not None:
                 send_ok = alive_mask.copy()
-                for lane, ledger in zip(lane_states, ledgers):
+                for lane, ledger in faulted:
                     for pid in ledger.crashing_now:
                         send_ok[lane.index, pid] = False
                 wire.send_ok = send_ok
             else:
-                wire.send_ok = [ledger.dead for ledger in ledgers]
+                wire.send_ok = [
+                    _NOBODY if ledger is None else ledger.dead for ledger in ledgers
+                ]
         return dead_keep, csr
 
     if csr is None:
@@ -988,31 +1075,28 @@ def _build_csr_wire(
     wire.graph = csr
 
     if not transient:
-        if not any_dead and not any(ledger.crashing_now for ledger in ledgers):
+        if not any_dead and not crashes:
             wire.keep = None
             return dead_keep, csr
         # only permanent deaths (plus clean crashes) mask the wire
         if np is not None:
             if dead_keep is None:
                 dead_keep = np.ones((wire.lanes, csr.num_edges), dtype=bool)
-            clean = any(ledger.crashing_now for ledger in ledgers)
-            if not clean:
+            if not crashes:
                 wire.keep = dead_keep
                 return dead_keep, csr
             keep = dead_keep.copy()
-            for lane, ledger in zip(lane_states, ledgers):
+            for lane, ledger in faulted:
                 for pid in ledger.crashing_now:
                     keep[lane.index, csr.by_src[pid]] = False
             wire.keep = keep
             return dead_keep, csr
-        keep_sets = []
-        for lane, ledger in zip(lane_states, ledgers):
-            dropped = lane.dropped_edges
+        keep_sets = [lane.dropped_edges for lane in lane_states]
+        for lane, ledger in faulted:
             if ledger.crashing_now:
-                dropped = set(dropped)
+                dropped = keep_sets[lane.index] = set(lane.dropped_edges)
                 for pid in ledger.crashing_now:
                     dropped.update(csr.by_src[pid])
-            keep_sets.append(dropped)
         wire.keep = keep_sets
         return dead_keep, csr
 
@@ -1022,7 +1106,7 @@ def _build_csr_wire(
             keep = dead_keep.copy()
         else:
             keep = np.ones((wire.lanes, csr.num_edges), dtype=bool)
-        for lane, ledger in zip(lane_states, ledgers):
+        for lane, ledger in faulted:
             row = lane.index
             for pid, targets in ledger.crash_survivors.items():
                 ids = csr.by_src[pid]
@@ -1046,9 +1130,9 @@ def _build_csr_wire(
         wire.keep = keep
         return dead_keep, csr
 
-    keep_sets = []
-    for lane, ledger in zip(lane_states, ledgers):
-        dropped = set(lane.dropped_edges)
+    keep_sets = [set(lane.dropped_edges) for lane in lane_states]
+    for lane, ledger in faulted:
+        dropped = keep_sets[lane.index]
         for pid, targets in ledger.crash_survivors.items():
             for e in csr.by_src[pid]:
                 if not targets or csr.dst[e] not in targets:
@@ -1065,7 +1149,6 @@ def _build_csr_wire(
                 e = csr.edge_id(sender, pid)
                 if e is not None:
                     dropped.add(e)
-        keep_sets.append(dropped)
     wire.keep = keep_sets
     return dead_keep, csr
 
@@ -1077,13 +1160,14 @@ _COMPLETE_CSR_LIMIT = 1 << 26
 def _build_dense_wire(
     wire: RoundWire,
     lane_states: List[_Lane],
-    ledgers: List[RoundLedger],
+    ledgers: List[Optional[RoundLedger]],
     edges: Optional[Tuple[Tuple[int, ...], ...]],
     alive_mask,
     np,
     n: int,
 ) -> None:
-    """Fill the dense delivered structure: [lane, receiver, sender]."""
+    """Fill the dense delivered structure: [lane, receiver, sender].  A
+    lane without a ledger (quiet round, nobody dead) hears every edge."""
     if np is not None:
         if edges is None:
             adj = np.ones((n, n), dtype=bool)
@@ -1093,6 +1177,8 @@ def _build_dense_wire(
                 adj[list(receivers), p] = True  # p's broadcast reaches them
         deliv = adj[None, :, :] & alive_mask[:, :, None] & alive_mask[:, None, :]
         for lane, ledger in zip(lane_states, ledgers):
+            if ledger is None:
+                continue
             row = lane.index
             for pid, targets in ledger.crash_survivors.items():
                 col = np.zeros(n, dtype=bool)
@@ -1122,6 +1208,9 @@ def _build_dense_wire(
     )
     delivered = []
     for lane, ledger in zip(lane_states, ledgers):
+        if ledger is None:
+            delivered.append([set(senders) for senders in receiver_sets])
+            continue
         alive, dead_now = ledger.alive, ledger.dead
         lane_rows: List[set] = []
         for p in range(n):

@@ -73,15 +73,31 @@ class Liveness:
 
     ``alive_order`` (ascending pids, crashed ones removed) is the single
     source of truth; ``alive_view`` is derived from it, never maintained
-    in parallel.
+    in parallel.  Both are rebound, never mutated, so records may share
+    them (:meth:`batch`).
     """
 
     __slots__ = ("crashed", "alive_order", "alive_view", "faulty")
 
     def __init__(self, n: int):
+        order = list(range(n))
+        self._begin(order, frozenset(order))
+
+    @classmethod
+    def batch(cls, n: int, count: int) -> List["Liveness"]:
+        """``count`` fresh records of ``n`` processes (one per lane of a
+        batched run) sharing one all-alive order and view."""
+        order = list(range(n))
+        view = frozenset(order)
+        lives = [cls.__new__(cls) for _ in range(count)]
+        for live in lives:
+            live._begin(order, view)
+        return lives
+
+    def _begin(self, order: List[ProcessId], view: FrozenSet[ProcessId]) -> None:
         self.crashed: set = set()
-        self.alive_order: List[ProcessId] = list(range(n))
-        self.alive_view: FrozenSet[ProcessId] = frozenset(self.alive_order)
+        self.alive_order: List[ProcessId] = order
+        self.alive_view: FrozenSet[ProcessId] = view
         self.faulty: FrozenSet[ProcessId] = frozenset()
 
     def crash(self, pids: Iterable[ProcessId]) -> None:
@@ -91,8 +107,12 @@ class Liveness:
         self.alive_view = frozenset(self.alive_order)
         self.faulty = self.faulty | self.crashed
 
-    def fold(self, ledger: "RoundLedger") -> None:
-        """Close a round: bury its crashers, charge its recorded deviators."""
+    def fold(self, ledger: Optional["RoundLedger"]) -> None:
+        """Close a round: bury its crashers, charge its recorded deviators.
+        A quiet round among the living keeps no ledger (``None``) and
+        changes nothing."""
+        if ledger is None:
+            return
         if ledger.crashing_now:
             self.crash(ledger.crashing_now)
         if ledger.omitted_sends or ledger.omitted_receives or ledger.forged_sends:

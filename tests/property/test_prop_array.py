@@ -39,6 +39,7 @@ from repro.kernel.faults import FaultPlan
 from repro.kernel.topology import (
     ChurnEvent,
     ChurnSchedule,
+    DynamicTopology,
     ExplicitTopology,
     GridTopology,
     RandomTopology,
@@ -277,17 +278,20 @@ def test_chunked_equals_unchunked_batched_run(backend, scenario, chunk, max_byte
 #
 # ``RoundWire.reduce`` is the only thing a CSR twin asks of the wire.  On
 # the NumPy plane two kernels answer it (slot columns for bounded
-# in-degree, ``reduceat`` otherwise) and the Python plane a third; all
-# must equal the definition, cell for cell, under any ``keep`` mask and
-# any chunk budget.
+# in-degree, ``reduceat`` otherwise), and the column kernel lays its slots
+# out by offset on a lattice (slices, plus gathers for the boundary) or
+# by gather elsewhere; the Python plane is a third kernel.  All must equal
+# the definition, cell for cell, under any ``keep`` mask and any chunk
+# budget.
 
 
-def _csr_wire(backend, edges, lanes, kept, chunk, columnar=None):
+def _csr_wire(backend, edges, lanes, kept, chunk, **layout):
     """A CSR wire over ``edges`` whose lane ``l`` keeps edge ``e`` iff
-    ``kept[l][e]`` (``kept=None``: an unmasked wire)."""
+    ``kept[l][e]`` (``kept=None``: an unmasked wire); ``layout`` overrides
+    the graph's own picks (``columnar``, ``shifts``)."""
     graph = _CsrGraph(edges, backend)
-    if columnar is not None:
-        graph.columnar = columnar  # override the graph's own pick
+    for name, value in layout.items():
+        setattr(graph, name, value)
     wire = RoundWire(backend, lanes, len(edges), chunk)
     wire.graph = graph
     if kept is not None and backend == "numpy":
@@ -299,35 +303,79 @@ def _csr_wire(backend, edges, lanes, kept, chunk, columnar=None):
     return wire
 
 
+def _ring_plus(n, extra=()):
+    return ExplicitTopology(n, [(p, (p + 1) % n) for p in range(n)] + list(extra))
+
+
+def _small(family):
+    def build(draw):
+        n = 2 * draw(st.integers(min_value=2, max_value=6))
+        return _make_topology(family, n, draw(st.integers(0, 20)))
+
+    return build
+
+
+def _grid_cut(draw):
+    side = draw(st.integers(33, 36))
+    cut = (side + 1, 2 * side + 1)  # a vertical edge in column 1, far from the middle
+    grid = round_edges(GridTopology(side, side), 1)
+    return ExplicitTopology(
+        side * side,
+        [(p, q) for p, near in enumerate(grid) for q in near if p < q and (p, q) != cut],
+    )
+
+
+def _circulant(draw):
+    n = draw(st.integers(40, 64))
+    return _ring_plus(n, [(p, (p + 2) % n) for p in range(n)])
+
+
+def _churned_ring(draw):
+    n = draw(st.integers(48, 96))
+    leaver = draw(st.integers(0, n - 1))
+    return DynamicTopology(
+        RingTopology(n), ChurnSchedule((ChurnEvent(1, "leave", (leaver,)),))
+    )
+
+
+#: family -> (draw a topology, does the column kernel lay it out by offset?)
+#: The small graphs are never lattices; the lattices are drawn just large
+#: enough that their boundary fits the layout's ``n / 8``.
+WIRE_GRAPHS = {
+    "tree": (_small("tree"), False),
+    "star": (_small("star"), False),
+    "random": (_small("random"), False),
+    "ring": (lambda draw: RingTopology(draw(st.integers(16, 64))), True),
+    "grid": (lambda draw: GridTopology(32, 32), True),
+    "oblong-grid": (lambda draw: GridTopology(30, draw(st.integers(40, 44))), True),
+    "ring-chord": (
+        lambda draw: _ring_plus(32 + 2 * draw(st.integers(0, 16)), [(3, 17)]),
+        True,
+    ),
+    "grid-cut": (_grid_cut, True),
+    "circulant": (_circulant, True),
+    "churn": (_churned_ring, True),
+}
+
+
 @st.composite
 def reductions(draw):
-    family = draw(st.sampled_from(["ring", "grid", "tree", "star", "random"]))
-    n = 2 * draw(st.integers(min_value=2, max_value=6))
-    edges = round_edges(_make_topology(family, n, draw(st.integers(0, 20))), 1)
-    num_edges = sum(map(len, edges))
+    family = draw(st.sampled_from(sorted(WIRE_GRAPHS)))
+    build, sliced = WIRE_GRAPHS[family]
+    edges = round_edges(build(draw), 1)
+    n, num_edges = len(edges), sum(map(len, edges))
     lanes = draw(st.integers(min_value=1, max_value=3))
-    column = draw(
-        st.lists(
-            st.lists(st.integers(-50, 50), min_size=n, max_size=n),
-            min_size=lanes,
-            max_size=lanes,
-        )
-    )
+    rng = draw(st.randoms(use_true_random=False))
+    column = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(lanes)]
     kept = None
     if draw(st.booleans()):
-        kept = draw(
-            st.lists(
-                st.lists(st.booleans(), min_size=num_edges, max_size=num_edges),
-                min_size=lanes,
-                max_size=lanes,
-            )
-        )
+        kept = [[rng.random() < 0.5 for _ in range(num_edges)] for _ in range(lanes)]
         # one receiver of lane 0 hears only itself
         lonely = draw(st.integers(0, n - 1))
         first = sum(map(len, edges[:lonely]))
         for slot, sender in enumerate(edges[lonely]):
             kept[0][first + slot] = sender == lonely
-    return edges, column, kept
+    return edges, column, kept, sliced
 
 
 @pytest.mark.skipif(not has_numpy(), reason="compares the two NumPy kernels")
@@ -340,7 +388,7 @@ def reductions(draw):
 def test_wire_reduce_kernels_agree_with_the_definition(drawn, chunk, op):
     import numpy as np
 
-    edges, column, kept = drawn
+    edges, column, kept, sliced = drawn
     lanes = len(column)
     best_of, identity = (min, BIG) if op == "min" else (max, SMALL)
     expected, edge = [[] for _ in range(lanes)], 0
@@ -354,14 +402,16 @@ def test_wire_reduce_kernels_agree_with_the_definition(drawn, chunk, op):
             expected[lane].append(best_of(heard, default=identity))
         edge += len(senders)
 
-    def reduced(backend, columnar=None):
-        wire = _csr_wire(backend, edges, lanes, kept, chunk, columnar)
+    def reduced(backend, **layout):
+        wire = _csr_wire(backend, edges, lanes, kept, chunk, **layout)
         if backend == "numpy":
             return wire.reduce(np.array(column, dtype=np.int64), op).tolist()
         return wire.reduce(column, op)
 
+    assert (_CsrGraph(edges, "numpy").shifts is not None) == sliced
     assert reduced("python") == expected
-    assert reduced("numpy", columnar=True) == expected
+    assert reduced("numpy", columnar=True) == expected  # by offset where it may
+    assert reduced("numpy", columnar=True, shifts=None) == expected  # by gather
     assert reduced("numpy", columnar=False) == expected
 
 

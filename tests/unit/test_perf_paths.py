@@ -41,6 +41,7 @@ import pickle
 import pytest
 
 from repro.array import as_array_protocol, has_numpy, run_array
+from repro.array import engine as array_engine
 from repro.array.engine import RoundWire, _CsrGraph
 from repro.array.protocols import ArrayFtFloodMin, ArrayProtocol, _ClockColumnProtocol
 from repro.core.canonical import CanonicalRunner
@@ -50,6 +51,7 @@ from repro.experiments.base import run_sweep, shutdown_pool
 from repro.analysis.metrics import StreamingMessageStats, run_message_stats
 from repro.histories.history import CLOCK_KEY, Message
 from repro.kernel import snapshot
+from repro.kernel.delivery import Liveness, RoundLedger
 from repro.kernel.events import EventBus, Observer
 from repro.kernel.recorders import HistoryRecorder
 from repro.kernel.faults import FaultPlan
@@ -805,7 +807,7 @@ class TestWireReduce:
 
         def spying_reduce(wire, column, op):
             with monkeypatch.context() as patch:
-                for name in ("take", "where"):
+                for name in ("take", "where", "copy"):
                     patch.setattr(np, name, spied(name))
                 for name in ("minimum", "maximum"):
                     patch.setattr(np, name, _UfuncSpy(getattr(np, name), log))
@@ -817,10 +819,13 @@ class TestWireReduce:
     LANES = 2
 
     @classmethod
-    def _run(cls, topology, **kwargs):
+    def _run(cls, topology, crash=True, **kwargs):
         n = topology.n
         plans = [
-            FaultPlan(crashes={n // 2: 2.0}, initial_corruption=RandomCorruption(seed=s))
+            FaultPlan(
+                crashes={n // 2: 2.0} if crash else {},
+                initial_corruption=RandomCorruption(seed=s),
+            )
             for s in range(cls.LANES)
         ]
         return run_array(
@@ -834,27 +839,54 @@ class TestWireReduce:
         calls = {call for call, _cells in allocations}
         assert "take" in calls and "reduceat" not in calls
 
+    @pytest.mark.parametrize(
+        "topology",
+        [RingTopology(10_000), GridTopology(100, 100)],
+        ids=["ring-10000", "grid-100x100"],
+    )
+    def test_a_fault_free_lattice_gathers_only_its_boundary(self, allocations, topology):
+        self._run(topology, crash=False)
+        _offsets, boundary, _edge = _CsrGraph(round_edges(topology, 1), "numpy").shifts
+        assert {call for call, _cells in allocations} == {"copy", "take"}
+        # ring: its 2 wrap receivers; grid: its 396 rim receivers
+        gathered = [cells for call, cells in allocations if call == "take"]
+        assert max(gathered) <= boundary.size < topology.n // 8
+
+    def test_a_tree_still_gathers(self, allocations):
+        topology = TreeTopology(1200)
+        assert _CsrGraph(round_edges(topology, 1), "numpy").columnar
+        self._run(topology, crash=False)
+        assert {call for call, _cells in allocations} == {"take"}
+        assert max(cells for _call, cells in allocations) == topology.n
+
     def test_a_star_keeps_reduceat(self, allocations):
         n = 1200
         self._run(ExplicitTopology(n, [(0, pid) for pid in range(1, n)]))
         assert "reduceat" in {call for call, _cells in allocations}
 
     @pytest.mark.parametrize(
-        "topology, reduceat",
-        [(RingTopology(1200), False), (TreeTopology(200), True)],
-        ids=["column", "reduceat"],
+        "topology, crash, reduceat, chunk",
+        [
+            pytest.param(topology, crash, reduceat, chunk, id=f"{chunk}-{kernel}")
+            for kernel, topology, crash, reduceat, chunks in (
+                ("column", RingTopology(1200), True, False, (1, 2, 3, 8, 100)),
+                # a reduceat range holds at least one whole segment (in-degree <= 4)
+                ("reduceat", TreeTopology(200), True, True, (8, 100)),
+                ("slices", RingTopology(1200), False, False, (1, 2, 3, 8, 100)),
+            )
+            for chunk in chunks
+        ],
     )
-    @pytest.mark.parametrize("chunk", [8, 100])
     def test_no_temporary_exceeds_the_chunk_budget(
-        self, allocations, topology, reduceat, chunk
+        self, allocations, topology, crash, reduceat, chunk
     ):
-        chunked = self._run(topology, chunk=chunk)
+        chunked = self._run(topology, crash, chunk=chunk)
         assert allocations and max(cells for _call, cells in allocations) <= chunk
         calls = {call for call, _cells in allocations}
         assert ("reduceat" in calls) == reduceat
-        assert "where" in calls  # the crash put a keep mask on the wire
+        assert ("where" in calls) == crash  # a crash puts a keep mask on the wire
         del allocations[:]
-        plain = self._run(topology)
+        plain = self._run(topology, crash)
         assert max(cells for _call, cells in allocations) > chunk
         assert [chunked.final_clocks(lane) for lane in range(self.LANES)] == [
             plain.final_clocks(lane) for lane in range(self.LANES)
@@ -965,6 +997,76 @@ class TestColumnSetUp:
         plan = FaultPlan(initial_corruption=RandomCorruption(seed=2))
         run_array(protocol, n, 3, fault_plans=[plan])
         assert calls == ["read_states", "load_states"]
+
+
+class TestQuietLanes:
+    """A lane whose round is quiet and whose processes all live keeps no
+    ledger (``run_sync``'s rule), and the lanes of one call share one
+    all-alive order and view until a crash rebinds a lane's own."""
+
+    @pytest.fixture
+    def ledgers(self, monkeypatch):
+        """``(lane's Liveness, round)`` of every ledger an array call builds."""
+        log = []
+
+        class Logged(RoundLedger):
+            __slots__ = ()
+
+            def __init__(self, plan, n, live, round_no, *args):
+                log.append((live, round_no))
+                super().__init__(plan, n, live, round_no, *args)
+
+        monkeypatch.setattr(array_engine, "RoundLedger", Logged)
+        return log
+
+    @pytest.mark.parametrize("record", [False, True], ids=["streaming", "recorded"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            MinUnison,  # a csr twin
+            lambda: CanonicalRunner(FloodMinConsensus(f=1, proposals=[3, 1, 4, 1, 5, 9, 2, 6])),
+        ],
+        ids=["csr", "dense"],
+    )
+    def test_only_a_lane_with_a_fault_or_a_dead_process_keeps_a_ledger(
+        self, ledgers, protocol, backend, record
+    ):
+        n, rounds = 8, 4
+
+        def plans():
+            return [
+                FaultPlan(initial_corruption=RandomCorruption(seed=1)),
+                FaultPlan(crashes={3: 2.0}, initial_corruption=RandomCorruption(seed=2)),
+            ]
+
+        result = run_array(
+            protocol(), n, rounds, fault_plans=plans(), topology=RingTopology(n),
+            backend=backend, record_history=record,
+        )
+        kept = [(bool(live.crashed), round_no) for live, round_no in ledgers]
+        if record:
+            assert kept == [(lane, r) for r in range(1, rounds + 1) for lane in (False, True)]
+        else:  # lane 0 never, lane 1 from its crash on
+            assert kept == [(True, r) for r in range(2, rounds + 1)]
+        for lane, plan in enumerate(plans()):
+            sync = run_sync(
+                protocol(), n, rounds, fault_plan=plan, topology=RingTopology(n),
+                record_history=False,
+            )
+            assert result.faulty[lane] == sync.faulty
+            assert result.final_states(lane) == sync.final_states
+        assert result.crashed == [frozenset(), frozenset({3})]
+
+    def test_lanes_share_one_all_alive_view_until_a_crash(self):
+        first, second = Liveness.batch(5, 2)
+        assert first.alive_order is second.alive_order
+        assert first.alive_view is second.alive_view
+        assert first.crashed is not second.crashed
+        second.crash([2])
+        assert (first.alive_order, first.alive_view) == ([0, 1, 2, 3, 4], frozenset(range(5)))
+        assert (second.alive_order, second.alive_view) == ([0, 1, 3, 4], frozenset({0, 1, 3, 4}))
+        assert first.crashed == set() and first.faulty == frozenset()
 
 
 def _load_compare():
