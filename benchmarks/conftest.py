@@ -1,11 +1,12 @@
 """Benchmark-harness plumbing.
 
 Every benchmark regenerates one experiment from DESIGN.md's index: it
-times the core run with pytest-benchmark and emits an
-:class:`~repro.analysis.report.ExperimentReport` pairing the paper's
-claim with the measured series.  Reports are printed and also written
-to ``benchmarks/results/<EXPERIMENT_ID>.txt`` (the human-readable
-table EXPERIMENTS.md references) and
+times the core run with pytest-benchmark and emits the experiment's
+result — the :class:`~repro.analysis.report.ExperimentReport` pairing
+the paper's claim with the measured series, and its verdict.  Results
+are printed and also written to ``benchmarks/results/<EXPERIMENT_ID>.txt``
+(the human-readable table EXPERIMENTS.md references, exactly what
+``python -m repro.experiments --out benchmarks/results`` writes) and
 ``benchmarks/results/BENCH_<EXPERIMENT_ID>.json`` (the same rows,
 header-keyed, for dashboards and regression tooling).
 """
@@ -22,11 +23,11 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 @pytest.fixture
 def emit_report():
-    """Print an ExperimentReport and persist it under benchmarks/results/."""
+    """Print an ExperimentResult and persist it under benchmarks/results/."""
 
-    def _emit(report):
+    def _emit(result):
         RESULTS_DIR.mkdir(exist_ok=True)
-        text = report.render()
+        report, text = result.report, result.render()
         print()
         print(text)
         path = RESULTS_DIR / f"{report.experiment_id}.txt"

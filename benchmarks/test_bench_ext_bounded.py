@@ -7,5 +7,5 @@ from repro.experiments import ext_bounded
 def test_ext_bounded_counter(benchmark, emit_report):
     benchmark(bounded_refutation_sweep, 64, 1, 3, 20, 10, 0)
     result = ext_bounded.run()
-    emit_report(result.report)
+    emit_report(result)
     assert result.passed, result.failures

@@ -6,5 +6,5 @@ from repro.experiments import fig1
 def test_fig1_round_agreement(benchmark, emit_report):
     benchmark(fig1.one_run, 6, 2, 0)
     result = fig1.run()
-    emit_report(result.report)
+    emit_report(result)
     assert result.passed, result.failures

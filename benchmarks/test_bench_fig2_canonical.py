@@ -13,5 +13,5 @@ def test_fig2_ft_baselines(benchmark, emit_report):
         )
     )
     result = fig2.run()
-    emit_report(result.report)
+    emit_report(result)
     assert result.passed, result.failures

@@ -18,5 +18,5 @@ def test_fig3_compiled(benchmark, emit_report):
         )
     )
     result = fig3.run()
-    emit_report(result.report)
+    emit_report(result)
     assert result.passed, result.failures

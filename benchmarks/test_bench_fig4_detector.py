@@ -6,5 +6,5 @@ from repro.experiments import fig4
 def test_fig4_strong_detector(benchmark, emit_report):
     benchmark(fig4.one_run, 6, 0, True)
     result = fig4.run()
-    emit_report(result.report)
+    emit_report(result)
     assert result.passed, result.failures

@@ -7,5 +7,5 @@ from repro.experiments import thm1
 def test_thm1_tentative_definition_defeated(benchmark, emit_report):
     benchmark(theorem1_scenario, 8)
     result = thm1.run()
-    emit_report(result.report)
+    emit_report(result)
     assert result.passed, result.failures

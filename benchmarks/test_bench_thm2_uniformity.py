@@ -7,5 +7,5 @@ from repro.experiments import thm2
 def test_thm2_uniformity_impossibility(benchmark, emit_report):
     benchmark(theorem2_scenario, 3)
     result = thm2.run()
-    emit_report(result.report)
+    emit_report(result)
     assert result.passed, result.failures

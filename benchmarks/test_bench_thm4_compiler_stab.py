@@ -10,5 +10,5 @@ def test_thm4_compiled_stabilization(benchmark, emit_report):
     plus = compile_protocol(pi)
     benchmark(thm4.compiled_history, pi, plus, 0)
     result = thm4.run()
-    emit_report(result.report)
+    emit_report(result)
     assert result.passed, result.failures

@@ -7,5 +7,5 @@ from repro.experiments import thm5
 def test_thm5_detector_properties(benchmark, emit_report):
     benchmark(thm5.one_run, StrongDetector, 0)
     result = thm5.run()
-    emit_report(result.report)
+    emit_report(result)
     assert result.passed, result.failures

@@ -29,8 +29,11 @@ Two wire kinds:
   receiver) delivery info.  The driver hands them a dense delivered
   matrix; size is eligibility-bounded.
 
-To add a batched protocol: implement :class:`ArrayProtocol` for it and
-append a matcher with :func:`register_array_protocol` (see
+A protocol whose whole state is the round variable needs no twin of its
+own: declared as a :class:`~repro.sync.clock.ClockProtocol`, it batches
+through :class:`ArrayClock`, which is derived from the declaration.  To
+add any other batched protocol: implement :class:`ArrayProtocol` for it
+and append a matcher with :func:`register_array_protocol` (see
 ``docs/array.md``).
 """
 
@@ -38,34 +41,27 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import cache
+from itertools import repeat
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.array.backend import get_numpy
 from repro.core.canonical import CanonicalRunner
 from repro.core.compiler import CompiledProtocol
-from repro.core.rounds import (
-    FreeRunningRoundProtocol,
-    MinMergeRoundProtocol,
-    RoundAgreementProtocol,
-)
 from repro.detectors.stack import DetectorStack
 from repro.detectors.strong import ALIVE, DEAD
 from repro.histories.history import CLOCK_KEY
 from repro.protocols.floodmin import FloodMinConsensus
 from repro.protocols.phaseking import PhaseQueenConsensus
-from repro.protocols.unison import BoundedUnison, MinUnison
+from repro.sync.clock import BIG, SMALL, declared, pick
 from repro.sync.protocol import SyncProtocol, column_cells, column_states
 
 __all__ = [
+    "ArrayClock",
     "ArrayEligibilityError",
     "ArrayProtocol",
     "as_array_protocol",
     "register_array_protocol",
 ]
-
-#: Sentinels for masked reductions (int64-safe).
-BIG = 1 << 62
-SMALL = -(1 << 62)
 
 #: Dense-kind memory bound: lanes * n * n cells.
 DENSE_CELL_LIMIT = 1 << 26
@@ -185,6 +181,8 @@ def _require_clock(mapping: Mapping) -> int:
     value = mapping[CLOCK_KEY]
     if type(value) is bool or not isinstance(value, int):
         raise ArrayEligibilityError(f"non-integer clock {value!r} cannot be batched")
+    if not SMALL <= value < BIG:
+        raise ArrayEligibilityError(f"clock {value!r} is outside [-2**62, 2**62)")
     return value
 
 
@@ -246,17 +244,14 @@ def _store_columns(
                 row[pid] = value
 
 
-def _pick(condition, then, otherwise):
-    return then if condition else otherwise
-
-
 def _elementwise(state: Any, update: Callable, *columns):
     """``update(where, *cells)`` over ``(lanes, n)`` columns, on either plane.
 
     ``update`` is written once, with ``where(condition, a, b)`` for its
     selections and ``&`` between its conditions: it sees whole arrays and
     ``np.where`` on the NumPy plane, one cell's ints and a plain
-    conditional on the Python plane.  Cells that read alike are computed
+    conditional on the Python plane.  An ``update`` that returns a tuple
+    gives one column per item.  Cells that read alike are computed
     once: a lane of broadcast columns (what ``RoundWire.reduce`` returns
     on the complete graph) on the NumPy plane, every repeated cell tuple
     on the Python plane.
@@ -265,44 +260,65 @@ def _elementwise(state: Any, update: Callable, *columns):
         np = get_numpy()
         if all(column.strides[1] == 0 for column in columns):
             one = update(np.where, *(column[:, :1] for column in columns))
-            return np.repeat(one, state["n"], axis=1)
+            return np.repeat(one, state["n"], axis=-1)  # a tuple: item by item
         return update(np.where, *columns)
-    once = cache(lambda *cells: update(_pick, *cells))
-    return [[once(*cells) for cells in zip(*rows)] for rows in zip(*columns)]
+    once = cache(lambda *cells: update(pick, *cells))
+    out = [[once(*cells) for cells in zip(*rows)] for rows in zip(*columns)]
+    if isinstance(out[0][0], tuple):  # cells of tuples -> one column per item
+        return tuple(zip(*(zip(*lane) for lane in out)))
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Clock-merge family: Figure 1 round agreement, min-merge, min-unison
+# Clock declarations: every protocol whose whole state is the round variable
 # ---------------------------------------------------------------------------
 
+_CLOCK_FIELDS = frozenset({CLOCK_KEY})
 
-class _ClockColumnProtocol(ArrayProtocol):
-    """The bridge of every twin whose whole state is the round variable."""
 
-    _FIELDS = frozenset({CLOCK_KEY})
+class ArrayClock(ArrayProtocol):
+    """The batched twin of a :class:`~repro.sync.clock.ClockProtocol`,
+    derived from its declaration.
+
+    State is one ``(lanes, n)`` clock matrix.  A round maps each sender's
+    clock (``sent``), reduces what each receiver heard on the wire, and
+    applies ``rule`` — the declaration's own two functions, through
+    :func:`_elementwise`.  A clock outside ``[SMALL, BIG)`` is refused on
+    the way in on both planes, so the int64 columns cannot overflow.
+    """
+
+    kind = "csr"
+
+    def initial_states(self, n: int, lanes: int, backend: str) -> Any:
+        return {
+            "backend": backend,
+            "lanes": lanes,
+            "n": n,
+            "clock": _int_matrix(backend, lanes, n, self.sync.initial),
+        }
 
     def load_states(self, state, lane, mappings) -> None:
         name, clocks = self.name, []
         for mapping in mappings.values():
             value = mapping.get(CLOCK_KEY)
-            # an exact-int clock that is the only field needs no second look
-            if type(value) is not int or len(mapping) != 1:
-                value = _require_fields(name, mapping, self._FIELDS)
+            # an in-range exact-int clock that is the only field needs no second look
+            if type(value) is not int or len(mapping) != 1 or not SMALL <= value < BIG:
+                value = _require_fields(name, mapping, _CLOCK_FIELDS)
             clocks.append(value)
         _store_columns(state, lane, mappings, ("clock",), (clocks,))
 
     def load_columns(self, state, lane, pids, columns) -> None:
         name = self.name
         _require_lengths(name, pids, columns)
-        if columns.keys() != self._FIELDS:
+        if columns.keys() != _CLOCK_FIELDS:
             raise ArrayEligibilityError(
-                f"{name}: state columns {sorted(columns)}, expected {sorted(self._FIELDS)}"
+                f"{name}: state columns {sorted(columns)}, expected {sorted(_CLOCK_FIELDS)}"
             )
         clocks = columns[CLOCK_KEY]
         dtype = getattr(clocks, "dtype", None)
         if dtype is None:
             for value in clocks:
-                if type(value) is not int:
+                if type(value) is not int or not SMALL <= value < BIG:
                     _require_clock({CLOCK_KEY: value})
         elif (
             clocks.ndim != 1
@@ -312,6 +328,8 @@ class _ClockColumnProtocol(ArrayProtocol):
             raise ArrayEligibilityError(
                 f"{name}: a {clocks.ndim}-d {dtype} clock column cannot be batched"
             )
+        elif len(clocks) and not (SMALL <= clocks.min() and clocks.max() < BIG):
+            raise ArrayEligibilityError(f"{name}: a clock outside [-2**62, 2**62)")
         if state["backend"] == "numpy":
             # ascending distinct pids: the whole lane is one slice
             where = slice(None) if pids == range(state["n"]) else list(pids)
@@ -322,90 +340,13 @@ class _ClockColumnProtocol(ArrayProtocol):
     def read_states(self, state, lane, pids=None) -> List[Dict[str, Any]]:
         return [{CLOCK_KEY: c} for c in _lane_cells(state, "clock", lane, pids)]
 
-
-class ArrayClockMerge(_ClockColumnProtocol):
-    """Single-clock protocols: ``c := merge(delivered clocks) + 1``.
-
-    Covers :class:`RoundAgreementProtocol` (max), its min-merge
-    ablation, :class:`MinUnison` (min), and the free-running ablation
-    (no merge at all).  State is one ``(lanes, n)`` clock matrix.
-    """
-
-    kind = "csr"
-
-    def __init__(self, sync: SyncProtocol, merge: str):
-        super().__init__(sync)
-        if merge not in ("max", "min", "free"):
-            raise ValueError(f"unknown merge {merge!r}")
-        self.merge = merge
-
-    def initial_states(self, n: int, lanes: int, backend: str) -> Any:
-        initial = self.sync.initial_state(0, n)[CLOCK_KEY]
-        return {
-            "backend": backend,
-            "lanes": lanes,
-            "n": n,
-            "clock": _int_matrix(backend, lanes, n, initial),
-        }
-
     def step(self, state, wire) -> None:
-        clock = state["clock"]
-        if self.merge != "free":
-            clock = wire.reduce(clock, self.merge)
-        state["clock"] = _elementwise(state, lambda where, c: c + 1, clock)
-
-
-class ArrayBoundedUnison(_ClockColumnProtocol):
-    """Batched :class:`BoundedUnison`: the tail-plus-ring update rule.
-
-    Three reductions per round (min, max, and min over strictly-inner
-    ring values) reproduce the reference's four-way case split exactly,
-    including the wrap pair ``{0, K-1}``.
-    """
-
-    kind = "csr"
-
-    def __init__(self, sync: BoundedUnison):
-        super().__init__(sync)
-        self.K = sync.K
-        self.alpha = sync.alpha
-
-    def initial_states(self, n: int, lanes: int, backend: str) -> Any:
-        return {
-            "backend": backend,
-            "lanes": lanes,
-            "n": n,
-            "clock": _int_matrix(backend, lanes, n, 0),
-        }
-
-    def step(self, state, wire) -> None:
-        K, alpha = self.K, self.alpha
-        # Clamp per sender, once; a non-inner ring value reads BIG, so
-        # "heard an inner value" is one more min.
-        clamped = _elementwise(
-            state,
-            lambda where, c: where((c >= -alpha) & (c < K), c, -alpha),
-            state["clock"],
-        )
-        inner = _elementwise(
-            state, lambda where, c: where((c > 0) & (c < K - 1), c, BIG), clamped
-        )
-
-        def update(where, lowest, highest, inner_lowest):
-            ring = where(
-                highest - lowest <= 1,
-                (lowest + 1) % K,
-                where(inner_lowest < BIG, -alpha, 0),  # 0: seen <= {0, K-1}, the wrap pair
-            )
-            return where(lowest < 0, lowest + 1, ring)
-
-        state["clock"] = _elementwise(
-            state,
-            update,
-            wire.reduce(clamped, "min"),
-            wire.reduce(clamped, "max"),
-            wire.reduce(inner, "min"),
-        )
+        rule, clock = self.sync, state["clock"]
+        heard = (clock,)  # no reductions: the rule reads the own clock
+        if rule.reductions:
+            sent = repeat(clock) if rule.sent is None else _elementwise(state, rule.sent, clock)
+            heard = [wire.reduce(c, fold.__name__) for c, fold in zip(sent, rule.reductions)]
+        state["clock"] = _elementwise(state, rule.rule, *heard)
 
 
 # ---------------------------------------------------------------------------
@@ -1244,16 +1185,6 @@ def _builtin_matcher(protocol: SyncProtocol) -> Optional[ArrayProtocol]:
     # Exact type matches: a user subclass may override update() in ways
     # the batched twin would silently ignore, so it must fall back.
     kind = type(protocol)
-    if kind is RoundAgreementProtocol:
-        return ArrayClockMerge(protocol, "max")
-    if kind is MinMergeRoundProtocol:
-        return ArrayClockMerge(protocol, "min")
-    if kind is FreeRunningRoundProtocol:
-        return ArrayClockMerge(protocol, "free")
-    if kind is MinUnison:
-        return ArrayClockMerge(protocol, "min")
-    if kind is BoundedUnison:
-        return ArrayBoundedUnison(protocol)
     if kind is CanonicalRunner and type(protocol.canonical) is FloodMinConsensus:
         return ArrayFtFloodMin(protocol)
     if kind is CanonicalRunner and type(protocol.canonical) is PhaseQueenConsensus:
@@ -1266,9 +1197,13 @@ def _builtin_matcher(protocol: SyncProtocol) -> Optional[ArrayProtocol]:
 
 
 def as_array_protocol(protocol: SyncProtocol) -> Optional[ArrayProtocol]:
-    """The batched twin of ``protocol``, or ``None`` if it has none."""
+    """The batched twin of ``protocol``, or ``None`` if it has none.
+
+    A clock declaration needs no matcher: its twin is derived from it."""
     for matcher in _MATCHERS:
         batched = matcher(protocol)
         if batched is not None:
             return batched
+    if declared(protocol):
+        return ArrayClock(protocol)
     return _builtin_matcher(protocol)

@@ -33,16 +33,14 @@ family:
 - :class:`FreeRunningRoundProtocol` — ignoring other processes entirely
   (``c := c + 1``) preserves rate but can never re-establish agreement
   after a systemic failure: skews persist forever.
+
+All three are :class:`~repro.sync.clock.ClockProtocol` declarations:
+the ablations differ from Figure 1 in ``reductions`` alone.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Any, Dict, Mapping, Sequence
-
-from repro.histories.history import CLOCK_KEY, Message
-from repro.sync.protocol import SyncProtocol
-from repro.util.rng import randrange_block
+from repro.sync.clock import ClockProtocol
 
 __all__ = [
     "RoundAgreementProtocol",
@@ -51,7 +49,7 @@ __all__ = [
 ]
 
 
-class RoundAgreementProtocol(SyncProtocol):
+class RoundAgreementProtocol(ClockProtocol):
     """Figure 1: broadcast your round number, adopt ``max(R) + 1``.
 
     The state is exactly the round variable.  ``R`` is never empty for
@@ -60,34 +58,10 @@ class RoundAgreementProtocol(SyncProtocol):
     """
 
     name = "round-agreement"
+    reductions = (max,)
 
-    def __init__(self, max_corrupt_clock: int = 1 << 20):
-        #: Upper bound used only by the corruption generator; the
-        #: protocol itself runs on unbounded integers (paper §2.4
-        #: requires an unbounded round counter).
-        self.max_corrupt_clock = max_corrupt_clock
-
-    def initial_state(self, pid: int, n: int) -> Dict[str, Any]:
-        return {CLOCK_KEY: 1}
-
-    def send(self, pid: int, state: Mapping[str, Any]) -> Any:
-        return state[CLOCK_KEY]
-
-    def update(
-        self, pid: int, state: Mapping[str, Any], delivered: Sequence[Message]
-    ) -> Dict[str, Any]:
-        rounds_seen = {message.payload for message in delivered}
-        if not rounds_seen:
-            # Unreachable under the engine's self-delivery guarantee;
-            # degrade to free-running rather than crash.
-            rounds_seen = {state[CLOCK_KEY]}
-        return {CLOCK_KEY: max(rounds_seen) + 1}
-
-    def arbitrary_state(self, pid: int, n: int, rng: random.Random) -> Dict[str, Any]:
-        return {CLOCK_KEY: rng.randrange(0, self.max_corrupt_clock)}
-
-    def arbitrary_columns(self, pids: Sequence[int], n: int, rng: random.Random):
-        return {CLOCK_KEY: randrange_block(rng, 0, self.max_corrupt_clock, len(pids))}
+    def rule(self, where, c):
+        return c + 1
 
 
 class MinMergeRoundProtocol(RoundAgreementProtocol):
@@ -102,14 +76,7 @@ class MinMergeRoundProtocol(RoundAgreementProtocol):
     """
 
     name = "round-agreement-min"
-
-    def update(
-        self, pid: int, state: Mapping[str, Any], delivered: Sequence[Message]
-    ) -> Dict[str, Any]:
-        rounds_seen = {message.payload for message in delivered}
-        if not rounds_seen:
-            rounds_seen = {state[CLOCK_KEY]}
-        return {CLOCK_KEY: min(rounds_seen) + 1}
+    reductions = (min,)
 
 
 class FreeRunningRoundProtocol(RoundAgreementProtocol):
@@ -123,8 +90,4 @@ class FreeRunningRoundProtocol(RoundAgreementProtocol):
     """
 
     name = "round-free-running"
-
-    def update(
-        self, pid: int, state: Mapping[str, Any], delivered: Sequence[Message]
-    ) -> Dict[str, Any]:
-        return {CLOCK_KEY: state[CLOCK_KEY] + 1}
+    reductions = ()

@@ -36,17 +36,14 @@ is the UNISON-CHURN experiment's subject.
 
 from __future__ import annotations
 
-import random
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Optional
 
-from repro.histories.history import CLOCK_KEY, Message
-from repro.sync.protocol import SyncProtocol
-from repro.util.rng import randrange_block
+from repro.sync.clock import BIG, ClockProtocol
 
 __all__ = ["BoundedUnison", "MinUnison"]
 
 
-class MinUnison(SyncProtocol):
+class MinUnison(ClockProtocol):
     """Min-rule unison: ``c := min(closed neighborhood) + 1``.
 
     The closed neighborhood always includes the process itself (the
@@ -55,35 +52,13 @@ class MinUnison(SyncProtocol):
     """
 
     name = "min-unison"
+    reductions = (min,)
 
-    def __init__(self, max_corrupt_clock: int = 1 << 20):
-        #: Upper bound used only by the corruption generator (the
-        #: protocol itself runs on unbounded integers).
-        self.max_corrupt_clock = max_corrupt_clock
-
-    def initial_state(self, pid: int, n: int) -> Dict[str, Any]:
-        return {CLOCK_KEY: 1}
-
-    def send(self, pid: int, state: Mapping[str, Any]) -> Any:
-        return state[CLOCK_KEY]
-
-    def update(
-        self, pid: int, state: Mapping[str, Any], delivered: Sequence[Message]
-    ) -> Dict[str, Any]:
-        clocks_seen = {message.payload for message in delivered}
-        if not clocks_seen:
-            # Unreachable under self-delivery; degrade to free-running.
-            clocks_seen = {state[CLOCK_KEY]}
-        return {CLOCK_KEY: min(clocks_seen) + 1}
-
-    def arbitrary_state(self, pid: int, n: int, rng: random.Random) -> Dict[str, Any]:
-        return {CLOCK_KEY: rng.randrange(0, self.max_corrupt_clock)}
-
-    def arbitrary_columns(self, pids: Sequence[int], n: int, rng: random.Random):
-        return {CLOCK_KEY: randrange_block(rng, 0, self.max_corrupt_clock, len(pids))}
+    def rule(self, where, lowest):
+        return lowest + 1
 
 
-class BoundedUnison(SyncProtocol):
+class BoundedUnison(ClockProtocol):
     """Bounded-domain unison on the tail-plus-ring clock space.
 
     The clock lives in ``{-alpha .. -1} ∪ {0 .. K-1}``.  Defaults
@@ -104,6 +79,8 @@ class BoundedUnison(SyncProtocol):
     """
 
     name = "bounded-unison"
+    initial = 0
+    reductions = (min, max, min)
 
     def __init__(self, n: int, K: Optional[int] = None, alpha: Optional[int] = None):
         if n < 1:
@@ -114,37 +91,21 @@ class BoundedUnison(SyncProtocol):
         if self.K < 3 or self.alpha < 1:
             raise ValueError("need K >= 3 and alpha >= 1")
 
-    def _clamp(self, value: int) -> int:
-        if -self.alpha <= value < self.K:
-            return value
-        return -self.alpha
+    def domain(self):
+        return -self.alpha, self.K
 
-    def initial_state(self, pid: int, n: int) -> Dict[str, Any]:
-        return {CLOCK_KEY: 0}
+    def sent(self, where, c):
+        # V is the clamped values (out of the domain reads as -alpha); the
+        # third column keeps only the inner ring values 1 .. K-2, so a ring
+        # V with a gap wider than one is the wrap pair iff it heard none
+        K, alpha = self.K, self.alpha
+        clamped = where((c >= -alpha) & (c < K), c, -alpha)
+        return clamped, clamped, where((c > 0) & (c < K - 1), c, BIG)
 
-    def send(self, pid: int, state: Mapping[str, Any]) -> Any:
-        return state[CLOCK_KEY]
-
-    def update(
-        self, pid: int, state: Mapping[str, Any], delivered: Sequence[Message]
-    ) -> Dict[str, Any]:
-        seen = {self._clamp(message.payload) for message in delivered}
-        if not seen:
-            seen = {self._clamp(state[CLOCK_KEY])}
-        lowest = min(seen)
-        if lowest < 0:
-            # Tail phase: totally ordered, min-rule climbs toward 0.
-            return {CLOCK_KEY: lowest + 1}
-        highest = max(seen)
-        if highest - lowest <= 1:
-            return {CLOCK_KEY: (lowest + 1) % self.K}
-        if seen <= {0, self.K - 1}:
-            # The wrap pair: K-1 is "behind" 0, so it is the ring min.
-            return {CLOCK_KEY: 0}  # (K-1 + 1) mod K
-        return {CLOCK_KEY: -self.alpha}
-
-    def arbitrary_state(self, pid: int, n: int, rng: random.Random) -> Dict[str, Any]:
-        return {CLOCK_KEY: rng.randrange(-self.alpha, self.K)}
-
-    def arbitrary_columns(self, pids: Sequence[int], n: int, rng: random.Random):
-        return {CLOCK_KEY: randrange_block(rng, -self.alpha, self.K, len(pids))}
+    def rule(self, where, lowest, highest, inner_lowest):
+        ring = where(
+            highest - lowest <= 1,
+            (lowest + 1) % self.K,
+            where(inner_lowest < BIG, -self.alpha, 0),  # 0: V is the wrap pair
+        )
+        return where(lowest < 0, lowest + 1, ring)

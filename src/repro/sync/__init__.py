@@ -8,6 +8,8 @@ sends at the start and updates its state from the delivered messages at
 the end.
 
 - :mod:`repro.sync.protocol` — the round-protocol interface.
+- :mod:`repro.sync.clock` — the declaration form of a protocol whose
+  state is the round variable alone, and what is derived from it.
 - :mod:`repro.sync.adversary` — process-failure injection (crash,
   send-omission, receive-omission, general omission), scripted and
   randomized.

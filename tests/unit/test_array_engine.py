@@ -413,9 +413,14 @@ def _bad_columns(np):
         ("bool cell", [0, 1], {CLOCK_KEY: [4, True]}),
         ("too short", [0, 1, 2], {CLOCK_KEY: [4, 5]}),
         ("too long", [0], {CLOCK_KEY: [4, 5]}),
+        ("beyond int64", [0, 1], {CLOCK_KEY: [4, 1 << 70]}),
+        ("at BIG", [0, 1], {CLOCK_KEY: [4, 1 << 62]}),
+        ("below SMALL", [0, 1], {CLOCK_KEY: [-(1 << 62) - 1, 4]}),
     ]
     if np is not None:
         cases += [
+            ("int64 at BIG", [0, 1], {CLOCK_KEY: np.array([4, 1 << 62], dtype=np.int64)}),
+            ("int64 near overflow", [0, 1], {CLOCK_KEY: np.array([(1 << 63) - 2, 4])}),
             ("float dtype", [0, 1], {CLOCK_KEY: np.array([4.0, 5.0])}),
             ("bool dtype", [0, 1], {CLOCK_KEY: np.array([True, False])}),
             ("uint64 dtype", [0, 1], {CLOCK_KEY: np.array([4, 5], dtype=np.uint64)}),
@@ -449,6 +454,25 @@ def test_load_columns_refuses_bad_columns_and_leaves_the_lane_untouched(backend,
     ]
     assert twin.read_states(state, 1) == before[1]
     assert all(type(cell[CLOCK_KEY]) is int for cell in twin.read_states(state, 1))
+
+
+@backends
+@pytest.mark.parametrize("clock", [1 << 62, (1 << 63) - 2, 1 << 70, -(1 << 62) - 1])
+def test_a_clock_int64_cannot_hold_is_refused_and_leaves_the_lane_untouched(backend, clock):
+    twin = as_array_protocol(RoundAgreementProtocol())
+    state = twin.initial_states(3, 2, backend)
+    before = [twin.read_states(state, lane) for lane in range(2)]
+    with pytest.raises(ArrayEligibilityError):
+        twin.load_states(state, 1, {0: {CLOCK_KEY: 7}, 2: {CLOCK_KEY: clock}})
+    assert [twin.read_states(state, lane) for lane in range(2)] == before
+    with pytest.raises(ArrayEligibilityError):  # the run the columns would overflow
+        run_array(
+            RoundAgreementProtocol(),
+            3,
+            3,
+            initial_states=[{0: {CLOCK_KEY: clock}, 1: {CLOCK_KEY: 1}, 2: {CLOCK_KEY: 1}}],
+            backend=backend,
+        )
 
 
 @backends

@@ -11,7 +11,13 @@ import pytest
 
 import repro.cache
 from repro.array.protocols import ArrayEligibilityError
+from repro.array import run_array
+from repro.core.rounds import RoundAgreementProtocol
 from repro.experiments.base import _work_chunks, run_sweep, shutdown_pool
+from repro.histories.history import CLOCK_KEY
+from repro.kernel.faults import FaultPlan
+from repro.sync.corruption import RandomCorruption
+from repro.sync.engine import run_sync
 
 CALLS = {"batch": 0, "single": 0}
 
@@ -87,6 +93,42 @@ POINTS = [(n, seed) for n in (1, 2, 3) for seed in (0, 1)]
 EXPECTED = [n * 10 + seed for n, seed in POINTS]
 
 
+#: Figure 1 from one oversized clock (``None``: a random corruption whose
+#: domain reaches past int64): clocks the array columns cannot hold.
+WIDE = RoundAgreementProtocol(max_corrupt_clock=1 << 64)
+
+
+def _skewed(clock):
+    return {0: {CLOCK_KEY: clock}, 1: {CLOCK_KEY: 1}, 2: {CLOCK_KEY: 1}}
+
+
+def _corruption(clock):
+    return RandomCorruption(seed=3) if clock is None else None
+
+
+def wide_clock_worker(point):
+    (clock,) = point
+    initial = None if clock is None else _skewed(clock)
+    result = run_sync(
+        WIDE, n=3, rounds=3, corruption=_corruption(clock), initial_states=initial
+    )
+    return sorted(result.final_clocks().values())
+
+
+def _wide_batch(points):
+    result = run_array(
+        WIDE,
+        3,
+        3,
+        initial_states=[None if clock is None else _skewed(clock) for (clock,) in points],
+        fault_plans=[FaultPlan(initial_corruption=_corruption(clock)) for (clock,) in points],
+    )
+    return [sorted(result.final_clocks(lane).values()) for lane in range(len(points))]
+
+
+wide_clock_worker.array_batch = _wide_batch
+
+
 # -- chunk sizing (the heterogeneous-cost regression) ------------------------
 
 
@@ -151,6 +193,17 @@ def test_array_backend_refusal_falls_back_loudly():
         outcomes = run_sweep(refusing_worker, POINTS, jobs=1, backend="array")
     assert outcomes == EXPECTED
     assert CALLS["single"] == len(POINTS)
+
+
+@pytest.mark.parametrize("clock", [(1 << 63) - 2, 1 << 70, None])
+def test_a_clock_past_int64_falls_back_to_the_exact_answer(clock):
+    """The NumPy plane once wrapped ``2**63 - 2`` to a negative clock and
+    crashed on ``2**70`` with an ``OverflowError`` nobody caught."""
+    with pytest.warns(RuntimeWarning, match="refused"):
+        (outcome,) = run_sweep(wide_clock_worker, [(clock,)], jobs=1, backend="array")
+    assert outcome == wide_clock_worker((clock,))
+    if clock is not None:
+        assert outcome == [clock + 3] * 3
 
 
 def test_array_batch_length_mismatch_is_an_error():

@@ -43,7 +43,7 @@ import pytest
 from repro.array import as_array_protocol, has_numpy, run_array
 from repro.array import engine as array_engine
 from repro.array.engine import RoundWire, _CsrGraph
-from repro.array.protocols import ArrayFtFloodMin, ArrayProtocol, _ClockColumnProtocol
+from repro.array.protocols import ArrayClock, ArrayFtFloodMin, ArrayProtocol
 from repro.core.canonical import CanonicalRunner
 from repro.core.rounds import RoundAgreementProtocol
 from repro.experiments import base as experiments_base
@@ -72,6 +72,7 @@ from repro.kernel.snapshot import (
     imm,
 )
 from repro.sync.adversary import FaultMode, RandomAdversary
+from repro.sync.clock import ClockProtocol
 from repro.sync.corruption import ClockSkewCorruption, RandomCorruption
 from repro.sync.delays import RandomDelay, TargetedLag
 from repro.sync.engine import run_sync
@@ -951,16 +952,16 @@ class TestColumnSetUp:
 
             monkeypatch.setattr(owner, name, call)
 
-        # the classes that define each bridge: the clock twins share one,
-        # the dense FloodMin twin has its own and inherits ``load_columns``
-        for owner in (_ClockColumnProtocol, ArrayFtFloodMin):
+        # the classes that define each bridge: the clock twin derived from
+        # every declaration, and the dense FloodMin twin, which has its own
+        # and inherits ``load_columns``
+        for owner in (ArrayClock, ArrayFtFloodMin):
             spy(owner, "read_states")
             spy(owner, "load_states")
-        spy(_ClockColumnProtocol, "load_columns")
+        spy(ArrayClock, "load_columns")
         spy(ArrayProtocol, "load_columns")
         spy(_StaticTopology, "receivers")
-        for protocol in (MinUnison, BoundedUnison, RoundAgreementProtocol):
-            spy(protocol, "arbitrary_state")
+        spy(ClockProtocol, "arbitrary_state")  # where every declaration's is derived
         return log
 
     @pytest.mark.parametrize("backend", BACKENDS)

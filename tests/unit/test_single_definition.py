@@ -9,6 +9,11 @@ statement (``RoundLedger.accepts``) and for what a protocol may ask of
 an inbox item: ``sender``, ``sent_round``, ``payload`` — on the
 synchronous wire the item is a whole broadcast, which has no one
 ``receiver``, and the inbox may be shared, so nobody mutates it.
+
+The clock family is declared once too: Figure 1's round agreement, its
+ablations and the unison protocols state a ``rule`` (``repro.sync.clock``)
+and neither spell out the methods derived from it nor get a hand-written
+batched twin or a matcher branch of their own.
 """
 
 import ast
@@ -37,11 +42,13 @@ LEDGER_KINDS = re.compile(
 )
 
 #: Private copies the ledger replaced; none may come back.
+#: (Newcomers go last: a test's id is its index here.)
 RETIRED = {
     "array/engine.py": ("_RoundFaults", "_effective_faults", "_filter_receive_omissions"),
-    "verify/smt.py": ("_last_row", "_crash_row"),
-    "sync/engine.py": ("FaultEvent",),
     "net/interposer.py": ("FaultEvent",),
+    "sync/engine.py": ("FaultEvent",),
+    "verify/smt.py": ("_last_row", "_crash_row"),
+    "array/protocols.py": ("ArrayClockMerge", "ArrayBoundedUnison", "_ClockColumnProtocol"),
 }
 
 
@@ -61,7 +68,7 @@ def test_only_the_ledger_builds_omission_and_forgery_events():
     assert builders == [LEDGER]
 
 
-@pytest.mark.parametrize("module,names", sorted(RETIRED.items()))
+@pytest.mark.parametrize("module,names", list(RETIRED.items()))
 def test_retired_copies_stay_retired(module, names):
     source = (SRC / module).read_text(encoding="utf-8")
     assert not [name for name in names if name in source]
@@ -115,7 +122,7 @@ def _protocol_updates():
 
 def test_no_update_reads_a_receiver_or_mutates_its_inbox():
     updates = list(_protocol_updates())
-    assert len(updates) >= 8  # the walk found the protocols
+    assert len(updates) >= 7  # the walk found the protocols
     for module, update in updates:
         inbox = update.args.args[3].arg
         for node in ast.walk(update):
@@ -131,3 +138,50 @@ def test_no_update_reads_a_receiver_or_mutates_its_inbox():
                 assert not (
                     isinstance(target, ast.Name) and target.id == inbox
                 ), f"{module}: update() writes into its inbox"
+
+
+#: The clock declarations, by module, and what ``repro.sync.clock`` derives for them.
+CLOCKS = {
+    "core/rounds.py": (
+        "RoundAgreementProtocol",
+        "MinMergeRoundProtocol",
+        "FreeRunningRoundProtocol",
+    ),
+    "protocols/unison.py": ("MinUnison", "BoundedUnison"),
+}
+DERIVED = {"initial_state", "send", "update", "arbitrary_state", "arbitrary_columns"}
+
+
+def _classes(module):
+    tree = ast.parse((SRC / module).read_text("utf-8"))
+    return {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+@pytest.mark.parametrize("module,names", sorted(CLOCKS.items()))
+def test_clock_protocols_only_declare_their_rule(module, names):
+    classes = _classes(module)
+    for name in names:
+        body = classes[name].body
+        spelled = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+        assert not spelled & DERIVED, f"{name} spells out {sorted(spelled & DERIVED)}"
+        assigned = {
+            target.id
+            for node in body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        # its own: a subclass that declares nothing falls back off the array plane
+        assert "reductions" in assigned, f"{name} does not declare its reductions"
+
+
+def test_the_builtin_matcher_has_no_clock_branch():
+    tree = ast.parse((SRC / "array/protocols.py").read_text("utf-8"))
+    (matcher,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_builtin_matcher"
+    ]
+    named = {node.id for node in ast.walk(matcher) if isinstance(node, ast.Name)}
+    clocks = {name for names in CLOCKS.values() for name in names}
+    assert not named & clocks
