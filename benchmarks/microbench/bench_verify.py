@@ -6,11 +6,14 @@ frontier dedup keeps doing real work — ``dedup_hit_ratio`` is a
 property of the space (state hashes collide across plans because most
 plans revisit the same clock configurations), so a drop means the
 canonicalization or digest changed, not that the machine got slower.
-And a plan is executed once — ``runs_per_plan`` counts engine runs
-(``run_sync`` calls) per plan examined (1.0; it was 2.0 while each judge ran the plan
-for itself), so a second execution cannot creep back unnoticed.
-``states_per_sec`` and the wall-clock column are informational: they
-track the engine's throughput across machines but are too noisy to gate.
+And each distinct transition is stepped once —
+``rounds_stepped_per_plan_round`` counts fresh calls of the engine's
+round function (``repro.sync.engine.step_round``) over the rounds of
+every plan examined, so a walk that stops sharing filed rounds (1.0
+would be a full execution per plan) cannot creep back unnoticed; lower
+is better.  ``states_per_sec`` and the wall-clock column are
+informational: they track the engine's throughput across machines but
+are too noisy to gate.
 
 The cache is disabled for the timed region — this benchmark measures
 the engine, not the memoization layer (``bench_cache.py`` owns that).
@@ -32,35 +35,35 @@ else:
 
 import repro.cache
 from repro.analysis.report import ExperimentReport
-from repro.kernel.events import EventBus
+from repro.sync import engine
 from repro.verify import verify
+from repro.verify.explicit import enumerate_space
+from repro.verify.targets import get_verify_target
+
+TARGET = get_verify_target("fig1")
 
 
 def _verify_fig1_smoke():
-    from repro.verify.targets import get_verify_target
-
-    return verify(
-        "fig1", space=get_verify_target("fig1").smoke_space, jobs=1
-    )
+    return verify("fig1", space=TARGET.smoke_space, jobs=1)
 
 
-def _count_runs(fn):
-    """``(engine runs, fn())``: every ``run_sync`` builds one bus and
-    announces itself on it once, whatever name it was called through."""
-    runs = 0
-    on_run_start = EventBus.on_run_start
+def _count_steps(fn):
+    """``(fresh round-function calls, fn())``: a walk's misses and every
+    ``run_sync`` round alike go through ``engine.step_round``."""
+    steps = 0
+    step_round = engine.step_round
 
-    def counting(self, *args):
-        nonlocal runs
-        runs += 1
-        return on_run_start(self, *args)
+    def counting(*args, **kwargs):
+        nonlocal steps
+        steps += 1
+        return step_round(*args, **kwargs)
 
-    EventBus.on_run_start = counting
+    engine.step_round = counting
     try:
         result = fn()
     finally:
-        EventBus.on_run_start = on_run_start
-    return runs, result
+        engine.step_round = step_round
+    return steps, result
 
 
 def main() -> None:
@@ -78,23 +81,26 @@ def main() -> None:
     elapsed = time.perf_counter() - start
     frontier = result.frontier
     states_per_sec = frontier.states_visited / elapsed if elapsed > 0 else 0.0
-    runs, counted = _count_runs(_verify_fig1_smoke)
+    steps, counted = _count_steps(_verify_fig1_smoke)
+    specs, _raw, _dropped = enumerate_space(TARGET.smoke_space, TARGET.symmetric)
+    assert len(specs) == counted.examined
 
     report = ExperimentReport(
         experiment_id="VERIFY-BENCH",
         title="Verification-plane microbenchmarks",
         claim=(
-            "exhausting the fig1 smoke space stays cheap: each plan is "
-            "executed once for both judges and the canonical-state frontier "
-            "dedup keeps collapsing revisited clock configurations "
-            "(runs_per_plan and dedup_hit_ratio are machine-independent)"
+            "exhausting the fig1 smoke space stays cheap: each distinct "
+            "transition is stepped once, however many plans reach it, and "
+            "the canonical-state frontier dedup keeps collapsing revisited "
+            "clock configurations (rounds_stepped_per_plan_round and "
+            "dedup_hit_ratio are machine-independent)"
         ),
         headers=[
             "benchmark",
             "per_call_us",
             "states_per_sec",
             "dedup_hit_ratio",
-            "runs_per_plan",
+            "rounds_stepped_per_plan_round",
         ],
     )
     report.add_row(
@@ -102,7 +108,7 @@ def main() -> None:
         us(per_call_s),
         round(states_per_sec),
         round(frontier.dedup_hit_ratio, 4),
-        round(runs / counted.examined, 4),
+        round(steps / sum(spec.rounds for spec in specs), 4),
     )
     emit(report, out=args.out)
 

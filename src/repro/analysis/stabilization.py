@@ -173,6 +173,7 @@ class StreamingClockStabilization(HistoryRecorder):
         super().__init__()
         self._min_window_length = min_window_length
         self._tracker: Optional[CausalityTracker] = None
+        self._everyone: frozenset = frozenset()
         self._faulty: set = set()
         self._window_start: Optional[int] = None
         self._window_members: Optional[frozenset] = None
@@ -186,6 +187,7 @@ class StreamingClockStabilization(HistoryRecorder):
     def on_run_start(self, n, protocol, first_round=1):
         super().on_run_start(n, protocol, first_round)
         self._tracker = CausalityTracker(n)
+        self._everyone = frozenset(range(n))
 
     def _round_finished(self, round_history):
         super()._round_finished(round_history)  # kept only if keeps_rounds
@@ -194,22 +196,19 @@ class StreamingClockStabilization(HistoryRecorder):
     def _score_round(self, round_history) -> None:
         """Advance the coterie and the current window by one round."""
         round_no = round_history.round_no
-        faulty_before = frozenset(self._faulty)
-        assert self._tracker is not None
-        self._tracker.advance(round_history)
-        self._faulty |= round_history.deviators()
+        faulty = self._faulty
+        faulty_before = frozenset(faulty)
+        tracker = self._tracker
+        assert tracker is not None
+        tracker.advance(round_history)
+        faulty |= round_history.deviators()
 
-        everyone = frozenset(range(self._n or 0))
-        correct = everyone - self._faulty
+        everyone = self._everyone
+        correct = everyone - faulty
         if not correct:
             members = everyone
         else:
-            members_set = set(everyone)
-            for q in correct:
-                members_set &= self._tracker.know(q)
-                if not members_set:
-                    break
-            members = frozenset(members_set)
+            members = everyone.intersection(*[tracker.know(q) for q in correct])
 
         if self._window_members is not None and members != self._window_members:
             # The coterie grew: the previous window closed at the

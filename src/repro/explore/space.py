@@ -20,7 +20,7 @@ symmetric plans run once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.kernel.faults import FaultPlan
@@ -379,32 +379,34 @@ class PlanSpec:
         )
 
 
-def _relabel(spec: PlanSpec, perm: Tuple[int, ...]) -> PlanSpec:
-    """The same spec with process ids mapped through ``perm[old] = new``."""
-    return replace(
-        spec,
-        crashes=tuple(sorted((perm[pid], t) for pid, t in spec.crashes)),
-        omissions=tuple(
+def _relabeled_key(spec: PlanSpec, perm: Tuple[int, ...]) -> tuple:
+    """``sort_key()`` of the same spec with process ids mapped through
+    ``perm[old] = new``, read off the spec without building it."""
+    return (
+        spec.n,
+        spec.rounds,
+        spec.seed,
+        tuple(sorted([(perm[pid], t) for pid, t in spec.crashes])),
+        tuple(
             sorted(
-                (
-                    replace(
-                        om,
-                        pid=perm[om.pid],
-                        targets=None
-                        if om.targets is None
-                        else tuple(sorted(perm[t] for t in om.targets)),
+                [
+                    (
+                        perm[o.pid],
+                        o.kind,
+                        o.first_round,
+                        o.last_round,
+                        tuple(sorted([perm[t] for t in o.targets])) if o.targets else (),
                     )
-                    for om in spec.omissions
-                ),
-                key=lambda o: (o.pid, o.kind, o.first_round, o.last_round),
+                    for o in spec.omissions
+                ]
             )
         ),
-        clock_skews=tuple(sorted((perm[pid], c) for pid, c in spec.clock_skews)),
-        churn=tuple(
-            sorted(
-                (replace(ch, pid=perm[ch.pid]) for ch in spec.churn),
-                key=lambda c: c.pid,
-            )
+        tuple(sorted([(perm[pid], c) for pid, c in spec.clock_skews])),
+        spec.random_corruption,
+        spec.corruption_rounds,
+        spec.gst,
+        tuple(
+            sorted([(perm[ch.pid], ch.leave_round, ch.rejoin_round or 0) for ch in spec.churn])
         ),
     )
 
@@ -433,12 +435,9 @@ def canonical_key(spec: PlanSpec, symmetric: bool = True) -> tuple:
     )
     if not touched:
         return spec.sort_key()
-    best = None
-    for perm in itertools.permutations(range(spec.n)):
-        key = _relabel(spec, perm).sort_key()
-        if best is None or key < best:
-            best = key
-    return best
+    return min(
+        _relabeled_key(spec, perm) for perm in itertools.permutations(range(spec.n))
+    )
 
 
 def dedupe(

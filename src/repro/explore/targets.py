@@ -51,7 +51,6 @@ from repro.explore.checkers import (
 from repro.explore.space import PlanSpace, PlanSpec
 from repro.histories.history import ExecutionHistory
 from repro.kernel.events import Observer
-from repro.kernel.recorders import HistoryRecorder
 from repro.kernel.topology import RingTopology, Topology
 from repro.protocols.floodmin import FloodMinConsensus
 from repro.protocols.unison import MinUnison
@@ -131,9 +130,10 @@ class SyncClaim:
 
     Everything that judges a synchronous plan — ``ExplorationTarget``'s
     two paths here, :mod:`repro.verify.targets`' two verdict functions
-    and its joint judgement — is one of the three methods below, so a
-    target's protocol, topology, checker and predicate are written down
-    exactly once.
+    and its joint judgement, which walks the plan instead of running it
+    (:mod:`repro.verify.walk`) — reads these fields, so a target's
+    protocol, topology, checker and predicate are written down exactly
+    once.
     """
 
     #: Canonical stabilization time the claim is instantiated at.
@@ -177,28 +177,6 @@ class SyncClaim:
     ) -> SpecVerdict:
         """The oracle: record the history, evaluate the definition on it."""
         return self.judge(self.run(spec, observers).history, spec, self._at(at))
-
-    def both(
-        self, spec: PlanSpec, at: int, observers=()
-    ) -> Tuple[SpecVerdict, SpecVerdict]:
-        """``(streaming, confirm)`` off a single execution of the plan.
-
-        The engine is deterministic in the spec, so the events the
-        checker streams and the history the judge reads may come from
-        one run without either verdict changing.  A checker that is
-        itself a :class:`HistoryRecorder` already assembles every round:
-        it is told to keep them and no second recorder is attached.
-        """
-        if self.checker is None:
-            verdict = self.confirm(spec, at, observers)
-            return verdict, verdict
-        checker = self.checker(at)
-        records = isinstance(checker, HistoryRecorder)
-        if records:
-            checker.keeps_rounds = True
-        result = self.run(spec, (checker, *observers), record_history=not records)
-        history = checker.history() if records else result.history
-        return checker.verdict(), self.judge(history, spec, at)
 
 
 def _judge_ftss(

@@ -86,31 +86,26 @@ class CausalityTracker:
 
     def advance(self, round_history: RoundHistory) -> None:
         """Fold one round's events into the knowledge sets."""
-        if round_history.n != self._n:
+        records = round_history.records
+        if len(records) != self._n:
             raise ValueError(
-                f"round covers {round_history.n} processes, tracker covers {self._n}"
+                f"round covers {len(records)} processes, tracker covers {self._n}"
             )
+        round_no = round_history.round_no
         if self._first_round is None:
-            self._first_round = round_history.round_no
+            self._first_round = round_no
         # Influence available at the *start* of this round, i.e. as the
         # previous round left it: know-sets change nowhere else.
-        before = (
-            self._round_snapshots[-1]
-            if self._round_snapshots
-            else [frozenset()] * self._n
-        )
-        current_index = round_history.round_no - self._first_round
+        snapshots = self._round_snapshots
+        before = snapshots[-1] if snapshots else [frozenset()] * self._n
+        current_index = round_no - self._first_round
         everyone = self._everyone
+        know_sets = self._know
 
-        for record in round_history.records:
+        for record in records:
             pid = record.pid
-            know = self._know[pid]
-            took_step = (
-                record.state_before is not None
-                or bool(record.sent)
-                or bool(record.delivered)
-            )
-            if took_step:
+            know = know_sets[pid]
+            if record.state_before is not None or record.sent or record.delivered:
                 # Program order: an acting process influences itself.
                 know.add(pid)
                 self._acted[pid] = True
@@ -127,13 +122,13 @@ class CausalityTracker:
             for message in record.heard:  # sender and sent_round: no Message is built
                 sender = message.sender
                 know.add(sender)
-                if message.sent_round == round_history.round_no:
+                if message.sent_round == round_no:
                     know |= before[sender]
                 else:
                     know |= self._knowledge_at_send(sender, message.sent_round)
 
-        assert current_index == len(self._round_snapshots)
-        self._round_snapshots.append([frozenset(s) for s in self._know])
+        assert current_index == len(snapshots)
+        snapshots.append([frozenset(s) for s in know_sets])
 
     def happened_before(self, p: ProcessId, q: ProcessId) -> bool:
         """``p ->_H q`` over the rounds advanced so far."""

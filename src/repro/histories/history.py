@@ -209,6 +209,15 @@ class ProcessRoundRecord:
         )
 
 
+_NOTHING: frozenset = frozenset()
+
+
+def _charged(deviations, pid) -> frozenset:
+    """``pid``'s entry of one kind of recorded deviation, as a frozenset."""
+    found = deviations.get(pid)
+    return _NOTHING if found is None else frozenset(found)
+
+
 @dataclass(frozen=True)
 class RoundHistory:
     """The vector of per-process records for one actual round.
@@ -243,7 +252,6 @@ class RoundHistory:
         crashed earlier; one in ``crashing`` spoke its last words, heard
         nothing and is charged nothing else."""
         records = []
-        nothing = frozenset()
         quiet = not (omitted_sends or omitted_receives or forged_sends)
         for pid in range(n):
             gone = pid in dead
@@ -256,14 +264,17 @@ class RoundHistory:
                 state_before=snapshot,
                 clock_before=None if snapshot is None else snapshot.get(CLOCK_KEY),
                 crashed=last,
-                omitted_sends=nothing if clean else frozenset(omitted_sends.get(pid, ())),
-                omitted_receives=nothing if clean else frozenset(omitted_receives.get(pid, ())),
-                forged_sends=nothing if clean else frozenset(forged_sends.get(pid, ())),
+                omitted_sends=_NOTHING if clean else _charged(omitted_sends, pid),
+                omitted_receives=_NOTHING if clean else _charged(omitted_receives, pid),
+                forged_sends=_NOTHING if clean else _charged(forged_sends, pid),
                 wire=() if gone else wire.get(pid, ()),
                 heard=() if last else heard.get(pid, ()),
             )
             records.append(record)
         return cls(round_no, tuple(records), edges)
+
+    def __getstate__(self) -> dict:  # pickles and copies carry the three fields only
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @property
     def n(self) -> int:
@@ -273,8 +284,13 @@ class RoundHistory:
         return self.records[pid]
 
     def deviators(self) -> frozenset:
-        """Processes that committed a process failure during this round."""
-        return frozenset(r.pid for r in self.records if r.deviated)
+        """Processes that committed a process failure during this round
+        (worked out once: a round is read by every history sharing it)."""
+        found = self.__dict__.get("_deviators")
+        if found is None:
+            found = frozenset([r.pid for r in self.records if r.deviated]) or _NOTHING
+            object.__setattr__(self, "_deviators", found)
+        return found
 
 
 class ExecutionHistory:
@@ -308,6 +324,14 @@ class ExecutionHistory:
         #: Memo of :func:`repro.histories.coterie.coterie_timeline`: a
         #: history never changes, so its timeline is computed once.
         self._coterie_timeline: Optional[Tuple[frozenset, ...]] = None
+
+    def _slice(self, rounds: Tuple[RoundHistory, ...]) -> "ExecutionHistory":
+        """A non-empty run of this history's rounds: valid as it stands."""
+        history = ExecutionHistory.__new__(ExecutionHistory)
+        history._rounds = rounds
+        history._n = self._n
+        history._coterie_timeline = None
+        return history
 
     # -- basic accessors -------------------------------------------------
 
@@ -351,7 +375,7 @@ class ExecutionHistory:
         require(
             1 <= length <= len(self), f"prefix length {length} not in [1, {len(self)}]"
         )
-        return ExecutionHistory(self._rounds[:length])
+        return self._slice(self._rounds[:length])
 
     def suffix(self, start_offset: int) -> "ExecutionHistory":
         """The suffix ``H''`` after dropping the first ``start_offset`` rounds."""
@@ -359,7 +383,7 @@ class ExecutionHistory:
             0 <= start_offset < len(self),
             f"suffix offset {start_offset} not in [0, {len(self) - 1}]",
         )
-        return ExecutionHistory(self._rounds[start_offset:])
+        return self._slice(self._rounds[start_offset:])
 
     def window(self, first: int, last: int) -> "ExecutionHistory":
         """The sub-history covering actual rounds ``first .. last`` inclusive."""
@@ -370,7 +394,7 @@ class ExecutionHistory:
         )
         lo = first - self.first_round
         hi = last - self.first_round + 1
-        return ExecutionHistory(self._rounds[lo:hi])
+        return self._slice(self._rounds[lo:hi])
 
     # -- faulty / correct sets --------------------------------------------
 

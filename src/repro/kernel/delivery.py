@@ -100,6 +100,14 @@ class Liveness:
         self.alive_view: FrozenSet[ProcessId] = view
         self.faulty: FrozenSet[ProcessId] = frozenset()
 
+    def copy(self) -> "Liveness":
+        """A record that goes on from here apart from this one."""
+        twin = Liveness.__new__(Liveness)
+        twin._begin(self.alive_order, self.alive_view)
+        twin.crashed = set(self.crashed)
+        twin.faulty = self.faulty
+        return twin
+
     def crash(self, pids: Iterable[ProcessId]) -> None:
         """``pids`` are dead from now on (and therefore faulty)."""
         self.crashed.update(pids)

@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Optional, Sequence
 
+from repro.kernel.delivery import quiet
 from repro.sync.adversary import Adversary, RoundFaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -96,9 +97,12 @@ class ComposedAdversary(Adversary):
         self._parts = tuple(parts)
 
     def plan_round(self, round_no, alive, faulty_so_far) -> RoundFaultPlan:
+        plans = [part.plan_round(round_no, alive, faulty_so_far) for part in self._parts]
+        active = [plan for plan in plans if not quiet(plan)]
+        if len(active) <= 1:  # nothing to merge
+            return active[0] if active else RoundFaultPlan()
         merged = RoundFaultPlan()
-        for part in self._parts:
-            plan = part.plan_round(round_no, alive, faulty_so_far)
+        for plan in active:
             for pid, survivors in plan.crashes.items():
                 merged.crashes.setdefault(pid, survivors)
             for pid, dropped in plan.send_omissions.items():

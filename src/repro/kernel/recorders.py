@@ -64,8 +64,10 @@ class HistoryRecorder(Observer):
     def on_sends(self, messages, time):
         # The engine's wire keeps its broadcasts; any other producer's is
         # messages.  Either way each item is filed under its sender, in order.
+        sent = self._sent
         for item in getattr(messages, "broadcasts", messages):
-            self._sent.setdefault(item.sender, []).append(item)
+            filed = sent.get(item.sender)
+            sent[item.sender] = (item,) if filed is None else (*filed, item)
 
     def on_deliveries(self, inboxes, time):
         # Likewise its inboxes keep their items; one filed once is kept as it is.
@@ -113,9 +115,21 @@ class HistoryRecorder(Observer):
             self._sent, self._delivered, self._omitted_sends, self._omitted_receives,
             self._forged_sends, self._edges,
         )
+        self._close_round()
+        return round_history
+
+    def file_round(self, round_history: RoundHistory) -> None:
+        """End the open round with records another recorder already
+        assembled from the same events (a walk's table,
+        :mod:`repro.verify.walk`) instead of this one's filings.  The
+        round's start and faults were narrated here as usual; its
+        sends, deliveries and topology need not be."""
+        self._close_round()
+        self._round_finished(round_history)
+
+    def _close_round(self) -> None:
         self._crashed |= self._crashing
         self._round_no = None
-        return round_history
 
     def history(self) -> ExecutionHistory:
         """The reconstructed execution history (≥ 1 round required)."""

@@ -54,7 +54,7 @@ from repro.kernel.topology import Topology, normalize_topology, round_edges
 from repro.net.host import DetectorHost, LiveClock, ProcessHost
 from repro.net.interposer import WireInterposer
 from repro.net.transport import Transport, make_transport
-from repro.sync.engine import ProtocolError, StopCondition, update_phase
+from repro.sync.engine import StopCondition, start_states, update_phase
 from repro.util.rng import make_rng
 from repro.util.validation import require, require_positive, require_process_count
 
@@ -188,17 +188,7 @@ async def _live_sync_body(
     bus = EventBus(((recorder, *observers) if recorder else tuple(observers)))
     bus.on_run_start(n, protocol, first_round)
 
-    states: Dict[ProcessId, Optional[Dict[str, Any]]] = {}
-    for pid in range(n):
-        state = protocol.initial_state(pid, n)
-        if initial_states and pid in initial_states:
-            state = dict(initial_states[pid])
-        if CLOCK_KEY not in state:
-            raise ProtocolError(
-                f"{protocol.name}: initial state of process {pid} lacks "
-                f"the round variable ({CLOCK_KEY!r})"
-            )
-        states[pid] = state
+    states = start_states(protocol, n, initial_states)
     if corruption is not None:
         states = apply_corruption(
             bus, corruption, protocol, states, n, time=first_round - 1

@@ -101,11 +101,8 @@ class RoundFaultPlan:
 
     def targets(self) -> FrozenSet[ProcessId]:
         """All processes this plan makes (or keeps) faulty."""
-        return (
-            frozenset(self.crashes)
-            | frozenset(self.send_omissions)
-            | frozenset(self.receive_omissions)
-            | frozenset(self.forgeries)
+        return frozenset().union(
+            self.crashes, self.send_omissions, self.receive_omissions, self.forgeries
         )
 
     @staticmethod
@@ -180,7 +177,8 @@ class ScriptedAdversary(Adversary):
         alive: FrozenSet[ProcessId],
         faulty_so_far: FrozenSet[ProcessId],
     ) -> RoundFaultPlan:
-        return self._script.get(round_no, RoundFaultPlan.empty())
+        plan = self._script.get(round_no)
+        return RoundFaultPlan.empty() if plan is None else plan
 
     @staticmethod
     def silence(

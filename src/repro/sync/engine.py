@@ -29,6 +29,14 @@ Round structure (paper, Section 2):
 
 All of the paper's predicates are later evaluated on the recorded
 history alone.
+
+Steps 2–4 are one function, :func:`step_round`, over an explicit
+configuration — the states (``None`` for the crashed), the
+:class:`~repro.kernel.delivery.Liveness` and the round number — and the
+round's fault plan.  :func:`run_sync` is set-up plus a loop that applies
+step 1, asks the adversary for the plan and calls it; the proof plane's
+walk (:mod:`repro.verify.walk`) calls the same function for every
+transition it has not stepped before.
 """
 
 from __future__ import annotations
@@ -59,13 +67,20 @@ if TYPE_CHECKING:  # runtime import would close the kernel↔sync cycle
     from repro.kernel.faults import FaultPlan
 from repro.kernel.snapshot import copy_payload, snapshot_states
 from repro.kernel.topology import Topology, normalize_topology, round_edges
-from repro.sync.adversary import Adversary, NullAdversary
+from repro.sync.adversary import Adversary, NullAdversary, RoundFaultPlan
 from repro.sync.corruption import CorruptionPlan
 from repro.sync.delays import DelayModel, NoDelay
 from repro.sync.protocol import SyncProtocol
 from repro.util.validation import require, require_positive, require_process_count
 
-__all__ = ["SyncRunResult", "run_sync", "update_phase", "ProtocolError"]
+__all__ = [
+    "ProtocolError",
+    "SyncRunResult",
+    "run_sync",
+    "start_states",
+    "step_round",
+    "update_phase",
+]
 
 ProcessId = int
 
@@ -214,17 +229,7 @@ def run_sync(
     bus = EventBus(((recorder, *observers) if recorder else tuple(observers)))
     bus.on_run_start(n, protocol, first_round)
 
-    states: Dict[ProcessId, Optional[Dict[str, Any]]] = {}
-    for pid in range(n):
-        state = protocol.initial_state(pid, n)
-        if initial_states and pid in initial_states:
-            state = dict(initial_states[pid])
-        if CLOCK_KEY not in state:
-            raise ProtocolError(
-                f"{protocol.name}: initial state of process {pid} lacks "
-                f"the round variable ({CLOCK_KEY!r})"
-            )
-        states[pid] = state
+    states = start_states(protocol, n, initial_states)
     if corruption is not None:
         states = _corrupt_states(
             bus, corruption, protocol, states, n, time=first_round - 1
@@ -233,13 +238,6 @@ def run_sync(
     live = Liveness(n)
     stopped_early = False
     last_round = first_round
-
-    wants_round_start = bus.wants_round_start
-    wants_topology = bus.wants_topology
-    wants_send = bus.wants_send
-    wants_deliver = bus.wants_deliver
-    wants_fault = bus.wants_fault
-    wants_round_end = bus.wants_round_end
 
     for round_no in range(first_round, first_round + rounds):
         last_round = round_no
@@ -250,46 +248,10 @@ def run_sync(
 
         plan = adversary.plan_round(round_no, live.alive_view, live.faulty)
         adversary.validate(plan, live.faulty)
-
-        if wants_round_start:
-            bus.on_round_start(round_no, snapshot_states(states))
-
-        edges = None
-        if topo is not None:
-            edges = round_edges(topo, round_no)
-            if wants_topology:
-                bus.on_topology(round_no, edges)
-
-        # A quiet round (empty plan, nobody dead) keeps no ledger at all.
-        idle = not live.crashed and quiet(plan)
-        ledger = None if idle else RoundLedger(plan, n, live, round_no, edges)
-
-        wire = _send_phase(protocol, n, round_no, states, live.alive_order, ledger, edges)
-        if wants_fault and ledger is not None:
-            ledger.narrate_sends(bus)
-        if wants_send:
-            bus.on_sends(Wire(wire), round_no)
-
-        immediate = _route_delays(wire, round_no, delay_model, in_flight)
-        pending = in_flight.pop(round_no, None)
-        arriving = immediate + pending if pending else immediate
-        delivered = _delivery_phase(arriving, ledger, presorted=not pending)
-        if wants_fault and ledger is not None:
-            ledger.narrate_receives(bus)
-        if wants_deliver:
-            bus.on_deliveries(Inboxes(delivered), round_no)
-
-        if ledger is None:
-            update_phase(protocol, n, bus, round_no, states, delivered)
-        else:
-            update_phase(
-                protocol, n, bus, round_no, states, delivered,
-                live.crashed, ledger.crashing_now,
-            )
-            live.fold(ledger)
-
-        if wants_round_end:
-            bus.on_round_end(round_no)
+        edges = None if topo is None else round_edges(topo, round_no)
+        step_round(
+            protocol, n, bus, round_no, states, live, plan, edges, delay_model, in_flight
+        )
 
         if stop_condition is not None and stop_condition(states, round_no):
             stopped_early = True
@@ -307,6 +269,91 @@ def run_sync(
         stopped_early=stopped_early,
         executed_rounds=last_round - first_round + 1,
     )
+
+
+def start_states(
+    protocol: SyncProtocol,
+    n: int,
+    initial_states: Optional[Mapping[ProcessId, Dict[str, Any]]] = None,
+) -> Dict[ProcessId, Optional[Dict[str, Any]]]:
+    """The states a run starts from: the protocol's specified initial
+    state, overridden per pid by ``initial_states``; each must hold the
+    round variable."""
+    states: Dict[ProcessId, Optional[Dict[str, Any]]] = {}
+    for pid in range(n):
+        state = protocol.initial_state(pid, n)
+        if initial_states and pid in initial_states:
+            state = dict(initial_states[pid])
+        if CLOCK_KEY not in state:
+            raise ProtocolError(
+                f"{protocol.name}: initial state of process {pid} lacks "
+                f"the round variable ({CLOCK_KEY!r})"
+            )
+        states[pid] = state
+    return states
+
+
+#: The delay model of perfect synchrony, for callers that bring none.
+_NO_DELAY = NoDelay()
+
+
+def step_round(
+    protocol: SyncProtocol,
+    n: int,
+    bus: EventBus,
+    round_no: int,
+    states: Dict[ProcessId, Optional[Dict[str, Any]]],
+    live: Liveness,
+    plan: RoundFaultPlan,
+    edges: Optional[Sequence[Sequence[ProcessId]]] = None,
+    delay_model: DelayModel = _NO_DELAY,
+    in_flight: Optional[Dict[int, Arrivals]] = None,
+) -> None:
+    """One round (steps 2–4 above) from the configuration ``(states,
+    live, round_no)`` under ``plan``, narrated to ``bus``.
+
+    ``states`` and ``live`` are advanced in place to the next
+    configuration.  ``edges`` is the round's topology (``None`` on the
+    complete graph); copies that a delay model holds back wait in
+    ``in_flight`` (round due -> arrivals), which the caller keeps across
+    rounds — under the default perfect synchrony nothing ever waits.
+    """
+    if bus.wants_round_start:
+        bus.on_round_start(round_no, snapshot_states(states))
+    if edges is not None and bus.wants_topology:
+        bus.on_topology(round_no, edges)
+
+    # A quiet round (empty plan, nobody dead) keeps no ledger at all.
+    idle = not live.crashed and quiet(plan)
+    ledger = None if idle else RoundLedger(plan, n, live, round_no, edges)
+    wants_fault = bus.wants_fault and ledger is not None
+
+    wire = _send_phase(protocol, n, round_no, states, live.alive_order, ledger, edges)
+    if wants_fault:
+        ledger.narrate_sends(bus)
+    if bus.wants_send:
+        bus.on_sends(Wire(wire), round_no)
+
+    immediate = _route_delays(wire, round_no, delay_model, in_flight)
+    pending = in_flight.pop(round_no, None) if in_flight else None
+    arriving = immediate + pending if pending else immediate
+    delivered = _delivery_phase(arriving, ledger, presorted=not pending)
+    if wants_fault:
+        ledger.narrate_receives(bus)
+    if bus.wants_deliver:
+        bus.on_deliveries(Inboxes(delivered), round_no)
+
+    if ledger is None:
+        update_phase(protocol, n, bus, round_no, states, delivered)
+    else:
+        update_phase(
+            protocol, n, bus, round_no, states, delivered,
+            live.crashed, ledger.crashing_now,
+        )
+        live.fold(ledger)
+
+    if bus.wants_round_end:
+        bus.on_round_end(round_no)
 
 
 #: Deliveries are presented to the protocol sorted by (sender, round sent).

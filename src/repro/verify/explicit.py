@@ -19,14 +19,17 @@ proof must not inherit a streaming checker's blind spots.  Any
 streaming/confirm disagreement is returned as a mismatch and blocks
 certification.
 
-Two judges, one execution: a plan is run through the engine once
+Two judges, one walk: a plan is walked once
 (:func:`repro.verify.targets.judge_plan`), with the streaming checker
-and the frontier observer on its event bus and the recorded history
-handed to ``check_definition`` afterwards.  That is sound because a
-spec fully determines its run — a second execution would narrate the
-same events and record an equal history — and it leaves the cross-check
-intact, because what is shared is the judges' *input*, not their
-reasoning.
+and the frontier observer as its riders and the recorded history
+handed to ``check_definition`` afterwards.  The walk
+(:mod:`repro.verify.walk`) steps each distinct transition once per
+call: every plan of the space goes through one table of filed rounds,
+and only a round the table lacks is stepped by the engine's round
+function.  That is sound because a spec fully determines its run — a
+second execution would narrate the same events and record an equal
+history — and it leaves the cross-check intact, because what is shared
+is the judges' *input*, not their reasoning.
 
 Per-plan work is memoized through the content-addressed run cache
 under the ``verify:<target>@verify`` namespace, so re-proving an
@@ -36,16 +39,14 @@ reports the proof plane's traffic separately from EXPLORE's.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-from collections.abc import Mapping
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.base import run_sweep
 from repro.explore.space import PlanSpace, PlanSpec, dedupe
-from repro.kernel.events import Observer
 from repro.verify.result import VerifyResult, frontier_from_digests
 from repro.verify.targets import VerifyTarget, judge_plan
+from repro.verify.walk import FrontierObserver, shared_table, state_digest
 
 __all__ = [
     "FrontierObserver",
@@ -53,6 +54,7 @@ __all__ = [
     "SpaceTooLargeError",
     "enumerate_space",
     "explicit_verify",
+    "state_digest",
 ]
 
 #: Ceiling on plans one explicit verification will walk.  Bounded model
@@ -63,64 +65,6 @@ MAX_EXPLICIT_PLANS = 20_000
 
 class SpaceTooLargeError(ValueError):
     """The space exceeds what the explicit engine will exhaust."""
-
-
-_ATOMS = frozenset({int, str, bool, float, type(None)})
-
-
-def _canon(value: Any) -> str:
-    """A deterministic textual form for state values.
-
-    ``repr`` alone is not canonical for unordered containers (set and
-    frozenset iteration order follows hash seeds for str members, a
-    mapping's follows insertion), so mappings — the kernel's
-    ``FrozenDict`` snapshots as much as plain dicts — and sets are
-    rendered with sorted members.
-    """
-    if type(value) in _ATOMS:  # most values; spares them the Mapping ABC check
-        return repr(value)
-    if isinstance(value, Mapping):
-        items = ", ".join(
-            f"{_canon(k)}: {_canon(value[k])}" for k in sorted(value, key=repr)
-        )
-        return "{" + items + "}"
-    if isinstance(value, (set, frozenset)):
-        return "{" + ", ".join(sorted(_canon(item) for item in value)) + "}"
-    if isinstance(value, (list, tuple)):
-        return "(" + ", ".join(_canon(item) for item in value) + ")"
-    return repr(value)
-
-
-def state_digest(snapshots: Any) -> str:
-    """Canonical digest of one global state (pid → state-or-crashed)."""
-    parts = []
-    for pid in sorted(snapshots):
-        state = snapshots[pid]
-        parts.append(f"{pid}=" + ("<crashed>" if state is None else _canon(state)))
-    content = hashlib.sha256("|".join(parts).encode("utf-8"))
-    return content.hexdigest()[:16]
-
-
-class FrontierObserver(Observer):
-    """Digests every per-round global state a run passes through.
-
-    The digests — not the states — ride back to the parent, which
-    interns them across *all* plans of the verification: two plans that
-    steer the system through the same global state collapse to one
-    frontier entry, and the dedup ratio measures how much of the
-    fault-plan product re-treads shared ground.
-    """
-
-    def __init__(self) -> None:
-        self.digests: List[str] = []
-
-    def on_round_start(self, round_no, snapshots) -> None:
-        self.digests.append(state_digest(snapshots))
-
-    def on_run_end(self, time, final_states) -> None:
-        # The post-final-round state never gets a round row; digest it
-        # here so the frontier covers the run end-to-end.
-        self.digests.append(state_digest(final_states))
 
 
 def _verify_worker(task: Tuple[str, int, PlanSpec]) -> Dict[str, Any]:
@@ -176,12 +120,13 @@ def explicit_verify(
     specs, raw_count, dropped = enumerate_space(
         space, target.symmetric, max_plans=max_plans
     )
-    outcomes = run_sweep(
-        _verify_worker,
-        [(target.name, at, spec) for spec in specs],
-        jobs,
-        cache=f"verify:{target.name}@verify",
-    )
+    with shared_table():
+        outcomes = run_sweep(
+            _verify_worker,
+            [(target.name, at, spec) for spec in specs],
+            jobs,
+            cache=f"verify:{target.name}@verify",
+        )
 
     digests: List[str] = []
     mismatches = []

@@ -19,15 +19,16 @@ Every plan faces EXPLORE's two judges, both read off the target's one
   a mismatch that blocks certification.
 
 :func:`streaming_verdict` and :func:`confirm_verdict` each execute the
-plan for their one judge (replays, cross-checks, the SMT engine's
-concrete counterexamples).  :func:`judge_plan` — what the explicit
-engine walks a space with — executes it once for both: the engine is
-deterministic in the spec, so the event stream and the history of two
-executions would be equal anyway, and what the judges share is only
-that input.  They stay separate code (window scoring on clock digests
-vs ``check_definition`` on an ``ExecutionHistory``) and can still
-disagree; thm2 and unison have no streaming checker, so their single
-judge's verdict is reported on both sides.
+plan through ``run_sync`` for their one judge (replays, cross-checks,
+the SMT engine's concrete counterexamples).  :func:`judge_plan` — what
+the explicit engine walks a space with — walks it once for both
+(:mod:`repro.verify.walk`): the engine is deterministic in the spec, so
+the event stream and the history of two executions would be equal
+anyway, and what the judges share is only that input.  They stay
+separate code (window scoring on clock digests vs ``check_definition``
+on an ``ExecutionHistory``) and can still disagree; thm2 and unison
+have no streaming checker, so their single judge's verdict is reported
+on both sides.
 
 ``fig1`` and ``thm1`` additionally support re-instantiating the claim
 at a caller-chosen stabilization time ``--at R`` (the claims are
@@ -49,6 +50,8 @@ from repro.explore.checkers import SpecVerdict
 from repro.explore.space import PlanSpace, PlanSpec
 from repro.explore.targets import SYNC_CLAIMS
 from repro.kernel.events import Observer
+from repro.kernel.recorders import HistoryRecorder
+from repro.verify.walk import current_table, walk
 from repro.workloads.spaces import (
     THM1_SPACE,
     THM2_SPACE,
@@ -222,6 +225,20 @@ def judge_plan(
     spec: PlanSpec,
     frontier: Optional[Observer] = None,
 ) -> Tuple[SpecVerdict, SpecVerdict]:
-    """``(streaming_verdict, confirm_verdict)`` off one execution of the plan."""
+    """``(streaming_verdict, confirm_verdict)`` off one walk of the plan.
+
+    The walk narrates the run the two single judges would each execute,
+    so the checker's events and the judge's history may come from it
+    without either verdict changing.  A checker that is itself a
+    :class:`HistoryRecorder` already assembles every round: it is told
+    to keep them and no second recorder rides along.
+    """
     _require_at(target, at)
-    return SYNC_CLAIMS[target.name].both(spec, at, _riders(frontier))
+    claim = SYNC_CLAIMS[target.name]
+    checker = None if claim.checker is None else claim.checker(at)
+    recorder = checker if isinstance(checker, HistoryRecorder) else HistoryRecorder()
+    recorder.keeps_rounds = True
+    riders = (recorder,) if checker is None or checker is recorder else (checker, recorder)
+    walk(claim, spec, riders + _riders(frontier), current_table())
+    confirm = claim.judge(recorder.history(), spec, at)
+    return (confirm if checker is None else checker.verdict()), confirm

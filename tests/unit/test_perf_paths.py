@@ -722,10 +722,13 @@ class TestPersistentPool:
         shutdown_pool()
 
 
-class TestOneExecutionPerVerifiedPlan:
+class TestOneStepPerDistinctRound:
     @pytest.mark.parametrize("name, smoke", [("fig1", True), ("fig3", False)])
-    def test_one_run_and_one_round_assembly_per_plan(self, monkeypatch, name, smoke):
+    def test_one_walk_per_plan_and_one_assembly_per_stepped_round(
+        self, monkeypatch, name, smoke
+    ):
         import repro.cache
+        from repro.sync import engine
         from repro.verify import get_verify_target, verify
         from repro.verify.explicit import enumerate_space
 
@@ -733,13 +736,14 @@ class TestOneExecutionPerVerifiedPlan:
         space = target.smoke_space if smoke else target.space
         specs, _raw, _dropped = enumerate_space(space, target.symmetric)
 
-        repro.cache.disable()  # a cache hit executes nothing at all
-        # Class-level counters see every run and every round assembly,
-        # whichever module's reference to run_sync started it: a run
-        # announces itself once on its bus.
-        runs, rounds = [], []
+        repro.cache.disable()  # a cache hit walks nothing at all
+        # Class-level counters see every walk and every round assembly: a
+        # walk announces itself once on its plan's bus, and only a round
+        # the table lacks is stepped — and assembled — at all.
+        runs, rounds, steps = [], [], []
         on_run_start = EventBus.on_run_start
         finish_round = HistoryRecorder._finish_round
+        step_round = engine.step_round
         monkeypatch.setattr(
             EventBus,
             "on_run_start",
@@ -750,11 +754,15 @@ class TestOneExecutionPerVerifiedPlan:
             "_finish_round",
             lambda self, round_no: rounds.append(round_no) or finish_round(self, round_no),
         )
+        monkeypatch.setattr(
+            engine, "step_round", lambda *args: steps.append(1) or step_round(*args)
+        )
         result = verify(name, space=space, jobs=1)
         assert result.proved and not result.mismatches
         assert result.examined == len(specs)
         assert len(runs) == result.examined
-        assert len(rounds) == sum(spec.rounds for spec in specs)
+        assert len(rounds) == len(steps)
+        assert len(steps) < sum(spec.rounds for spec in specs)
 
 
 def _log_lane_array(log, call, result):

@@ -1,17 +1,19 @@
-"""Two judges, one execution: the joint judgement changes no answer.
+"""Two judges, one walk: the joint judgement changes no answer.
 
 ``repro.verify.targets.judge_plan`` puts a plan before the streaming
-checker and the confirm oracle off a single run.  These tests pin down
-what that sharing must not touch:
+checker and the confirm oracle off a single walk, and the walk steps a
+round only when the table of filed rounds lacks it
+(:mod:`repro.verify.walk`).  These tests pin down what that sharing
+must not touch:
 
 - both verdicts equal what the two single-judge functions return, field
   for field, on every plan of the curated spaces (and at a non-default
   stabilization time where the target takes one);
-- the frontier digests equal those of an observer riding a plain
-  streaming run, and the history the confirm judge reads equals a
-  recorded run's — mid-run corruption included, where the streaming
-  clock checker drops the fault round from its *score* but must keep
-  it in the *history*;
+- walked through one table, as ``explicit_verify`` walks a space, every
+  plan's verdicts, frontier digests and recorded history equal a
+  ``run_sync`` of that plan — mid-run corruption included, where the
+  streaming clock checker drops the fault round from its *score* but
+  must keep it in the *history*;
 - the cross-check is still a cross-check: blind either judge and the
   other one's verdicts surface as mismatches.
 """
@@ -26,6 +28,7 @@ from repro.explore.targets import SYNC_CLAIMS
 from repro.verify import VERIFY_TARGETS, verify
 from repro.verify.explicit import FrontierObserver, enumerate_space
 from repro.verify.targets import confirm_verdict, judge_plan, streaming_verdict
+from repro.verify.walk import shared_table
 from repro.workloads.spaces import VERIFY_FIG1_SPACE
 
 #: The fig1 plans with a systemic failure in round 3 (one omission window).
@@ -82,8 +85,8 @@ def test_joint_judgement_equals_the_two_single_judges(name, at, space):
         assert len(joint_frontier.digests) == spec.rounds + 1
 
 
-@pytest.mark.parametrize("name, at, space", CASES)
-def test_confirm_judge_reads_the_recorded_history(name, at, space):
+def _spy_on_the_judge(monkeypatch, name):
+    """Every history ``name``'s confirm judge reads, in order."""
     claim = SYNC_CLAIMS[name]
     seen = []
 
@@ -91,11 +94,19 @@ def test_confirm_judge_reads_the_recorded_history(name, at, space):
         seen.append(history)
         return claim.judge(history, spec, at)
 
-    spied = replace(claim, judge=spy)
+    monkeypatch.setitem(SYNC_CLAIMS, name, replace(claim, judge=spy))
+    return seen
+
+
+@pytest.mark.parametrize("name, at, space", CASES)
+def test_confirm_judge_reads_the_recorded_history(name, at, space, monkeypatch):
+    claim = SYNC_CLAIMS[name]
+    seen = _spy_on_the_judge(monkeypatch, name)
     specs = _plans(name, space)
-    for spec in specs:
-        spied.both(spec, at)
-        assert list(seen[-1]) == list(claim.run(spec).history)
+    with shared_table():
+        for spec in specs:
+            judge_plan(VERIFY_TARGETS[name], at, spec)
+            assert list(seen[-1]) == list(claim.run(spec).history)
     assert len(seen) == len(specs)
 
 
@@ -104,6 +115,60 @@ def test_mid_run_corruption_plans_are_in_the_cases():
     assert all(spec.corruption_rounds == (3,) for spec in specs)
     unison = _plans("unison", VERIFY_TARGETS["unison"].space)
     assert any(spec.corruption_rounds for spec in unison)
+
+
+# -- the walk against a run_sync per plan -------------------------------------
+
+
+def _run_sync_reference(claim, spec, at):
+    """The joint judgement as it was before the walk: one ``run_sync`` of
+    the plan with the checker and a frontier riding it, and the confirm
+    judge on that run's recorded history."""
+    frontier = FrontierObserver()
+    checker = None if claim.checker is None else claim.checker(at)
+    riders = (frontier,) if checker is None else (checker, frontier)
+    history = claim.run(spec, riders).history
+    confirm = claim.judge(history, spec, at)
+    streaming = confirm if checker is None else checker.verdict()
+    return streaming, confirm, frontier.digests, history
+
+
+def _full(name, at=None):
+    """Every plan of ``name``'s full space (ids end in ``-full``)."""
+    case = _case(name, at, VERIFY_TARGETS[name].space)
+    return pytest.param(*case.values, id=f"{case.id}-full")
+
+
+WALK_CASES = [
+    _full("fig1"),
+    _full("fig1", at=0),
+    _full("fig1", at=2),
+    _case("fig1"),
+    _case("fig1", at=0),
+    _case("fig1", space=FIG1_MID_RUN_CORRUPTION),
+    _case("fig1", at=2, space=FIG1_MID_RUN_CORRUPTION),
+    _full("fig3"),
+    _full("unison"),
+    _full("thm1"),
+    _full("thm1", at=2),
+    _full("thm2"),
+]
+
+
+@pytest.mark.parametrize("name, at, space", WALK_CASES)
+def test_walk_through_one_table_equals_a_run_sync_per_plan(name, at, space, monkeypatch):
+    claim = SYNC_CLAIMS[name]
+    seen = _spy_on_the_judge(monkeypatch, name)
+    with shared_table() as table:
+        for spec in _plans(name, space):
+            frontier = FrontierObserver()
+            walked = judge_plan(VERIFY_TARGETS[name], at, spec, frontier)
+            streaming, confirm, digests, history = _run_sync_reference(claim, spec, at)
+            assert walked == (streaming, confirm)
+            assert frontier.digests == digests
+            assert list(seen[-1]) == list(history)
+        # The table did its job: most rounds were filed, not stepped.
+        assert table.stepped < sum(spec.rounds for spec in _plans(name, space))
 
 
 # -- the cross-check survived the merge --------------------------------------
