@@ -14,13 +14,20 @@ Contract:
   *structured* JSON error (:func:`repro.serve.protocol.error_body`)
   with 400/413/431 and close the connection.
 - Unary responses carry ``Content-Length`` and keep the connection
-  alive; streaming responses use chunked transfer-encoding, flush one
-  chunk per ND-JSON line, and always close when done (simplest honest
-  HTTP/1.1).
-- While streaming, the connection's read side is watched: an EOF or
-  reset cancels the producer *at its current await point* (its
-  ``finally`` blocks run, so the service can cancel in-flight shards)
-  — the mechanism behind "client disconnect cancels the shard".
+  alive unless the request says ``Connection: close``.  Streaming
+  responses use chunked transfer-encoding and flush one chunk per
+  ND-JSON line.  A stream keeps its connection for the next request
+  only when the request carried ``Connection: keep-alive`` *and* the
+  producer ended cleanly; every other stream (no such header, a
+  producer error, a client byte or EOF mid-stream) closes when done.
+- While streaming, the connection's read side is watched: an EOF,
+  reset or stray byte cancels the producer *at its current await
+  point* (its ``finally`` blocks run, so the service can cancel
+  in-flight shards) — the mechanism behind "client disconnect cancels
+  the shard".  The watch is cancelled before the terminating chunk
+  goes out, so it never consumes a byte of the next request.
+- The server counts the connections it accepted and the requests it
+  read on them (:meth:`HttpServer.counters`).
 """
 
 from __future__ import annotations
@@ -200,6 +207,42 @@ def _unary_bytes(response: Response, keep_alive: bool) -> bytes:
     return _head(response.status, response.content_type, extra) + b"\r\n" + response.body
 
 
+def _chunk(data: bytes) -> bytes:
+    return b"%x\r\n" % len(data) + data + b"\r\n"
+
+
+async def _pump(lines: AsyncIterator[bytes], writer: asyncio.StreamWriter) -> bool:
+    """Write every produced line as one chunk; True iff the producer ended cleanly.
+
+    A producer exception ends the body with a structured error line
+    (the head already went out, so the status cannot say it).  A write
+    failure propagates: the client is gone.
+    """
+    try:
+        while True:
+            try:
+                line = await lines.__anext__()
+            except StopAsyncIteration:
+                return True
+            except Exception as error:  # producer bug: end the stream loudly
+                tail = json.dumps(error_body("internal", f"{type(error).__name__}: {error}"))
+                writer.write(_chunk((tail + "\n").encode("utf-8")))
+                return False
+            writer.write(_chunk(line))
+            await writer.drain()
+    finally:
+        await lines.aclose()
+
+
+async def _settle(task: "asyncio.Future[Any]") -> None:
+    """Cancel ``task`` if it still runs and absorb however it ended."""
+    task.cancel()
+    try:
+        await task
+    except (asyncio.CancelledError, Exception):
+        pass
+
+
 class HttpServer:
     """One listening socket fanning requests into the router callback."""
 
@@ -216,6 +259,8 @@ class HttpServer:
         self._max_body = max_body
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
+        self._accepted = 0
+        self._requests = 0
 
     @property
     def port(self) -> int:
@@ -226,6 +271,10 @@ class HttpServer:
     def host(self) -> str:
         return self._host
 
+    def counters(self) -> Dict[str, int]:
+        """Connections accepted and requests read on them, since construction."""
+        return {"accepted": self._accepted, "requests": self._requests}
+
     async def start(self) -> None:
         self._server = await asyncio.start_server(
             self._serve_connection,
@@ -235,17 +284,15 @@ class HttpServer:
         )
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        # Idle keep-alive connections go first: from Python 3.12 on,
+        # wait_closed() waits for every open connection.
         for task in list(self._connections):
-            task.cancel()
-        for task in list(self._connections):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+            await _settle(task)
+        if server is not None:
+            await server.wait_closed()
 
     # -- connection loop -----------------------------------------------------
 
@@ -254,6 +301,7 @@ class HttpServer:
     ) -> None:
         task = asyncio.current_task()
         self._connections.add(task)
+        self._accepted += 1
         try:
             await self._request_loop(reader, writer)
         except (asyncio.CancelledError, ConnectionError):
@@ -283,11 +331,15 @@ class HttpServer:
                 return
             if request is None:
                 return
+            self._requests += 1
             response = await self._dispatch(request)
+            connection = request.headers.get("connection", "").lower()
             if isinstance(response, StreamResponse):
-                await self._write_stream(reader, writer, response)
-                return  # streaming responses close the connection
-            keep_alive = request.headers.get("connection", "keep-alive") != "close"
+                keep_alive = connection == "keep-alive"
+                if not await self._write_stream(reader, writer, response, keep_alive):
+                    return
+                continue
+            keep_alive = connection != "close"
             writer.write(_unary_bytes(response, keep_alive))
             await writer.drain()
             if not keep_alive:
@@ -314,65 +366,47 @@ class HttpServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         response: StreamResponse,
-    ) -> None:
+        keep_alive: bool,
+    ) -> bool:
+        """Stream one response; True iff the connection may serve another request.
+
+        One pump task writes the whole body while the read side is
+        watched; the first of the two to finish decides.  A watch that
+        fires first (EOF, reset, or a stray byte) cancels the pump, so
+        the producer stops at its await point and the connection closes.
+        """
         writer.write(
             _head(
                 response.status,
                 response.content_type,
-                {"Transfer-Encoding": "chunked", "Connection": "close"},
+                {
+                    "Transfer-Encoding": "chunked",
+                    "Connection": "keep-alive" if keep_alive else "close",
+                },
             )
             + b"\r\n"
         )
-        generator = response.lines
+        pump = asyncio.ensure_future(_pump(response.lines, writer))
         eof_watch = asyncio.ensure_future(reader.read(1))
         try:
-            while True:
-                next_line = asyncio.ensure_future(generator.__anext__())
-                done, _pending = await asyncio.wait(
-                    {next_line, eof_watch}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if eof_watch in done and next_line not in done:
-                    # Client went away (or sent junk we treat as going
-                    # away): stop the producer at its await point so its
-                    # finally blocks cancel any in-flight work.
-                    next_line.cancel()
-                    try:
-                        await next_line
-                    except (asyncio.CancelledError, StopAsyncIteration, Exception):
-                        pass
-                    return
-                try:
-                    line = next_line.result()
-                except StopAsyncIteration:
-                    writer.write(b"0\r\n\r\n")
-                    await writer.drain()
-                    return
-                except Exception as error:  # producer bug: end the stream loudly
-                    tail = (
-                        json.dumps(
-                            error_body("internal", f"{type(error).__name__}: {error}")
-                        )
-                        + "\n"
-                    ).encode("utf-8")
-                    try:
-                        writer.write(b"%x\r\n" % len(tail) + tail + b"\r\n0\r\n\r\n")
-                        await writer.drain()
-                    except (ConnectionError, OSError):
-                        pass
-                    return
-                try:
-                    writer.write(b"%x\r\n" % len(line) + line + b"\r\n")
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    return
+            await asyncio.wait({pump, eof_watch}, return_when=asyncio.FIRST_COMPLETED)
         finally:
-            if not eof_watch.done():
-                eof_watch.cancel()
-                try:
-                    await eof_watch
-                except (asyncio.CancelledError, Exception):
-                    pass
-            await generator.aclose()
+            interrupted = not pump.done()
+            if interrupted:
+                # The client went away (or sent a byte mid-stream): stop
+                # the producer so its finally blocks cancel in-flight work.
+                await _settle(pump)
+            heard = eof_watch.done()
+            await _settle(eof_watch)
+        if interrupted:
+            return False
+        try:
+            clean = pump.result()
+            writer.write(b"0\r\n\r\n")
+            await writer.drain()
+        except (ConnectionError, OSError):
+            return False
+        return keep_alive and clean and not heard
 
 
 def split_path(path: str) -> Tuple[str, ...]:

@@ -115,7 +115,11 @@ class ServeMetrics(Observer):
             return None
         return self.tasks_cache_hits / self.tasks_total
 
-    def snapshot(self, fleet: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+    def snapshot(
+        self,
+        fleet: Optional[Dict[str, Any]] = None,
+        connections: Optional[Dict[str, int]] = None,
+    ) -> Dict[str, Any]:
         ordered = sorted(self._latencies)
         ratio = self.hit_ratio
         return {
@@ -150,6 +154,7 @@ class ServeMetrics(Observer):
                 "remote_entry_hits": self.remote_entry_hits,
             },
             "fleet": fleet or {},
+            "connections": connections or {},
         }
 
 

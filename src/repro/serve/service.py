@@ -13,7 +13,7 @@ local one by construction.
 Routes::
 
     GET  /v1/experiments   the servable surface catalog
-    GET  /v1/stats         request/task/cache/fleet counters
+    GET  /v1/stats         request/task/cache/fleet/connection counters
     GET  /v1/cache/<key>   one store entry as a tagged-JSON frame
                            (the remote cache tier; never pickle)
     POST /v1/sweep         ND-JSON stream of sweep outcomes
@@ -195,7 +195,9 @@ class SweepService:
         if parts == ("v1", "experiments") and request.method == "GET":
             return json_response(self.catalog.describe())
         if parts == ("v1", "stats") and request.method == "GET":
-            return json_response(self.metrics.snapshot(self.fleet.describe()))
+            return json_response(
+                self.metrics.snapshot(self.fleet.describe(), self.http.counters())
+            )
         if len(parts) == 3 and parts[:2] == ("v1", "cache") and request.method == "GET":
             return self._cache_entry(parts[2])
         if parts == ("v1", "sweep") and request.method == "POST":

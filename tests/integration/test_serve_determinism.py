@@ -93,3 +93,32 @@ def test_served_sweeps_byte_identical_across_matrix(
                 assert warm.end["cache_hits"] == total
     finally:
         repro.cache.configure()
+
+
+@pytest.mark.parametrize("fleet", ["inproc", "tcp"])
+@pytest.mark.parametrize("workers", [1, 4])
+def test_one_pooled_client_across_every_cache_state(
+    local_reference, fleet, workers, tmp_path
+):
+    """Keep-alive changes no byte: every cache state rides one connection."""
+    repro.cache.configure(root=tmp_path / "serve-cache")
+    try:
+        with ServerThread(fleet_kind=fleet, workers=workers) as server, ServeClient(
+            server.url
+        ) as client:
+            sweeps = 0
+            for no_cache in (True, False, False):  # off, cold, warm
+                for experiment, spec in SWEEPS.items():
+                    summary = client.sweep(
+                        experiment,
+                        points=spec["points"],
+                        seeds=list(spec["seeds"]),
+                        no_cache=no_cache,
+                    )
+                    sweeps += 1
+                    assert summary.ok
+                    assert pickle.dumps(summary.outcomes, 4) == local_reference[experiment]
+            assert summary.end["executed"] == 0  # the last pass was warm
+            assert client.stats()["connections"] == {"accepted": 1, "requests": sweeps + 1}
+    finally:
+        repro.cache.configure()

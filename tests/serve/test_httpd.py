@@ -183,3 +183,83 @@ def test_producer_exception_ends_stream_with_error_line():
 def test_split_path():
     assert split_path("/v1/cache/abc") == ("v1", "cache", "abc")
     assert split_path("/") == ()
+
+
+async def _read_chunked(reader: asyncio.StreamReader):
+    """One chunked response off ``reader``: (head, decoded body lines)."""
+    head = await reader.readuntil(b"\r\n\r\n")
+    body = b""
+    while True:
+        size = int(await reader.readuntil(b"\r\n"), 16)
+        chunk = await reader.readexactly(size + 2)
+        if size == 0:
+            return head, body.splitlines()
+        body += chunk[:-2]
+
+
+async def _with_server(handler, client):
+    server = HttpServer(handler, max_body=1024)
+    await server.start()
+    try:
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        try:
+            return await asyncio.wait_for(client(server, reader, writer), timeout=10)
+        finally:
+            writer.close()
+    finally:
+        await server.stop()
+
+
+def test_keep_alive_streams_share_one_connection():
+    async def client(server, reader, writer):
+        heads = []
+        for _ in range(2):
+            # The second request goes out the instant the first's
+            # terminating chunk is read: had the EOF watch outlived the
+            # stream, it would eat this request's first byte.
+            writer.write(b"GET /stream HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
+            head, lines = await _read_chunked(reader)
+            heads.append(head)
+            assert [json.loads(line) for line in lines] == [{"i": i} for i in range(3)]
+        assert all(b"Connection: keep-alive" in head for head in heads)
+        return server.counters()
+
+    assert asyncio.run(_with_server(_toy_handler, client)) == {"accepted": 1, "requests": 2}
+
+
+def test_producer_exception_closes_even_with_keep_alive():
+    async def client(server, reader, writer):
+        writer.write(b"GET /buggy-stream HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
+        _head, lines = await _read_chunked(reader)
+        return json.loads(lines[-1]), await reader.read()
+
+    last, rest = asyncio.run(_with_server(_toy_handler, client))
+    assert last["error"]["code"] == "internal"
+    assert "producer bug" in last["error"]["message"]
+    assert rest == b""  # the server closed after the terminating chunk
+
+
+def test_client_byte_mid_stream_cancels_and_closes():
+    cancelled = []
+
+    async def handler(request):
+        async def parked():
+            yield b'{"i": 0}\n'
+            try:
+                await asyncio.sleep(60)
+            finally:
+                cancelled.append(request.path)
+            yield b'{"i": 1}\n'
+
+        return StreamResponse(lines=parked())
+
+    async def client(server, reader, writer):
+        writer.write(b"GET /parked HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
+        await reader.readuntil(b"\r\n\r\n")
+        await reader.readuntil(b"\r\n")  # the first chunk's size line
+        writer.write(b"X")  # a stray byte is a client going away
+        return await reader.read()
+
+    rest = asyncio.run(_with_server(handler, client))
+    assert rest == b'{"i": 0}\n\r\n'  # the first chunk's data; no terminator
+    assert cancelled == ["/parked"]

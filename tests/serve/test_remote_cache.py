@@ -142,6 +142,7 @@ def test_remote_bytes_are_never_unpickled(tmp_path, monkeypatch):
     finally:
         httpd.shutdown()
         thread.join()
+        httpd.server_close()
 
 
 def test_https_scheme_uses_tls_connection(monkeypatch):

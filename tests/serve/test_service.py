@@ -6,6 +6,8 @@ import http.client
 import json
 import pickle
 import socket
+import sys
+import threading
 import time
 
 import pytest
@@ -15,6 +17,7 @@ import repro.experiments.base as base
 from repro.experiments import fig4
 from repro.experiments.base import run_sweep
 from repro.serve.client import ServeClient, ServeError
+from repro.serve.runner import ServerThread
 
 POINTS = ((4, False), (4, True))
 SEEDS = (0, 1)
@@ -260,3 +263,75 @@ def test_deadline_already_expired_truncates_cleanly(server):
     assert summary.truncated
     assert summary.end["total"] == 4
     assert not summary.errors
+
+
+def test_one_client_keeps_one_connection(server):
+    client = ServeClient(server.url)
+    assert client.sweep("FIG4", points=POINTS, seeds=list(SEEDS)).ok
+    client.stats()
+    client.experiments()
+    assert client.stats()["connections"] == {"accepted": 1, "requests": 4}
+
+
+def test_dropped_idle_connection_reconnects_once(server):
+    url, port = server.url, server.port
+    client = ServeClient(url)
+    client.stats()
+    server.stop()  # closes the client's pooled connection while it sits idle
+    with ServerThread(fleet_kind="inproc", workers=1, port=port):
+        summary = client.sweep("SERVE-DEBUG", points=[["echo", 1]])
+        assert summary.ok and summary.outcomes == [("echo", 1, 0)]
+        assert client.stats()["connections"] == {"accepted": 1, "requests": 2}
+    # Pooled and stale again; the one resend finds nobody listening.
+    with pytest.raises(ConnectionRefusedError):
+        client.stats()
+    with pytest.raises(ConnectionRefusedError):
+        ServeClient(url).stats()
+
+
+def test_abandoned_stream_still_cancels(server):
+    client = ServeClient(server.url)
+    body = {
+        "experiment": "SERVE-DEBUG",
+        "points": [["sleep", 400]] + [["sleep", 3000]] * 12,
+        "seeds": 1,
+    }
+    for line in client.stream("/v1/sweep", body):
+        assert line["kind"] == "header"
+        break  # abandoning the stream closes its connection
+
+    deadline = time.monotonic() + 15
+    stats = client.stats()
+    while time.monotonic() < deadline:
+        stats = client.stats()
+        if stats["requests"]["cancelled"] and stats["requests"]["active"] == 0:
+            break
+        time.sleep(0.1)
+    assert stats["requests"]["cancelled"] == 1
+    assert stats["connections"]["accepted"] == 2  # the abandoned one was not reused
+
+
+def test_threads_sharing_one_client_get_local_outcomes(server):
+    expected = pickle.dumps(list(run_sweep(fig4._measure, TASKS, jobs=1)), 4)
+    client = ServeClient(server.url)
+    answers = []
+
+    def hammer():
+        for _ in range(3):
+            answers.append(client.sweep("FIG4", points=POINTS, seeds=list(SEEDS)))
+
+    threads = [threading.Thread(target=hammer) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(answers) == 12
+    assert all(pickle.dumps(answer.outcomes, 4) == expected for answer in answers)
+    # Connections open only when the pool is empty: never more than callers.
+    assert client.stats()["connections"]["accepted"] <= len(threads)
