@@ -11,9 +11,18 @@ And each distinct transition is stepped once —
 round function (``repro.sync.engine.step_round``) over the rounds of
 every plan examined, so a walk that stops sharing filed rounds (1.0
 would be a full execution per plan) cannot creep back unnoticed; lower
-is better.  ``states_per_sec`` and the wall-clock column are
-informational: they track the engine's throughput across machines but
-are too noisy to gate.
+is better.  Two more exact counts gate the sharing of what plans have
+in common beyond their rounds, on the fig1 plans with a mid-run
+corruption (the ones whose Definition 2.4 obligation is a proper
+suffix, so many plans reach one obligation): ``judged_per_plan``
+counts Definition 2.4 evaluations (``repro.core.solvability.ftss_check``)
+per plan examined, and ``corruptions_applied_per_plan`` the corruption
+plans the walk actually applied rather than found filed.  Both fall
+when obligations and corruptions are shared; a walk that judges or
+corrupts every plan afresh reads 1.0 and at least 1.0.
+``states_per_sec`` and the wall-clock column are informational: they
+track the engine's throughput across machines but are too noisy to
+gate.
 
 The cache is disabled for the timed region — this benchmark measures
 the engine, not the memoization layer (``bench_cache.py`` owns that).
@@ -27,6 +36,8 @@ from __future__ import annotations
 
 import argparse
 import time
+from contextlib import contextmanager
+from dataclasses import replace
 
 if __package__ in (None, ""):
     from _harness import best_per_call, emit, us
@@ -35,16 +46,24 @@ else:
 
 import repro.cache
 from repro.analysis.report import ExperimentReport
+from repro.core import solvability
 from repro.sync import engine
-from repro.verify import verify
+from repro.verify import explicit, verify
 from repro.verify.explicit import enumerate_space
 from repro.verify.targets import get_verify_target
 
 TARGET = get_verify_target("fig1")
 
+#: The fig1 plans with a systemic failure in round 3 (1,274 plans).
+MID_RUN_SPACE = replace(TARGET.space, corruption_round_choices=((3,),))
+
 
 def _verify_fig1_smoke():
     return verify("fig1", space=TARGET.smoke_space, jobs=1)
+
+
+def _verify_fig1_mid_run():
+    return verify("fig1", space=MID_RUN_SPACE, jobs=1)
 
 
 def _count_steps(fn):
@@ -66,6 +85,53 @@ def _count_steps(fn):
     return steps, result
 
 
+def _count_sharing(fn):
+    """``(ftss_check calls, corruption plans applied, fn())`` for one
+    explicit verification, read off the table it walks through."""
+    calls, tables = 0, []
+    ftss_check, shared_table = solvability.ftss_check, explicit.shared_table
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return ftss_check(*args, **kwargs)
+
+    @contextmanager
+    def kept_table():
+        with shared_table() as table:
+            tables.append(table)
+            yield table
+
+    solvability.ftss_check, explicit.shared_table = counting, kept_table
+    try:
+        result = fn()
+    finally:
+        solvability.ftss_check, explicit.shared_table = ftss_check, shared_table
+    return calls, sum(table.corrupted for table in tables), result
+
+
+def _row(report, name, fn, space, repeat):
+    per_call_s = best_per_call(fn, 1, repeat)
+    start = time.perf_counter()
+    result = fn()
+    elapsed = time.perf_counter() - start
+    frontier = result.frontier
+    states_per_sec = frontier.states_visited / elapsed if elapsed > 0 else 0.0
+    steps, counted = _count_steps(fn)
+    judged, corrupted, shared = _count_sharing(fn)
+    specs, _raw, _dropped = enumerate_space(space, TARGET.symmetric)
+    assert len(specs) == counted.examined == shared.examined
+    report.add_row(
+        name,
+        us(per_call_s),
+        round(states_per_sec),
+        round(frontier.dedup_hit_ratio, 4),
+        round(steps / sum(spec.rounds for spec in specs), 4),
+        round(judged / len(specs), 4),
+        round(corrupted / len(specs), 4),
+    )
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="fewer batches")
@@ -74,26 +140,16 @@ def main() -> None:
     repeat = 2 if args.quick else 3
 
     repro.cache.disable()
-    per_call_s = best_per_call(_verify_fig1_smoke, 1, repeat)
-
-    start = time.perf_counter()
-    result = _verify_fig1_smoke()
-    elapsed = time.perf_counter() - start
-    frontier = result.frontier
-    states_per_sec = frontier.states_visited / elapsed if elapsed > 0 else 0.0
-    steps, counted = _count_steps(_verify_fig1_smoke)
-    specs, _raw, _dropped = enumerate_space(TARGET.smoke_space, TARGET.symmetric)
-    assert len(specs) == counted.examined
-
     report = ExperimentReport(
         experiment_id="VERIFY-BENCH",
         title="Verification-plane microbenchmarks",
         claim=(
-            "exhausting the fig1 smoke space stays cheap: each distinct "
-            "transition is stepped once, however many plans reach it, and "
-            "the canonical-state frontier dedup keeps collapsing revisited "
-            "clock configurations (rounds_stepped_per_plan_round and "
-            "dedup_hit_ratio are machine-independent)"
+            "exhausting the fig1 spaces stays cheap: each distinct "
+            "transition is stepped once, each distinct corruption applied "
+            "once and each distinct obligation judged once, however many "
+            "plans reach it, and the canonical-state frontier dedup keeps "
+            "collapsing revisited clock configurations (the last four "
+            "columns are machine-independent)"
         ),
         headers=[
             "benchmark",
@@ -101,15 +157,12 @@ def main() -> None:
             "states_per_sec",
             "dedup_hit_ratio",
             "rounds_stepped_per_plan_round",
+            "judged_per_plan",
+            "corruptions_applied_per_plan",
         ],
     )
-    report.add_row(
-        "explicit/fig1-smoke",
-        us(per_call_s),
-        round(states_per_sec),
-        round(frontier.dedup_hit_ratio, 4),
-        round(steps / sum(spec.rounds for spec in specs), 4),
-    )
+    _row(report, "explicit/fig1-smoke", _verify_fig1_smoke, TARGET.smoke_space, repeat)
+    _row(report, "explicit/fig1-mid-run", _verify_fig1_mid_run, MID_RUN_SPACE, repeat)
     emit(report, out=args.out)
 
 

@@ -153,8 +153,7 @@ class StreamingClockStabilization(HistoryRecorder):
     (property-tested).
 
     How: each round's records are assembled (reusing the history
-    recorder's round-building; dropped afterwards unless the caller set
-    ``keeps_rounds``, in which case :meth:`history` also works), fed to a private
+    recorder's round-building; dropped afterwards), fed to a private
     :class:`CausalityTracker` to maintain the coterie incrementally;
     whenever the coterie grows, the closing window is scored on its
     buffered ``(round, clocks)`` rows by scanning for the last
@@ -166,8 +165,6 @@ class StreamingClockStabilization(HistoryRecorder):
     Clock-agreement only: general problem predicates need arbitrary
     sub-histories and go through the recorded-history path above.
     """
-
-    keeps_rounds = False
 
     def __init__(self, min_window_length: int = 2):
         super().__init__()
@@ -190,8 +187,7 @@ class StreamingClockStabilization(HistoryRecorder):
         self._everyone = frozenset(range(n))
 
     def _round_finished(self, round_history):
-        super()._round_finished(round_history)  # kept only if keeps_rounds
-        self._score_round(round_history)
+        self._score_round(round_history)  # scored, not kept
 
     def _score_round(self, round_history) -> None:
         """Advance the coterie and the current window by one round."""

@@ -65,6 +65,12 @@ class ComposedCorruption(CorruptionPlan):
             out = part.corrupt(protocol, out, n)
         return out
 
+    def exact_key(self):
+        if type(self) is not ComposedCorruption:
+            return None
+        parts = tuple(getattr(part, "exact_key", lambda: None)() for part in self._parts)
+        return None if None in parts else (ComposedCorruption, parts)
+
 
 @dataclass(frozen=True)
 class OmissionSpec:

@@ -104,19 +104,27 @@ def _cap(violations) -> Tuple[str, ...]:
     return tuple(violations[:MAX_VIOLATIONS])
 
 
-def _post_corruption_suffix(history, spec: PlanSpec):
-    """The maximal corruption-free suffix — what Def 2.4 obliges.
+def _from_the_start(spec: PlanSpec) -> int:
+    """The whole history is obliged."""
+    return 0
 
-    Mid-run corruption restarts the stabilization obligations (the
-    repo's "final systemic failure" contract); returns ``None`` when
-    nothing remains to check.
-    """
-    if not spec.corruption_rounds:
+
+def _after_last_corruption(spec: PlanSpec) -> int:
+    """Mid-run corruption restarts the stabilization obligations (the
+    repo's "final systemic failure" contract): Def 2.4 obliges the
+    maximal corruption-free suffix, the rounds after the last mid-run
+    corruption round (round numbers start at 1)."""
+    return max(spec.corruption_rounds, default=0)
+
+
+def _obligation(history, skipped: int):
+    """``history`` without its first ``skipped`` rounds; ``None`` when
+    nothing remains to check."""
+    if not skipped:
         return history
-    cut = max(spec.corruption_rounds)  # round numbers start at 1
-    if cut >= len(history):
+    if skipped >= len(history):
         return None
-    return history.suffix(cut)
+    return history.suffix(skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +148,24 @@ class SyncClaim:
     at: int
     protocol: Callable[[], SyncProtocol]
     #: ``(history, spec, at) -> SpecVerdict``: the definition-grade
-    #: predicate on a recorded history.
+    #: predicate on a recorded history, which reads only the claim's
+    #: obligation of it (unison's also reads the spec's churn schedule).
     judge: Callable[[ExecutionHistory, PlanSpec, int], SpecVerdict]
     #: ``at -> observer with .verdict()``; ``None`` where no streaming
     #: checker models the predicate and the judge doubles as the fast
     #: path (thm2, unison — the documented streaming == confirm exception).
     checker: Optional[Callable[[int], Observer]] = None
     topology: Optional[Callable[[int], Topology]] = None
+    #: ``spec -> r``: the claim obliges the rounds after round ``r``
+    #: (``0``: the whole history).  Both verdicts are functions of that
+    #: obligation: the judge reads nothing else, and the streaming
+    #: checker, which resets itself at a mid-run corruption, judges the
+    #: same rounds — so a walk may narrate it the obligation alone.
+    obliged_after: Callable[[PlanSpec], int] = _from_the_start
+
+    def obligation(self, history: ExecutionHistory, spec: PlanSpec):
+        """The rounds of ``history`` the claim obliges (``None``: none)."""
+        return _obligation(history, self.obliged_after(spec))
 
     def _at(self, at: Optional[int]) -> int:
         return self.at if at is None else at
@@ -182,19 +201,38 @@ class SyncClaim:
 def _judge_ftss(
     label: str,
     sigma: Callable[[], Problem],
+    obliged_after: Callable[[PlanSpec], int],
     history: ExecutionHistory,
     spec: PlanSpec,
     at: int,
-    whole_history: bool = False,
 ) -> SpecVerdict:
-    """Definition 2.4 at ``at`` on the post-corruption suffix."""
+    """Definition 2.4 at ``at`` on the rounds after ``obliged_after``."""
     checker = f"confirm-ftss-{label}@{at}"
-    obliged = history if whole_history else _post_corruption_suffix(history, spec)
+    obliged = _obligation(history, obliged_after(spec))
     if obliged is None:
         return SpecVerdict(checker=checker, holds=True)
-    verdict = check_definition("ftss", obliged, sigma(), at)
-    return SpecVerdict(
-        checker=checker, holds=verdict.holds, violations=_cap(verdict.violations)
+
+    def judge() -> SpecVerdict:
+        verdict = check_definition("ftss", obliged, sigma(), at)
+        return SpecVerdict(
+            checker=checker, holds=verdict.holds, violations=_cap(verdict.violations)
+        )
+
+    return obliged.judge_once((_judge_ftss, label, sigma, at), judge)
+
+
+def _ftss_claim(
+    label: str,
+    sigma: Callable[[], Problem],
+    obliged_after: Callable[[PlanSpec], int] = _from_the_start,
+    **fields,
+) -> SyncClaim:
+    """A claim judged by Definition 2.4, its obligation stated once for
+    the judge and for everyone who narrates the obligation."""
+    return SyncClaim(
+        judge=partial(_judge_ftss, label, sigma, obliged_after),
+        obliged_after=obliged_after,
+        **fields,
     )
 
 
@@ -215,6 +253,10 @@ def _fig3_sigma() -> Problem:
 
 
 def _judge_thm1(history: ExecutionHistory, spec: PlanSpec, at: int) -> SpecVerdict:
+    return history.judge_once((_judge_thm1, at), partial(_thm1_verdict, history, at))
+
+
+def _thm1_verdict(history: ExecutionHistory, at: int) -> SpecVerdict:
     sigma = ClockAgreementProblem()
     tentative = check_definition("tentative", history, sigma, at)
     # The dichotomy that motivates Definition 2.4: the very runs that
@@ -279,21 +321,25 @@ def _judge_unison(history: ExecutionHistory, spec: PlanSpec, at: int) -> SpecVer
 
 SYNC_CLAIMS: Dict[str, SyncClaim] = {
     # Round agreement (Figure 1), ftss@1 (Theorem 3).
-    "fig1": SyncClaim(
+    "fig1": _ftss_claim(
+        "clock",
+        ClockAgreementProblem,
+        _after_last_corruption,
         at=1,
         protocol=RoundAgreementProtocol,
         checker=StreamingFtssClock,
-        judge=partial(_judge_ftss, "clock", ClockAgreementProblem),
     ),
     # Compiled FloodMin (Figure 3), ftss@final_round (Theorem 4); the
     # obligation time is structural, so ``at`` is always the final round.
-    "fig3": SyncClaim(
+    "fig3": _ftss_claim(
+        "compiler",
+        _fig3_sigma,
+        _after_last_corruption,
         at=FloodMinConsensus(f=1, proposals=FIG3_PROPOSALS).final_round,
         protocol=lambda: _fig3_instance()[1],
         checker=lambda at: StreamingCompilerCheck(
             final_round=at, valid_proposals=frozenset(FIG3_PROPOSALS)
         ),
-        judge=partial(_judge_ftss, "compiler", _fig3_sigma),
     ),
     # Min-rule unison on a churning ring (topology layer).  Its
     # obligation starts at the churn schedule's quiescence point, which
@@ -317,10 +363,11 @@ SYNC_CLAIMS: Dict[str, SyncClaim] = {
     # processes — a predicate the streaming clock checkers do not model;
     # the runs are 2-process and 12 rounds, so the definition-grade path
     # doubles as the fast path (documented search-target exception).
-    "thm2": SyncClaim(
+    "thm2": _ftss_claim(
+        "uniform",
+        _thm2_sigma,
         at=THM2_PATIENCE + 1,
         protocol=partial(UniformRoundAgreement, patience=THM2_PATIENCE),
-        judge=partial(_judge_ftss, "uniform", _thm2_sigma, whole_history=True),
     ),
 }
 

@@ -29,14 +29,9 @@ class HistoryRecorder(Observer):
     flags exactly as the fault events report them.
 
     Every finished round passes through :meth:`_round_finished`, the one
-    seam a subclass overrides to score a round as it completes; whether
-    the round is also *kept* for :meth:`history` is ``keeps_rounds`` —
-    true here, false on the streaming checkers, and set back to true on
-    a checker instance whose caller wants both its verdict and the
-    history out of one execution (:mod:`repro.verify`).
+    seam a subclass overrides to score a round as it completes instead
+    of keeping it for :meth:`history` (the streaming checkers).
     """
-
-    keeps_rounds = True
 
     def __init__(self) -> None:
         self._n: Optional[int] = None
@@ -104,9 +99,8 @@ class HistoryRecorder(Observer):
         self._round_finished(self._finish_round(round_no))
 
     def _round_finished(self, round_history: RoundHistory) -> None:
-        """A round's records are complete: keep them, score them, or both."""
-        if self.keeps_rounds:
-            self._rounds.append(round_history)
+        """A round's records are complete: keep them."""
+        self._rounds.append(round_history)
 
     def _finish_round(self, round_no) -> RoundHistory:
         """Assemble this round's records from what was filed."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import lru_cache
-from typing import Any, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, Mapping, Optional, Sequence, Tuple
 
 from repro.histories.history import CLOCK_KEY
 from repro.sync.protocol import SyncProtocol, column_states
@@ -33,6 +33,10 @@ __all__ = [
     "RandomCorruption",
     "ClockSkewCorruption",
 ]
+
+#: The one type an exact key accepts for a pid or a clock value
+#: (``True`` is a pid to ``in`` but not to a fault event's repr).
+_INT = frozenset({int})
 
 
 class CorruptionPlan(ABC):
@@ -63,6 +67,18 @@ class CorruptionPlan(ABC):
         plan that knows which processes it targets reports them here so
         the diff is O(touched) instead of O(n x state).  ``None`` (the
         base default) means "unknown — diff everyone"."""
+        return None
+
+    def exact_key(self) -> Optional[Hashable]:
+        """A key equal only for plans that corrupt every configuration
+        alike (same states, same narrated faults), or ``None``.
+
+        A host that files what a plan did to a configuration (the proof
+        plane's walk, :mod:`repro.verify.walk`) reuses it only under
+        equal keys, so a key spells out everything :meth:`corrupt` and
+        :meth:`touched_pids` read.  ``None`` (the base default, and the
+        answer for any subclass of a keyed plan, which may override
+        either) means "apply me every time"."""
         return None
 
     def corrupt_columns(
@@ -183,6 +199,17 @@ class RandomCorruption(CorruptionPlan):
     def touched_pids(self, states, n) -> Optional[FrozenSet[int]]:
         return None if self._victims is None else frozenset(self._victims)
 
+    def exact_key(self) -> Optional[Hashable]:
+        seed, victims = self._seed, self._victims
+        if type(self) is not RandomCorruption or type(seed) is not int:
+            return None
+        if victims is None:
+            return (RandomCorruption, seed, None)
+        # Read by membership only, so the victims' order is not the plan's.
+        if type(victims) not in (frozenset, set) or not _INT.issuperset(map(type, victims)):
+            return None
+        return (RandomCorruption, seed, tuple(sorted(victims)))
+
 
 @lru_cache(maxsize=None)
 def _bulk_twin_is_current(protocol_class: type) -> bool:
@@ -228,3 +255,11 @@ class ClockSkewCorruption(CorruptionPlan):
 
     def touched_pids(self, states, n) -> FrozenSet[int]:
         return frozenset(self._skews)
+
+    def exact_key(self) -> Optional[Hashable]:
+        skews = self._skews
+        if type(self) is not ClockSkewCorruption:
+            return None
+        if not _INT.issuperset(map(type, skews)) or not _INT.issuperset(map(type, skews.values())):
+            return None
+        return (ClockSkewCorruption, tuple(sorted(skews.items())))

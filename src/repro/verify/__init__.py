@@ -7,9 +7,10 @@ what *cannot exist*.  One contract, two conformance-checked engines:
 - :func:`verify` — prove (or refute) a target's claim over an entire
   fault-plan space, within the bounded horizon the space fixes;
 - the **explicit-state engine** (:mod:`repro.verify.explicit`) — pure
-  Python, always available: every plan executed once and put before
-  both of EXPLORE's judges, every per-round global state hash-consed
-  into a canonical frontier;
+  Python, always available: every plan walked through one table of
+  filed rounds and put before both of EXPLORE's judges, each of which
+  judges a distinct obligation once; every per-round global state
+  hash-consed into a canonical frontier;
 - the **SMT engine** (:mod:`repro.verify.smt`) — optional
   (``pip install repro[smt]``): symbolic initial clocks, so corrupted
   plans are proved for *all* non-negative starts, not just seeded

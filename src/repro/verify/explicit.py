@@ -15,21 +15,26 @@ along the way into a canonical frontier.  The outcome:
 
 The confirm judge's is the verdict of record on *every* plan — not just
 streaming-flagged ones, as in EXPLORE's sampling posture — because a
-proof must not inherit a streaming checker's blind spots.  Any
-streaming/confirm disagreement is returned as a mismatch and blocks
-certification.
+proof must not inherit a streaming checker's blind spots.  Every plan
+gets its own pair of verdicts, even where two plans share an
+obligation and the pair was rendered once: a judge is a pure function
+of the obligation it reads, so the pair it rendered for one plan is
+the pair it would render for the other.  Any streaming/confirm
+disagreement is returned as a mismatch and blocks certification.
 
 Two judges, one walk: a plan is walked once
-(:func:`repro.verify.targets.judge_plan`), with the streaming checker
-and the frontier observer as its riders and the recorded history
-handed to ``check_definition`` afterwards.  The walk
-(:mod:`repro.verify.walk`) steps each distinct transition once per
-call: every plan of the space goes through one table of filed rounds,
-and only a round the table lacks is stepped by the engine's round
-function.  That is sound because a spec fully determines its run — a
-second execution would narrate the same events and record an equal
-history — and it leaves the cross-check intact, because what is shared
-is the judges' *input*, not their reasoning.
+(:func:`repro.verify.targets.judge_plan`), with the frontier observer
+as its rider; the walk returns the plan's path, whose filed rounds are
+the history handed to the judge and whose obligation is narrated to
+the streaming checker.  The walk (:mod:`repro.verify.walk`) steps each
+distinct transition once per call: every plan of the space goes
+through one table of filed rounds, and only a round the table lacks is
+stepped by the engine's round function; a corruption the table lacks
+is applied, and an obligation it has not judged is judged.  That is
+sound because a spec fully determines its run — a second execution
+would narrate the same events and record an equal history — and it
+leaves the cross-check intact, because what is shared is the judges'
+*input* (and their answer to an identical input), not their reasoning.
 
 Per-plan work is memoized through the content-addressed run cache
 under the ``verify:<target>@verify`` namespace, so re-proving an

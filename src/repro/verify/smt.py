@@ -47,7 +47,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.experiments.base import run_sweep
 from repro.explore.space import PlanSpace, PlanSpec
-from repro.explore.targets import _post_corruption_suffix
+from repro.explore.targets import SYNC_CLAIMS
 from repro.kernel.delivery import Liveness, Probe, RoundLedger
 from repro.kernel.topology import Topology, normalize_topology, round_edges
 from repro.sync.adversary import NullAdversary
@@ -291,7 +291,7 @@ def _reference_obligations(target: VerifyTarget, at: int, spec: PlanSpec):
 
     obligations = []
     if target.name == "fig1":
-        history = _post_corruption_suffix(full, spec)
+        history = SYNC_CLAIMS["fig1"].obligation(full, spec)
         if history is None:
             return None
         faulty_by_round = history.faulty_by_round()

@@ -50,7 +50,6 @@ from repro.explore.checkers import SpecVerdict
 from repro.explore.space import PlanSpace, PlanSpec
 from repro.explore.targets import SYNC_CLAIMS
 from repro.kernel.events import Observer
-from repro.kernel.recorders import HistoryRecorder
 from repro.verify.walk import current_table, walk
 from repro.workloads.spaces import (
     THM1_SPACE,
@@ -227,18 +226,21 @@ def judge_plan(
 ) -> Tuple[SpecVerdict, SpecVerdict]:
     """``(streaming_verdict, confirm_verdict)`` off one walk of the plan.
 
-    The walk narrates the run the two single judges would each execute,
-    so the checker's events and the judge's history may come from it
-    without either verdict changing.  A checker that is itself a
-    :class:`HistoryRecorder` already assembles every round: it is told
-    to keep them and no second recorder rides along.
+    The walk narrates the run the two single judges would each execute
+    and returns its path, so the judge's history and the checker's
+    events may come from it without either verdict changing.  Both
+    judges read only the claim's obligation — the judge cuts it from
+    the history, the checker is narrated it alone — so each renders its
+    verdict once per distinct obligation the table has filed
+    (:meth:`~repro.histories.history.ExecutionHistory.judge_once`,
+    :meth:`~repro.verify.walk.RoundTable.streaming`): every plan still
+    gets its own pair, equal to what judging it afresh would give.
     """
     _require_at(target, at)
     claim = SYNC_CLAIMS[target.name]
-    checker = None if claim.checker is None else claim.checker(at)
-    recorder = checker if isinstance(checker, HistoryRecorder) else HistoryRecorder()
-    recorder.keeps_rounds = True
-    riders = (recorder,) if checker is None or checker is recorder else (checker, recorder)
-    walk(claim, spec, riders + _riders(frontier), current_table())
-    confirm = claim.judge(recorder.history(), spec, at)
-    return (confirm if checker is None else checker.verdict()), confirm
+    table = current_table()
+    path = walk(claim, spec, _riders(frontier), table)
+    confirm = claim.judge(path.history(table.verdicts), spec, at)
+    if claim.checker is None:
+        return confirm, confirm
+    return table.streaming(claim.checker, at, path, claim.obliged_after(spec)), confirm

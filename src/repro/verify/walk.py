@@ -13,9 +13,15 @@ function, :func:`repro.sync.engine.step_round` — only when the
 What each plan still does for itself, because it is the plan's and not
 the transition's: it builds its own protocol and fault plan, asks its
 own adversary for every round's plan (RNG streams and budget checks
-stay intact), applies its initial and mid-run corruption and narrates
-those faults, and feeds every filed round to its own checker, recorder
-and frontier.
+stay intact), looks its rounds and corruptions up, and gets its own
+frontier digests and verdicts.  A corruption is filed like a round
+(:meth:`RoundTable.corrupt`), keyed by the plan's
+:meth:`~repro.sync.corruption.CorruptionPlan.exact_key`, the
+configuration and the time; a plan without a key is applied every
+time.  The walk returns the plan's :class:`Path`, from which the proof
+plane reads the recorded history and narrates the streaming checker
+its obligation (:func:`narrate`), each judged once per distinct
+obligation (:attr:`RoundTable.verdicts`).
 
 The table (``docs/verify.md``, "The walk"):
 
@@ -56,8 +62,8 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.histories.history import RoundHistory
-from repro.kernel.corruptions import apply_corruption
+from repro.histories.history import ExecutionHistory, RoundHistory
+from repro.kernel.corruptions import corruption_faults
 from repro.kernel.delivery import Liveness
 from repro.kernel.events import EventBus, FaultEvent, Observer
 from repro.kernel.recorders import HistoryRecorder
@@ -69,7 +75,9 @@ from repro.sync.adversary import NullAdversary, RoundFaultPlan
 __all__ = [
     "Configuration",
     "FrontierObserver",
+    "Path",
     "RoundTable",
+    "Step",
     "Transition",
     "current_table",
     "shared_table",
@@ -291,11 +299,18 @@ class RoundTable:
     def __init__(self) -> None:
         self._configurations: Dict[tuple, Configuration] = {}
         self._rounds: Dict[tuple, Transition] = {}
+        self._corruptions: Dict[tuple, Tuple[Configuration, Tuple[FaultEvent, ...]]] = {}
         #: One instance of each fault key and fault event: many rounds share them.
         self._interned: Dict[Any, Any] = {}
         self._filer = _RoundFiler()
         self._filing = EventBus((self._filer,))
+        #: Verdicts by obligation: the histories read off this table
+        #: share it (:meth:`ExecutionHistory.judge_once`), and so does
+        #: :meth:`streaming`.
+        self.verdicts: Dict[tuple, tuple] = {}
         self.stepped = 0
+        #: Corruption plans actually applied (the rest were filed).
+        self.corrupted = 0
 
     def configuration(self, states, live: Liveness) -> Configuration:
         """The table's configuration equal to ``(states, live)``."""
@@ -344,6 +359,53 @@ class RoundTable:
             self._rounds[key] = transition
         return transition
 
+    def corrupt(
+        self, plan, protocol, n: int, config: Configuration, time: int
+    ) -> Tuple[Configuration, Tuple[FaultEvent, ...]]:
+        """``config`` after corruption ``plan`` strikes at ``time``, and
+        the faults that narrates: filed already, or applied now (and
+        filed if the plan has an exact key and ``config`` an index).
+        Both ways the faults are :func:`corruption_faults`, the rule
+        ``apply_corruption`` narrates by."""
+        key = None
+        if config.index is not None:
+            exact_key = getattr(plan, "exact_key", None)
+            plan_key = None if exact_key is None else exact_key()
+            if plan_key is not None:
+                key = (plan_key, config.index, time)
+                found = self._corruptions.get(key)
+                if found is not None:
+                    return found
+        states = config.states
+        corrupted = plan.corrupt(protocol, states, n)
+        self.corrupted += 1
+        faults = corruption_faults(plan, states, corrupted, n, time)
+        filed = (
+            self.configuration(corrupted, config.live),
+            tuple([self._interned.setdefault(fault, fault) for fault in faults]),
+        )
+        if key is not None:
+            self._corruptions[key] = filed
+        return filed
+
+    def streaming(self, checker, at: int, path: "Path", skipped: int) -> Any:
+        """``checker(at)``'s verdict on ``path``'s rounds after round
+        ``skipped``, narrated to it alone (:func:`narrate`): once per
+        distinct obligation, which the key spells out by the identity of
+        what the table filed for it."""
+        steps = path.steps[skipped:]
+        filed = tuple([step.transition.filed for step in steps])
+        corruption = tuple([step.corruption for step in steps])
+        key = (checker, at, skipped, id(path.end), *map(id, filed), *map(id, corruption))
+        found = self.verdicts.get(key)
+        if found is None:
+            observer = checker(at)
+            narrate(path, observer, skipped)
+            # The entry keeps what it was keyed by alive: no id is reused.
+            pinned = (filed, corruption, path.end)
+            found = self.verdicts[key] = (pinned, observer.verdict())
+        return found[1]
+
 
 class _Scope(threading.local):
     """The table in scope, per thread: two verifications never share one."""
@@ -384,6 +446,33 @@ os.register_at_fork(after_in_child=_forget_shared)
 # ---------------------------------------------------------------------------
 
 
+class Step(NamedTuple):
+    """One round of a walked plan: the configuration it starts from
+    (after any mid-run corruption), that corruption's faults, and the
+    filed round."""
+
+    config: Configuration
+    corruption: Tuple[FaultEvent, ...]
+    transition: Transition
+
+
+class Path(NamedTuple):
+    """A plan's run as its table holds it: everything a rider of the
+    walk is narrated, and what :func:`repro.verify.targets.judge_plan`
+    judges."""
+
+    n: int
+    protocol: Any
+    #: The initial corruption's faults (at time 0, before round 1).
+    initial: Tuple[FaultEvent, ...]
+    steps: List[Step]
+    end: Configuration
+
+    def history(self, verdicts: Optional[Dict[tuple, tuple]] = None) -> ExecutionHistory:
+        """The recorded history: the filed rounds, sharing ``verdicts``."""
+        return ExecutionHistory([step.transition.filed for step in self.steps], verdicts)
+
+
 class _Riders:
     """A plan's riders, sorted by how a filed round reaches them."""
 
@@ -406,6 +495,23 @@ class _Riders:
                 "commits must be a HistoryRecorder or ride run_sync"
             )
 
+    def run(self, path: Path) -> None:
+        bus = self.bus
+        bus.on_run_start(path.n, path.protocol, 1)
+        wants_fault = bus.wants_fault
+        if wants_fault:
+            for fault in path.initial:
+                bus.on_fault(fault)
+        for round_no, step in enumerate(path.steps, 1):
+            if wants_fault:
+                for fault in step.corruption:
+                    bus.on_fault(fault)
+            self.round(round_no, step.config, step.transition)
+        for frontier in self.frontiers:
+            frontier.add(path.end.digest)
+        states = path.end.states
+        bus.on_run_end(len(path.steps), {pid: states[pid] for pid in range(path.n)})
+
     def round(self, round_no: int, config: Configuration, step: Transition) -> None:
         bus = self.bus
         bus.on_round_start(round_no, config.states)
@@ -419,17 +525,33 @@ class _Riders:
         for other in self.others:
             other.on_round_end(round_no)
 
-    def end(self, last_round: int, config: Configuration, n: int) -> None:
-        for frontier in self.frontiers:
-            frontier.add(config.digest)
-        self.bus.on_run_end(last_round, {pid: config.states[pid] for pid in range(n)})
+
+def narrate(path: Path, observer: Observer, skipped: int = 0) -> None:
+    """Narrate ``path``'s rounds after round ``skipped`` to ``observer``
+    alone, as a run that starts at round ``skipped + 1``: a round's
+    mid-run corruption, start, faults and filed round, then the end.
+    Nothing before that round reaches it (the initial corruption's
+    faults included), so what it concludes is a function of those
+    rounds."""
+    observer.on_run_start(path.n, path.protocol, skipped + 1)
+    files = isinstance(observer, HistoryRecorder)
+    for round_no, step in enumerate(path.steps[skipped:], skipped + 1):
+        for fault in step.corruption:
+            observer.on_fault(fault)
+        observer.on_round_start(round_no, step.config.states)
+        transition = step.transition
+        for fault in transition.faults:
+            observer.on_fault(fault)
+        if files:
+            observer.file_round(transition.filed)
+        else:
+            observer.on_round_end(round_no)
+    states = path.end.states
+    observer.on_run_end(len(path.steps), {pid: states[pid] for pid in range(path.n)})
 
 
-def walk(claim, spec, riders: Sequence[Observer], table: RoundTable) -> None:
-    """Narrate ``spec``'s run under ``claim`` (a
-    :class:`~repro.explore.targets.SyncClaim`) to ``riders``, as
-    ``claim.run(spec, riders)`` would, stepping only what ``table``
-    has not filed."""
+def _trace(claim, spec, table: RoundTable) -> Path:
+    """``spec``'s run under ``claim`` through ``table``."""
     n = spec.n
     protocol = claim.protocol()
     fault_plan = spec.fault_plan()
@@ -440,25 +562,31 @@ def walk(claim, spec, riders: Sequence[Observer], table: RoundTable) -> None:
         n, None if claim.topology is None else claim.topology(n), fault_plan.churn
     )
 
-    narrate = _Riders(riders)
-    bus = narrate.bus
-    bus.on_run_start(n, protocol, 1)
-    states = engine.start_states(protocol, n)
+    config = table.configuration(engine.start_states(protocol, n), Liveness(n))
+    initial: Tuple[FaultEvent, ...] = ()
     if view.corruption is not None:
-        states = apply_corruption(bus, view.corruption, protocol, states, n, time=0)
-    config = table.configuration(states, Liveness(n))
-
+        config, initial = table.corrupt(view.corruption, protocol, n, config, 0)
+    steps: List[Step] = []
     for round_no in range(1, spec.rounds + 1):
+        corruption: Tuple[FaultEvent, ...] = ()
         if round_no in mid_run:
-            states = apply_corruption(
-                bus, mid_run[round_no], protocol, config.states, n, time=round_no
-            )
-            config = table.configuration(states, config.live)
+            config, corruption = table.corrupt(mid_run[round_no], protocol, n, config, round_no)
         live = config.live
         plan = adversary.plan_round(round_no, live.alive_view, live.faulty)
         adversary.validate(plan, live.faulty)
         edges = None if topo is None else round_edges(topo, round_no)
-        step = table.step(protocol, n, round_no, config, plan, edges)
-        narrate.round(round_no, config, step)
-        config = step.after
-    narrate.end(spec.rounds, config, n)
+        transition = table.step(protocol, n, round_no, config, plan, edges)
+        steps.append(Step(config, corruption, transition))
+        config = transition.after
+    return Path(n, protocol, initial, steps, config)
+
+
+def walk(claim, spec, riders: Sequence[Observer], table: RoundTable) -> Path:
+    """Narrate ``spec``'s run under ``claim`` (a
+    :class:`~repro.explore.targets.SyncClaim`) to ``riders``, as
+    ``claim.run(spec, riders)`` would, stepping only what ``table``
+    has not filed; return the run's :class:`Path`."""
+    narrate_to = _Riders(riders)  # a rider it cannot narrate to is refused first
+    path = _trace(claim, spec, table)
+    narrate_to.run(path)
+    return path

@@ -5,7 +5,9 @@ table key has to tell apart — a crash and an omission campaign on the
 same process, mid-run corruption, churn — and walks every plan of each
 through one table, as ``explicit_verify`` does.  Every plan's streaming
 verdict, confirm verdict, frontier digests and recorded history must
-equal a ``run_sync`` of that plan alone.
+equal a ``run_sync`` of that plan alone.  fig3 is drawn apart (its
+proposals fix n = 4), always with mid-run corruption: its streaming
+check is narrated only the rounds after it.
 """
 
 import itertools
@@ -29,9 +31,12 @@ PLANS_PER_SPACE = 48
 
 
 @st.composite
-def small_spaces(draw):
-    n = draw(st.integers(min_value=2, max_value=4))
-    rounds = draw(st.integers(min_value=3, max_value=6))
+def small_spaces(draw, n=None, mid_run=None, max_rounds=6):
+    """A small space; ``n`` fixed if given, mid-run corruption drawn
+    into it always if ``mid_run``, and otherwise by a coin."""
+    if n is None:
+        n = draw(st.integers(min_value=2, max_value=4))
+    rounds = draw(st.integers(min_value=3, max_value=max_rounds))
     kwargs = dict(n=n, rounds=rounds)
     budget = n - 1  # the space must leave one correct process
     if draw(st.booleans()):
@@ -51,7 +56,7 @@ def small_spaces(draw):
     if draw(st.booleans()):
         kwargs.update(skew_values=(draw(st.integers(0, 9)),), max_skews=1)
     kwargs["corruption_choices"] = draw(st.sampled_from([(False,), (True,), (False, True)]))
-    if draw(st.booleans()):
+    if mid_run or (mid_run is None and draw(st.booleans())):
         kwargs["corruption_round_choices"] = ((), (draw(st.integers(1, rounds)),))
     if draw(st.booleans()):
         leave = draw(st.integers(1, rounds))
@@ -73,6 +78,18 @@ def _run_sync_reference(claim, spec, at):
 @given(space=small_spaces(), name=st.sampled_from(("fig1", "thm1", "thm2", "unison")))
 @settings(max_examples=30, deadline=None)
 def test_a_shared_table_changes_no_answer(space, name):
+    _walk_every_plan(space, name)
+
+
+@given(space=small_spaces(n=4, mid_run=True, max_rounds=8))
+@settings(max_examples=15, deadline=None)
+def test_fig3_narrated_from_its_obligation_changes_no_answer(space):
+    """The compiler check resets itself at a mid-run corruption under
+    ``run_sync``; the walk narrates it the rounds after it alone."""
+    _walk_every_plan(space, "fig3")
+
+
+def _walk_every_plan(space, name):
     target, claim = VERIFY_TARGETS[name], SYNC_CLAIMS[name]
     if name == "thm2":  # the halting rule's state has no arbitrary-state draw
         space = replace(space, corruption_choices=(False,), corruption_round_choices=((),))

@@ -1,10 +1,11 @@
 """The walk's table of filed rounds: exact keys, private steps, one call.
 
 A table hit hands a plan the records, faults and next configuration
-another plan's round produced, so everything here is about when two
-rounds may be taken for one: only when their keys are exactly equal,
-only within one verification, and never in a way that lets protocol
-code reach what the table holds.  (``test_verify_joint.py`` holds the
+another plan's round produced — or the configuration and faults another
+plan's corruption produced, or the verdicts another plan's obligation
+received — so everything here is about when two may be taken for one:
+only when their keys are exactly equal, only within one verification,
+and never in a way that lets protocol code reach what the table holds.  (``test_verify_joint.py`` holds the
 walk's answers to a ``run_sync`` per plan.)
 """
 
@@ -13,23 +14,30 @@ import enum
 import os
 import threading
 from collections import OrderedDict, namedtuple
+from dataclasses import replace
 
 import pytest
 
 import repro.cache
 from repro.experiments.base import shutdown_pool
+from repro.core import solvability
 from repro.core.rounds import RoundAgreementProtocol
-from repro.explore.space import PlanSpec
+from repro.explore.space import ComposedCorruption, PlanSpec
 from repro.explore.targets import SYNC_CLAIMS, SyncClaim
+from repro.kernel.corruptions import apply_corruption
 from repro.kernel.delivery import Liveness
-from repro.kernel.events import Observer
+from repro.kernel.events import EventBus, Observer
 from repro.kernel.recorders import HistoryRecorder
+from repro.sync import engine
 from repro.sync.adversary import RoundFaultPlan
+from repro.sync.corruption import ClockSkewCorruption, RandomCorruption
 from repro.sync.protocol import SyncProtocol
 from repro.verify import VERIFY_TARGETS, verify
 from repro.verify import walk as walk_module
 from repro.verify.explicit import enumerate_space
+from repro.verify.targets import confirm_verdict, judge_plan, streaming_verdict
 from repro.verify.walk import RoundTable, current_table, shared_table, walk
+from repro.workloads.scenarios import ConsensusDeadlockCorruption
 from repro.workloads.spaces import VERIFY_FIG1_SMOKE_SPACE
 
 
@@ -227,3 +235,130 @@ def test_outcomes_are_identical_across_jobs(uncached):
     finally:
         shutdown_pool()  # no fork pool left behind for later event loops
     assert alone == pooled
+
+
+# -- corruption and verdicts, filed once ----------------------------------------
+
+
+class RedrawnCorruption(RandomCorruption):
+    """A subclass may draw differently than its parent: never keyed."""
+
+    def corrupt(self, protocol, states, n):
+        return {pid: None if s is None else {**s, "clock": 7} for pid, s in states.items()}
+
+
+def _start(table, n=3):
+    return table.configuration(engine.start_states(Carry(), n), Liveness(n))
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [ConsensusDeadlockCorruption(seed=3), RedrawnCorruption(seed=3)],
+    ids=["no-key", "subclass"],
+)
+def test_a_plan_without_an_exact_key_is_applied_every_time(plan):
+    assert plan.exact_key() is None
+    table = RoundTable()
+    config = _start(table)
+    first = table.corrupt(plan, Carry(), 3, config, 2)
+    second = table.corrupt(plan, Carry(), 3, config, 2)
+    assert table.corrupted == 2
+    assert first[0].states == second[0].states and first[1] == second[1]
+
+
+def _composed():
+    return ComposedCorruption([RandomCorruption(seed=3), ClockSkewCorruption({1: 9})])
+
+
+def test_a_keyed_plan_is_applied_once_per_configuration_and_time():
+    table, plan = RoundTable(), _composed()
+    config = _start(table)
+    first = table.corrupt(plan, Carry(), 3, config, 2)
+    assert table.corrupt(_composed(), Carry(), 3, config, 2) is first  # an equal plan
+    assert table.corrupted == 1
+    table.corrupt(plan, Carry(), 3, config, 3)  # the faults carry the time
+    table.corrupt(plan, Carry(), 3, first[0], 2)
+    assert table.corrupted == 3
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (RandomCorruption(seed=3), RandomCorruption(seed=4)),
+        (
+            RandomCorruption(seed=3, victims=frozenset({0})),
+            RandomCorruption(seed=3, victims=frozenset({1})),
+        ),
+        (RandomCorruption(seed=3), RandomCorruption(seed=3, victims=frozenset({0, 1, 2}))),
+        (ClockSkewCorruption({0: 2}), ClockSkewCorruption({0: True})),
+    ],
+    ids=["seed", "victims", "all-vs-named", "int-vs-bool-skew"],
+)
+def test_plans_that_differ_in_seed_or_victims_never_share_an_entry(a, b):
+    assert a.exact_key() != b.exact_key() or b.exact_key() is None
+    table = RoundTable()
+    config = _start(table)
+    table.corrupt(a, Carry(), 3, config, 1)
+    table.corrupt(b, Carry(), 3, config, 1)
+    assert table.corrupted == 2
+
+
+class FaultLog(Observer):
+    def __init__(self):
+        self.faults = []
+
+    def on_fault(self, fault):
+        self.faults.append(fault)
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        RandomCorruption(seed=5),
+        RandomCorruption(seed=5, victims=frozenset({2, 0})),
+        ClockSkewCorruption({2: 1, 0: 4}),  # pid 2 keeps its clock: no fault
+        ComposedCorruption([RandomCorruption(seed=5), ClockSkewCorruption({1: 9})]),
+    ],
+    ids=["random", "victims", "skew", "composed"],
+)
+def test_a_filed_corruption_narrates_what_apply_corruption_does(plan):
+    table, protocol = RoundTable(), RoundAgreementProtocol()
+    states = engine.start_states(protocol, 3)  # every clock at 1
+    config = table.configuration(states, Liveness(3))
+    log = FaultLog()
+    expected = apply_corruption(
+        EventBus((log,)), plan, protocol, copy.deepcopy(states), 3, time=4
+    )
+    for _ in range(2):  # a miss, then a hit
+        after, faults = table.corrupt(plan, protocol, 3, config, 4)
+        assert list(faults) == log.faults
+        assert after.states == expected
+    assert table.corrupted == 1
+
+
+def test_each_fig1_obligation_is_judged_once_and_every_plan_keeps_its_verdicts(
+    uncached, monkeypatch
+):
+    target, claim = VERIFY_TARGETS["fig1"], SYNC_CLAIMS["fig1"]
+    specs, _raw, _dropped = enumerate_space(target.space, target.symmetric)
+    ftss_check, calls, obligations = solvability.ftss_check, [], []
+
+    def counted(*args):
+        calls.append(1)
+        return ftss_check(*args)
+
+    def spy(history, spec, at):
+        obligations.append(claim.obligation(history, spec))
+        return claim.judge(history, spec, at)
+
+    monkeypatch.setattr(solvability, "ftss_check", counted)
+    monkeypatch.setitem(SYNC_CLAIMS, "fig1", replace(claim, judge=spy))
+    with shared_table():
+        pairs = [judge_plan(target, target.default_at, spec) for spec in specs]
+    distinct = {tuple(map(id, obligation)) for obligation in obligations}
+    assert len(calls) == len(distinct) < len(specs)
+    for spec, pair in list(zip(specs, pairs))[::97]:
+        assert pair == (
+            streaming_verdict(target, target.default_at, spec),
+            confirm_verdict(target, target.default_at, spec),
+        )
