@@ -11,15 +11,20 @@ And each distinct transition is stepped once —
 round function (``repro.sync.engine.step_round``) over the rounds of
 every plan examined, so a walk that stops sharing filed rounds (1.0
 would be a full execution per plan) cannot creep back unnoticed; lower
-is better.  Two more exact counts gate the sharing of what plans have
-in common beyond their rounds, on the fig1 plans with a mid-run
-corruption (the ones whose Definition 2.4 obligation is a proper
-suffix, so many plans reach one obligation): ``judged_per_plan``
-counts Definition 2.4 evaluations (``repro.core.solvability.ftss_check``)
-per plan examined, and ``corruptions_applied_per_plan`` the corruption
-plans the walk actually applied rather than found filed.  Both fall
-when obligations and corruptions are shared; a walk that judges or
-corrupts every plan afresh reads 1.0 and at least 1.0.
+is better.  ``nodes_per_plan_round`` counts the rounds the walk
+actually walked — one per (round, configuration, remaining fault
+script) node — over the same plan-rounds: a plan that reaches a node
+another plan walked takes the rest of its run by reference, so 1.0
+would be chains that never merge.  Two more exact counts gate the
+sharing of what plans have in common beyond their rounds, on the fig1
+plans with a mid-run corruption (the ones whose Definition 2.4
+obligation is a proper suffix, so many plans reach one obligation):
+``judged_per_plan`` counts Definition 2.4 evaluations
+(``repro.core.solvability.ftss_check``) per plan examined, and
+``corruptions_applied_per_plan`` the corruption plans the walk actually
+applied rather than found filed.  Both fall when obligations and
+corruptions are shared; a walk that judges or corrupts every plan
+afresh reads 1.0 and at least 1.0.
 ``states_per_sec`` and the wall-clock column are informational: they
 track the engine's throughput across machines but are too noisy to
 gate.
@@ -36,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import time
-from contextlib import contextmanager
 from dataclasses import replace
 
 if __package__ in (None, ""):
@@ -86,28 +90,28 @@ def _count_steps(fn):
 
 
 def _count_sharing(fn):
-    """``(ftss_check calls, corruption plans applied, fn())`` for one
-    explicit verification, read off the table it walks through."""
-    calls, tables = 0, []
-    ftss_check, shared_table = solvability.ftss_check, explicit.shared_table
+    """``(ftss_check calls, corruption plans applied, rounds walked,
+    fn())`` for one explicit verification, read off the walks it makes."""
+    calls, walks = 0, []
+    ftss_check, chain_walk = solvability.ftss_check, explicit.ChainWalk
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
         return ftss_check(*args, **kwargs)
 
-    @contextmanager
-    def kept_table():
-        with shared_table() as table:
-            tables.append(table)
-            yield table
+    class KeptWalk(chain_walk):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            walks.append(self)
 
-    solvability.ftss_check, explicit.shared_table = counting, kept_table
+    solvability.ftss_check, explicit.ChainWalk = counting, KeptWalk
     try:
         result = fn()
     finally:
-        solvability.ftss_check, explicit.shared_table = ftss_check, shared_table
-    return calls, sum(table.corrupted for table in tables), result
+        solvability.ftss_check, explicit.ChainWalk = ftss_check, chain_walk
+    corrupted = sum(walk.table.corrupted for walk in walks)
+    return calls, corrupted, sum(walk.walked for walk in walks), result
 
 
 def _row(report, name, fn, space, repeat):
@@ -118,15 +122,17 @@ def _row(report, name, fn, space, repeat):
     frontier = result.frontier
     states_per_sec = frontier.states_visited / elapsed if elapsed > 0 else 0.0
     steps, counted = _count_steps(fn)
-    judged, corrupted, shared = _count_sharing(fn)
+    judged, corrupted, walked, shared = _count_sharing(fn)
     specs, _raw, _dropped = enumerate_space(space, TARGET.symmetric)
     assert len(specs) == counted.examined == shared.examined
+    plan_rounds = sum(spec.rounds for spec in specs)
     report.add_row(
         name,
         us(per_call_s),
         round(states_per_sec),
         round(frontier.dedup_hit_ratio, 4),
-        round(steps / sum(spec.rounds for spec in specs), 4),
+        round(steps / plan_rounds, 4),
+        round(walked / plan_rounds, 4),
         round(judged / len(specs), 4),
         round(corrupted / len(specs), 4),
     )
@@ -145,11 +151,13 @@ def main() -> None:
         title="Verification-plane microbenchmarks",
         claim=(
             "exhausting the fig1 spaces stays cheap: each distinct "
-            "transition is stepped once, each distinct corruption applied "
-            "once and each distinct obligation judged once, however many "
-            "plans reach it, and the canonical-state frontier dedup keeps "
-            "collapsing revisited clock configurations (the last four "
-            "columns are machine-independent)"
+            "transition is stepped once, each distinct (round, "
+            "configuration, remaining fault script) node walked once, each "
+            "distinct corruption applied once and each distinct obligation "
+            "judged once, however many plans reach it, and the "
+            "canonical-state frontier dedup keeps collapsing revisited "
+            "clock configurations (the last five columns are "
+            "machine-independent)"
         ),
         headers=[
             "benchmark",
@@ -157,6 +165,7 @@ def main() -> None:
             "states_per_sec",
             "dedup_hit_ratio",
             "rounds_stepped_per_plan_round",
+            "nodes_per_plan_round",
             "judged_per_plan",
             "corruptions_applied_per_plan",
         ],

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Optional, Tuple
 
 from repro.core.compiler import compile_protocol
 from repro.core.impossibility import UniformRoundAgreement
@@ -109,6 +109,11 @@ def _from_the_start(spec: PlanSpec) -> int:
     return 0
 
 
+def _reads_nothing(spec: PlanSpec) -> Hashable:
+    """The judge reads nothing of the spec besides the obligation."""
+    return ()
+
+
 def _after_last_corruption(spec: PlanSpec) -> int:
     """Mid-run corruption restarts the stabilization obligations (the
     repo's "final systemic failure" contract): Def 2.4 obliges the
@@ -138,10 +143,10 @@ class SyncClaim:
 
     Everything that judges a synchronous plan — ``ExplorationTarget``'s
     two paths here, :mod:`repro.verify.targets`' two verdict functions
-    and its joint judgement, which walks the plan instead of running it
-    (:mod:`repro.verify.walk`) — reads these fields, so a target's
-    protocol, topology, checker and predicate are written down exactly
-    once.
+    and the proof plane's walk, which judges a space's plans as chains
+    that merge (:mod:`repro.verify.walk`) — reads these fields, so a
+    target's protocol, topology, checker and predicate are written down
+    exactly once.
     """
 
     #: Canonical stabilization time the claim is instantiated at.
@@ -149,7 +154,8 @@ class SyncClaim:
     protocol: Callable[[], SyncProtocol]
     #: ``(history, spec, at) -> SpecVerdict``: the definition-grade
     #: predicate on a recorded history, which reads only the claim's
-    #: obligation of it (unison's also reads the spec's churn schedule).
+    #: obligation of it, and of the spec only ``obliged_after`` and
+    #: ``judge_reads`` (unison's reads the churn schedule).
     judge: Callable[[ExecutionHistory, PlanSpec, int], SpecVerdict]
     #: ``at -> observer with .verdict()``; ``None`` where no streaming
     #: checker models the predicate and the judge doubles as the fast
@@ -162,6 +168,10 @@ class SyncClaim:
     #: checker, which resets itself at a mid-run corruption, judges the
     #: same rounds — so a walk may narrate it the obligation alone.
     obliged_after: Callable[[PlanSpec], int] = _from_the_start
+    #: ``spec -> key``: what the judge reads of the spec besides
+    #: ``obliged_after`` (``()``: nothing).  A walk that files verdicts
+    #: by obligation keys them on it too.
+    judge_reads: Callable[[PlanSpec], Hashable] = _reads_nothing
 
     def obligation(self, history: ExecutionHistory, spec: PlanSpec):
         """The rounds of ``history`` the claim obliges (``None``: none)."""
@@ -211,14 +221,10 @@ def _judge_ftss(
     obliged = _obligation(history, obliged_after(spec))
     if obliged is None:
         return SpecVerdict(checker=checker, holds=True)
-
-    def judge() -> SpecVerdict:
-        verdict = check_definition("ftss", obliged, sigma(), at)
-        return SpecVerdict(
-            checker=checker, holds=verdict.holds, violations=_cap(verdict.violations)
-        )
-
-    return obliged.judge_once((_judge_ftss, label, sigma, at), judge)
+    verdict = check_definition("ftss", obliged, sigma(), at)
+    return SpecVerdict(
+        checker=checker, holds=verdict.holds, violations=_cap(verdict.violations)
+    )
 
 
 def _ftss_claim(
@@ -253,10 +259,6 @@ def _fig3_sigma() -> Problem:
 
 
 def _judge_thm1(history: ExecutionHistory, spec: PlanSpec, at: int) -> SpecVerdict:
-    return history.judge_once((_judge_thm1, at), partial(_thm1_verdict, history, at))
-
-
-def _thm1_verdict(history: ExecutionHistory, at: int) -> SpecVerdict:
     sigma = ClockAgreementProblem()
     tentative = check_definition("tentative", history, sigma, at)
     # The dichotomy that motivates Definition 2.4: the very runs that
@@ -274,6 +276,15 @@ def _thm2_sigma() -> Problem:
     return ConjunctionProblem(ClockAgreementProblem(), UniformityCondition())
 
 
+def _unison_schedule(spec: PlanSpec) -> Tuple[int, FrozenSet[int]]:
+    """``(quiet, exempt)``: the last churn or mid-run corruption round,
+    and the processes whose churn window never rejoins."""
+    quiet = max(spec.corruption_rounds, default=0)
+    for ch in spec.churn:
+        quiet = max(quiet, ch.leave_round, ch.rejoin_round or 0)
+    return quiet, frozenset(ch.pid for ch in spec.churn if ch.rejoin_round is None)
+
+
 def _judge_unison(history: ExecutionHistory, spec: PlanSpec, at: int) -> SpecVerdict:
     """Unison re-agreement after quiescence, on the recorded history.
 
@@ -284,11 +295,8 @@ def _judge_unison(history: ExecutionHistory, spec: PlanSpec, at: int) -> SpecVer
     deadline is spec-dependent, so ``at`` does not enter.
     """
     diameter = RingTopology(spec.n).diameter()
-    quiet = max(spec.corruption_rounds, default=0)
-    for ch in spec.churn:
-        quiet = max(quiet, ch.leave_round, ch.rejoin_round or 0)
+    quiet, exempt = _unison_schedule(spec)
     deadline = quiet + diameter
-    exempt = {ch.pid for ch in spec.churn if ch.rejoin_round is None}
     violations: list = []
     previous: Optional[Dict[int, int]] = None
     for round_no in range(deadline + 1, spec.rounds + 1):
@@ -350,6 +358,7 @@ SYNC_CLAIMS: Dict[str, SyncClaim] = {
         protocol=MinUnison,
         topology=RingTopology,
         judge=_judge_unison,
+        judge_reads=_unison_schedule,
     ),
     # The tentative definition is refutable (Theorem 1).
     "thm1": SyncClaim(

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
-from typing import Any, Callable, Dict, Hashable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Any, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.util.validation import require, require_positive
 
@@ -308,17 +308,7 @@ class ExecutionHistory:
     rounds of the original execution.
     """
 
-    #: Verdicts rendered on histories of these very round objects,
-    #: shared by every history read off one table of filed rounds
-    #: (:mod:`repro.verify.walk`); ``None`` where nothing is shared (an
-    #: instance attribute only where something is: histories are many).
-    verdicts: Optional[Dict[tuple, tuple]] = None
-
-    def __init__(
-        self,
-        rounds: Sequence[RoundHistory],
-        verdicts: Optional[Dict[tuple, tuple]] = None,
-    ):
+    def __init__(self, rounds: Sequence[RoundHistory]):
         rounds = tuple(rounds)
         require(len(rounds) > 0, "an execution history needs at least one round")
         n = rounds[0].n
@@ -334,24 +324,6 @@ class ExecutionHistory:
         #: Memo of :func:`repro.histories.coterie.coterie_timeline`: a
         #: history never changes, so its timeline is computed once.
         self._coterie_timeline: Optional[Tuple[frozenset, ...]] = None
-        if verdicts is not None:
-            self.verdicts = verdicts
-
-    def judge_once(self, key: Hashable, judge: Callable[[], Any]) -> Any:
-        """``judge()``, a pure function of ``key`` and this history's
-        rounds, rendered once per ``key`` and round objects when the
-        history shares a verdict memo.  Rounds are keyed by identity
-        (equal objects are one filed round) and kept alive by their
-        entry, so no other round can take over an id."""
-        memo = self.verdicts
-        if memo is None:
-            return judge()
-        rounds = self._rounds
-        full = (key, *map(id, rounds))
-        found = memo.get(full)
-        if found is None:
-            found = memo[full] = (rounds, judge())
-        return found[1]
 
     def _slice(self, rounds: Tuple[RoundHistory, ...]) -> "ExecutionHistory":
         """A non-empty run of this history's rounds: valid as it stands."""
@@ -359,8 +331,6 @@ class ExecutionHistory:
         history._rounds = rounds
         history._n = self._n
         history._coterie_timeline = None
-        if self.verdicts is not None:
-            history.verdicts = self.verdicts
         return history
 
     # -- basic accessors -------------------------------------------------

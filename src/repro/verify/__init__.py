@@ -7,10 +7,12 @@ what *cannot exist*.  One contract, two conformance-checked engines:
 - :func:`verify` — prove (or refute) a target's claim over an entire
   fault-plan space, within the bounded horizon the space fixes;
 - the **explicit-state engine** (:mod:`repro.verify.explicit`) — pure
-  Python, always available: every plan walked through one table of
-  filed rounds and put before both of EXPLORE's judges, each of which
-  judges a distinct obligation once; every per-round global state
-  hash-consed into a canonical frontier;
+  Python, always available: the plans walked as chains of (round,
+  configuration, remaining fault script) nodes that merge where their
+  futures meet, every plan put before both of EXPLORE's judges, which
+  judge each obligation node once; every per-round global state
+  hash-consed into a canonical frontier; a proof memoized whole in the
+  run cache;
 - the **SMT engine** (:mod:`repro.verify.smt`) — optional
   (``pip install repro[smt]``): symbolic initial clocks, so corrupted
   plans are proved for *all* non-negative starts, not just seeded
@@ -33,7 +35,7 @@ from typing import Optional
 from repro.explore.artifacts import Artifact
 from repro.explore.checkers import SpecVerdict
 from repro.explore.space import PlanSpace
-from repro.verify.explicit import explicit_verify
+from repro.verify.explicit import cached_verify
 from repro.verify.result import FrontierStats, VerifyResult
 from repro.verify.smt import (
     SmtUnavailableError,
@@ -85,8 +87,9 @@ def verify(
     *entire* space, just a resized one.  ``at`` re-instantiates the
     claim's stabilization time where the target supports it.
 
-    ``engine`` is ``"explicit"`` (always available) or ``"smt"``
-    (requires z3; raises :class:`SmtUnavailableError` otherwise).
+    ``engine`` is ``"explicit"`` (always available; answered from the
+    run cache when this very proof is there) or ``"smt"`` (requires z3;
+    raises :class:`SmtUnavailableError` otherwise).
     """
     vt = get_verify_target(target)
     resolved = space if space is not None else vt.space
@@ -99,7 +102,7 @@ def verify(
         resolved = replace(resolved, **changes)
     at_value = vt.default_at if at is None else at
     if engine == "explicit":
-        return explicit_verify(vt, at_value, resolved, jobs=jobs, max_plans=max_plans)
+        return cached_verify(vt, at_value, resolved, jobs=jobs, max_plans=max_plans)
     if engine == "smt":
         return smt_verify(vt, at_value, resolved, jobs=jobs, max_plans=max_plans)
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")

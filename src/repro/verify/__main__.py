@@ -58,6 +58,7 @@ from repro.verify.certificates import (
     load_certificate,
     save_certificate,
 )
+from repro.verify.explicit import explicit_verify
 from repro.verify.minimal import certify_minimal
 from repro.verify.result import VerifyResult
 
@@ -291,13 +292,18 @@ def _recheck_space(certificate, jobs) -> List[str]:
     if certificate.space is None:
         return [f"{certificate.kind} certificate carries no space to re-enumerate"]
     space = PlanSpace.from_jsonable(certificate.space)
-    result = verify(
-        certificate.target,
-        space=space,
-        at=certificate.at,
-        engine=certificate.engine,
-        jobs=jobs,
-    )
+    if certificate.engine == "explicit":
+        # Re-derived, never read back from the proof cache.
+        target = get_verify_target(certificate.target)
+        result = explicit_verify(target, certificate.at, space, jobs=jobs)
+    else:
+        result = verify(
+            certificate.target,
+            space=space,
+            at=certificate.at,
+            engine=certificate.engine,
+            jobs=jobs,
+        )
     print(_summarize(result))
     failures: List[str] = []
     want = "proved" if certificate.kind == "proof" else "refuted"

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import AbstractSet, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.explore.checkers import SpecVerdict
 from repro.explore.space import PlanSpec
 
-__all__ = ["FrontierStats", "VerifyResult", "frontier_from_digests"]
+__all__ = ["FrontierStats", "VerifyResult", "frontier_from_digests", "frontier_of"]
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,11 @@ def frontier_from_digests(digests: Iterable[str]) -> FrontierStats:
     for digest in digests:
         visited += 1
         distinct.add(digest)
+    return frontier_of(visited, distinct)
+
+
+def frontier_of(visited: int, distinct: AbstractSet[str]) -> FrontierStats:
+    """Frontier stats of ``visited`` arrivals at the ``distinct`` digests."""
     content = hashlib.sha256("\n".join(sorted(distinct)).encode("ascii"))
     return FrontierStats(
         states_visited=visited,

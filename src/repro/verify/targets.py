@@ -18,17 +18,19 @@ Every plan faces EXPLORE's two judges, both read off the target's one
   against it on every single plan, and any disagreement is surfaced as
   a mismatch that blocks certification.
 
-:func:`streaming_verdict` and :func:`confirm_verdict` each execute the
-plan through ``run_sync`` for their one judge (replays, cross-checks,
-the SMT engine's concrete counterexamples).  :func:`judge_plan` — what
-the explicit engine walks a space with — walks it once for both
-(:mod:`repro.verify.walk`): the engine is deterministic in the spec, so
-the event stream and the history of two executions would be equal
-anyway, and what the judges share is only that input.  They stay
-separate code (window scoring on clock digests vs ``check_definition``
-on an ``ExecutionHistory``) and can still disagree; thm2 and unison
-have no streaming checker, so their single judge's verdict is reported
-on both sides.
+:func:`streaming_verdict` and :func:`confirm_verdict` each execute one
+plan through ``run_sync`` for their one judge: the per-plan oracle
+(replays, cross-checks, the SMT engine's concrete counterexamples, and
+the tests the explicit engine is held to).  The explicit engine judges
+a whole space with the same two judges off the chains of
+:mod:`repro.verify.walk`, once per obligation many plans reach: the
+engine is deterministic in the spec, so the events and the history two
+executions of an obligation narrate would be equal anyway, and what the
+judges share is only that input.  They stay separate code (window
+scoring on clock digests vs ``check_definition`` on an
+``ExecutionHistory``) and can still disagree; thm2 and unison have no
+streaming checker, so their single judge's verdict is reported on both
+sides.
 
 ``fig1`` and ``thm1`` additionally support re-instantiating the claim
 at a caller-chosen stabilization time ``--at R`` (the claims are
@@ -50,7 +52,6 @@ from repro.explore.checkers import SpecVerdict
 from repro.explore.space import PlanSpace, PlanSpec
 from repro.explore.targets import SYNC_CLAIMS
 from repro.kernel.events import Observer
-from repro.verify.walk import current_table, walk
 from repro.workloads.spaces import (
     THM1_SPACE,
     THM2_SPACE,
@@ -65,7 +66,6 @@ __all__ = [
     "VERIFY_TARGETS",
     "get_verify_target",
     "confirm_verdict",
-    "judge_plan",
     "streaming_verdict",
 ]
 
@@ -182,7 +182,7 @@ def _require_at(target: VerifyTarget, at: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The two judges, apart and together
+# The two judges, one plan each
 # ---------------------------------------------------------------------------
 
 
@@ -216,31 +216,3 @@ def confirm_verdict(target: VerifyTarget, at: int, spec: PlanSpec) -> SpecVerdic
     """
     _require_at(target, at)
     return SYNC_CLAIMS[target.name].confirm(spec, at)
-
-
-def judge_plan(
-    target: VerifyTarget,
-    at: int,
-    spec: PlanSpec,
-    frontier: Optional[Observer] = None,
-) -> Tuple[SpecVerdict, SpecVerdict]:
-    """``(streaming_verdict, confirm_verdict)`` off one walk of the plan.
-
-    The walk narrates the run the two single judges would each execute
-    and returns its path, so the judge's history and the checker's
-    events may come from it without either verdict changing.  Both
-    judges read only the claim's obligation — the judge cuts it from
-    the history, the checker is narrated it alone — so each renders its
-    verdict once per distinct obligation the table has filed
-    (:meth:`~repro.histories.history.ExecutionHistory.judge_once`,
-    :meth:`~repro.verify.walk.RoundTable.streaming`): every plan still
-    gets its own pair, equal to what judging it afresh would give.
-    """
-    _require_at(target, at)
-    claim = SYNC_CLAIMS[target.name]
-    table = current_table()
-    path = walk(claim, spec, _riders(frontier), table)
-    confirm = claim.judge(path.history(table.verdicts), spec, at)
-    if claim.checker is None:
-        return confirm, confirm
-    return table.streaming(claim.checker, at, path, claim.obliged_after(spec)), confirm

@@ -1,29 +1,44 @@
-"""The walk: every plan of a space through one table of filed rounds.
+"""The walk: the plans of a space as chains that merge.
 
-The explicit engine judges thousands of plans, and most of their rounds
-are the same transition: the same configuration, stepped in the same
-round under the same fault actions.  A spec fully determines its run
-(``run_sync`` is deterministic, a protocol's step a function of its
-configuration), so one stepping of a transition serves every plan that
-reaches it.  :func:`walk` narrates one plan's run to its riders the way
-``run_sync`` would, and steps a round — through the engine's one round
-function, :func:`repro.sync.engine.step_round` — only when the
-:class:`RoundTable` has not filed it yet.
+The explicit engine judges thousands of plans, and most of what they
+do is done alike: the same configuration stepped in the same round
+under the same fault actions, towards the same end.  A spec fully
+determines its run (``run_sync`` is deterministic, a protocol's step a
+function of its configuration), and so does any point of it: two plans
+that start round ``r`` from the same configuration with the same fault
+script left run the same from there to the horizon.  :class:`ChainWalk`
+walks every plan of one verification as a chain of such **nodes** —
+(round, configuration, remaining fault script) — and files each node's
+successor once; a plan that reaches a node another plan walked takes
+the whole rest of its run, and its verdicts, by reference.
 
-What each plan still does for itself, because it is the plan's and not
-the transition's: it builds its own protocol and fault plan, asks its
-own adversary for every round's plan (RNG streams and budget checks
-stay intact), looks its rounds and corruptions up, and gets its own
-frontier digests and verdicts.  A corruption is filed like a round
-(:meth:`RoundTable.corrupt`), keyed by the plan's
-:meth:`~repro.sync.corruption.CorruptionPlan.exact_key`, the
-configuration and the time; a plan without a key is applied every
-time.  The walk returns the plan's :class:`Path`, from which the proof
-plane reads the recorded history and narrates the streaming checker
-its obligation (:func:`narrate`), each judged once per distinct
-obligation (:attr:`RoundTable.verdicts`).
+- **Node key.** The round ``r``; the table's exact configuration before
+  round ``r`` (:attr:`Configuration.index`); and the plan's remaining
+  script, interned: per round ``>= r`` what its adversary holds (exact
+  fault keys, crash schedules), the mid-run corruption that strikes
+  (:meth:`~repro.sync.corruption.CorruptionPlan.exact_key`) and the
+  round's edges, down to the horizon.  The adversaries a
+  :class:`~repro.explore.space.PlanSpec` compiles to hold no RNG and no
+  state (``NullAdversary``, ``CrashScheduleAdversary``,
+  ``ScriptedAdversary`` and their ``ComposedAdversary``, matched by
+  exact type), so the round's plan is a function of the round, the
+  configuration and the script.  A plan outside that vocabulary, or a
+  configuration without an exact key, is never shared: its nodes are
+  private to it and walked through :meth:`RoundTable.step` as ever.
+- **Per plan.** A script, compiled once per distinct fault axes; a
+  root, the start configuration after its initial corruption (filed);
+  the hops to the first node the table already knows; one verdict
+  lookup.
+- **Verdicts.** Both judges read only the claim's obligation, the
+  rounds from ``obliged_after(spec) + 1`` on, and the run from a node is
+  unique, so the pair is judged once per obligation node (and what the
+  judge reads of the spec besides, ``SyncClaim.judge_reads``).
+- **Frontier.** The distinct digests are those of the configurations
+  the nodes enter (after corruption) and of the end configurations;
+  every plan visits ``rounds + 1`` of them.
 
-The table (``docs/verify.md``, "The walk"):
+Beneath the nodes, the :class:`RoundTable` files what a node's
+successor is made of (``docs/verify.md``, "The walk"):
 
 - **key** — round number; an exact key of the configuration (states,
   crashed set, faulty set); the round's fault plan (crash survivors,
@@ -41,48 +56,37 @@ The table (``docs/verify.md``, "The walk"):
 - **miss** — steps a private copy of the configuration, so a protocol
   that mutates its state in place cannot reach a filed one.
 
-A hit narrates what the verify riders read: ``on_round_start`` with the
-configuration, the round's faults, and the filed round — through
-:meth:`~repro.kernel.recorders.HistoryRecorder.file_round` to a
-recorder, ``on_round_end`` to anyone else.  It does not replay sends,
-deliveries, topology or state commits, so :func:`walk` refuses a rider
-other than a recorder that listens to them.
-
-A table lives for one ``explicit_verify`` call in one thread
-(:func:`shared_table`), so a protocol changed between calls is stepped
-afresh; a pool worker forked during a call walks without it.
+A walk and its table live for one slice of one ``explicit_verify``
+call (:func:`repro.verify.explicit.explicit_verify`), so a protocol
+changed between calls is stepped afresh.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import threading
+import itertools
 from collections.abc import Mapping
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.histories.history import ExecutionHistory, RoundHistory
 from repro.kernel.corruptions import corruption_faults
 from repro.kernel.delivery import Liveness
 from repro.kernel.events import EventBus, FaultEvent, Observer
+from repro.kernel.faults import ComposedAdversary, CrashScheduleAdversary
 from repro.kernel.recorders import HistoryRecorder
 from repro.kernel.snapshot import FrozenDict, snapshot_states
 from repro.kernel.topology import normalize_topology, round_edges
 from repro.sync import engine
-from repro.sync.adversary import NullAdversary, RoundFaultPlan
+from repro.sync.adversary import NullAdversary, RoundFaultPlan, ScriptedAdversary
 
 __all__ = [
+    "ChainWalk",
     "Configuration",
     "FrontierObserver",
-    "Path",
+    "Node",
     "RoundTable",
-    "Step",
     "Transition",
-    "current_table",
-    "shared_table",
     "state_digest",
-    "walk",
 ]
 
 ProcessId = int
@@ -135,23 +139,21 @@ class FrontierObserver(Observer):
     interns them across *all* plans of the verification: two plans that
     steer the system through the same global state collapse to one
     frontier entry, and the dedup ratio measures how much of the
-    fault-plan product re-treads shared ground.  A walk hands over the
-    digest its table already holds (:meth:`add`).
+    fault-plan product re-treads shared ground.  It rides ``run_sync``
+    (the per-plan oracle); a chain walk digests each configuration it
+    reaches once instead (:attr:`ChainWalk.digests`).
     """
 
     def __init__(self) -> None:
         self.digests: List[str] = []
 
-    def add(self, digest: str) -> None:
-        self.digests.append(digest)
-
     def on_round_start(self, round_no, snapshots) -> None:
-        self.add(state_digest(snapshots))
+        self.digests.append(state_digest(snapshots))
 
     def on_run_end(self, time, final_states) -> None:
         # The post-final-round state never gets a round row; digest it
         # here so the frontier covers the run end-to-end.
-        self.add(state_digest(final_states))
+        self.digests.append(state_digest(final_states))
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +306,6 @@ class RoundTable:
         self._interned: Dict[Any, Any] = {}
         self._filer = _RoundFiler()
         self._filing = EventBus((self._filer,))
-        #: Verdicts by obligation: the histories read off this table
-        #: share it (:meth:`ExecutionHistory.judge_once`), and so does
-        #: :meth:`streaming`.
-        self.verdicts: Dict[tuple, tuple] = {}
         self.stepped = 0
         #: Corruption plans actually applied (the rest were filed).
         self.corrupted = 0
@@ -388,205 +386,302 @@ class RoundTable:
             self._corruptions[key] = filed
         return filed
 
-    def streaming(self, checker, at: int, path: "Path", skipped: int) -> Any:
-        """``checker(at)``'s verdict on ``path``'s rounds after round
-        ``skipped``, narrated to it alone (:func:`narrate`): once per
-        distinct obligation, which the key spells out by the identity of
-        what the table filed for it."""
-        steps = path.steps[skipped:]
-        filed = tuple([step.transition.filed for step in steps])
-        corruption = tuple([step.corruption for step in steps])
-        key = (checker, at, skipped, id(path.end), *map(id, filed), *map(id, corruption))
-        found = self.verdicts.get(key)
-        if found is None:
-            observer = checker(at)
-            narrate(path, observer, skipped)
-            # The entry keeps what it was keyed by alive: no id is reused.
-            pinned = (filed, corruption, path.end)
-            found = self.verdicts[key] = (pinned, observer.verdict())
-        return found[1]
-
-
-class _Scope(threading.local):
-    """The table in scope, per thread: two verifications never share one."""
-
-    table: Optional[RoundTable] = None
-
-
-_SCOPE = _Scope()
-
-
-@contextmanager
-def shared_table() -> Iterator[RoundTable]:
-    """One table for every walk inside the block (then dropped)."""
-    outer, _SCOPE.table = _SCOPE.table, RoundTable()
-    try:
-        yield _SCOPE.table
-    finally:
-        _SCOPE.table = outer
-
-
-def current_table() -> RoundTable:
-    """The table in scope, or a fresh one for a walk outside any."""
-    table = _SCOPE.table
-    return table if table is not None else RoundTable()
-
-
-def _forget_shared() -> None:
-    _SCOPE.table = None
-
-
-# A pool worker forked inside a verification must not keep its table
-# into the next one.
-os.register_at_fork(after_in_child=_forget_shared)
-
 
 # ---------------------------------------------------------------------------
-# The walk
+# Remaining fault scripts
 # ---------------------------------------------------------------------------
 
 
-class Step(NamedTuple):
-    """One round of a walked plan: the configuration it starts from
-    (after any mid-run corruption), that corruption's faults, and the
-    filed round."""
+def _entries(adversary, round_no: int, out: list) -> None:
+    """Append what ``adversary`` holds for ``round_no`` to ``out``, in
+    the order a :class:`ComposedAdversary` merges it (first wins).
+    Matched by exact type: a subclass may plan otherwise."""
+    kind = type(adversary)
+    if kind is NullAdversary:
+        return
+    if kind is CrashScheduleAdversary:
+        pids = adversary._by_round.get(round_no)
+        if pids:
+            if not _INT.issuperset(map(type, pids)):
+                raise _Untableable(pids)
+            out.append((kind, tuple(sorted(pids))))
+        return
+    if kind is ScriptedAdversary:
+        plan = adversary._script.get(round_no)
+        if plan is not None:
+            key = _fault_key(plan)
+            if key is None:
+                raise _Untableable(plan)
+            if key:
+                out.append((kind, key))
+        return
+    if kind is ComposedAdversary:
+        for part in adversary._parts:
+            _entries(part, round_no, out)
+        return
+    raise _Untableable(kind)
 
-    config: Configuration
-    corruption: Tuple[FaultEvent, ...]
-    transition: Transition
+
+def _round_script(adversary, mid_run, edges, round_no: int) -> tuple:
+    """Everything round ``round_no`` of a plan reads besides its
+    configuration, as an exact key: the adversary's entries with the
+    budget they are validated against, the mid-run corruption's key,
+    the edges.  Raises :class:`_Untableable` where one has no key."""
+    entries: list = []
+    _entries(adversary, round_no, entries)
+    corruption = mid_run.get(round_no)
+    key = None if corruption is None else corruption.exact_key()
+    if corruption is not None and key is None:
+        raise _Untableable(corruption)
+    # An empty plan is valid under any budget the run has kept so far.
+    return ((adversary.f, tuple(entries)) if entries else (), key, edges)
 
 
-class Path(NamedTuple):
-    """A plan's run as its table holds it: everything a rider of the
-    walk is narrated, and what :func:`repro.verify.targets.judge_plan`
-    judges."""
+#: The remaining script of a run at its horizon: nothing.
+_END = 0
+
+
+class _Script(NamedTuple):
+    """A plan's fault script, compiled once for every plan with the same
+    fault axes: its adversary, mid-run corruptions and per-round edges,
+    and ``futures[r]``, the interned key of what remains of it from
+    round ``r`` to the horizon (``None`` where something left has no
+    exact key)."""
 
     n: int
-    protocol: Any
-    #: The initial corruption's faults (at time 0, before round 1).
-    initial: Tuple[FaultEvent, ...]
-    steps: List[Step]
-    end: Configuration
-
-    def history(self, verdicts: Optional[Dict[tuple, tuple]] = None) -> ExecutionHistory:
-        """The recorded history: the filed rounds, sharing ``verdicts``."""
-        return ExecutionHistory([step.transition.filed for step in self.steps], verdicts)
+    rounds: int
+    adversary: Any
+    mid_run: Mapping[int, Any]
+    edges: List[Any]
+    futures: List[Optional[int]]
 
 
-class _Riders:
-    """A plan's riders, sorted by how a filed round reaches them."""
-
-    def __init__(self, riders: Sequence[Observer]):
-        self.frontiers = [r for r in riders if type(r) is FrontierObserver]
-        rest = tuple(r for r in riders if type(r) is not FrontierObserver)
-        self.bus = EventBus(rest)
-        self.recorders = [r for r in rest if isinstance(r, HistoryRecorder)]
-        self.others = [r for r in rest if not isinstance(r, HistoryRecorder)]
-        unheard = EventBus(self.others) if self.others else None
-        if unheard is not None and (
-            unheard.wants_send
-            or unheard.wants_deliver
-            or unheard.wants_state_commit
-            or unheard.wants_topology
-        ):
-            raise TypeError(
-                "a walk narrates round starts, faults and filed rounds only; "
-                "a rider that reads sends, deliveries, topology or state "
-                "commits must be a HistoryRecorder or ride run_sync"
-            )
-
-    def run(self, path: Path) -> None:
-        bus = self.bus
-        bus.on_run_start(path.n, path.protocol, 1)
-        wants_fault = bus.wants_fault
-        if wants_fault:
-            for fault in path.initial:
-                bus.on_fault(fault)
-        for round_no, step in enumerate(path.steps, 1):
-            if wants_fault:
-                for fault in step.corruption:
-                    bus.on_fault(fault)
-            self.round(round_no, step.config, step.transition)
-        for frontier in self.frontiers:
-            frontier.add(path.end.digest)
-        states = path.end.states
-        bus.on_run_end(len(path.steps), {pid: states[pid] for pid in range(path.n)})
-
-    def round(self, round_no: int, config: Configuration, step: Transition) -> None:
-        bus = self.bus
-        bus.on_round_start(round_no, config.states)
-        for frontier in self.frontiers:
-            frontier.add(config.digest)
-        if bus.wants_fault:
-            for fault in step.faults:
-                bus.on_fault(fault)
-        for recorder in self.recorders:
-            recorder.file_round(step.filed)
-        for other in self.others:
-            other.on_round_end(round_no)
+def _script_key(spec) -> tuple:
+    """The fields of ``spec`` its script is compiled from: every one
+    but the initial corruption's (the root's) and ``gst``, which the
+    synchronous substrate ignores.  The seed matters only to mid-run
+    corruption."""
+    mid = spec.corruption_rounds
+    return (spec.n, spec.rounds, spec.crashes, spec.omissions, spec.churn, mid,
+            spec.seed if mid else None)
 
 
-def narrate(path: Path, observer: Observer, skipped: int = 0) -> None:
-    """Narrate ``path``'s rounds after round ``skipped`` to ``observer``
-    alone, as a run that starts at round ``skipped + 1``: a round's
-    mid-run corruption, start, faults and filed round, then the end.
-    Nothing before that round reaches it (the initial corruption's
-    faults included), so what it concludes is a function of those
-    rounds."""
-    observer.on_run_start(path.n, path.protocol, skipped + 1)
-    files = isinstance(observer, HistoryRecorder)
-    for round_no, step in enumerate(path.steps[skipped:], skipped + 1):
-        for fault in step.corruption:
-            observer.on_fault(fault)
-        observer.on_round_start(round_no, step.config.states)
-        transition = step.transition
-        for fault in transition.faults:
-            observer.on_fault(fault)
-        if files:
-            observer.file_round(transition.filed)
+def _root_key(spec) -> tuple:
+    """The fields of ``spec`` its root is drawn from."""
+    drawn = spec.random_corruption
+    return (spec.n, drawn, spec.seed if drawn else None, spec.clock_skews)
+
+
+# ---------------------------------------------------------------------------
+# Chains of nodes
+# ---------------------------------------------------------------------------
+
+
+class Node:
+    """Round ``round_no`` about to start from ``config`` with a fault
+    script left: every plan that reaches it runs the same from here.
+
+    Walked once, it holds its successor: the configuration the round's
+    mid-run corruption leaves (``entered``) and that corruption's
+    faults, the filed round, and the ``next`` node.  The node after the
+    horizon ends the run (``transition`` and ``next`` stay ``None``).
+    """
+
+    __slots__ = ("serial", "round_no", "config", "entered", "corruption", "transition", "next")
+
+    def __init__(self, serial: int, round_no: int, config: Configuration):
+        self.serial = serial
+        self.round_no = round_no
+        self.config = config
+        #: ``None`` until the node is walked.
+        self.entered: Optional[Configuration] = None
+        self.corruption: Tuple[FaultEvent, ...] = ()
+        self.transition: Optional[Transition] = None
+        self.next: Optional[Node] = None
+
+
+class ChainWalk:
+    """Every plan of one verification of ``claim`` at ``at``, as chains
+    of nodes that merge (:meth:`judge` per plan).
+
+    Bounded by the distinct nodes the plans reach, never by the number
+    of plans.  ``digests`` holds the frontier's distinct digests,
+    ``visited`` the frontier arrivals (``rounds + 1`` per plan) and
+    ``walked`` the rounds walked: one per node before a horizon.
+    """
+
+    def __init__(self, claim, at: int) -> None:
+        self.claim = claim
+        self.at = at
+        self.protocol = claim.protocol()
+        self.table = RoundTable()
+        self.digests: Set[str] = set()
+        self.visited = 0
+        self.walked = 0
+        self._nodes: Dict[tuple, Node] = {}
+        self._futures: Dict[tuple, int] = {}
+        self._scripts: Dict[tuple, _Script] = {}
+        self._roots: Dict[tuple, Configuration] = {}
+        self._verdicts: Dict[tuple, tuple] = {}
+        self._serials = itertools.count()
+
+    def judge(self, spec) -> Tuple[Any, Any]:
+        """``spec``'s ``(streaming, confirm)`` verdicts: walked up to the
+        first node the walk knows, judged once per obligation node."""
+        script = self._script(spec)
+        first = node = self._node(1, self._root(spec), script)
+        while node.entered is None:
+            self._walk(node, script)
+            if node.next is None:
+                joined = None
+                break
+            node = node.next
         else:
-            observer.on_round_end(round_no)
-    states = path.end.states
-    observer.on_run_end(len(path.steps), {pid: states[pid] for pid in range(path.n)})
+            joined = node
+        self.visited += script.rounds + 1
 
+        claim = self.claim
+        start = claim.obliged_after(spec) + 1
+        reads = claim.judge_reads(spec)
+        if joined is None or joined.round_no > start:
+            return self._obligation(first, start, reads, first, spec)
+        key = (joined.serial, start, reads)
+        found = self._verdicts.get(key)
+        if found is None:
+            found = self._verdicts[key] = self._obligation(joined, start, reads, first, spec)
+        return found
 
-def _trace(claim, spec, table: RoundTable) -> Path:
-    """``spec``'s run under ``claim`` through ``table``."""
-    n = spec.n
-    protocol = claim.protocol()
-    fault_plan = spec.fault_plan()
-    view = fault_plan.to_sync()
-    adversary = view.adversary or NullAdversary()
-    mid_run = view.mid_run_corruptions
-    topo = normalize_topology(
-        n, None if claim.topology is None else claim.topology(n), fault_plan.churn
-    )
+    # -- nodes ---------------------------------------------------------------
 
-    config = table.configuration(engine.start_states(protocol, n), Liveness(n))
-    initial: Tuple[FaultEvent, ...] = ()
-    if view.corruption is not None:
-        config, initial = table.corrupt(view.corruption, protocol, n, config, 0)
-    steps: List[Step] = []
-    for round_no in range(1, spec.rounds + 1):
-        corruption: Tuple[FaultEvent, ...] = ()
-        if round_no in mid_run:
-            config, corruption = table.corrupt(mid_run[round_no], protocol, n, config, round_no)
-        live = config.live
+    def _node(self, round_no: int, config: Configuration, script: _Script) -> Node:
+        """The node at ``round_no`` from ``config`` with ``script`` left;
+        a private one where either has no exact key."""
+        future = script.futures[round_no]
+        if future is None or config.index is None:
+            return Node(next(self._serials), round_no, config)
+        key = (round_no, config.index, future)
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = Node(next(self._serials), round_no, config)
+        return node
+
+    def _walk(self, node: Node, script: _Script) -> None:
+        """File ``node``'s successor: its round as ``run_sync`` plays it."""
+        round_no, config = node.round_no, node.config
+        if round_no > script.rounds:
+            node.entered = config
+            self.digests.add(config.digest)
+            return
+        self.walked += 1
+        table, protocol, n = self.table, self.protocol, script.n
+        corruption = script.mid_run.get(round_no)
+        if corruption is None:
+            entered = config
+        else:
+            entered, node.corruption = table.corrupt(corruption, protocol, n, config, round_no)
+        live = entered.live
+        adversary = script.adversary
         plan = adversary.plan_round(round_no, live.alive_view, live.faulty)
         adversary.validate(plan, live.faulty)
-        edges = None if topo is None else round_edges(topo, round_no)
-        transition = table.step(protocol, n, round_no, config, plan, edges)
-        steps.append(Step(config, corruption, transition))
-        config = transition.after
-    return Path(n, protocol, initial, steps, config)
+        transition = table.step(protocol, n, round_no, entered, plan, script.edges[round_no])
+        node.entered, node.transition = entered, transition
+        self.digests.add(entered.digest)
+        node.next = self._node(round_no + 1, transition.after, script)
 
+    def _script(self, spec) -> _Script:
+        key = _script_key(spec)
+        script = self._scripts.get(key)
+        if script is None:
+            script = self._scripts[key] = self._compile(spec)
+        return script
 
-def walk(claim, spec, riders: Sequence[Observer], table: RoundTable) -> Path:
-    """Narrate ``spec``'s run under ``claim`` (a
-    :class:`~repro.explore.targets.SyncClaim`) to ``riders``, as
-    ``claim.run(spec, riders)`` would, stepping only what ``table``
-    has not filed; return the run's :class:`Path`."""
-    narrate_to = _Riders(riders)  # a rider it cannot narrate to is refused first
-    path = _trace(claim, spec, table)
-    narrate_to.run(path)
-    return path
+    def _compile(self, spec) -> _Script:
+        n, rounds, claim = spec.n, spec.rounds, self.claim
+        fault_plan = spec.fault_plan()
+        view = fault_plan.to_sync()
+        adversary = view.adversary or NullAdversary()
+        mid_run = view.mid_run_corruptions
+        topo = normalize_topology(
+            n, None if claim.topology is None else claim.topology(n), fault_plan.churn
+        )
+        edges: List[Any] = [None] * (rounds + 1)
+        if topo is not None:
+            for round_no in range(1, rounds + 1):
+                edges[round_no] = round_edges(topo, round_no)
+        futures: List[Optional[int]] = [None] * (rounds + 2)
+        future = futures[rounds + 1] = _END
+        interned = self._futures
+        for round_no in range(rounds, 0, -1):
+            try:
+                step = (_round_script(adversary, mid_run, edges[round_no], round_no), future)
+                future = interned.setdefault(step, len(interned) + 1)
+            except (_Untableable, TypeError):  # TypeError: an unhashable key
+                break
+            futures[round_no] = future
+        return _Script(n, rounds, adversary, mid_run, edges, futures)
+
+    def _root(self, spec) -> Configuration:
+        """The start configuration after ``spec``'s initial corruption."""
+        key = _root_key(spec)
+        root = self._roots.get(key)
+        if root is None:
+            n, protocol, table = spec.n, self.protocol, self.table
+            root = table.configuration(engine.start_states(protocol, n), Liveness(n))
+            initial = spec.fault_plan().initial_corruption
+            if initial is not None:
+                root, _faults = table.corrupt(initial, protocol, n, root, 0)
+            self._roots[key] = root
+        return root
+
+    # -- verdicts ------------------------------------------------------------
+
+    def _obligation(self, node: Node, start: int, reads, first: Node, spec) -> tuple:
+        """The verdict pair of the obligation from round ``start`` on
+        the chain through ``node``, judged once per obligation node;
+        ``first`` is the chain's first node, which the judge's history
+        starts from."""
+        while node.round_no < start:
+            node = node.next
+        key = (node.serial, start, reads)
+        found = self._verdicts.get(key)
+        if found is None:
+            found = self._verdicts[key] = self._judged(node, first, spec)
+        return found
+
+    def _judged(self, obliged: Node, first: Node, spec) -> tuple:
+        claim, at = self.claim, self.at
+        rounds = []
+        node = first
+        while node.transition is not None:
+            rounds.append(node.transition.filed)
+            node = node.next
+        confirm = claim.judge(ExecutionHistory(rounds), spec, at)
+        if claim.checker is None:
+            return confirm, confirm
+        checker = claim.checker(at)
+        self._narrate(obliged, checker, spec.n)
+        return checker.verdict(), confirm
+
+    def _narrate(self, node: Node, observer: Observer, n: int) -> None:
+        """Narrate the run from ``node`` to its end to ``observer`` alone,
+        as a run that starts at ``node``'s round: each round's mid-run
+        corruption, start, faults and filed round, then the end.
+        Nothing before that round reaches it (the initial corruption's
+        faults included), so what it concludes is a function of the
+        node."""
+        observer.on_run_start(n, self.protocol, node.round_no)
+        files = isinstance(observer, HistoryRecorder)
+        while node.transition is not None:
+            for fault in node.corruption:
+                observer.on_fault(fault)
+            observer.on_round_start(node.round_no, node.entered.states)
+            transition = node.transition
+            for fault in transition.faults:
+                observer.on_fault(fault)
+            if files:
+                observer.file_round(transition.filed)
+            else:
+                observer.on_round_end(node.round_no)
+            node = node.next
+        states = node.config.states
+        observer.on_run_end(node.round_no - 1, {pid: states[pid] for pid in range(n)})

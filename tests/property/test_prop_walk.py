@@ -1,33 +1,47 @@
-"""Property tests for the walk: a shared table changes no answer.
+"""Property tests for the walk: chains that merge change no answer.
+
+The oracle is ``run_sync`` itself: the expected :class:`VerifyResult`
+is built plan by plan from ``streaming_verdict`` and ``confirm_verdict``
+(one ``run_sync`` each) with a :class:`FrontierObserver` riding the
+streaming run, exactly as a verification that shares nothing would
+assemble it.  ``explicit_verify`` must equal it field for field — the
+verdict, the counts, the frontier, the counterexample and its verdict,
+the mismatches — with one walk over every plan (``jobs=1``) and with
+the plans cut into two slices walked apart (``jobs=2``).
 
 Hypothesis draws small fault-plan spaces (n ≤ 4) that cross the axes a
-table key has to tell apart — a crash and an omission campaign on the
-same process, mid-run corruption, churn — and walks every plan of each
-through one table, as ``explicit_verify`` does.  Every plan's streaming
-verdict, confirm verdict, frontier digests and recorded history must
-equal a ``run_sync`` of that plan alone.  fig3 is drawn apart (its
+node key has to tell apart — a crash and an omission campaign on the
+same process, mid-run corruption, churn; fig3 is drawn apart (its
 proposals fix n = 4), always with mid-run corruption: its streaming
-check is narrated only the rounds after it.
+check is narrated only the rounds after it.  Every curated space is
+held to the same oracle.
 """
 
 import itertools
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.base import shutdown_pool
 from repro.explore.space import OMISSION_KINDS, PlanSpace
-from repro.explore.targets import SYNC_CLAIMS
 from repro.verify import VERIFY_TARGETS
-from repro.verify.explicit import FrontierObserver
-from repro.verify.targets import judge_plan
-from repro.verify.walk import shared_table
+from repro.verify.explicit import FrontierObserver, enumerate_space, explicit_verify
+from repro.verify.result import VerifyResult, frontier_from_digests
+from repro.verify.targets import confirm_verdict, streaming_verdict
 
 pytestmark = pytest.mark.property
 
-#: Plans walked per drawn space (the raw enumeration, duplicates kept).
-PLANS_PER_SPACE = 48
+#: Raw plans a drawn space may hold (each costs two ``run_sync`` calls).
+PLANS_PER_SPACE = 96
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _no_pool_left_behind():
+    """``jobs=2`` forks a pool; later event loops must not inherit it."""
+    yield
+    shutdown_pool()
 
 
 @st.composite
@@ -65,20 +79,59 @@ def small_spaces(draw, n=None, mid_run=None, max_rounds=6):
     return PlanSpace(**kwargs)
 
 
-def _run_sync_reference(claim, spec, at):
-    """Both verdicts, the frontier and the history off one ``run_sync``."""
-    frontier = FrontierObserver()
-    checker = None if claim.checker is None else claim.checker(at)
-    riders = (frontier,) if checker is None else (checker, frontier)
-    history = claim.run(spec, riders).history
-    confirm = claim.judge(history, spec, at)
-    return (confirm if checker is None else checker.verdict()), confirm, frontier.digests, history
+def _plan_by_plan(target, at, space) -> VerifyResult:
+    """The result a verification sharing nothing would return: every
+    plan put through ``run_sync`` once per judge, in enumeration order."""
+    specs, raw, dropped = enumerate_space(space, target.symmetric)
+    digests, mismatches, violating = [], [], 0
+    counterexample = counterexample_verdict = None
+    for spec in specs:
+        frontier = FrontierObserver()
+        streaming = streaming_verdict(target, at, spec, frontier)
+        confirm = confirm_verdict(target, at, spec)
+        digests.extend(frontier.digests)
+        if streaming.holds != confirm.holds:
+            mismatches.append((spec, streaming, confirm))
+        if not confirm.holds:
+            violating += 1
+            if counterexample is None:
+                counterexample, counterexample_verdict = spec, confirm
+    return VerifyResult(
+        target=target.name,
+        at=at,
+        engine="explicit",
+        verdict="refuted" if counterexample is not None else "proved",
+        raw_plans=raw,
+        examined=len(specs),
+        symmetry_dropped=dropped,
+        violating=violating,
+        frontier=frontier_from_digests(digests),
+        counterexample=counterexample,
+        counterexample_verdict=counterexample_verdict,
+        mismatches=mismatches,
+    )
+
+
+def _walks_equal_run_sync(name, space, at=None):
+    target = VERIFY_TARGETS[name]
+    at = target.default_at if at is None else at
+    expected = _plan_by_plan(target, at, space)
+    assert explicit_verify(target, at, space, jobs=1) == expected
+    assert explicit_verify(target, at, space, jobs=2) == expected
+
+
+def _drawn(space, name):
+    if name == "thm2":  # the halting rule's state has no arbitrary-state draw
+        space = replace(space, corruption_choices=(False,), corruption_round_choices=((),))
+    raw = itertools.islice(space.enumerate_plans(), PLANS_PER_SPACE + 1)
+    assume(sum(1 for _ in raw) <= PLANS_PER_SPACE)
+    return space
 
 
 @given(space=small_spaces(), name=st.sampled_from(("fig1", "thm1", "thm2", "unison")))
 @settings(max_examples=30, deadline=None)
 def test_a_shared_table_changes_no_answer(space, name):
-    _walk_every_plan(space, name)
+    _walks_equal_run_sync(name, _drawn(space, name))
 
 
 @given(space=small_spaces(n=4, mid_run=True, max_rounds=8))
@@ -86,28 +139,13 @@ def test_a_shared_table_changes_no_answer(space, name):
 def test_fig3_narrated_from_its_obligation_changes_no_answer(space):
     """The compiler check resets itself at a mid-run corruption under
     ``run_sync``; the walk narrates it the rounds after it alone."""
-    _walk_every_plan(space, "fig3")
+    _walks_equal_run_sync("fig3", _drawn(space, "fig3"))
 
 
-def _walk_every_plan(space, name):
-    target, claim = VERIFY_TARGETS[name], SYNC_CLAIMS[name]
-    if name == "thm2":  # the halting rule's state has no arbitrary-state draw
-        space = replace(space, corruption_choices=(False,), corruption_round_choices=((),))
-    seen = []
-
-    def spy(history, spec, at):
-        seen.append(history)
-        return claim.judge(history, spec, at)
-
-    plans = list(itertools.islice(space.enumerate_plans(), PLANS_PER_SPACE))
-    with pytest.MonkeyPatch.context() as patch, shared_table():
-        patch.setitem(SYNC_CLAIMS, name, replace(claim, judge=spy))
-        for spec in plans:
-            frontier = FrontierObserver()
-            walked = judge_plan(target, target.default_at, spec, frontier)
-            streaming, confirm, digests, history = _run_sync_reference(
-                claim, spec, target.default_at
-            )
-            assert walked == (streaming, confirm)
-            assert frontier.digests == digests
-            assert list(seen[-1]) == list(history)
+@pytest.mark.parametrize(
+    "name, which",
+    [(name, "space") for name in VERIFY_TARGETS] + [("fig1", "smoke_space")],
+    ids=[*VERIFY_TARGETS, "fig1-smoke"],
+)
+def test_every_curated_space_equals_run_sync_plan_by_plan(name, which):
+    _walks_equal_run_sync(name, getattr(VERIFY_TARGETS[name], which))

@@ -731,23 +731,22 @@ class TestOneStepPerDistinctRound:
         from repro.sync import engine
         from repro.verify import get_verify_target, verify
         from repro.verify.explicit import enumerate_space
+        from repro.verify.walk import ChainWalk
 
         target = get_verify_target(name)
         space = target.smoke_space if smoke else target.space
         specs, _raw, _dropped = enumerate_space(space, target.symmetric)
 
         repro.cache.disable()  # a cache hit walks nothing at all
-        # Class-level counters see every walk and every round assembly: a
-        # walk announces itself once on its plan's bus, and only a round
-        # the table lacks is stepped — and assembled — at all.
+        # Class-level counters see every plan's walk and every round
+        # assembly: each plan is walked once, and only a round the table
+        # lacks is stepped — and assembled — at all.
         runs, rounds, steps = [], [], []
-        on_run_start = EventBus.on_run_start
+        judge = ChainWalk.judge
         finish_round = HistoryRecorder._finish_round
         step_round = engine.step_round
         monkeypatch.setattr(
-            EventBus,
-            "on_run_start",
-            lambda self, *args: runs.append(1) or on_run_start(self, *args),
+            ChainWalk, "judge", lambda self, spec: runs.append(1) or judge(self, spec)
         )
         monkeypatch.setattr(
             HistoryRecorder,

@@ -180,20 +180,61 @@ class TestExplicitEngine:
         assert raw == len(kept) + dropped
         assert dropped == 0  # asymmetric: nothing canonicalized away
 
-    def test_verify_runs_are_cached_under_the_verify_namespace(self):
-        verify("unison")
+    def test_verify_runs_are_cached_under_the_verify_namespace(self, tmp_path):
+        """A proof is one cache entry: cold, one miss and one store; warm,
+        one hit and nothing executed; the same certificate either way."""
+        target = get_verify_target("unison")
+        cold = verify("unison")
+        assert _proof_counters() == {"hits": 0, "misses": 1, "stores": 1, "executed": 1}
+        warm = verify("unison")
+        assert _proof_counters() == {"hits": 1, "misses": 1, "stores": 1, "executed": 1}
+        assert warm == cold
+        paths = [
+            save_certificate(tmp_path / name, certificate_from_result(target, result, target.space))
+            for name, result in (("cold", cold), ("warm", warm))
+        ]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbled", "foreign"])
+    def test_a_damaged_proof_entry_is_recomputed_never_returned(self, damage):
+        import pickle
+
+        fresh = verify("unison")
         cache = repro.cache.get_cache()
         cache.flush()
-        by_ns = cache.persisted_namespace_counters()
-        assert "verify:unison@verify" in by_ns
-        cold = by_ns["verify:unison@verify"]
-        assert cold["misses"] == cold["executed"] > 0
-        # The warm re-verification is all lookups.
-        verify("unison")
-        cache.flush()
-        warm = cache.persisted_namespace_counters()["verify:unison@verify"]
-        assert warm["hits"] >= cold["misses"]
-        assert warm["misses"] == cold["misses"]
+        [(_key, path)] = list(cache.entries())
+        data = path.read_bytes()
+        if damage == "truncated":
+            path.write_bytes(data[: len(data) // 2])
+        elif damage == "garbled":
+            path.write_bytes(bytes(byte ^ 0x5A for byte in data))
+        else:  # a well-formed entry holding another proof's result
+            entry = pickle.loads(data)
+            entry["outcome"] = verify("thm2")
+            path.write_bytes(pickle.dumps(entry))
+        repro.cache.configure(root=cache.root)  # drop the in-memory front
+        assert verify("unison") == fresh
+        assert verify("unison") == fresh  # the recompute overwrote the entry
+        assert repro.cache.get_cache().stats.hits >= 1
+
+    def test_recheck_is_never_answered_from_the_proof_cache(self, tmp_path):
+        from repro.verify.__main__ import main as verify_main
+
+        target = get_verify_target("unison")
+        path = save_certificate(
+            tmp_path, certificate_from_result(target, verify("unison"), target.space)
+        )
+        before = _proof_counters()
+        assert verify_main(["recheck", str(path)]) == 0
+        assert _proof_counters() == before
+
+
+def _proof_counters():
+    """``verify:unison@verify``'s access counters, flushed to disk."""
+    cache = repro.cache.get_cache()
+    cache.flush()
+    counters = cache.persisted_namespace_counters().get("verify:unison@verify", {})
+    return {name: counters.get(name, 0) for name in ("hits", "misses", "stores", "executed")}
 
 
 # -- certificates ------------------------------------------------------------

@@ -1,19 +1,20 @@
-"""Two judges, one walk: the joint judgement changes no answer.
+"""Two judges, one walk: the chain walk's judgement changes no answer.
 
-``repro.verify.targets.judge_plan`` puts a plan before the streaming
-checker and the confirm oracle off a single walk, and the walk steps a
-round only when the table of filed rounds lacks it
-(:mod:`repro.verify.walk`).  These tests pin down what that sharing
-must not touch:
+``repro.verify.walk.ChainWalk`` puts every plan of a space before the
+streaming checker and the confirm oracle off chains of nodes that
+merge: a plan walks up to the first node another plan walked, and each
+obligation node is judged once.  These tests pin down what that
+sharing must not touch:
 
 - both verdicts equal what the two single-judge functions return, field
   for field, on every plan of the curated spaces (and at a non-default
-  stabilization time where the target takes one);
-- walked through one table, as ``explicit_verify`` walks a space, every
-  plan's verdicts, frontier digests and recorded history equal a
-  ``run_sync`` of that plan — mid-run corruption included, where the
-  streaming clock checker drops the fault round from its *score* but
-  must keep it in the *history*;
+  stabilization time where the target takes one), and the walk's
+  frontier is the union of theirs;
+- walked as one set of chains, as ``explicit_verify`` walks a space,
+  every plan's verdicts and the frontier equal a ``run_sync`` of each
+  plan, and the confirm judge reads recorded histories — mid-run
+  corruption included, where the streaming clock checker drops the
+  fault round from its *score* but must keep it in the *history*;
 - the cross-check is still a cross-check: blind either judge and the
   other one's verdicts surface as mismatches.
 """
@@ -27,8 +28,8 @@ from repro.analysis.stabilization import WindowMeasure
 from repro.explore.targets import SYNC_CLAIMS
 from repro.verify import VERIFY_TARGETS, verify
 from repro.verify.explicit import FrontierObserver, enumerate_space
-from repro.verify.targets import confirm_verdict, judge_plan, streaming_verdict
-from repro.verify.walk import shared_table
+from repro.verify.targets import confirm_verdict, streaming_verdict
+from repro.verify.walk import ChainWalk
 from repro.workloads.spaces import VERIFY_FIG1_SPACE
 
 #: The fig1 plans with a systemic failure in round 3 (one omission window).
@@ -73,25 +74,28 @@ def _plans(name, space):
 @pytest.mark.parametrize("name, at, space", CASES)
 def test_joint_judgement_equals_the_two_single_judges(name, at, space):
     target = VERIFY_TARGETS[name]
-    for spec in _plans(name, space):
-        joint_frontier, plain_frontier = FrontierObserver(), FrontierObserver()
-        joint = judge_plan(target, at, spec, joint_frontier)
+    chains, digests = ChainWalk(SYNC_CLAIMS[name], at), set()
+    specs = _plans(name, space)
+    for spec in specs:
+        plain_frontier = FrontierObserver()
         apart = (
             streaming_verdict(target, at, spec, plain_frontier),
             confirm_verdict(target, at, spec),
         )
-        assert joint == apart  # checker names, violations, details
-        assert joint_frontier.digests == plain_frontier.digests
-        assert len(joint_frontier.digests) == spec.rounds + 1
+        assert chains.judge(spec) == apart  # checker names, violations, details
+        assert len(plain_frontier.digests) == spec.rounds + 1
+        digests.update(plain_frontier.digests)
+    assert chains.digests == digests
+    assert chains.visited == sum(spec.rounds + 1 for spec in specs)
 
 
 def _spy_on_the_judge(monkeypatch, name):
-    """Every history ``name``'s confirm judge reads, in order."""
+    """Every ``(spec, history)`` ``name``'s confirm judge reads, in order."""
     claim = SYNC_CLAIMS[name]
     seen = []
 
     def spy(history, spec, at):
-        seen.append(history)
+        seen.append((spec, history))
         return claim.judge(history, spec, at)
 
     monkeypatch.setitem(SYNC_CLAIMS, name, replace(claim, judge=spy))
@@ -103,11 +107,14 @@ def test_confirm_judge_reads_the_recorded_history(name, at, space, monkeypatch):
     claim = SYNC_CLAIMS[name]
     seen = _spy_on_the_judge(monkeypatch, name)
     specs = _plans(name, space)
-    with shared_table():
-        for spec in specs:
-            judge_plan(VERIFY_TARGETS[name], at, spec)
-            assert list(seen[-1]) == list(claim.run(spec).history)
-    assert len(seen) == len(specs)
+    chains = ChainWalk(SYNC_CLAIMS[name], at)
+    for spec in specs:
+        judged = len(seen)
+        chains.judge(spec)
+        if len(seen) > judged:  # a new obligation: judged on this plan's history
+            assert seen[-1][0] is spec
+            assert list(seen[-1][1]) == list(claim.run(spec).history)
+    assert 0 < len(seen) <= len(specs)
 
 
 def test_mid_run_corruption_plans_are_in_the_cases():
@@ -156,19 +163,20 @@ WALK_CASES = [
 
 
 @pytest.mark.parametrize("name, at, space", WALK_CASES)
-def test_walk_through_one_table_equals_a_run_sync_per_plan(name, at, space, monkeypatch):
+def test_walk_through_one_table_equals_a_run_sync_per_plan(name, at, space):
     claim = SYNC_CLAIMS[name]
-    seen = _spy_on_the_judge(monkeypatch, name)
-    with shared_table() as table:
-        for spec in _plans(name, space):
-            frontier = FrontierObserver()
-            walked = judge_plan(VERIFY_TARGETS[name], at, spec, frontier)
-            streaming, confirm, digests, history = _run_sync_reference(claim, spec, at)
-            assert walked == (streaming, confirm)
-            assert frontier.digests == digests
-            assert list(seen[-1]) == list(history)
-        # The table did its job: most rounds were filed, not stepped.
-        assert table.stepped < sum(spec.rounds for spec in _plans(name, space))
+    chains, frontier = ChainWalk(claim, at), set()
+    specs = _plans(name, space)
+    for spec in specs:
+        streaming, confirm, digests, _history = _run_sync_reference(claim, spec, at)
+        assert chains.judge(spec) == (streaming, confirm)
+        frontier.update(digests)
+    assert chains.digests == frontier
+    # The table did its job: most rounds were filed, not stepped, and no
+    # round was walked twice from one node.
+    plan_rounds = sum(spec.rounds for spec in specs)
+    assert chains.table.stepped < plan_rounds
+    assert chains.table.stepped <= chains.walked <= plan_rounds
 
 
 # -- the cross-check survived the merge --------------------------------------

@@ -1,18 +1,23 @@
-"""The walk's table of filed rounds: exact keys, private steps, one call.
+"""The walk's chains and its table of filed rounds: exact keys, private
+steps, one call.
 
-A table hit hands a plan the records, faults and next configuration
-another plan's round produced — or the configuration and faults another
-plan's corruption produced, or the verdicts another plan's obligation
+A node hands a plan the rest of the run another plan walked from it, a
+table hit the records, faults and next configuration another plan's
+round produced — or the configuration and faults another plan's
+corruption produced, or the verdicts another plan's obligation
 received — so everything here is about when two may be taken for one:
 only when their keys are exactly equal, only within one verification,
-and never in a way that lets protocol code reach what the table holds.  (``test_verify_joint.py`` holds the
-walk's answers to a ``run_sync`` per plan.)
+and never in a way that lets protocol code reach what the table holds.
+(``test_verify_joint.py`` holds the walk's answers to a ``run_sync`` per
+plan.)
 """
 
 import copy
+import dataclasses
 import enum
-import os
+import gc
 import threading
+import weakref
 from collections import OrderedDict, namedtuple
 from dataclasses import replace
 
@@ -22,12 +27,11 @@ import repro.cache
 from repro.experiments.base import shutdown_pool
 from repro.core import solvability
 from repro.core.rounds import RoundAgreementProtocol
-from repro.explore.space import ComposedCorruption, PlanSpec
+from repro.explore.space import ChurnSpec, ComposedCorruption, OmissionSpec, PlanSpec
 from repro.explore.targets import SYNC_CLAIMS, SyncClaim
 from repro.kernel.corruptions import apply_corruption
 from repro.kernel.delivery import Liveness
 from repro.kernel.events import EventBus, Observer
-from repro.kernel.recorders import HistoryRecorder
 from repro.sync import engine
 from repro.sync.adversary import RoundFaultPlan
 from repro.sync.corruption import ClockSkewCorruption, RandomCorruption
@@ -35,8 +39,8 @@ from repro.sync.protocol import SyncProtocol
 from repro.verify import VERIFY_TARGETS, verify
 from repro.verify import walk as walk_module
 from repro.verify.explicit import enumerate_space
-from repro.verify.targets import confirm_verdict, judge_plan, streaming_verdict
-from repro.verify.walk import RoundTable, current_table, shared_table, walk
+from repro.verify.targets import confirm_verdict, streaming_verdict
+from repro.verify.walk import ChainWalk, RoundTable, _root_key, _script_key
 from repro.workloads.scenarios import ConsensusDeadlockCorruption
 from repro.workloads.spaces import VERIFY_FIG1_SMOKE_SPACE
 
@@ -150,28 +154,23 @@ class InPlace(SyncProtocol):
 
 
 def test_a_protocol_that_mutates_its_state_leaves_the_table_untouched():
-    claim = SyncClaim(at=1, protocol=InPlace, judge=lambda history, spec, at: None)
+    judged = []
+    claim = SyncClaim(
+        at=1, protocol=InPlace, judge=lambda history, spec, at: judged.append((spec, history))
+    )
     specs, _raw, _dropped = enumerate_space(VERIFY_FIG1_SMOKE_SPACE, symmetric=False)
-    table, kept = RoundTable(), {}
+    chains, kept = ChainWalk(claim, 1), {}
     for spec in specs:
-        recorder = HistoryRecorder()
-        walk(claim, spec, (recorder,), table)
-        assert list(recorder.history()) == list(claim.run(spec).history)
+        chains.judge(spec)
+        table = chains.table
         for config in table._configurations.values():
             kept.setdefault(id(config), (config, copy.deepcopy(config.states)))
         for config, states in kept.values():
             assert config.states == states
+    assert judged
+    for spec, history in judged:
+        assert list(history) == list(claim.run(spec).history)
     assert table.stepped < sum(spec.rounds for spec in specs)
-
-
-def test_a_rider_the_walk_cannot_narrate_to_is_refused():
-    class CountsSends(Observer):
-        def on_sends(self, messages, time):
-            pass
-
-    claim = SYNC_CLAIMS["fig1"]
-    with pytest.raises(TypeError, match="HistoryRecorder"):
-        walk(claim, PlanSpec(n=2, rounds=2), (CountsSends(),), RoundTable())
 
 
 # -- one table per verification -------------------------------------------------
@@ -198,35 +197,31 @@ def test_a_protocol_changed_between_two_verifications_is_seen_by_the_second(
     assert _fig1_smoke().refuted
 
 
-def test_no_table_outlives_its_verification(uncached):
+def test_no_table_outlives_its_verification(uncached, monkeypatch):
+    tables = []
+
+    class Kept(RoundTable):
+        def __init__(self):
+            super().__init__()
+            tables.append(weakref.ref(self))
+
+    monkeypatch.setattr(walk_module, "RoundTable", Kept)
     _fig1_smoke()
-    assert walk_module._SCOPE.table is None
-    assert current_table() is not current_table()  # outside a call: fresh each time
-    with shared_table() as table:
-        assert current_table() is table
-        with shared_table() as inner:
-            assert current_table() is inner
-        assert current_table() is table
-    assert walk_module._SCOPE.table is None
+    gc.collect()
+    assert len(tables) == 1 and tables[0]() is None
 
 
-def test_the_table_in_scope_belongs_to_one_thread():
-    seen = []
-    with shared_table() as table:
-        thread = threading.Thread(target=lambda: seen.append(current_table()))
+def test_the_table_in_scope_belongs_to_one_thread(uncached):
+    """Each verification walks chains of its own: two at once, in two
+    threads, answer as one alone does."""
+    alone, seen = _fig1_smoke(), []
+    threads = [threading.Thread(target=lambda: seen.append(_fig1_smoke())) for _ in range(2)]
+    for thread in threads:
         thread.start()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert len(seen) == 1 and seen[0] is not table
-
-
-def test_a_process_forked_inside_a_verification_drops_the_table():
-    with shared_table():
-        child = os.fork()
-        if child == 0:  # pragma: no cover - the child reports by exit status
-            os._exit(0 if walk_module._SCOPE.table is None else 1)
-        _pid, status = os.waitpid(child, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [alone, alone]
 
 
 def test_outcomes_are_identical_across_jobs(uncached):
@@ -352,13 +347,156 @@ def test_each_fig1_obligation_is_judged_once_and_every_plan_keeps_its_verdicts(
         return claim.judge(history, spec, at)
 
     monkeypatch.setattr(solvability, "ftss_check", counted)
-    monkeypatch.setitem(SYNC_CLAIMS, "fig1", replace(claim, judge=spy))
-    with shared_table():
-        pairs = [judge_plan(target, target.default_at, spec) for spec in specs]
+    chains = ChainWalk(replace(claim, judge=spy), target.default_at)
+    pairs = [chains.judge(spec) for spec in specs]
     distinct = {tuple(map(id, obligation)) for obligation in obligations}
-    assert len(calls) == len(distinct) < len(specs)
+    assert len(calls) == len(obligations) == len(distinct) < len(specs)
     for spec, pair in list(zip(specs, pairs))[::97]:
         assert pair == (
             streaming_verdict(target, target.default_at, spec),
             confirm_verdict(target, target.default_at, spec),
         )
+
+
+# -- chains that merge ------------------------------------------------------------
+
+
+def _chain(chains, spec):
+    """The nodes of ``spec``'s run, from its first round to its end."""
+    node = chains._node(1, chains._root(spec), chains._script(spec))
+    nodes = [node]
+    while node.next is not None:
+        node = node.next
+        nodes.append(node)
+    return nodes
+
+
+def _apart(claim, at, spec):
+    """Both verdicts of ``spec`` off ``run_sync``, one judge at a time."""
+    confirm = claim.confirm(spec, at)
+    return claim.streaming(spec, at), confirm
+
+
+#: fig1 plans with a systemic failure in round 3 (smoke-sized).
+FIG1_MID_RUN = replace(
+    VERIFY_FIG1_SMOKE_SPACE, corruption_choices=(False, True), corruption_round_choices=((3,),)
+)
+
+
+class FloatRounds(RoundAgreementProtocol):
+    """Figure 1 on float clocks: no configuration has an exact key."""
+
+    def initial_state(self, pid, n):
+        return {"clock": 1.0}
+
+
+@pytest.mark.parametrize(
+    "untableable, space, private_through",
+    [
+        # No random draw: it would replace the float clocks with int
+        # ones.  An int skew does too, in round 1 (max(1.0, 7) + 1 == 8).
+        ("float-state", replace(VERIFY_FIG1_SMOKE_SPACE, corruption_choices=(False,)), 1),
+        ("unkeyed-corruption", FIG1_MID_RUN, 3),
+    ],
+    ids=["float-state", "unkeyed-corruption"],
+)
+def test_a_plan_the_keys_cannot_hold_walks_unshared_and_answers_alike(
+    untableable, space, private_through, monkeypatch
+):
+    claim = SYNC_CLAIMS["fig1"]
+    specs, _raw, _dropped = enumerate_space(space, symmetric=False)
+    keyed = ChainWalk(claim, 1)
+    for spec in specs:
+        keyed.judge(spec)
+    if untableable == "float-state":
+        claim = replace(claim, protocol=FloatRounds)
+    else:  # every corruption is applied afresh, so no script before it has a key
+        monkeypatch.setattr(RandomCorruption, "exact_key", lambda self: None)
+    chains = ChainWalk(claim, 1)
+    for spec in specs:
+        assert chains.judge(spec) == _apart(claim, 1, spec)
+    # Private up to where a key holds again, shared from there on.
+    assert min(node.round_no for node in chains._nodes.values()) == private_through + 1
+    assert chains.walked > keyed.walked
+
+
+def test_plans_that_differ_after_a_round_share_no_node_up_to_it_but_merge_after():
+    early, late = (
+        PlanSpec(n=3, rounds=8, omissions=(OmissionSpec(0, "general", first, first),))
+        for first in (4, 5)
+    )
+    chains = ChainWalk(SYNC_CLAIMS["fig1"], 1)
+    for spec in (early, late):
+        chains.judge(spec)
+    a, b = _chain(chains, early), _chain(chains, late)
+    # The same configurations up to round 4, but different scripts left.
+    assert [node.config for node in a[:4]] == [node.config for node in b[:4]]
+    assert not {id(node) for node in a[:5]} & {id(node) for node in b[:5]}
+    # Once both scripts are spent, the runs meet and stay merged.
+    shared = [x is y for x, y in zip(a, b)]
+    assert shared[-1] and shared == sorted(shared)
+    assert chains.walked < 2 * early.rounds
+
+
+def test_each_node_successor_is_filed_once(uncached, monkeypatch):
+    walked_serials = []
+    walk_node = ChainWalk._walk
+
+    def counted(self, node, script):
+        walked_serials.append(node.serial)
+        return walk_node(self, node, script)
+
+    monkeypatch.setattr(ChainWalk, "_walk", counted)
+    target = VERIFY_TARGETS["fig1"]
+    specs, _raw, _dropped = enumerate_space(target.space, target.symmetric)
+    chains = ChainWalk(SYNC_CLAIMS["fig1"], 1)
+    first = [chains.judge(spec) for spec in specs]
+    assert len(walked_serials) == len(set(walked_serials)) == len(chains._nodes)
+    walked = chains.walked
+    assert walked < sum(spec.rounds for spec in specs) / 2
+    # A second pass over the same plans walks nothing: every first node is known.
+    assert [chains.judge(spec) for spec in specs] == first
+    assert chains.walked == walked and len(walked_serials) == len(chains._nodes)
+
+
+def test_the_script_and_root_keys_read_every_field_a_run_depends_on():
+    """Every :class:`PlanSpec` field but ``gst`` (asynchronous only) moves
+    a plan's script key or its root key, so two plans that share both
+    compile to the same run."""
+    base = PlanSpec(n=3, rounds=6, random_corruption=True, corruption_rounds=(2,))
+    changed = {
+        "n": 4,
+        "rounds": 7,
+        "seed": 1,
+        "crashes": ((1, 2),),
+        "omissions": (OmissionSpec(0, "send", 1, 2),),
+        "clock_skews": ((0, 3),),
+        "random_corruption": False,
+        "corruption_rounds": (3,),
+        "churn": (ChurnSpec(2, 3),),
+    }
+    fields = {field.name for field in dataclasses.fields(PlanSpec)}
+    assert fields - set(changed) == {"gst"}
+    for name, value in changed.items():
+        other = replace(base, **{name: value})
+        assert (_script_key(other), _root_key(other)) != (_script_key(base), _root_key(base)), name
+
+
+def test_a_judge_that_reads_the_spec_keys_its_verdicts_on_what_it_reads():
+    """Plans that differ only in what the synchronous run ignores
+    (``gst``) share every node; a judge that reads it anyway must not
+    be answered from another plan's obligation."""
+    from repro.explore.checkers import SpecVerdict
+
+    def judge(history, spec, at):
+        return SpecVerdict(checker="reads-gst", holds=spec.gst == 0)
+
+    plans = [PlanSpec(n=3, rounds=4, gst=gst) for gst in (0, 1, 0)]
+    blind = ChainWalk(SyncClaim(at=1, protocol=RoundAgreementProtocol, judge=judge), 1)
+    assert [blind.judge(spec)[1].holds for spec in plans] == [True, True, True]
+    claim = SyncClaim(
+        at=1, protocol=RoundAgreementProtocol, judge=judge, judge_reads=lambda spec: spec.gst
+    )
+    chains = ChainWalk(claim, 1)
+    assert [chains.judge(spec)[1].holds for spec in plans] == [True, False, True]
+    assert chains.walked == blind.walked == plans[0].rounds  # one chain for all three
