@@ -24,7 +24,11 @@ obligation is a proper suffix, so many plans reach one obligation):
 ``corruptions_applied_per_plan`` the corruption plans the walk actually
 applied rather than found filed.  Both fall when obligations and
 corruptions are shared; a walk that judges or corrupts every plan
-afresh reads 1.0 and at least 1.0.
+afresh reads 1.0 and at least 1.0.  ``monitor_steps_per_plan_round``
+counts the streaming checker's steps — one per distinct (node, monitor
+state) the judged obligations fold through — over the plan-rounds: a
+fold that stops sharing merged chains climbs towards the rounds every
+obligation covers.
 ``states_per_sec`` and the wall-clock column are informational: they
 track the engine's throughput across machines but are too noisy to
 gate.
@@ -91,7 +95,8 @@ def _count_steps(fn):
 
 def _count_sharing(fn):
     """``(ftss_check calls, corruption plans applied, rounds walked,
-    fn())`` for one explicit verification, read off the walks it makes."""
+    monitor steps, fn())`` for one explicit verification, read off the
+    walks it makes."""
     calls, walks = 0, []
     ftss_check, chain_walk = solvability.ftss_check, explicit.ChainWalk
 
@@ -111,7 +116,8 @@ def _count_sharing(fn):
     finally:
         solvability.ftss_check, explicit.ChainWalk = ftss_check, chain_walk
     corrupted = sum(walk.table.corrupted for walk in walks)
-    return calls, corrupted, sum(walk.walked for walk in walks), result
+    walked = sum(walk.walked for walk in walks)
+    return calls, corrupted, walked, sum(walk.monitor_steps for walk in walks), result
 
 
 def _row(report, name, fn, space, repeat):
@@ -122,7 +128,7 @@ def _row(report, name, fn, space, repeat):
     frontier = result.frontier
     states_per_sec = frontier.states_visited / elapsed if elapsed > 0 else 0.0
     steps, counted = _count_steps(fn)
-    judged, corrupted, walked, shared = _count_sharing(fn)
+    judged, corrupted, walked, monitor_steps, shared = _count_sharing(fn)
     specs, _raw, _dropped = enumerate_space(space, TARGET.symmetric)
     assert len(specs) == counted.examined == shared.examined
     plan_rounds = sum(spec.rounds for spec in specs)
@@ -135,6 +141,7 @@ def _row(report, name, fn, space, repeat):
         round(walked / plan_rounds, 4),
         round(judged / len(specs), 4),
         round(corrupted / len(specs), 4),
+        round(monitor_steps / plan_rounds, 4),
     )
 
 
@@ -153,11 +160,11 @@ def main() -> None:
             "exhausting the fig1 spaces stays cheap: each distinct "
             "transition is stepped once, each distinct (round, "
             "configuration, remaining fault script) node walked once, each "
-            "distinct corruption applied once and each distinct obligation "
-            "judged once, however many plans reach it, and the "
-            "canonical-state frontier dedup keeps collapsing revisited "
-            "clock configurations (the last five columns are "
-            "machine-independent)"
+            "distinct corruption applied once, each distinct obligation "
+            "judged once and each distinct (node, monitor state) stepped "
+            "once, however many plans reach it, and the canonical-state "
+            "frontier dedup keeps collapsing revisited clock configurations "
+            "(the last six columns are machine-independent)"
         ),
         headers=[
             "benchmark",
@@ -168,6 +175,7 @@ def main() -> None:
             "nodes_per_plan_round",
             "judged_per_plan",
             "corruptions_applied_per_plan",
+            "monitor_steps_per_plan_round",
         ],
     )
     _row(report, "explicit/fig1-smoke", _verify_fig1_smoke, TARGET.smoke_space, repeat)

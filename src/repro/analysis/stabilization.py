@@ -9,20 +9,27 @@ predicate holds on the window's rounds after the first ``s``.  The
 maximum over windows is the run's empirical stabilization time, and the
 distribution over a seed sweep is what the THM3/THM4 benches report
 against the paper's claims.
+
+For the clock-agreement Σ the measurement also streams, as a *monitor*:
+a pure fold of filed rounds into a small hashable state
+(:class:`ClockWindowMonitor`), riding a run's bus or a proof's walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.core.problems import Problem
-from repro.histories.causality import CausalityTracker
+from repro.histories.causality import learn, shared
+from repro.histories.coterie import coterie_of
 from repro.histories.history import ExecutionHistory
 from repro.histories.stability import StableWindow, stable_windows
-from repro.kernel.recorders import HistoryRecorder
+from repro.kernel.recorders import MonitorRecorder
 
 __all__ = [
+    "ClockWindowMonitor",
+    "ClockWindows",
     "StreamingClockStabilization",
     "WindowMeasure",
     "WindowStabilization",
@@ -141,150 +148,155 @@ def empirical_stabilization(
     return worst
 
 
-class StreamingClockStabilization(HistoryRecorder):
-    """Streaming ``empirical_stabilization`` for the clock-agreement Σ.
+# ---------------------------------------------------------------------------
+# The streaming measurement, as a fold over filed rounds
+# ---------------------------------------------------------------------------
 
-    Attach to a synchronous run's observer bus to measure the run's
-    empirical stabilization time *as the run executes*, retaining only
-    per-round clock digests of the current stable-coterie window — no
-    :class:`ExecutionHistory` is materialized.  After the run,
+_NOBODY: FrozenSet[int] = frozenset()
+
+
+def clock_row(records, faulty: FrozenSet[int]) -> tuple:
+    """A round's clocks by pid, ``None`` for the crashed and the faulty."""
+    return tuple([None if record.pid in faulty else record.clock_before for record in records])
+
+
+def drop_faulty(row: tuple, faulty: FrozenSet[int]) -> tuple:
+    """``row`` with the clocks of ``faulty`` cleared."""
+    return tuple([None if pid in faulty else clock for pid, clock in enumerate(row)])
+
+
+def _why(breaks, groups, faulty: FrozenSet[int] = _NOBODY) -> Optional[tuple]:
+    """Why a window row fails with ``faulty`` discounted: ``(breaks,
+    groups)``, who breaks rate and the others grouped by clock (kept
+    while two groups disagree); ``None`` if it holds."""
+    breaks = shared(breaks - faulty)
+    groups = {group - faulty - breaks for group in groups} - {_NOBODY}
+    if len(groups) < 2:
+        return (breaks, _NOBODY) if breaks else None
+    return breaks, shared(frozenset(map(shared, groups)))
+
+
+def _failure(row: tuple, nxt: tuple) -> Optional[tuple]:
+    """Why ``row`` breaks agreement, or rate into ``nxt`` (:func:`_why`)."""
+    breaks = [
+        pid for pid, (clock, later) in enumerate(zip(row, nxt))
+        if clock is not None and later is not None and later != clock + 1
+    ]
+    if not breaks and len({clock for clock in row if clock is not None}) < 2:
+        return None
+    by_clock: dict = {}
+    for pid, clock in enumerate(row):
+        if clock is not None:
+            by_clock.setdefault(clock, set()).add(pid)
+    return _why(frozenset(breaks), map(frozenset, by_clock.values()))
+
+
+class ClockWindows(NamedTuple):
+    """Where a run stands against the clock-agreement Σ's windows: the
+    little of the past the rounds to come still need, hashable.
+
+    Of the open window's rows the last is kept whole (its rate check
+    waits for the next round); of the others, only why each one that
+    fails under ``faulty`` fails.  A row that holds under a faulty set
+    holds under every larger one — fewer processes can lose a
+    disagreement or a rate break, never gain one — and the faulty set
+    only grows, so a row that passes is never the last failing one.
+    """
+
+    know: Tuple[FrozenSet[int], ...]
+    late: tuple
+    faulty: FrozenSet[int]
+    #: The open window's first round (``None``: none yet); its coterie is
+    #: the one ``know`` and ``faulty`` give.
+    start: Optional[int]
+    #: ``(round, breaks, groups)`` of each earlier row that fails.
+    failing: tuple
+    #: ``(round, clock row)`` of the open window's last round.
+    last: Optional[tuple]
+    #: The closed windows, in round order.
+    measures: Tuple[WindowMeasure, ...]
+
+
+def _closed(state: ClockWindows) -> WindowMeasure:
+    """The open window's measure, its rows judged under ``state.faulty``."""
+    start, (last_round, row) = state.start, state.last
+    if len({clock for clock in row if clock is not None}) > 1:
+        return WindowMeasure(start, last_round, None)
+    grace = state.failing[-1][0] - start + 1 if state.failing else 0
+    return WindowMeasure(start, last_round, grace)
+
+
+class ClockWindowMonitor:
+    """Definition 2.4's windows for the clock-agreement Σ, as a fold.
+
+    Each round advances the know-sets (the coterie) and the faulty set.
+    When the coterie grows, the window open until the previous round
+    closes under the faulty set as of that round, its grace one past its
+    last failing row: what :func:`window_stabilization_times` finds by
+    binary search, "holds after grace s" being monotone in ``s``.  Every
+    round is scored, as :func:`empirical_stabilization` scores a history.
+    """
+
+    def __init__(self, min_window_length: int = 2):
+        self.min_window_length = min_window_length
+
+    def start(self, n: int, first_round: int = 1) -> ClockWindows:
+        return ClockWindows((_NOBODY,) * n, (), _NOBODY, None, (), None, ())
+
+    def step(self, state: ClockWindows, corrupted: bool, round_history) -> ClockWindows:
+        know, late = learn(state.know, state.late, round_history)
+        deviators = round_history.deviators()
+        faulty = state.faulty if deviators <= state.faulty else shared(state.faulty | deviators)
+        start, failing, last, measures = state.start, state.failing, state.last, state.measures
+        if start is not None and (know is not state.know or faulty is not state.faulty):
+            if coterie_of(know, faulty) != coterie_of(state.know, state.faulty):
+                measures += (_closed(state),)  # the coterie grew: the window closed last round
+                start = None
+        round_no = round_history.round_no
+        if start is None:
+            start, failing, last = round_no, (), None
+        elif faulty is not state.faulty:
+            kept = [(r, _why(breaks, groups, faulty)) for r, breaks, groups in failing]
+            failing = tuple([(r, *why) for r, why in kept if why is not None])
+            last = (last[0], drop_faulty(last[1], faulty))
+        row = clock_row(round_history.records, faulty)
+        why = None if last is None else _failure(last[1], row)
+        if why is not None:
+            failing += ((last[0], *why),)
+        return ClockWindows(know, late, faulty, start, failing, (round_no, row), measures)
+
+    def measures(self, state: ClockWindows) -> Tuple[WindowMeasure, ...]:
+        """Every window's measure, the open one closed at the run's end
+        (short windows too: see :class:`WindowMeasure`)."""
+        if state.start is None:
+            return state.measures
+        return state.measures + (_closed(state),)
+
+    def result(self, state: ClockWindows) -> Optional[int]:
+        """The run's empirical stabilization time (None = refuted)."""
+        worst = 0
+        for measure in self.measures(state):
+            if measure.length < self.min_window_length:
+                continue
+            if measure.grace is None:
+                return None  # only the vacuous grace passed
+            worst = max(worst, measure.grace)
+        return worst
+
+    verdict = result
+
+
+class StreamingClockStabilization(MonitorRecorder):
+    """Streaming ``empirical_stabilization`` for the clock-agreement Σ:
+    a :class:`ClockWindowMonitor` folded on a synchronous run's bus, so
+    no :class:`ExecutionHistory` is materialized.  After the run,
     :meth:`result` equals ``empirical_stabilization(result.history,
     ClockAgreementProblem(), min_window_length)`` exactly
-    (property-tested).
-
-    How: each round's records are assembled (reusing the history
-    recorder's round-building; dropped afterwards), fed to a private
-    :class:`CausalityTracker` to maintain the coterie incrementally;
-    whenever the coterie grows, the closing window is scored on its
-    buffered ``(round, clocks)`` rows by scanning for the last
-    agreement/rate violation w.r.t. the faulty set at the window's end
-    — the same grace :func:`window_stabilization_times` finds by
-    binary search, since the "holds after grace s" predicate is
-    monotone in ``s``.
-
-    Clock-agreement only: general problem predicates need arbitrary
+    (property-tested).  General problem predicates need arbitrary
     sub-histories and go through the recorded-history path above.
     """
 
     def __init__(self, min_window_length: int = 2):
-        super().__init__()
-        self._min_window_length = min_window_length
-        self._tracker: Optional[CausalityTracker] = None
-        self._everyone: frozenset = frozenset()
-        self._faulty: set = set()
-        self._window_start: Optional[int] = None
-        self._window_members: Optional[frozenset] = None
-        self._window_rows: List[Tuple[int, Dict[int, Optional[int]]]] = []
-        self._worst: Optional[int] = 0
-        self._refuted = False
-        #: Grace measurements for every closed window, in round order
-        #: (short windows included — see :class:`WindowMeasure`).
-        self.window_measures: List[WindowMeasure] = []
+        super().__init__(ClockWindowMonitor(min_window_length))
 
-    def on_run_start(self, n, protocol, first_round=1):
-        super().on_run_start(n, protocol, first_round)
-        self._tracker = CausalityTracker(n)
-        self._everyone = frozenset(range(n))
-
-    def _round_finished(self, round_history):
-        self._score_round(round_history)  # scored, not kept
-
-    def _score_round(self, round_history) -> None:
-        """Advance the coterie and the current window by one round."""
-        round_no = round_history.round_no
-        faulty = self._faulty
-        faulty_before = frozenset(faulty)
-        tracker = self._tracker
-        assert tracker is not None
-        tracker.advance(round_history)
-        faulty |= round_history.deviators()
-
-        everyone = self._everyone
-        correct = everyone - faulty
-        if not correct:
-            members = everyone
-        else:
-            members = everyone.intersection(*[tracker.know(q) for q in correct])
-
-        if self._window_members is not None and members != self._window_members:
-            # The coterie grew: the previous window closed at the
-            # previous round, with the faulty set as of that round.
-            self._close_window(faulty_before)
-        if self._window_members is None:
-            self._window_start = round_no
-            self._window_members = members
-            self._window_rows = []
-        self._window_rows.append(
-            (
-                round_no,
-                {
-                    record.pid: record.clock_before
-                    for record in round_history.records
-                },
-            )
-        )
-
-    def on_run_end(self, time, final_states):
-        if self._window_members is not None:
-            self._close_window(frozenset(self._faulty))
-
-    def _close_window(self, faulty: frozenset) -> None:
-        rows = self._window_rows
-        first_round = self._window_start
-        self._window_start = None
-        self._window_members = None
-        self._window_rows = []
-        assert first_round is not None
-        length = len(rows)
-
-        live: List[Dict[int, int]] = [
-            {
-                pid: clock
-                for pid, clock in clocks.items()
-                if pid not in faulty and clock is not None
-            }
-            for _, clocks in rows
-        ]
-        last_bad: Optional[int] = None  # window-relative index
-        for idx, clocks in enumerate(live):
-            if len(set(clocks.values())) > 1:
-                last_bad = idx
-            if idx + 1 < length:
-                nxt = live[idx + 1]
-                for pid, clock in clocks.items():
-                    if pid in nxt and nxt[pid] != clock + 1:
-                        last_bad = idx
-                        break
-        grace = 0 if last_bad is None else last_bad + 1
-        self.window_measures.append(
-            WindowMeasure(
-                first_round=first_round,
-                last_round=first_round + length - 1,
-                grace=grace if grace < length else None,
-            )
-        )
-        if length < self._min_window_length:
-            return
-        if grace >= length:
-            # Only the vacuous grace passed: the window refutes every
-            # finite stabilization time.
-            self._refuted = True
-            return
-        if self._worst is None or grace > self._worst:
-            self._worst = grace
-
-    def holds_at(self, stabilization_time: int) -> bool:
-        """Streaming ftss@r verdict for the clock-agreement Σ.
-
-        True iff every closed window met its Definition 2.4 obligation
-        at the candidate stabilization time (vacuously for windows of
-        length ≤ r).  Call after the run ends.
-        """
-        return all(
-            measure.holds_at(stabilization_time)
-            for measure in self.window_measures
-        )
-
-    def result(self) -> Optional[int]:
-        """The run's empirical stabilization time (None = refuted)."""
-        return None if self._refuted else self._worst
+    result = MonitorRecorder.verdict

@@ -1,12 +1,14 @@
 """Streaming spec checkers for the exploration engine.
 
-The engine evaluates thousands of fault plans, so the per-run fast path
-must not materialize an :class:`~repro.histories.history.ExecutionHistory`
-(O(rounds × n) records).  Each checker here is a kernel
-:class:`~repro.kernel.events.Observer` that retains only small
-summaries — per-round clock digests of the current stable-coterie
-window, decision-journal deltas, detector samples, fault times — and
-renders a :class:`SpecVerdict` after the run.
+The per-run fast path must not materialize an
+:class:`~repro.histories.history.ExecutionHistory`.  The synchronous
+checkers are *monitors*: pure folds of filed rounds into a small
+hashable state (know-sets, faulty set, the open window and why its rows
+fail, closed-window measures, journal writes), with a
+:class:`SpecVerdict` read off the last state.  The ``Streaming*``
+classes fold one on a run's bus; a proof's walk folds it over filed
+rounds once per (node, state) (:mod:`repro.verify.walk`).  The
+asynchronous detector check is an observer that keeps its samples.
 
 Division of labor with :mod:`repro.core.solvability`: the streaming
 checkers are a *filter*.  Every violation they flag is re-confirmed by
@@ -15,29 +17,31 @@ the definition-grade predicates (:func:`repro.core.solvability
 shrunk, or written to an artifact; a disagreement between the two paths
 is itself surfaced as a finding (see
 :class:`repro.explore.engine.ExplorationResult.mismatches`).
-
-The clock-window machinery is inherited from
-:class:`repro.analysis.stabilization.StreamingClockStabilization`,
-whose grace measurements are property-tested against the
-binary-search-over-recorded-history evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from repro.analysis.stabilization import StreamingClockStabilization
-from repro.histories.causality import CausalityTracker
-from repro.histories.history import CLOCK_KEY
+from repro.analysis.stabilization import (
+    ClockWindowMonitor,
+    ClockWindows,
+    clock_row,
+    drop_faulty,
+)
 from repro.kernel.events import FaultKind, Observer
+from repro.kernel.recorders import MonitorRecorder
 
 __all__ = [
+    "CompilerMonitor",
+    "FtssMonitor",
     "SpecVerdict",
     "StreamingFtssClock",
     "StreamingTentativeClock",
     "StreamingCompilerCheck",
     "StreamingDetectorCheck",
+    "TentativeMonitor",
 ]
 
 
@@ -59,67 +63,35 @@ class SpecVerdict:
         return self.holds
 
 
-class StreamingFtssClock(StreamingClockStabilization):
-    """Streaming ftss@r check for the clock-agreement Σ (Theorem 3).
+class FtssMonitor(ClockWindowMonitor):
+    """Definition 2.4 at stabilization time ``r`` for the clock-agreement
+    Σ (Theorem 3): every window longer than ``r`` must reach
+    agreement+rate within ``r`` rounds of opening.
 
-    Inherits the stable-coterie window tracking and per-window grace
-    scoring; the verdict is Definition 2.4 instantiated with the
-    candidate stabilization time: every window longer than ``r`` must
-    reach agreement+rate within ``r`` rounds of opening.
-
-    Mid-run corruption is the paper's "final systemic failure" framing
-    (cf. ``test_mid_run_corruption_restarts_convergence``): a systemic
-    failure during the run restarts the Def 2.4 obligations, so the
-    checker resets its stream at each corruption round and judges the
-    maximal corruption-free suffix — exactly what the confirm path
-    evaluates with ``history.suffix(last corruption round)``.  Initial
-    corruption (before round 1) is ordinary window grace and does not
-    reset.
+    A mid-run corruption, the paper's "final systemic failure" (cf.
+    ``test_mid_run_corruption_restarts_convergence``), restarts the
+    obligations, its own round unscored: the fold judges the suffix the
+    confirm path cuts with ``history.suffix(last corruption round)``.
+    Initial corruption (before round 1) is ordinary window grace.
     """
 
     def __init__(self, stabilization_time: int):
         super().__init__(min_window_length=stabilization_time + 1)
         self.stabilization_time = stabilization_time
-        self._first_round = 1
-        self._corruption_pending = False
 
-    def on_run_start(self, n, protocol, first_round=1):
-        super().on_run_start(n, protocol, first_round)
-        self._first_round = first_round
+    def step(self, state: ClockWindows, corrupted: bool, round_history) -> ClockWindows:
+        if corrupted:
+            return self.start(len(state.know))
+        return super().step(state, corrupted, round_history)
 
-    def on_fault(self, fault):
-        super().on_fault(fault)
-        # The engine stamps initial corruption at first_round - 1 and
-        # mid-run corruption at the round it lands in; only the latter
-        # restarts the obligation stream.
-        if fault.kind == FaultKind.CORRUPTION and fault.time >= self._first_round:
-            self._corruption_pending = True
-
-    def _score_round(self, round_history):
-        if not self._corruption_pending:
-            super()._score_round(round_history)
-            return
-        self._corruption_pending = False  # the fault round itself is not scored
-        self._reset_stream()
-
-    def _reset_stream(self) -> None:
-        """Restart the obligation stream after a mid-run systemic failure."""
-        self._tracker = CausalityTracker(self._n or 0)
-        self._faulty = set()
-        self._window_start = None
-        self._window_members = None
-        self._window_rows = []
-        self.window_measures = []
-        self._worst = 0
-        self._refuted = False
-
-    def verdict(self) -> SpecVerdict:
+    def verdict(self, state: ClockWindows) -> SpecVerdict:
         r = self.stabilization_time
+        measures = self.measures(state)
         violations = tuple(
             f"window [{m.first_round}, {m.last_round}] "
             f"(grace {'∞' if m.grace is None else m.grace}) "
             f"missed the ftss obligation at stabilization time {r}"
-            for m in self.window_measures
+            for m in measures
             if not m.holds_at(r)
         )
         return SpecVerdict(
@@ -127,174 +99,186 @@ class StreamingFtssClock(StreamingClockStabilization):
             holds=not violations,
             violations=violations,
             details=(
-                ("empirical_stabilization", self.result()),
-                ("windows", len(self.window_measures)),
+                ("empirical_stabilization", self.result(state)),
+                ("windows", len(measures)),
             ),
         )
 
 
-class StreamingTentativeClock(Observer):
-    """Streaming Tentative-Definition-1 check (the Theorem 1 foil).
-
-    Tentative Definition 1 evaluates Σ on the r-suffix with the faulty
-    set of the *whole* history.  Streamed: keep the per-round live
-    clock vectors only for rounds past the grace prefix (O(suffix), not
-    O(history) — and the engine's thm1 horizons keep the suffix tiny),
-    accumulate the deviator set from fault events, and scan the suffix
-    at verdict time.
-    """
+class TentativeMonitor:
+    """Tentative Definition 1 (the Theorem 1 foil), as a fold: Σ on the
+    r-suffix with the faulty set of the *whole* history.  The state is
+    ``(first suffix round, faulty set, rows)``: every suffix row
+    (:func:`clock_row`, under the faulty set so far) is kept — thm1's
+    horizons keep them few — and scanned at the end."""
 
     def __init__(self, stabilization_time: int):
         self.stabilization_time = stabilization_time
-        self._first_round = 1
-        self._rows: List[Tuple[int, Dict[int, Optional[int]]]] = []
-        self._faulty: set = set()
 
-    def on_run_start(self, n, protocol, first_round=1):
-        self._first_round = first_round
+    def start(self, n: int, first_round: int = 1) -> tuple:
+        return first_round + self.stabilization_time, frozenset(), ()
 
-    def on_round_start(self, round_no, snapshots):
-        if round_no - self._first_round < self.stabilization_time:
-            return  # inside the grace prefix: the suffix never sees it
-        self._rows.append(
-            (
-                round_no,
-                {
-                    pid: None if state is None else state.get(CLOCK_KEY)
-                    for pid, state in snapshots.items()
-                },
-            )
-        )
+    def step(self, state: tuple, corrupted: bool, round_history) -> tuple:
+        from_round, faulty, rows = state
+        deviators = round_history.deviators()
+        if not deviators <= faulty:
+            faulty = faulty | deviators
+            rows = tuple([(r, drop_faulty(row, faulty)) for r, row in rows])
+        if round_history.round_no >= from_round:
+            rows += ((round_history.round_no, clock_row(round_history.records, faulty)),)
+        return from_round, faulty, rows
 
-    def on_fault(self, fault):
-        if fault.kind != FaultKind.CORRUPTION:
-            self._faulty.add(fault.pid)  # corruption is systemic, not a process fault
-
-    def verdict(self) -> SpecVerdict:
+    def verdict(self, state: tuple) -> SpecVerdict:
+        _from_round, faulty, rows = state
         violations: List[str] = []
         live = [
-            (
-                round_no,
-                {
-                    pid: clock
-                    for pid, clock in clocks.items()
-                    if pid not in self._faulty and clock is not None
-                },
-            )
-            for round_no, clocks in self._rows
+            (round_no, {pid: clock for pid, clock in enumerate(row) if clock is not None})
+            for round_no, row in rows
         ]
         for index, (round_no, clocks) in enumerate(live):
             if len(set(clocks.values())) > 1:
                 violations.append(
-                    f"[round {round_no}] agreement: non-faulty clocks differ: "
-                    f"{dict(sorted(clocks.items()))}"
+                    f"[round {round_no}] agreement: non-faulty clocks differ: {clocks}"
                 )
-            if index + 1 < len(live):
-                nxt = live[index + 1][1]
-                for pid in sorted(clocks):
-                    if pid in nxt and nxt[pid] != clocks[pid] + 1:
-                        violations.append(
-                            f"[round {round_no}] rate: process {pid} went "
-                            f"{clocks[pid]} -> {nxt[pid]}"
-                        )
+            nxt = live[index + 1][1] if index + 1 < len(live) else {}
+            for pid, clock in clocks.items():
+                if pid in nxt and nxt[pid] != clock + 1:
+                    violations.append(
+                        f"[round {round_no}] rate: process {pid} went {clock} -> {nxt[pid]}"
+                    )
         return SpecVerdict(
             checker=f"streaming-tentative-clock@{self.stabilization_time}",
             holds=not violations,
             violations=tuple(violations),
-            details=(
-                ("faulty", tuple(sorted(self._faulty))),
-                ("suffix_rounds", len(self._rows)),
-            ),
+            details=(("faulty", tuple(sorted(faulty))), ("suffix_rounds", len(rows))),
         )
 
 
-class StreamingCompilerCheck(StreamingFtssClock):
-    """Streaming ftss@final_round check of Σ⁺ for a compiled Π⁺ (Theorem 4).
+class Journal(NamedTuple):
+    """The compiler monitor's state: the clock windows', and the open
+    window's journal."""
 
-    On top of the clock windows, buffers the journal pairs
-    ``(decided_at_clock, last_decision)`` of the current window's rounds
-    and, when the window closes, mirrors
-    :class:`~repro.core.problems.RepeatedConsensusProblem`: every
-    iteration whose journal entry is *freshly written* inside the
+    windows: ClockWindows
+    #: The last round's pairs (:func:`_journal`), if the next round's
+    #: writes fall in the obligation span.
+    previous: Optional[tuple]
+    #: ``(round, pid, decided_at_clock, decision)`` of each fresh write.
+    writes: tuple
+    #: The closed windows' journal violations.
+    violations: Tuple[str, ...]
+
+
+def _journal(records, faulty: FrozenSet[int]) -> tuple:
+    """``(decided_at_clock, last_decision)`` by pid; ``None`` for the
+    crashed, the faulty and a pair with a field unset."""
+    pairs = []
+    for record in records:
+        state = record.state_before
+        pair = None if state is None or record.pid in faulty else (
+            state.get("decided_at_clock"), state.get("last_decision")
+        )
+        pairs.append(None if pair is None or pair[0] is None or pair[1] is None else pair)
+    return tuple(pairs)
+
+
+class CompilerMonitor:
+    """Definition 2.4 at ``final_round`` of Σ⁺ for a compiled Π⁺
+    (Theorem 4), as a fold: the clock windows (:class:`FtssMonitor`),
+    and :class:`~repro.core.problems.RepeatedConsensusProblem` on them —
+    every iteration whose journal entry is *freshly written* in a
     window's obligation span must have agreeing, valid decisions among
-    non-faulty processes.
+    non-faulty processes.  A mid-run corruption restarts both, dropping
+    its round's journal.
     """
 
     def __init__(self, final_round: int, valid_proposals: Optional[frozenset] = None):
-        super().__init__(stabilization_time=final_round)
+        self.clock = FtssMonitor(final_round)
         self.final_round = final_round
-        self._valid_proposals = valid_proposals
-        self._journal: Dict[int, Dict[int, Optional[Tuple[Any, Any]]]] = {}
-        self._journal_violations: List[str] = []
+        self.valid_proposals = valid_proposals
 
-    def _reset_stream(self) -> None:
-        super()._reset_stream()
-        self._journal = {}
-        self._journal_violations = []
+    def start(self, n: int, first_round: int = 1) -> Journal:
+        return Journal(self.clock.start(n, first_round), None, (), ())
 
-    def on_round_start(self, round_no, snapshots):
-        super().on_round_start(round_no, snapshots)
-        self._journal[round_no] = {
-            pid: None
-            if state is None
-            else (state.get("decided_at_clock"), state.get("last_decision"))
-            for pid, state in snapshots.items()
-        }
+    def step(self, state: Journal, corrupted: bool, round_history) -> Journal:
+        if corrupted:
+            return self.start(len(state.windows.know))
+        before = state.windows
+        windows = self.clock.step(before, corrupted, round_history)
+        round_no = round_history.round_no
+        previous, writes, violations = state.previous, state.writes, state.violations
+        if windows.start == round_no:  # a window opened: the one before closed
+            if before.start is not None:
+                violations += self._scored(writes, before.faulty)
+            previous, writes = None, ()
+        elif windows.faulty is not before.faulty:
+            writes = tuple([write for write in writes if write[1] not in windows.faulty])
+        journal = _journal(round_history.records, windows.faulty)
+        if previous is not None:
+            writes += tuple([
+                (round_no - 1, pid, *pair)
+                for pid, pair in enumerate(journal)
+                if pair is not None and pair != previous[pid]
+            ])
+        if round_no < windows.start + self.final_round:
+            journal = None  # the next round's writes are still grace
+        return Journal(windows, journal, writes, violations)
 
-    def _close_window(self, faulty: frozenset) -> None:
-        first = self._window_start
-        length = len(self._window_rows)
-        if first is not None and length:
-            last = first + length - 1
-            span_first = first + self.final_round
-            if span_first <= last:
-                self._score_journal(span_first, last, faulty)
-            for round_no in range(first, last + 1):
-                self._journal.pop(round_no, None)
-        super()._close_window(faulty)
-
-    def _score_journal(self, first: int, last: int, faulty: frozenset) -> None:
-        """Iteration agreement/validity over fresh writes in [first, last]."""
-        groups: Dict[Any, Dict[int, Any]] = {}
-        group_rounds: Dict[Any, int] = {}
-        for round_no in range(first, last):
-            before = self._journal.get(round_no, {})
-            after = self._journal.get(round_no + 1, {})
-            for pid, pair in after.items():
-                if pid in faulty or pair is None:
-                    continue
-                decided_at, decision = pair
-                if decided_at is None or decision is None:
-                    continue
-                if before.get(pid) == pair:
-                    continue  # not a fresh write
-                groups.setdefault(decided_at, {})[pid] = decision
-                group_rounds.setdefault(decided_at, round_no)
+    def _scored(self, writes: tuple, faulty: FrozenSet[int]) -> Tuple[str, ...]:
+        """Iteration agreement/validity over one window's fresh writes."""
+        groups: Dict[Any, Tuple[int, Dict[int, Any]]] = {}
+        for round_no, pid, decided_at, decision in writes:
+            if pid not in faulty:  # the first write's round names the group
+                groups.setdefault(decided_at, (round_no, {}))[1][pid] = decision
+        violations: List[str] = []
         for decided_at in sorted(groups):
-            decisions = groups[decided_at]
-            where = group_rounds[decided_at]
+            where, decisions = groups[decided_at]
             if len(set(decisions.values())) > 1:
-                self._journal_violations.append(
+                violations.append(
                     f"[round {where}] iteration-agreement: iteration at clock "
                     f"{decided_at}: decisions differ: {dict(sorted(decisions.items()))}"
                 )
-            if self._valid_proposals is not None:
+            if self.valid_proposals is not None:
                 for pid in sorted(decisions):
-                    if decisions[pid] not in self._valid_proposals:
-                        self._journal_violations.append(
+                    if decisions[pid] not in self.valid_proposals:
+                        violations.append(
                             f"[round {where}] iteration-validity: process {pid} "
                             f"decided {decisions[pid]!r}, not a proposal"
                         )
+        return tuple(violations)
 
-    def verdict(self) -> SpecVerdict:
-        clock = super().verdict()
-        violations = clock.violations + tuple(self._journal_violations)
+    def verdict(self, state: Journal) -> SpecVerdict:
+        clock = self.clock.verdict(state.windows)
+        journal = state.violations
+        if state.windows.start is not None:
+            journal += self._scored(state.writes, state.windows.faulty)
+        violations = clock.violations + journal
         return SpecVerdict(
             checker=f"streaming-compiler@{self.final_round}",
             holds=not violations,
             violations=violations,
             details=clock.details,
         )
+
+
+class StreamingFtssClock(MonitorRecorder):
+    """An :class:`FtssMonitor` folded on a run's bus."""
+
+    def __init__(self, stabilization_time: int):
+        super().__init__(FtssMonitor(stabilization_time))
+
+
+class StreamingTentativeClock(MonitorRecorder):
+    """A :class:`TentativeMonitor` folded on a run's bus."""
+
+    def __init__(self, stabilization_time: int):
+        super().__init__(TentativeMonitor(stabilization_time))
+
+
+class StreamingCompilerCheck(MonitorRecorder):
+    """A :class:`CompilerMonitor` folded on a run's bus."""
+
+    def __init__(self, final_round: int, valid_proposals: Optional[frozenset] = None):
+        super().__init__(CompilerMonitor(final_round, valid_proposals))
 
 
 class StreamingDetectorCheck(Observer):

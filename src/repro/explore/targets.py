@@ -50,7 +50,7 @@ from repro.explore.checkers import (
 )
 from repro.explore.space import PlanSpace, PlanSpec
 from repro.histories.history import ExecutionHistory
-from repro.kernel.events import Observer
+from repro.kernel.recorders import MonitorRecorder
 from repro.kernel.topology import RingTopology, Topology
 from repro.protocols.floodmin import FloodMinConsensus
 from repro.protocols.unison import MinUnison
@@ -157,16 +157,17 @@ class SyncClaim:
     #: obligation of it, and of the spec only ``obliged_after`` and
     #: ``judge_reads`` (unison's reads the churn schedule).
     judge: Callable[[ExecutionHistory, PlanSpec, int], SpecVerdict]
-    #: ``at -> observer with .verdict()``; ``None`` where no streaming
+    #: ``at -> MonitorRecorder``: a monitor (``.monitor``) folded on a
+    #: run's bus, with ``.verdict()``; ``None`` where no streaming
     #: checker models the predicate and the judge doubles as the fast
     #: path (thm2, unison — the documented streaming == confirm exception).
-    checker: Optional[Callable[[int], Observer]] = None
+    checker: Optional[Callable[[int], MonitorRecorder]] = None
     topology: Optional[Callable[[int], Topology]] = None
     #: ``spec -> r``: the claim obliges the rounds after round ``r``
     #: (``0``: the whole history).  Both verdicts are functions of that
     #: obligation: the judge reads nothing else, and the streaming
-    #: checker, which resets itself at a mid-run corruption, judges the
-    #: same rounds — so a walk may narrate it the obligation alone.
+    #: checker, which restarts at a mid-run corruption, judges the same
+    #: rounds — so a walk may fold it over the obligation alone.
     obliged_after: Callable[[PlanSpec], int] = _from_the_start
     #: ``spec -> key``: what the judge reads of the spec besides
     #: ``obliged_after`` (``()``: nothing).  A walk that files verdicts

@@ -28,11 +28,115 @@ coterie.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List
+from functools import lru_cache
+from typing import Callable, Dict, FrozenSet, List, Tuple
 
-from repro.histories.history import ExecutionHistory, ProcessId, RoundHistory
+from repro.histories.history import Broadcast, ExecutionHistory, ProcessId, RoundHistory
 
-__all__ = ["CausalityTracker", "knowledge_timeline", "happened_before"]
+__all__ = [
+    "CausalityTracker",
+    "advance_knowledge",
+    "happened_before",
+    "knowledge_timeline",
+    "learn",
+    "shared",
+]
+
+
+@lru_cache(maxsize=1 << 12)
+def shared(pids: FrozenSet[ProcessId]) -> FrozenSet[ProcessId]:
+    """One instance per set of pids, so that the many states a walk
+    keeps share the sets they hold alike."""
+    return pids
+
+
+@lru_cache(maxsize=None)
+def _everyone(n: int) -> FrozenSet[ProcessId]:
+    return shared(frozenset(range(n)))
+
+
+def advance_knowledge(
+    know: Tuple[FrozenSet[ProcessId], ...],
+    round_history: RoundHistory,
+    carried: Callable[[ProcessId, int], FrozenSet[ProcessId]],
+) -> Tuple[FrozenSet[ProcessId], ...]:
+    """The influence sets ``know`` (by pid, as the previous round left
+    them) after one more round, by the update rule above.
+
+    A copy sent this round carries its sender's ``know``; one sent in an
+    earlier round carries ``carried(sender, sent_round)``, the sender's
+    set as that round began.  Pure: an unchanged ``know`` is returned as
+    it is.
+    """
+    round_no = round_history.round_no
+    everyone = _everyone(len(know))
+    learned = None
+    for record in round_history.records:
+        pid = record.pid
+        mine = know[pid]
+        if mine is everyone:
+            continue
+        grown = set(mine)
+        if record.state_before is not None or record.sent or record.delivered:
+            grown.add(pid)  # program order: an acting process influences itself
+        # A set holding every process has nothing left to learn.  The test
+        # is against the process set, not its size: a hand-built history
+        # may name a sender outside ``0 .. n-1`` (one reaching a process
+        # that knows all n changes no happened-before answer about one).
+        if grown != everyone:
+            for message in record.heard:  # sender and sent_round: no Message is built
+                sender, sent = message.sender, message.sent_round
+                grown.add(sender)
+                grown |= know[sender] if sent == round_no else carried(sender, sent)
+        if grown == everyone:
+            grown = everyone
+        elif len(grown) == len(mine):
+            continue
+        if learned is None:
+            learned = list(know)
+        learned[pid] = frozenset(grown)
+    return know if learned is None else tuple(learned)
+
+
+_NOBODY: FrozenSet[ProcessId] = frozenset()
+
+
+def learn(know: tuple, late: tuple, round_history: RoundHistory) -> Tuple[tuple, tuple]:
+    """``(know, late)`` after one more round, as the small value a
+    monitor keeps (:mod:`repro.analysis.stabilization`).
+
+    A crashed process's set is cleared: it neither sends nor counts for
+    a coterie again.  Instead of every round's snapshot, ``late`` holds
+    what a copy not yet heard carries: ``(sent round, sender, the
+    sender's set as that round began, who may still hear it)``.  An
+    entry goes once all it waits for have crashed or know what it
+    carries (hearing it then adds only the sender, whom it names).
+    Under perfect synchrony a copy is heard in its own round or never,
+    so no entry is ever read there.
+    """
+    round_no, records = round_history.round_no, round_history.records
+
+    def carried(sender: ProcessId, sent: int) -> FrozenSet[ProcessId]:
+        return next((k for s, p, k, _ in late if (s, p) == (sent, sender)), _NOBODY)
+
+    learned = advance_knowledge(know, round_history, carried)
+    if learned is not know or any(r.crashed and learned[r.pid] for r in records):
+        learned = tuple([_NOBODY if r.crashed else shared(k) for r, k in zip(records, learned)])
+    everyone = _everyone(len(know))
+    alive = [k for r, k in zip(records, learned) if not r.crashed]
+    known = everyone if all(k is everyone for k in alive) else alive[0].intersection(*alive[1:])
+    for record in records:  # a copy of what everyone alive knows carries nothing
+        if record.wire and not know[record.pid] <= known:
+            for item in record.wire:
+                receivers = item.receivers if type(item) is Broadcast else (item.receiver,)
+                late += ((round_no, record.pid, know[record.pid], receivers),)
+    if late:
+        late = tuple(
+            (sent, sender, carries, left)
+            for sent, sender, carries, waiting in late
+            if (left := frozenset([q for q in waiting if not (records[q].crashed or carries <= learned[q])]))
+        )
+    return learned, late
 
 
 class CausalityTracker:
@@ -52,23 +156,24 @@ class CausalityTracker:
 
     def __init__(self, n: int):
         self._n = n
-        self._everyone: FrozenSet[ProcessId] = frozenset(range(n))
-        self._know: List[set] = [set() for _ in range(n)]
-        self._acted: List[bool] = [False] * n
         #: know-sets as of the end of each folded round, for send-time lookups.
-        self._round_snapshots: List[List[FrozenSet[ProcessId]]] = []
+        self._round_snapshots: List[Tuple[FrozenSet[ProcessId], ...]] = []
         self._first_round: "int | None" = None
 
     @property
     def n(self) -> int:
         return self._n
 
+    def _current(self) -> Tuple[FrozenSet[ProcessId], ...]:
+        snapshots = self._round_snapshots
+        return snapshots[-1] if snapshots else (frozenset(),) * self._n
+
     def know(self, pid: ProcessId) -> FrozenSet[ProcessId]:
         """The current influence set of ``pid`` (who happened-before it)."""
-        return frozenset(self._know[pid])
+        return self._current()[pid]
 
     def snapshot(self) -> Dict[ProcessId, FrozenSet[ProcessId]]:
-        return {pid: frozenset(s) for pid, s in enumerate(self._know)}
+        return dict(enumerate(self._current()))
 
     def _knowledge_at_send(self, sender: ProcessId, sent_round: int) -> FrozenSet:
         """The sender's influence set just before its send in ``sent_round``.
@@ -91,48 +196,16 @@ class CausalityTracker:
             raise ValueError(
                 f"round covers {len(records)} processes, tracker covers {self._n}"
             )
-        round_no = round_history.round_no
         if self._first_round is None:
-            self._first_round = round_no
-        # Influence available at the *start* of this round, i.e. as the
-        # previous round left it: know-sets change nowhere else.
-        snapshots = self._round_snapshots
-        before = snapshots[-1] if snapshots else [frozenset()] * self._n
-        current_index = round_no - self._first_round
-        everyone = self._everyone
-        know_sets = self._know
-
-        for record in records:
-            pid = record.pid
-            know = know_sets[pid]
-            if record.state_before is not None or record.sent or record.delivered:
-                # Program order: an acting process influences itself.
-                know.add(pid)
-                self._acted[pid] = True
-            if know == everyone:
-                # Know-sets only grow, so one that already holds every
-                # process has nothing left to learn from its deliveries.
-                # The test is against the process set itself, not its
-                # size: a hand-built history may name a sender outside
-                # ``0 .. n-1``, and n ids are not necessarily *the* n.
-                # (Such an id reaching a process that already knows all
-                # n is not recorded: it changes no happened-before answer
-                # about a process.)
-                continue
-            for message in record.heard:  # sender and sent_round: no Message is built
-                sender = message.sender
-                know.add(sender)
-                if message.sent_round == round_no:
-                    know |= before[sender]
-                else:
-                    know |= self._knowledge_at_send(sender, message.sent_round)
-
-        assert current_index == len(snapshots)
-        snapshots.append([frozenset(s) for s in know_sets])
+            self._first_round = round_history.round_no
+        assert round_history.round_no - self._first_round == len(self._round_snapshots)
+        self._round_snapshots.append(
+            advance_knowledge(self._current(), round_history, self._knowledge_at_send)
+        )
 
     def happened_before(self, p: ProcessId, q: ProcessId) -> bool:
         """``p ->_H q`` over the rounds advanced so far."""
-        return p in self._know[q]
+        return p in self.know(q)
 
 
 def knowledge_timeline(

@@ -24,7 +24,7 @@ from typing import FrozenSet, List
 from repro.histories.causality import CausalityTracker
 from repro.histories.history import ExecutionHistory, ProcessId
 
-__all__ = ["coterie", "coterie_timeline"]
+__all__ = ["coterie", "coterie_of", "coterie_timeline"]
 
 
 def coterie(history: ExecutionHistory) -> FrozenSet[ProcessId]:
@@ -56,23 +56,20 @@ def coterie_timeline(history: ExecutionHistory) -> List[FrozenSet[ProcessId]]:
     return list(timeline)
 
 
+def coterie_of(know, faulty: FrozenSet[ProcessId]) -> FrozenSet[ProcessId]:
+    """The coterie, given each process's influence set ``know[pid]`` and
+    the faulty set: everyone, when no process is correct."""
+    everyone = frozenset(range(len(know)))
+    correct = everyone - faulty
+    return everyone.intersection(*[know[q] for q in correct]) if correct else everyone
+
+
 def _compute_timeline(history: ExecutionHistory) -> List[FrozenSet[ProcessId]]:
     tracker = CausalityTracker(history.n)
-    everyone = frozenset(history.processes)
-    faulty_so_far: set = set()
+    faulty: FrozenSet[ProcessId] = frozenset()
     timeline: List[FrozenSet[ProcessId]] = []
-
     for round_history in history:
         tracker.advance(round_history)
-        faulty_so_far |= round_history.deviators()
-        correct = everyone - faulty_so_far
-        if not correct:
-            timeline.append(everyone)
-            continue
-        members = set(everyone)
-        for q in correct:
-            members &= tracker.know(q)
-            if not members:
-                break
-        timeline.append(frozenset(members))
+        faulty = faulty | round_history.deviators()
+        timeline.append(coterie_of(tracker.snapshot(), faulty))
     return timeline

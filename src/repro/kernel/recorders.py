@@ -14,7 +14,7 @@ from typing import Any, Dict, List, Optional, Set
 from repro.histories.history import ExecutionHistory, RoundHistory
 from repro.kernel.events import FaultEvent, FaultKind, Observer
 
-__all__ = ["AsyncTraceRecorder", "HistoryRecorder", "LiveTraceRecorder"]
+__all__ = ["AsyncTraceRecorder", "HistoryRecorder", "LiveTraceRecorder", "MonitorRecorder"]
 
 ProcessId = int
 
@@ -30,7 +30,7 @@ class HistoryRecorder(Observer):
 
     Every finished round passes through :meth:`_round_finished`, the one
     seam a subclass overrides to score a round as it completes instead
-    of keeping it for :meth:`history` (the streaming checkers).
+    of keeping it for :meth:`history` (:class:`MonitorRecorder`).
     """
 
     def __init__(self) -> None:
@@ -109,25 +109,50 @@ class HistoryRecorder(Observer):
             self._sent, self._delivered, self._omitted_sends, self._omitted_receives,
             self._forged_sends, self._edges,
         )
-        self._close_round()
-        return round_history
-
-    def file_round(self, round_history: RoundHistory) -> None:
-        """End the open round with records another recorder already
-        assembled from the same events (a walk's table,
-        :mod:`repro.verify.walk`) instead of this one's filings.  The
-        round's start and faults were narrated here as usual; its
-        sends, deliveries and topology need not be."""
-        self._close_round()
-        self._round_finished(round_history)
-
-    def _close_round(self) -> None:
         self._crashed |= self._crashing
         self._round_no = None
+        return round_history
 
     def history(self) -> ExecutionHistory:
         """The reconstructed execution history (≥ 1 round required)."""
         return ExecutionHistory(self._rounds)
+
+
+class MonitorRecorder(HistoryRecorder):
+    """Folds a *monitor* over the rounds a synchronous run files.
+
+    A monitor is pure: ``start(n, first_round)`` is its initial state,
+    ``step(state, corrupted, round_history)`` its state after one more
+    round — ``corrupted`` when a mid-run corruption that changed some
+    memory struck it (initial corruption is stamped ``first_round - 1``)
+    — and ``verdict(state)`` what it concludes.  States are hashable, so
+    a walk (:mod:`repro.verify.walk`) folds monitors without a bus.
+    """
+
+    def __init__(self, monitor) -> None:
+        super().__init__()
+        self.monitor = monitor
+        self.state: Any = None
+        self._first_round = 1
+        self._corrupted = False
+
+    def on_run_start(self, n, protocol, first_round=1):
+        super().on_run_start(n, protocol, first_round)
+        self._first_round = first_round
+        self.state = self.monitor.start(n, first_round)
+
+    def on_fault(self, fault: FaultEvent):
+        super().on_fault(fault)
+        if fault.kind == FaultKind.CORRUPTION and fault.time >= self._first_round:
+            self._corrupted = True
+
+    def _round_finished(self, round_history: RoundHistory) -> None:
+        self.state = self.monitor.step(self.state, self._corrupted, round_history)
+        self._corrupted = False
+
+    def verdict(self):
+        """The monitor's verdict on the rounds folded so far."""
+        return self.monitor.verdict(self.state)
 
 
 class AsyncTraceRecorder(Observer):

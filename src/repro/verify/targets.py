@@ -24,11 +24,11 @@ plan through ``run_sync`` for their one judge: the per-plan oracle
 the tests the explicit engine is held to).  The explicit engine judges
 a whole space with the same two judges off the chains of
 :mod:`repro.verify.walk`, once per obligation many plans reach: the
-engine is deterministic in the spec, so the events and the history two
-executions of an obligation narrate would be equal anyway, and what the
-judges share is only that input.  They stay separate code (window
-scoring on clock digests vs ``check_definition`` on an
-``ExecutionHistory``) and can still disagree; thm2 and unison have no
+engine is deterministic in the spec, so the rounds two executions of
+an obligation file would be equal anyway, and what the judges share is
+only that input.  They stay separate code (a monitor's fold over filed
+rounds vs ``check_definition`` on an ``ExecutionHistory``) and can
+still disagree; thm2 and unison have no
 streaming checker, so their single judge's verdict is reported on both
 sides.
 

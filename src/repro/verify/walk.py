@@ -32,7 +32,11 @@ the whole rest of its run, and its verdicts, by reference.
 - **Verdicts.** Both judges read only the claim's obligation, the
   rounds from ``obliged_after(spec) + 1`` on, and the run from a node is
   unique, so the pair is judged once per obligation node (and what the
-  judge reads of the spec besides, ``SyncClaim.judge_reads``).
+  judge reads of the spec besides, ``SyncClaim.judge_reads``).  The
+  streaming checker is a monitor (:mod:`repro.explore.checkers`) folded
+  over the obligation's filed rounds, each (node, monitor state) stepped
+  once: obligations whose chains merge, in the same state, share the
+  rest of the fold.
 - **Frontier.** The distinct digests are those of the configurations
   the nodes enter (after corruption) and of the end configurations;
   every plan visits ``rounds + 1`` of them.
@@ -50,8 +54,7 @@ successor is made of (``docs/verify.md``, "The walk"):
   in iteration order; a configuration holding anything else (a float, a
   namedtuple, an ``IntEnum``, a dict subclass) is stepped, never looked
   up, and so is a round whose plan forges payloads;
-- **value** — the filed :class:`~repro.histories.history.RoundHistory`,
-  the round's :class:`~repro.kernel.events.FaultEvent` s in engine order
+- **value** — the filed :class:`~repro.histories.history.RoundHistory`
   and the next configuration, whose frontier digest is computed once;
 - **miss** — steps a private copy of the configuration, so a protocol
   that mutates its state in place cannot reach a filed one.
@@ -97,6 +100,8 @@ ProcessId = int
 # ---------------------------------------------------------------------------
 
 _ATOMS = frozenset({int, str, bool, float, type(None)})
+#: Exact container types that are not mappings: no Mapping ABC check.
+_NOT_MAPPINGS = frozenset({list, tuple, set, frozenset})
 
 
 def _canon(value: Any) -> str:
@@ -106,11 +111,15 @@ def _canon(value: Any) -> str:
     frozenset iteration order follows hash seeds for str members, a
     mapping's follows insertion), so mappings — the kernel's
     ``FrozenDict`` snapshots as much as plain dicts — and sets are
-    rendered with sorted members.
+    rendered with sorted members.  Exact types are told apart first;
+    only another type pays for the ``Mapping`` ABC check.
     """
-    if type(value) in _ATOMS:  # most values; spares them the Mapping ABC check
+    kind = type(value)
+    if kind in _ATOMS:
         return repr(value)
-    if isinstance(value, Mapping):
+    if kind is dict or kind is FrozenDict or (
+        kind not in _NOT_MAPPINGS and isinstance(value, Mapping)
+    ):
         items = ", ".join(
             f"{_canon(k)}: {_canon(value[k])}" for k in sorted(value, key=repr)
         )
@@ -257,16 +266,14 @@ class Configuration:
 
 
 class Transition(NamedTuple):
-    """One filed round: its records, its faults in engine order, and
-    the configuration it leads to."""
+    """One filed round: its records and the configuration it leads to."""
 
     filed: RoundHistory
-    faults: Tuple[FaultEvent, ...]
     after: Configuration
 
 
 class _RoundFiler(HistoryRecorder):
-    """Files the round a miss steps: its records and its faults.
+    """Files the records of the round a miss steps.
 
     The round is opened on the configuration itself rather than on an
     engine snapshot of the private copy: equal states, and the records'
@@ -280,12 +287,7 @@ class _RoundFiler(HistoryRecorder):
         self._n = n
         self._crashed = set(config.live.crashed)
         HistoryRecorder.on_round_start(self, round_no, config.states)
-        self.faults: List[FaultEvent] = []
         self.filed: Optional[RoundHistory] = None
-
-    def on_fault(self, fault):
-        self.faults.append(fault)
-        super().on_fault(fault)
 
     def _round_finished(self, round_history):
         self.filed = round_history
@@ -350,9 +352,7 @@ class RoundTable:
         filer.open(n, round_no, config)
         engine.step_round(protocol, n, self._filing, round_no, states, live, plan, edges)
         self.stepped += 1
-        after = self.configuration(states, live)
-        faults = tuple([self._interned.setdefault(fault, fault) for fault in filer.faults])
-        transition = Transition(filer.filed, faults, after)
+        transition = Transition(filer.filed, self.configuration(states, live))
         if key is not None:
             self._rounds[key] = transition
         return transition
@@ -524,6 +524,15 @@ class ChainWalk:
         self._roots: Dict[tuple, Configuration] = {}
         self._verdicts: Dict[tuple, tuple] = {}
         self._serials = itertools.count()
+        #: The claim's streaming checker as a fold (``None``: the judge
+        #: doubles as it), and its steps: (node serial, state) -> state.
+        self.monitor = None if claim.checker is None else claim.checker(at).monitor
+        self._folded: Dict[tuple, Any] = {}
+
+    @property
+    def monitor_steps(self) -> int:
+        """Monitor steps taken: one per distinct (node, monitor state)."""
+        return len(self._folded)
 
     def judge(self, spec) -> Tuple[Any, Any]:
         """``spec``'s ``(streaming, confirm)`` verdicts: walked up to the
@@ -649,39 +658,31 @@ class ChainWalk:
         return found
 
     def _judged(self, obliged: Node, first: Node, spec) -> tuple:
-        claim, at = self.claim, self.at
         rounds = []
         node = first
         while node.transition is not None:
             rounds.append(node.transition.filed)
             node = node.next
-        confirm = claim.judge(ExecutionHistory(rounds), spec, at)
-        if claim.checker is None:
+        confirm = self.claim.judge(ExecutionHistory(rounds), spec, self.at)
+        if self.monitor is None:
             return confirm, confirm
-        checker = claim.checker(at)
-        self._narrate(obliged, checker, spec.n)
-        return checker.verdict(), confirm
+        return self._fold(obliged, spec.n), confirm
 
-    def _narrate(self, node: Node, observer: Observer, n: int) -> None:
-        """Narrate the run from ``node`` to its end to ``observer`` alone,
-        as a run that starts at ``node``'s round: each round's mid-run
-        corruption, start, faults and filed round, then the end.
-        Nothing before that round reaches it (the initial corruption's
-        faults included), so what it concludes is a function of the
-        node."""
-        observer.on_run_start(n, self.protocol, node.round_no)
-        files = isinstance(observer, HistoryRecorder)
+    def _fold(self, node: Node, n: int):
+        """The monitor's verdict on the run from ``node`` to its end, as a
+        run that starts at ``node``'s round: each filed round, flagged
+        where a mid-run corruption struck it.  Nothing before that round
+        reaches it (the initial corruption included), so what it
+        concludes is a function of the node; and each (node, monitor
+        state) is stepped once, however many chains bring it there."""
+        monitor, folded = self.monitor, self._folded
+        state = monitor.start(n, node.round_no)
         while node.transition is not None:
-            for fault in node.corruption:
-                observer.on_fault(fault)
-            observer.on_round_start(node.round_no, node.entered.states)
-            transition = node.transition
-            for fault in transition.faults:
-                observer.on_fault(fault)
-            if files:
-                observer.file_round(transition.filed)
-            else:
-                observer.on_round_end(node.round_no)
-            node = node.next
-        states = node.config.states
-        observer.on_run_end(node.round_no - 1, {pid: states[pid] for pid in range(n)})
+            key = (node.serial, state)
+            after = folded.get(key)
+            if after is None:
+                after = folded[key] = monitor.step(
+                    state, bool(node.corruption), node.transition.filed
+                )
+            state, node = after, node.next
+        return monitor.verdict(state)

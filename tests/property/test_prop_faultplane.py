@@ -21,7 +21,9 @@ from repro.asyncnet.scheduler import AsyncScheduler
 from repro.core.compiler import compile_protocol
 from repro.core.problems import ClockAgreementProblem
 from repro.core.rounds import RoundAgreementProtocol
+from repro.core.solvability import check_definition
 from repro.detectors.heartbeat import HeartbeatDetector
+from repro.explore.checkers import StreamingFtssClock
 from repro.kernel import FaultKind, FaultPlan, HistoryRecorder, Observer
 from repro.protocols.floodmin import FloodMinConsensus
 from repro.sync.adversary import FaultMode, RandomAdversary
@@ -183,9 +185,11 @@ def test_streaming_message_stats_match_batch(seed, n, rounds, mode):
     n=st.integers(min_value=3, max_value=6),
     rounds=st.integers(min_value=3, max_value=24),
     mode=st.sampled_from(list(FaultMode)),
+    mid=st.one_of(st.none(), st.integers(min_value=1, max_value=24)),
+    at=st.integers(min_value=0, max_value=3),
 )
-def test_streaming_stabilization_matches_batch(seed, n, rounds, mode):
-    streaming = StreamingClockStabilization()
+def test_streaming_stabilization_matches_batch(seed, n, rounds, mode, mid, at):
+    streaming, ftss, faults = StreamingClockStabilization(), StreamingFtssClock(at), FaultCollector()
     adversary = RandomAdversary(n=n, f=n // 2, mode=mode, rate=0.4, seed=seed)
     result = run_sync(
         RoundAgreementProtocol(),
@@ -193,10 +197,21 @@ def test_streaming_stabilization_matches_batch(seed, n, rounds, mode):
         rounds=rounds,
         adversary=adversary,
         corruption=RandomCorruption(seed=seed),
-        observers=(streaming,),
+        mid_run_corruptions=None if mid is None else {mid: RandomCorruption(seed=seed + 1)},
+        observers=(streaming, ftss, faults),
     )
-    batch = empirical_stabilization(result.history, ClockAgreementProblem())
-    assert streaming.result() == batch
+    history = result.history
+    batch = empirical_stabilization(history, ClockAgreementProblem())
+    assert streaming.result() == batch  # every round scored, a corruption's too
+    # The ftss monitor restarts at a mid-run corruption that struck some
+    # memory: Definition 2.4 obliges the rounds after the last one.
+    struck = max([time for time in faults.corruption_times if time >= 1], default=0)
+    if struck >= len(history):
+        holds = True  # nothing left to oblige
+    else:
+        obliged = history.suffix(struck) if struck else history
+        holds = check_definition("ftss", obliged, ClockAgreementProblem(), at).holds
+    assert ftss.verdict().holds == holds
 
 
 @settings(max_examples=20, deadline=None)

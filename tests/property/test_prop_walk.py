@@ -13,7 +13,7 @@ Hypothesis draws small fault-plan spaces (n ≤ 4) that cross the axes a
 node key has to tell apart — a crash and an omission campaign on the
 same process, mid-run corruption, churn; fig3 is drawn apart (its
 proposals fix n = 4), always with mid-run corruption: its streaming
-check is narrated only the rounds after it.  Every curated space is
+check is folded over only the rounds after it.  Every curated space is
 held to the same oracle.
 """
 
