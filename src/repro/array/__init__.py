@@ -3,8 +3,10 @@
 A second execution backend for the synchronous model: one
 :func:`run_array` call executes *all seeds of a sweep-point batch* as
 lanes of flat per-process arrays, on NumPy when available (the
-``repro[fast]`` extra) or dependency-free nested lists otherwise.  It
-is conformance-checked — for small ``n`` it reconstructs histories
+``repro[fast]`` extra) or dependency-free nested lists otherwise (csr
+twins only: the dense twins hold NumPy columns and refuse that plane,
+so their points fall back to the reference engine).  It is
+conformance-checked — for small ``n`` it reconstructs histories
 that are digest-identical to :func:`repro.sync.engine.run_sync` —
 and then runs four-plus orders of magnitude past the reference
 engine's honest range (n = 10^4–10^6).
@@ -18,7 +20,7 @@ Entry points:
 - :mod:`repro.array.conformance` — digest-comparison harness.
 - :func:`pick_backend` / :func:`has_numpy` — data-plane selection.
 
-Ineligible combinations (no batched protocol, Byzantine forgeries,
+Ineligible combinations (no batched protocol, a dense twin off NumPy,
 per-lane churn disagreement, …) raise :class:`ArrayEligibilityError`;
 ``run_sweep(backend="array")`` catches exactly that and falls back,
 loudly, to the reference engine.

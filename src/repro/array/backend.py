@@ -6,9 +6,12 @@ interchangeable data planes:
 - ``"numpy"`` — vectorized kernels over 2-D/3-D ``ndarray``s.  NumPy is
   an *optional* extra (``pip install repro[fast]``); the core package
   keeps ``dependencies = []``.
-- ``"python"`` — the same kernels over nested plain lists.  Slower, but
-  dependency-free and value-identical (the conformance suite runs both
-  paths against the reference engine).
+- ``"python"`` — the csr kernels (the wire's reductions and the clock
+  twins) over nested plain lists.  Slower, but dependency-free and
+  value-identical (the conformance suite runs both planes against the
+  reference engine).  Dense twins run on NumPy only and refuse this
+  plane, so ``run_sweep(backend="array")`` answers their points on the
+  reference engine.
 
 Selection order: an explicit ``backend=`` argument wins; otherwise the
 ``REPRO_ARRAY_BACKEND`` environment variable (``numpy`` / ``python``);

@@ -86,10 +86,9 @@ class RoundWire:
     ``complete_fast`` form (one global reduction per lane; ``send_ok``
     masks silenced senders) or the CSR form (``src``/``indptr`` edge
     list grouped by receiver, plus an optional ``keep`` mask), which
-    stay readable for third-party twins.  ``dense`` protocols consume
-    ``delivered``: numpy — a ``(lanes, n, n)`` bool cube ``[lane,
-    receiver, sender]``; python — per-lane lists of per-receiver sender
-    sets.
+    stay readable for third-party twins.  ``dense`` protocols run on the
+    NumPy plane only and consume ``delivered``, a ``(lanes, n, n)`` bool
+    cube ``[lane, receiver, sender]``.
     """
 
     __slots__ = (
@@ -1166,70 +1165,38 @@ def _build_dense_wire(
     np,
     n: int,
 ) -> None:
-    """Fill the dense delivered structure: [lane, receiver, sender].  A
+    """Fill the dense delivery cube (NumPy): [lane, receiver, sender].  A
     lane without a ledger (quiet round, nobody dead) hears every edge."""
-    if np is not None:
-        if edges is None:
-            adj = np.ones((n, n), dtype=bool)
-        else:
-            adj = np.zeros((n, n), dtype=bool)
-            for p, receivers in enumerate(edges):
-                adj[list(receivers), p] = True  # p's broadcast reaches them
-        deliv = adj[None, :, :] & alive_mask[:, :, None] & alive_mask[:, None, :]
-        for lane, ledger in zip(lane_states, ledgers):
-            if ledger is None:
-                continue
-            row = lane.index
-            for pid, targets in ledger.crash_survivors.items():
-                col = np.zeros(n, dtype=bool)
-                if targets:
-                    col[sorted(targets)] = True
-                    col &= adj[:, pid]
-                    col &= alive_mask[row]
-                deliv[row, :, pid] = col
-            # rows zeroed after ALL columns: a crash column listing a
-            # co-crashing survivor must not resurrect its zeroed row
-            for pid in ledger.crashing_now:
-                deliv[row, pid, :] = False  # a crashing process receives nothing
-            for pid, dropped in ledger.omitted_sends.items():
-                targets = sorted(dropped)
-                deliv[row, targets, pid] = False
-            for pid, drops in ledger.receive_drops.items():
-                for sender in drops:
-                    if sender != pid:
-                        deliv[row, pid, sender] = False
-        wire.delivered = deliv
-        return
-
-    receiver_sets = (
-        [frozenset(range(n))] * n
-        if edges is None
-        else [frozenset(e) for e in edges]
-    )
-    delivered = []
+    if edges is None:
+        adj = np.ones((n, n), dtype=bool)
+    else:
+        adj = np.zeros((n, n), dtype=bool)
+        for p, receivers in enumerate(edges):
+            adj[list(receivers), p] = True  # p's broadcast reaches them
+    deliv = adj[None, :, :] & alive_mask[:, :, None] & alive_mask[:, None, :]
     for lane, ledger in zip(lane_states, ledgers):
         if ledger is None:
-            delivered.append([set(senders) for senders in receiver_sets])
             continue
-        alive, dead_now = ledger.alive, ledger.dead
-        lane_rows: List[set] = []
-        for p in range(n):
-            if p in dead_now:
-                lane_rows.append(set())
-                continue
-            inbox = {q for q in receiver_sets[p] if q in alive}
-            for q in ledger.crashing_now:
-                if q in inbox and p not in ledger.crash_survivors[q]:
-                    inbox.discard(q)
-            for q, dropped in ledger.omitted_sends.items():
-                if p in dropped:
-                    inbox.discard(q)
-            drops = ledger.receive_drops.get(p)
-            if drops:
-                inbox -= {q for q in drops if q != p}
-            lane_rows.append(inbox)
-        delivered.append(lane_rows)
-    wire.delivered = delivered
+        row = lane.index
+        for pid, targets in ledger.crash_survivors.items():
+            col = np.zeros(n, dtype=bool)
+            if targets:
+                col[sorted(targets)] = True
+                col &= adj[:, pid]
+                col &= alive_mask[row]
+            deliv[row, :, pid] = col
+        # rows zeroed after ALL columns: a crash column listing a
+        # co-crashing survivor must not resurrect its zeroed row
+        for pid in ledger.crashing_now:
+            deliv[row, pid, :] = False  # a crashing process receives nothing
+        for pid, dropped in ledger.omitted_sends.items():
+            targets = sorted(dropped)
+            deliv[row, targets, pid] = False
+        for pid, drops in ledger.receive_drops.items():
+            for sender in drops:
+                if sender != pid:
+                    deliv[row, pid, sender] = False
+    wire.delivered = deliv
 
 
 # ---------------------------------------------------------------------------

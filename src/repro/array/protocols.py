@@ -24,10 +24,15 @@ Two wire kinds:
   the CSR edge list, the per-edge keep mask, the complete graph's one
   global reduction per lane, chunking and the data plane are the
   wire's (:class:`repro.array.engine.RoundWire`).
-- ``kind="dense"`` — full-information protocols (FloodMin under
-  Figure 2, and the Figure 3 compilation) that need per-(sender,
-  receiver) delivery info.  The driver hands them a dense delivered
-  matrix; size is eligibility-bounded.
+- ``kind="dense"`` — full-information protocols (Figure 2's runner
+  over FloodMin and phase-queen, the Figure 3 compilation, the Figure 4
+  detector stack) that need per-(sender, receiver) delivery info.  The
+  driver hands them ``wire.delivered``, a NumPy ``(lanes, n, n)`` bool
+  cube; they run on the NumPy plane only, and their ``initial_states``
+  refuses the Python plane and cubes over ``DENSE_CELL_LIMIT`` cells, so
+  such a point is answered by the reference engine.  A Figure 2
+  protocol's twin subclasses :class:`_ArrayRunner`, which batches the
+  wrapper once.
 
 A protocol whose whole state is the round variable needs no twin of its
 own: declared as a :class:`~repro.sync.clock.ClockProtocol`, it batches
@@ -83,13 +88,15 @@ class ArrayProtocol(ABC):
     """Batched twin of one :class:`SyncProtocol`.
 
     The state object returned by :meth:`initial_states` is opaque to
-    the driver except through the methods below.  Cells belonging to
+    the driver except through the methods below; a ``"dense"`` twin's
+    ``initial_states`` refuses every plane but NumPy.  Cells belonging to
     crashed processes may hold garbage after their crash round — the
     driver masks dead senders/receivers out of every wire, and never
     reads a dead cell's state.
     """
 
-    #: "csr" (neighborhood reduction) or "dense" (needs the full matrix).
+    #: "csr" (neighborhood reduction, either plane) or "dense" (reads the
+    #: NumPy delivery cube ``wire.delivered``).
     kind: str = "csr"
 
     def __init__(self, sync: SyncProtocol):
@@ -173,25 +180,30 @@ def _int_matrix(backend: str, lanes: int, n: int, fill: int):
     return [[fill] * n for _ in range(lanes)]
 
 
+def _require_int64(value, what: str = "clock") -> int:
+    """An exact int in ``[SMALL, BIG)``: what an int64 column holds with
+    headroom (a bool would read back as an int)."""
+    if type(value) is not int:
+        raise ArrayEligibilityError(f"non-integer {what} {value!r} cannot be batched")
+    if not SMALL <= value < BIG:
+        raise ArrayEligibilityError(f"{what} {value!r} is outside [-2**62, 2**62)")
+    return value
+
+
 def _require_clock(mapping: Mapping) -> int:
     if CLOCK_KEY not in mapping:
         raise ArrayEligibilityError(
             f"state {dict(mapping)!r} lacks the round variable ({CLOCK_KEY!r})"
         )
-    value = mapping[CLOCK_KEY]
-    if type(value) is bool or not isinstance(value, int):
-        raise ArrayEligibilityError(f"non-integer clock {value!r} cannot be batched")
-    if not SMALL <= value < BIG:
-        raise ArrayEligibilityError(f"clock {value!r} is outside [-2**62, 2**62)")
-    return value
+    return _require_int64(mapping[CLOCK_KEY])
 
 
-def _require_fields(name: str, mapping: Mapping, allowed: frozenset) -> int:
-    """The validated clock of a mapping that holds no field outside ``allowed``."""
+def _require_fields(name: str, mapping: Mapping, fields: frozenset) -> int:
+    """The validated clock of a mapping that holds exactly ``fields``."""
     value = _require_clock(mapping)
-    if not mapping.keys() <= allowed:
+    if mapping.keys() != fields:
         raise ArrayEligibilityError(
-            f"{name}: unexpected state fields {sorted(set(mapping) - allowed)}"
+            f"{name}: state fields {sorted(mapping)}, expected {sorted(fields)}"
         )
     return value
 
@@ -319,7 +331,7 @@ class ArrayClock(ArrayProtocol):
         if dtype is None:
             for value in clocks:
                 if type(value) is not int or not SMALL <= value < BIG:
-                    _require_clock({CLOCK_KEY: value})
+                    _require_int64(value)
         elif (
             clocks.ndim != 1
             or dtype.kind not in "iu"  # not bool, not float
@@ -350,8 +362,39 @@ class ArrayClock(ArrayProtocol):
 
 
 # ---------------------------------------------------------------------------
-# FloodMin as bitmask columns: Figure 2 runner and Figure 3 compilation
+# Dense twins: NumPy columns over a (lanes, n, n) delivery cube
 # ---------------------------------------------------------------------------
+
+
+def _dense_numpy(n: int, lanes: int, backend: str):
+    """NumPy, for a dense twin's columns: the one plane it runs on.
+
+    Refuses the Python plane and a cube over ``DENSE_CELL_LIMIT`` cells,
+    so ``run_sweep(backend="array")`` answers those points on the
+    reference engine instead."""
+    if backend != "numpy":
+        raise ArrayEligibilityError(
+            f"dense twins run on the NumPy data plane only, not {backend!r}"
+        )
+    if lanes * n * n > DENSE_CELL_LIMIT:
+        raise ArrayEligibilityError(
+            f"dense wire of {lanes} x {n} x {n} cells exceeds the "
+            f"{DENSE_CELL_LIMIT} limit; batch fewer lanes or fall back"
+        )
+    return get_numpy()
+
+
+def _lowest_bit(np, mask):
+    """Each cell's lowest set bit index (0 where ``mask`` is 0)."""
+    low = mask & -mask
+    return np.log2(np.where(low > 0, low, 1).astype(np.float64)).astype(np.int64)
+
+
+def _require_exact_fields(name: str, what: str, mapping, fields: frozenset) -> None:
+    if not isinstance(mapping, Mapping) or mapping.keys() != fields:
+        raise ArrayEligibilityError(
+            f"{name}: {what} {mapping!r} does not hold exactly {sorted(fields)}"
+        )
 
 
 def _universe_of(canonical: FloodMinConsensus) -> tuple:
@@ -362,6 +405,9 @@ def _universe_of(canonical: FloodMinConsensus) -> tuple:
             f"bitmask columns support at most {MAX_UNIVERSE}"
         )
     return universe
+
+
+_FLOODMIN_FIELDS = frozenset({"proposal", "values", "decision"})
 
 
 class _FloodMinCodec:
@@ -375,13 +421,16 @@ class _FloodMinCodec:
 
     def encode_value(self, value, what: str) -> int:
         index = self.index.get(value)
-        if index is None:
+        # exact type: True == 1 would hash to 1's slot and read back as 1
+        if index is None or type(self.universe[index]) is not type(value):
             raise ArrayEligibilityError(
                 f"{what} {value!r} outside the floodmin value universe"
             )
         return index
 
     def encode_values(self, values, what: str) -> int:
+        if not isinstance(values, (set, frozenset)):
+            raise ArrayEligibilityError(f"{what}s {values!r} is not a set")
         mask = 0
         for value in values:
             mask |= 1 << self.encode_value(value, what)
@@ -413,14 +462,10 @@ class _FloodMinCodec:
         }
 
     def load_inner(self, inner: Mapping) -> tuple:
-        extra = set(inner) - {"proposal", "values", "decision"}
-        if extra:
-            raise ArrayEligibilityError(
-                f"floodmin inner state has unexpected fields {sorted(extra)}"
-            )
+        _require_exact_fields("floodmin", "inner state", inner, _FLOODMIN_FIELDS)
         prop = self.encode_value(inner["proposal"], "proposal")
         vmask = self.encode_values(inner["values"], "value")
-        dec = self.encode_decision(inner.get("decision"), "decision")
+        dec = self.encode_decision(inner["decision"], "decision")
         return prop, vmask, dec
 
     def initial_columns(self, n: int):
@@ -429,135 +474,128 @@ class _FloodMinCodec:
         vmask = [1 << index for index in prop]
         return prop, vmask
 
-    def lowest_bit_python(self, mask: int) -> int:
-        return (mask & -mask).bit_length() - 1
-
 
 #: State fields of a :class:`CanonicalRunner` (the Figure 2 wrapper).
 _RUNNER_FIELDS = frozenset({CLOCK_KEY, "inner", "halted", "n"})
 
 
-def _check_dense_size(n: int, lanes: int) -> None:
-    if lanes * n * n > DENSE_CELL_LIMIT:
-        raise ArrayEligibilityError(
-            f"dense wire of {lanes} x {n} x {n} cells exceeds the "
-            f"{DENSE_CELL_LIMIT} limit; batch fewer lanes or fall back"
-        )
+class _ArrayRunner(ArrayProtocol):
+    """Figure 2's wrapper, batched once: the twin of :class:`CanonicalRunner`.
 
-
-class ArrayFtFloodMin(ArrayProtocol):
-    """Batched Figure 2 runner over FloodMin (``ft:floodmin(f=..)``).
-
-    Value sets become bitmask ints over the sorted value universe, so
-    the flood-merge is a masked bitwise-OR reduction and decide-min is
-    the lowest set bit.  The halted flag freezes cells exactly as the
-    reference runner does.
+    A clock column (1 at the start), a halted column, and Π's inner
+    columns, named in ``_INNER``.  One round silences halted senders on
+    the cube, runs Π at every cell's own clock (:meth:`step_inner`),
+    freezes halted cells, advances the clock and halts a cell that has
+    just run ``final_round`` — exactly the reference runner.  A twin of
+    a Figure 2 protocol writes only Π's columns, its inner bridge and
+    :meth:`step_inner`.
     """
 
     kind = "dense"
 
+    #: Π's ``(lanes, n)`` int64 columns, in the order of
+    #: :meth:`initial_inner`, :meth:`load_inner` and :meth:`read_inner`.
+    _INNER: tuple = ()
+
     def __init__(self, sync: CanonicalRunner):
         super().__init__(sync)
-        self.codec = _FloodMinCodec(sync.canonical)
+        self.final_round = sync.canonical.final_round
+        self._columns = ("clock", "halted") + self._INNER
+
+    @abstractmethod
+    def initial_inner(self, n: int) -> tuple:
+        """One row of ``n`` cells per inner column: Π's specified states."""
+
+    @abstractmethod
+    def load_inner(self, inner: Mapping) -> tuple:
+        """One inner state as one cell of each inner column, validated."""
+
+    @abstractmethod
+    def read_inner(self, *cells) -> Dict[str, Any]:
+        """The inner state dict of one cell's inner columns."""
+
+    @abstractmethod
+    def step_inner(self, np, state: Any, delivered) -> Dict[str, Any]:
+        """Π's round at every cell's own clock: the new inner columns by
+        name.  ``delivered`` holds no halted sender; halted cells are
+        frozen by the caller."""
 
     def initial_states(self, n: int, lanes: int, backend: str) -> Any:
-        _check_dense_size(n, lanes)
-        prop0, vmask0 = self.codec.initial_columns(n)
+        np = _dense_numpy(n, lanes, backend)
         state = {
             "backend": backend,
             "lanes": lanes,
             "n": n,
-            "clock": _int_matrix(backend, lanes, n, 1),
-            "halted": _int_matrix(backend, lanes, n, 0),
-            "prop": _int_matrix(backend, lanes, n, 0),
-            "vmask": _int_matrix(backend, lanes, n, 0),
-            "dec": _int_matrix(backend, lanes, n, 0),
+            "clock": np.ones((lanes, n), dtype=np.int64),
+            "halted": np.zeros((lanes, n), dtype=bool),
         }
-        for lane in range(lanes):
-            for pid in range(n):
-                state["prop"][lane][pid] = prop0[pid]
-                state["vmask"][lane][pid] = vmask0[pid]
-        if backend == "numpy":
-            np = get_numpy()
-            state["prop"] = np.asarray(state["prop"], dtype=np.int64)
-            state["vmask"] = np.asarray(state["vmask"], dtype=np.int64)
+        for key, row in zip(self._INNER, self.initial_inner(n)):
+            state[key] = np.tile(np.asarray(row, dtype=np.int64), (lanes, 1))
         return state
-
-    _COLUMNS = ("clock", "halted", "prop", "vmask", "dec")
 
     def load_states(self, state, lane, mappings) -> None:
         rows = []
         for mapping in mappings.values():
             value = _require_fields(self.name, mapping, _RUNNER_FIELDS)
             _require_run_n(self.name, mapping, state["n"])
-            halted = 1 if mapping["halted"] else 0
-            rows.append((value, halted, *self.codec.load_inner(mapping["inner"])))
-        _store_columns(state, lane, mappings, self._COLUMNS, zip(*rows))
+            halted = mapping["halted"]
+            if type(halted) is not bool:
+                raise ArrayEligibilityError(f"{self.name}: halted {halted!r} is not a bool")
+            rows.append((value, halted, *self.load_inner(mapping["inner"])))
+        _store_columns(state, lane, mappings, self._columns, zip(*rows))
 
     def read_states(self, state, lane, pids=None) -> List[Dict[str, Any]]:
+        n = state["n"]
         return [
-            {
-                CLOCK_KEY: clock,
-                "inner": self.codec.inner_dict(prop, vmask, dec),
-                "halted": bool(halted),
-                "n": state["n"],
-            }
-            for clock, halted, prop, vmask, dec in _lane_rows(
-                state, self._COLUMNS, lane, pids
-            )
+            {CLOCK_KEY: clock, "inner": self.read_inner(*inner), "halted": halted, "n": n}
+            for clock, halted, *inner in _lane_rows(state, self._columns, lane, pids)
         ]
 
     def silent_pids(self, state, lane) -> frozenset:
-        halted = state["halted"][lane]
-        return frozenset(pid for pid in range(state["n"]) if halted[pid])
+        return frozenset(state["halted"][lane].nonzero()[0].tolist())
 
     def step(self, state, wire) -> None:
-        FR = self.codec.final_round
-        if state["backend"] == "numpy":
-            np = get_numpy()
-            clock, halted = state["clock"], state["halted"].astype(bool)
-            vmask, dec = state["vmask"], state["dec"]
-            deliv = wire.delivered & ~halted[:, None, :]
-            contrib = np.where(deliv, vmask[:, None, :], 0)
-            merged = vmask | np.bitwise_or.reduce(contrib, axis=2)
-            decide = (~halted) & (clock == FR) & (merged != 0)
-            low = merged & -merged
-            low_idx = np.log2(np.where(low > 0, low, 1).astype(np.float64)).astype(
-                np.int64
-            )
-            state["vmask"] = np.where(halted, vmask, merged)
-            state["dec"] = np.where(decide, low_idx + 1, dec)
-            state["clock"] = np.where(halted, clock, clock + 1)
-            state["halted"] = (halted | (clock == FR)).astype(np.int64)
-            return
-        lanes, n = state["lanes"], state["n"]
-        for lane in range(lanes):
-            clock, halted = state["clock"][lane], state["halted"][lane]
-            vmask, dec = state["vmask"][lane], state["dec"][lane]
-            senders = wire.delivered[lane]  # per-receiver sender sets
-            new_clock, new_halted, new_vmask, new_dec = [], [], [], []
-            for p in range(n):
-                if halted[p]:
-                    new_clock.append(clock[p])
-                    new_halted.append(1)
-                    new_vmask.append(vmask[p])
-                    new_dec.append(dec[p])
-                    continue
-                merged = vmask[p]
-                for q in senders[p]:
-                    if not halted[q]:
-                        merged |= vmask[q]
-                decided = dec[p]
-                if clock[p] == FR and merged:
-                    decided = self.codec.lowest_bit_python(merged) + 1
-                new_clock.append(clock[p] + 1)
-                new_halted.append(1 if clock[p] == FR else 0)
-                new_vmask.append(merged)
-                new_dec.append(decided)
-            state["clock"][lane] = new_clock
-            state["halted"][lane] = new_halted
-            state["vmask"][lane] = new_vmask
-            state["dec"][lane] = new_dec
+        np = get_numpy()
+        clock, halted = state["clock"], state["halted"]
+        inner = self.step_inner(np, state, wire.delivered & ~halted[:, None, :])
+        for key, column in inner.items():
+            state[key] = np.where(halted, state[key], column)
+        state["clock"] = np.where(halted, clock, clock + 1)
+        state["halted"] = halted | (clock == self.final_round)
+
+
+class ArrayFtFloodMin(_ArrayRunner):
+    """Batched Figure 2 runner over FloodMin (``ft:floodmin(f=..)``).
+
+    Value sets become bitmask ints over the sorted value universe, so
+    the flood-merge is a masked bitwise-OR reduction and decide-min is
+    the lowest set bit.
+    """
+
+    _INNER = ("prop", "vmask", "dec")
+
+    def __init__(self, sync: CanonicalRunner):
+        super().__init__(sync)
+        self.codec = _FloodMinCodec(sync.canonical)
+
+    def initial_inner(self, n: int) -> tuple:
+        return (*self.codec.initial_columns(n), [0] * n)
+
+    def load_inner(self, inner: Mapping) -> tuple:
+        return self.codec.load_inner(inner)
+
+    def read_inner(self, prop, vmask, dec) -> Dict[str, Any]:
+        return self.codec.inner_dict(prop, vmask, dec)
+
+    def step_inner(self, np, state, delivered) -> Dict[str, Any]:
+        vmask = state["vmask"]
+        contrib = np.where(delivered, vmask[:, None, :], 0)
+        merged = vmask | np.bitwise_or.reduce(contrib, axis=2)
+        decide = (state["clock"] == self.final_round) & (merged != 0)
+        return {
+            "vmask": merged,
+            "dec": np.where(decide, _lowest_bit(np, merged) + 1, state["dec"]),
+        }
 
 
 class ArrayCompiledFloodMin(ArrayProtocol):
@@ -578,35 +616,17 @@ class ArrayCompiledFloodMin(ArrayProtocol):
         self.use_suspects = sync.use_suspects
 
     def initial_states(self, n: int, lanes: int, backend: str) -> Any:
-        _check_dense_size(n, lanes)
-        prop0, vmask0 = self.codec.initial_columns(n)
-        state = {
-            "backend": backend,
-            "lanes": lanes,
-            "n": n,
-            "clock": _int_matrix(backend, lanes, n, 0),
-            "prop": _int_matrix(backend, lanes, n, 0),
-            "vmask": _int_matrix(backend, lanes, n, 0),
-            "dec": _int_matrix(backend, lanes, n, 0),
-            "last_dec": _int_matrix(backend, lanes, n, 0),
-            "dec_at": _int_matrix(backend, lanes, n, 0),
-            "dec_at_set": _int_matrix(backend, lanes, n, 0),
-        }
-        for lane in range(lanes):
-            for pid in range(n):
-                state["prop"][lane][pid] = prop0[pid]
-                state["vmask"][lane][pid] = vmask0[pid]
-        if backend == "numpy":
-            np = get_numpy()
-            state["prop"] = np.asarray(state["prop"], dtype=np.int64)
-            state["vmask"] = np.asarray(state["vmask"], dtype=np.int64)
-            state["suspect"] = np.zeros((lanes, n, n), dtype=bool)
-            state["init_prop"] = np.asarray(prop0, dtype=np.int64)
-            state["init_vmask"] = np.asarray(vmask0, dtype=np.int64)
-        else:
-            state["suspect"] = [[set() for _ in range(n)] for _ in range(lanes)]
-            state["init_prop"] = list(prop0)
-            state["init_vmask"] = list(vmask0)
+        np = _dense_numpy(n, lanes, backend)
+        prop0, vmask0 = (
+            np.asarray(row, dtype=np.int64) for row in self.codec.initial_columns(n)
+        )
+        state = {"backend": backend, "lanes": lanes, "n": n}
+        for key in ("clock", "dec", "last_dec", "dec_at", "dec_at_set"):
+            state[key] = np.zeros((lanes, n), dtype=np.int64)
+        state["prop"] = np.tile(prop0, (lanes, 1))
+        state["vmask"] = np.tile(vmask0, (lanes, 1))
+        state["suspect"] = np.zeros((lanes, n, n), dtype=bool)
+        state["init_prop"], state["init_vmask"] = prop0, vmask0
         return state
 
     _FIELDS = frozenset(
@@ -617,43 +637,40 @@ class ArrayCompiledFloodMin(ArrayProtocol):
     )
 
     def load_states(self, state, lane, mappings) -> None:
-        n, numpy = state["n"], state["backend"] == "numpy"
+        n = state["n"]
         rows = []
         for mapping in mappings.values():
             value = _require_fields(self.name, mapping, self._FIELDS)
             _require_run_n(self.name, mapping, n)
-            for q in mapping["suspect"]:
-                if not (isinstance(q, int) and 0 <= q < n):
+            suspects = mapping["suspect"]
+            if not isinstance(suspects, (set, frozenset)):
+                raise ArrayEligibilityError(f"{self.name}: suspect {suspects!r} is not a set")
+            for q in suspects:
+                if type(q) is not int or not 0 <= q < n:
                     raise ArrayEligibilityError(
                         f"{self.name}: suspect entry {q!r} is not a pid"
                     )
-            suspects = set(mapping["suspect"])
             inner = self.codec.load_inner(mapping["inner"])
             last_dec = self.codec.encode_decision(
-                mapping.get("last_decision"), "last_decision"
+                mapping["last_decision"], "last_decision"
             )
-            decided_at = mapping.get("decided_at_clock")
-            if decided_at is not None and not isinstance(decided_at, int):
-                raise ArrayEligibilityError(
-                    f"{self.name}: decided_at_clock {decided_at!r} is not an int"
-                )
+            decided_at = mapping["decided_at_clock"]
+            if decided_at is not None:
+                _require_int64(decided_at, "decided_at_clock")
             rows.append((
                 value, *inner, last_dec,
                 0 if decided_at is None else decided_at,
                 0 if decided_at is None else 1,
-                [q in suspects for q in range(n)] if numpy else suspects,
+                [q in suspects for q in range(n)],
             ))
         _store_columns(state, lane, mappings, self._COLUMNS, zip(*rows))
 
     def read_states(self, state, lane, pids=None) -> List[Dict[str, Any]]:
-        numpy = state["backend"] == "numpy"
         return [
             {
                 CLOCK_KEY: clock,
                 "inner": self.codec.inner_dict(prop, vmask, dec),
-                "suspect": frozenset(
-                    [q for q, flag in enumerate(suspect) if flag] if numpy else suspect
-                ),
+                "suspect": frozenset(q for q, flag in enumerate(suspect) if flag),
                 "n": state["n"],
                 "last_decision": self.codec.decode_decision(last_dec),
                 "decided_at_clock": dec_at if dec_at_set else None,
@@ -663,96 +680,35 @@ class ArrayCompiledFloodMin(ArrayProtocol):
         ]
 
     def step(self, state, wire) -> None:
+        np = get_numpy()
         FR = self.codec.final_round
-        if state["backend"] == "numpy":
-            np = get_numpy()
-            clock = state["clock"]
-            vmask, dec = state["vmask"], state["dec"]
-            suspect = state["suspect"]
-            deliv = wire.delivered
-            clock_q = clock[:, None, :]
-            clock_p = clock[:, :, None]
-            tags = np.where(deliv, clock_q, SMALL)
-            new_clock = tags.max(axis=2) + 1
-            at_my = deliv & (clock_q == clock_p)
-            contrib_mask = at_my & ~suspect if self.use_suspects else at_my
-            merged = vmask | np.bitwise_or.reduce(
-                np.where(contrib_mask, vmask[:, None, :], 0), axis=2
-            )
-            suspects_new = suspect | ~at_my
-            k = clock % FR + 1
-            decide = (k == FR) & (merged != 0)
-            low = merged & -merged
-            low_idx = np.log2(np.where(low > 0, low, 1).astype(np.float64)).astype(
-                np.int64
-            )
-            dec_new = np.where(decide, low_idx + 1, dec)
-            journal = (k == FR) & (dec_new != 0)
-            state["last_dec"] = np.where(journal, dec_new, state["last_dec"])
-            state["dec_at"] = np.where(journal, clock, state["dec_at"])
-            state["dec_at_set"] = state["dec_at_set"] | journal
-            reset = (new_clock % FR + 1) == 1
-            state["vmask"] = np.where(reset, state["init_vmask"][None, :], merged)
-            state["prop"] = np.where(reset, state["init_prop"][None, :], state["prop"])
-            state["dec"] = np.where(reset, 0, dec_new)
-            state["suspect"] = np.where(reset[:, :, None], False, suspects_new)
-            state["clock"] = new_clock
-            return
-        lanes, n = state["lanes"], state["n"]
-        for lane in range(lanes):
-            clock = state["clock"][lane]
-            vmask, dec = state["vmask"][lane], state["dec"][lane]
-            prop = state["prop"][lane]
-            last_dec, dec_at = state["last_dec"][lane], state["dec_at"][lane]
-            dec_at_set = state["dec_at_set"][lane]
-            suspect = state["suspect"][lane]
-            senders = wire.delivered[lane]  # per-receiver sender sets
-            out = {key: [] for key in
-                   ("clock", "vmask", "dec", "prop", "last_dec", "dec_at",
-                    "dec_at_set", "suspect")}
-            for p in range(n):
-                arrived = senders[p]
-                if arrived:
-                    tag_max = max(clock[q] for q in arrived)
-                else:  # dead receiver: frozen garbage
-                    tag_max = clock[p] - 1
-                new_clock = tag_max + 1
-                at_my = {q for q in arrived if clock[q] == clock[p]}
-                merged = vmask[p]
-                for q in at_my:
-                    if not self.use_suspects or q not in suspect[p]:
-                        merged |= vmask[q]
-                suspects_new = suspect[p] | (set(range(n)) - at_my)
-                k = clock[p] % FR + 1
-                decided = dec[p]
-                if k == FR and merged:
-                    decided = self.codec.lowest_bit_python(merged) + 1
-                if k == FR and decided:
-                    last, at, at_set = decided, clock[p], 1
-                else:
-                    last, at, at_set = last_dec[p], dec_at[p], dec_at_set[p]
-                if new_clock % FR + 1 == 1:
-                    out["vmask"].append(state["init_vmask"][p])
-                    out["prop"].append(state["init_prop"][p])
-                    out["dec"].append(0)
-                    out["suspect"].append(set())
-                else:
-                    out["vmask"].append(merged)
-                    out["prop"].append(prop[p])
-                    out["dec"].append(decided)
-                    out["suspect"].append(suspects_new)
-                out["clock"].append(new_clock)
-                out["last_dec"].append(last)
-                out["dec_at"].append(at)
-                out["dec_at_set"].append(at_set)
-            state["clock"][lane] = out["clock"]
-            state["vmask"][lane] = out["vmask"]
-            state["dec"][lane] = out["dec"]
-            state["prop"][lane] = out["prop"]
-            state["last_dec"][lane] = out["last_dec"]
-            state["dec_at"][lane] = out["dec_at"]
-            state["dec_at_set"][lane] = out["dec_at_set"]
-            state["suspect"][lane] = out["suspect"]
+        clock = state["clock"]
+        vmask, dec = state["vmask"], state["dec"]
+        suspect = state["suspect"]
+        deliv = wire.delivered
+        clock_q = clock[:, None, :]
+        clock_p = clock[:, :, None]
+        tags = np.where(deliv, clock_q, SMALL)
+        new_clock = tags.max(axis=2) + 1
+        at_my = deliv & (clock_q == clock_p)
+        contrib_mask = at_my & ~suspect if self.use_suspects else at_my
+        merged = vmask | np.bitwise_or.reduce(
+            np.where(contrib_mask, vmask[:, None, :], 0), axis=2
+        )
+        suspects_new = suspect | ~at_my
+        k = clock % FR + 1
+        decide = (k == FR) & (merged != 0)
+        dec_new = np.where(decide, _lowest_bit(np, merged) + 1, dec)
+        journal = (k == FR) & (dec_new != 0)
+        state["last_dec"] = np.where(journal, dec_new, state["last_dec"])
+        state["dec_at"] = np.where(journal, clock, state["dec_at"])
+        state["dec_at_set"] = state["dec_at_set"] | journal
+        reset = (new_clock % FR + 1) == 1
+        state["vmask"] = np.where(reset, state["init_vmask"][None, :], merged)
+        state["prop"] = np.where(reset, state["init_prop"][None, :], state["prop"])
+        state["dec"] = np.where(reset, 0, dec_new)
+        state["suspect"] = np.where(reset[:, :, None], False, suspects_new)
+        state["clock"] = new_clock
 
 
 # ---------------------------------------------------------------------------
@@ -774,188 +730,81 @@ def _require_bounded_int(value, what: str) -> int:
     return value
 
 
-class ArrayPhaseQueen(ArrayProtocol):
+class ArrayPhaseQueen(_ArrayRunner):
     """Batched Figure 2 runner over phase-queen (``ft:phase-queen(f=..)``).
 
-    All inner fields are binary or small ints, so the whole protocol
-    fits seven ``(lanes, n)`` integer columns.  The ballot round is two
-    masked sums (the 0-tally and the 1-tally; the tie-toward-0 rule
-    becomes ``count1 > count0``); the queen round gathers the per-cell
-    queen's broadcast majority with ``take_along_axis``.  Corruption
-    can desynchronize clocks, so every cell branches on its own clock
-    parity rather than the round number.
+    All inner fields are binary or small ints, so Π fits five
+    ``(lanes, n)`` integer columns.  The ballot round is two masked sums
+    (the 0-tally and the 1-tally; the tie-toward-0 rule becomes
+    ``count1 > count0``); the queen round gathers the per-cell queen's
+    broadcast majority with ``take_along_axis``.  Corruption can
+    desynchronize clocks, so every cell branches on its own clock parity
+    rather than the round number.
     """
 
-    kind = "dense"
+    _INNER = ("prop", "value", "majority", "count", "dec")
+    _INNER_FIELDS = frozenset({"proposal", "value", "majority", "count", "decision"})
 
     def __init__(self, sync: CanonicalRunner):
         super().__init__(sync)
-        canonical = sync.canonical
-        self.f = canonical.f
-        self.final_round = canonical.final_round
+        self.f = sync.canonical.f
 
-    def initial_states(self, n: int, lanes: int, backend: str) -> Any:
-        _check_dense_size(n, lanes)
-        canonical = self.sync.canonical
-        props = [canonical.proposal_for(pid) for pid in range(n)]
-        state = {
-            "backend": backend,
-            "lanes": lanes,
-            "n": n,
-            "clock": _int_matrix(backend, lanes, n, 1),
-            "halted": _int_matrix(backend, lanes, n, 0),
-            "prop": _int_matrix(backend, lanes, n, 0),
-            "value": _int_matrix(backend, lanes, n, 0),
-            "majority": _int_matrix(backend, lanes, n, 0),
-            "count": _int_matrix(backend, lanes, n, 0),
-            "dec": _int_matrix(backend, lanes, n, 0),
+    def initial_inner(self, n: int) -> tuple:
+        props = [self.sync.canonical.proposal_for(pid) for pid in range(n)]
+        return props, props, props, [0] * n, [0] * n
+
+    def load_inner(self, inner: Mapping) -> tuple:
+        _require_exact_fields(self.name, "inner state", inner, self._INNER_FIELDS)
+        decision = inner["decision"]
+        return (
+            _require_binary(inner["proposal"], "proposal"),
+            _require_binary(inner["value"], "value"),
+            _require_binary(inner["majority"], "majority"),
+            _require_bounded_int(inner["count"], "count"),
+            0 if decision is None else _require_binary(decision, "decision") + 1,
+        )
+
+    def read_inner(self, prop, value, majority, count, dec) -> Dict[str, Any]:
+        return {
+            "proposal": prop,
+            "value": value,
+            "majority": majority,
+            "count": count,
+            "decision": None if dec == 0 else dec - 1,
         }
-        for lane in range(lanes):
-            for pid in range(n):
-                state["prop"][lane][pid] = props[pid]
-                state["value"][lane][pid] = props[pid]
-                state["majority"][lane][pid] = props[pid]
-        if backend == "numpy":
-            np = get_numpy()
-            for key in ("prop", "value", "majority"):
-                state[key] = np.asarray(state[key], dtype=np.int64)
-        return state
 
-    _INNER_FIELDS = frozenset({"proposal", "value", "majority", "count", "decision"})
-    _COLUMNS = ("clock", "halted", "prop", "value", "majority", "count", "dec")
-
-    def load_states(self, state, lane, mappings) -> None:
-        rows = []
-        for mapping in mappings.values():
-            value = _require_fields(self.name, mapping, _RUNNER_FIELDS)
-            _require_run_n(self.name, mapping, state["n"])
-            inner = mapping["inner"]
-            if not inner.keys() <= self._INNER_FIELDS:
-                raise ArrayEligibilityError(
-                    f"{self.name}: unexpected inner fields "
-                    f"{sorted(set(inner) - self._INNER_FIELDS)}"
-                )
-            decision = inner.get("decision")
-            if decision is not None:
-                _require_binary(decision, "decision")
-            rows.append((
-                value,
-                1 if mapping["halted"] else 0,
-                _require_binary(inner["proposal"], "proposal"),
-                _require_binary(inner["value"], "value"),
-                _require_binary(inner["majority"], "majority"),
-                _require_bounded_int(inner["count"], "count"),
-                0 if decision is None else decision + 1,
-            ))
-        _store_columns(state, lane, mappings, self._COLUMNS, zip(*rows))
-
-    def read_states(self, state, lane, pids=None) -> List[Dict[str, Any]]:
-        return [
-            {
-                CLOCK_KEY: clock,
-                "inner": {
-                    "proposal": prop,
-                    "value": value,
-                    "majority": majority,
-                    "count": count,
-                    "decision": None if dec == 0 else dec - 1,
-                },
-                "halted": bool(halted),
-                "n": state["n"],
-            }
-            for clock, halted, prop, value, majority, count, dec in _lane_rows(
-                state, self._COLUMNS, lane, pids
-            )
-        ]
-
-    def silent_pids(self, state, lane) -> frozenset:
-        halted = state["halted"][lane]
-        return frozenset(pid for pid in range(state["n"]) if halted[pid])
-
-    def step(self, state, wire) -> None:
-        FR, f = self.final_round, self.f
-        n = state["n"]
-        if state["backend"] == "numpy":
-            np = get_numpy()
-            clock = state["clock"]
-            halted = state["halted"].astype(bool)
-            value, majority = state["value"], state["majority"]
-            count, dec = state["count"], state["dec"]
-            deliv = wire.delivered & ~halted[:, None, :]
-            # Ballot round (odd clocks): masked binary tallies.
-            sent = value[:, None, :]
-            count1 = (deliv & (sent == 1)).sum(axis=2)
-            count0 = (deliv & (sent == 0)).sum(axis=2)
-            total = count0 + count1
-            best = (count1 > count0).astype(np.int64)
-            ballot_majority = np.where(total > 0, best, value)
-            ballot_count = np.where(
-                total > 0, np.where(count1 > count0, count1, count0), 0
-            )
-            # Queen round (even clocks): keep when sure, else adopt the
-            # queen's broadcast majority, else keep the local majority.
-            phase = (clock + 1) // 2
-            queen = (phase - 1) % n
-            queen_sent = np.take_along_axis(deliv, queen[:, :, None], axis=2)[:, :, 0]
-            queen_majority = np.take_along_axis(majority, queen, axis=1)
-            sure = 2 * count > n + 2 * f
-            queen_value = np.where(
-                sure, majority, np.where(queen_sent, queen_majority, majority)
-            )
-            odd = clock % 2 == 1
-            new_value = np.where(odd, value, queen_value)
-            new_majority = np.where(odd, ballot_majority, majority)
-            new_count = np.where(odd, ballot_count, count)
-            new_dec = np.where(~odd & (clock == FR), queen_value + 1, dec)
-            state["value"] = np.where(halted, value, new_value)
-            state["majority"] = np.where(halted, majority, new_majority)
-            state["count"] = np.where(halted, count, new_count)
-            state["dec"] = np.where(halted, dec, new_dec)
-            state["clock"] = np.where(halted, clock, clock + 1)
-            state["halted"] = (halted | (clock == FR)).astype(np.int64)
-            return
-        for lane in range(state["lanes"]):
-            clock, halted = state["clock"][lane], state["halted"][lane]
-            value, majority = state["value"][lane], state["majority"][lane]
-            count, dec = state["count"][lane], state["dec"][lane]
-            senders = wire.delivered[lane]  # per-receiver sender sets
-            out = {key: [] for key in
-                   ("clock", "halted", "value", "majority", "count", "dec")}
-            for p in range(n):
-                if halted[p]:
-                    for key, column in (
-                        ("clock", clock), ("halted", halted), ("value", value),
-                        ("majority", majority), ("count", count), ("dec", dec),
-                    ):
-                        out[key].append(column[p])
-                    continue
-                k = clock[p]
-                arrived = [q for q in sorted(senders[p]) if not halted[q]]
-                if k % 2 == 1:
-                    count1 = sum(1 for q in arrived if value[q] == 1)
-                    count0 = len(arrived) - count1
-                    if arrived:
-                        new_majority = 1 if count1 > count0 else 0
-                        new_count = count1 if count1 > count0 else count0
-                    else:
-                        new_majority, new_count = value[p], 0
-                    new_value, new_dec = value[p], dec[p]
-                else:
-                    queen = ((k + 1) // 2 - 1) % n
-                    if 2 * count[p] > n + 2 * f or queen not in arrived:
-                        new_value = majority[p]
-                    else:
-                        new_value = majority[queen]
-                    new_majority, new_count = majority[p], count[p]
-                    new_dec = new_value + 1 if k == FR else dec[p]
-                out["clock"].append(k + 1)
-                out["halted"].append(1 if k == FR else 0)
-                out["value"].append(new_value)
-                out["majority"].append(new_majority)
-                out["count"].append(new_count)
-                out["dec"].append(new_dec)
-            for key, column in out.items():
-                state[key][lane] = column
+    def step_inner(self, np, state, delivered) -> Dict[str, Any]:
+        n, f = state["n"], self.f
+        clock, value = state["clock"], state["value"]
+        majority, count = state["majority"], state["count"]
+        # Ballot round (odd clocks): masked binary tallies.
+        sent = value[:, None, :]
+        count1 = (delivered & (sent == 1)).sum(axis=2)
+        count0 = (delivered & (sent == 0)).sum(axis=2)
+        total = count0 + count1
+        best = (count1 > count0).astype(np.int64)
+        ballot_majority = np.where(total > 0, best, value)
+        ballot_count = np.where(
+            total > 0, np.where(count1 > count0, count1, count0), 0
+        )
+        # Queen round (even clocks): keep when sure, else adopt the
+        # queen's broadcast majority, else keep the local majority.
+        queen = ((clock + 1) // 2 - 1) % n
+        queen_sent = np.take_along_axis(delivered, queen[:, :, None], axis=2)[:, :, 0]
+        queen_majority = np.take_along_axis(majority, queen, axis=1)
+        sure = 2 * count > n + 2 * f
+        queen_value = np.where(
+            sure, majority, np.where(queen_sent, queen_majority, majority)
+        )
+        odd = clock % 2 == 1
+        return {
+            "value": np.where(odd, value, queen_value),
+            "majority": np.where(odd, ballot_majority, majority),
+            "count": np.where(odd, ballot_count, count),
+            "dec": np.where(
+                ~odd & (clock == self.final_round), queen_value + 1, state["dec"]
+            ),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -985,32 +834,20 @@ class ArrayDetectorStack(ArrayProtocol):
         super().__init__(sync)
         self.max_timeout = sync.max_timeout
 
-    def _matrix_stack(self, backend: str, lanes: int, n: int, fill: int):
-        if backend == "numpy":
-            np = get_numpy()
-            return np.full((lanes, n, n), fill, dtype=np.int64)
-        return [[[fill] * n for _ in range(n)] for _ in range(lanes)]
-
     def initial_states(self, n: int, lanes: int, backend: str) -> Any:
-        _check_dense_size(n, lanes)
-        state = {
+        np = _dense_numpy(n, lanes, backend)
+        return {
             "backend": backend,
             "lanes": lanes,
             "n": n,
-            "clock": _int_matrix(backend, lanes, n, 0),
-            "last_heard": self._matrix_stack(backend, lanes, n, 0),
-            "timeout": self._matrix_stack(
-                backend, lanes, n, self.sync.initial_timeout
-            ),
-            "suspected": self._matrix_stack(backend, lanes, n, 0),
-            "num": self._matrix_stack(backend, lanes, n, 0),
-            "status": self._matrix_stack(backend, lanes, n, _ALIVE_CODE),
+            "clock": np.zeros((lanes, n), dtype=np.int64),
+            "last_heard": np.zeros((lanes, n, n), dtype=np.int64),
+            "timeout": np.full((lanes, n, n), self.sync.initial_timeout, dtype=np.int64),
+            "suspected": np.zeros((lanes, n, n), dtype=bool),
+            "num": np.zeros((lanes, n, n), dtype=np.int64),
+            "status": np.full((lanes, n, n), _ALIVE_CODE, dtype=np.int64),
+            "eye": np.eye(n, dtype=bool),
         }
-        if backend == "numpy":
-            np = get_numpy()
-            state["suspected"] = state["suspected"].astype(bool)
-            state["eye"] = np.eye(n, dtype=bool)
-        return state
 
     _COLUMNS = ("clock", "last_heard", "timeout", "suspected", "num", "status")
     _FIELDS = frozenset(_COLUMNS[1:]) | {CLOCK_KEY}
@@ -1054,10 +891,10 @@ class ArrayDetectorStack(ArrayProtocol):
         return [
             {
                 CLOCK_KEY: clock,
-                "last_heard": list(heard),
-                "timeout": list(timeout),
-                "suspected": [bool(v) for v in suspected],
-                "num": list(num),
+                "last_heard": heard,
+                "timeout": timeout,
+                "suspected": suspected,
+                "num": num,
                 "status": [DEAD if v else ALIVE for v in status],
             }
             for clock, heard, timeout, suspected, num, status in _lane_rows(
@@ -1066,103 +903,43 @@ class ArrayDetectorStack(ArrayProtocol):
         ]
 
     def step(self, state, wire) -> None:
+        np = get_numpy()
         mt = self.max_timeout
-        n = state["n"]
-        if state["backend"] == "numpy":
-            np = get_numpy()
-            clock = state["clock"]
-            heard, timeout = state["last_heard"], state["timeout"]
-            suspected = state["suspected"]
-            num, status = state["num"], state["status"]
-            deliv = wire.delivered
-            now = clock[:, :, None]
-            eye = state["eye"]
-            # 1. heartbeats: unsuspect + backoff, refresh last_heard.
-            timeout = np.where(
-                suspected & deliv, np.minimum(timeout * 2, mt), timeout
-            )
-            suspected = suspected & ~deliv
-            heard = np.where(deliv, now, heard)
-            # 2. first-max-wins adoption, one target column at a time.
-            new_num, new_status = num.copy(), status.copy()
-            for s in range(n):
-                offers = np.where(deliv, num[:, :, s][:, None, :], SMALL)
-                best = offers.max(axis=2)
-                winner = offers.argmax(axis=2)  # the first best sender
-                adopt = best > num[:, :, s]
-                winner_status = np.take_along_axis(status[:, :, s], winner, axis=1)
-                new_num[:, :, s] = np.where(adopt, best, num[:, :, s])
-                new_status[:, :, s] = np.where(
-                    adopt, winner_status, status[:, :, s]
-                )
-            num, status = new_num, new_status
-            # 3. suspicion tick with the corruption guards.
-            heard = np.where(eye, now, np.minimum(heard, now))
-            timeout = np.where(eye | ((timeout > 0) & (timeout <= mt)), timeout, mt)
-            suspected = (suspected | (now - heard > timeout)) & ~eye
-            # 4. Figure 4 tick: suspicion increments, then self.
-            num = num + suspected + eye
-            status = np.where(
-                eye, _ALIVE_CODE, np.where(suspected, _DEAD_CODE, status)
-            )
-            state["clock"] = clock + 1
-            state["last_heard"] = heard
-            state["timeout"] = timeout
-            state["suspected"] = suspected
-            state["num"] = num
-            state["status"] = status
-            return
-        for lane in range(state["lanes"]):
-            senders = wire.delivered[lane]  # per-receiver sender sets
-            clock = state["clock"][lane]
-            heard_l, timeout_l = state["last_heard"][lane], state["timeout"][lane]
-            sus_l = state["suspected"][lane]
-            num_l, status_l = state["num"][lane], state["status"][lane]
-            new = {key: [] for key in
-                   ("clock", "last_heard", "timeout", "suspected", "num", "status")}
-            for p in range(n):
-                now = clock[p]
-                heard, timeout = list(heard_l[p]), list(timeout_l[p])
-                sus = list(sus_l[p])
-                num, status = list(num_l[p]), list(status_l[p])
-                arrived = sorted(senders[p])
-                for q in arrived:
-                    if sus[q]:
-                        sus[q] = False
-                        timeout[q] = min(timeout[q] * 2, mt)
-                    heard[q] = now
-                for q in arrived:
-                    offered_num, offered_status = num_l[q], status_l[q]
-                    for s in range(n):
-                        if offered_num[s] > num[s]:
-                            num[s] = offered_num[s]
-                            status[s] = offered_status[s]
-                for s in range(n):
-                    if s == p:
-                        sus[s] = False
-                        heard[s] = now
-                        continue
-                    if heard[s] > now:
-                        heard[s] = now
-                    if not 0 < timeout[s] <= mt:
-                        timeout[s] = mt
-                    if now - heard[s] > timeout[s]:
-                        sus[s] = True
-                for s in range(n):
-                    if sus[s]:
-                        num[s] += 1
-                        status[s] = _DEAD_CODE
-                    if s == p:
-                        num[s] += 1
-                        status[s] = _ALIVE_CODE
-                new["clock"].append(now + 1)
-                new["last_heard"].append(heard)
-                new["timeout"].append(timeout)
-                new["suspected"].append(sus)
-                new["num"].append(num)
-                new["status"].append(status)
-            for key, column in new.items():
-                state[key][lane] = column
+        clock = state["clock"]
+        heard, timeout = state["last_heard"], state["timeout"]
+        suspected = state["suspected"]
+        num, status = state["num"], state["status"]
+        deliv = wire.delivered
+        now = clock[:, :, None]
+        eye = state["eye"]
+        # 1. heartbeats: unsuspect + backoff, refresh last_heard.
+        timeout = np.where(suspected & deliv, np.minimum(timeout * 2, mt), timeout)
+        suspected = suspected & ~deliv
+        heard = np.where(deliv, now, heard)
+        # 2. first-max-wins adoption, one target column at a time.
+        new_num, new_status = num.copy(), status.copy()
+        for s in range(state["n"]):
+            offers = np.where(deliv, num[:, :, s][:, None, :], SMALL)
+            best = offers.max(axis=2)
+            winner = offers.argmax(axis=2)  # the first best sender
+            adopt = best > num[:, :, s]
+            winner_status = np.take_along_axis(status[:, :, s], winner, axis=1)
+            new_num[:, :, s] = np.where(adopt, best, num[:, :, s])
+            new_status[:, :, s] = np.where(adopt, winner_status, status[:, :, s])
+        num, status = new_num, new_status
+        # 3. suspicion tick with the corruption guards.
+        heard = np.where(eye, now, np.minimum(heard, now))
+        timeout = np.where(eye | ((timeout > 0) & (timeout <= mt)), timeout, mt)
+        suspected = (suspected | (now - heard > timeout)) & ~eye
+        # 4. Figure 4 tick: suspicion increments, then self.
+        num = num + suspected + eye
+        status = np.where(eye, _ALIVE_CODE, np.where(suspected, _DEAD_CODE, status))
+        state["clock"] = clock + 1
+        state["last_heard"] = heard
+        state["timeout"] = timeout
+        state["suspected"] = suspected
+        state["num"] = num
+        state["status"] = status
 
 
 # ---------------------------------------------------------------------------

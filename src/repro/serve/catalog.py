@@ -273,7 +273,7 @@ def default_catalog() -> Catalog:
         SweepSurface(
             # The non-unison batched twins (PhaseQueen consensus, the
             # ◇S detector stack, forged unison on the dense forgery
-            # path); backend="array" requests batch every kind.
+            # path); backend="array" requests batch every kind on NumPy.
             experiment="ARRAY-TWINS",
             worker=array_twins._measure,
             point_fields=(("kind", str), ("n", int)),

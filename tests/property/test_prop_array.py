@@ -4,15 +4,16 @@ Hypothesis draws random (protocol, topology, fault plan, seeds)
 scenarios — crashes, omission campaigns, initial and mid-run systemic
 corruption, churn — and requires digest-identical histories, identical
 faulty sets and identical final states between ``run_sync`` and
-``run_array`` on every data plane (pure-Python always; NumPy when
-installed).  This is the generative widening of the pinned scenarios in
+``run_array`` on every data plane a twin runs on (pure-Python always, for
+the csr twins; NumPy when installed, for every twin).  This is the
+generative widening of the pinned scenarios in
 ``tests/unit/test_array_engine.py``.
 """
 
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, note, settings
 from hypothesis import strategies as st
 
 from repro.array import (
@@ -70,6 +71,11 @@ def _make_protocol(name, n):
     return compile_protocol(
         FloodMinConsensus(f=1, proposals=[(3 * pid + 1) % 7 for pid in range(n)])
     )
+
+
+def _dense(protocol):
+    """Is the twin dense, hence NumPy-only?"""
+    return as_array_protocol(protocol).kind == "dense"
 
 
 def _make_topology(name, n, seed=0):
@@ -198,6 +204,7 @@ def _plan_factory(n, spec, churn):
 @given(scenario=scenarios())
 def test_random_scenarios_are_digest_identical(backend, scenario):
     n, protocol_name, topology_name, lane_specs, churn = scenario
+    assume(backend == "numpy" or not _dense(_make_protocol(protocol_name, n)))
     assert_conformance(
         _make_protocol(protocol_name, n),
         n=n,
@@ -230,6 +237,7 @@ def test_random_scenarios_are_digest_identical(backend, scenario):
 )
 def test_chunked_random_scenarios_match_run_sync(backend, scenario, chunk, columnar):
     n, protocol_name, topology_name, lane_specs, churn = scenario
+    assume(backend == "numpy" or not _dense(_make_protocol(protocol_name, n)))
     with mock.patch.object(_CsrGraph, "columnar", columnar):
         assert_conformance(
             _make_protocol(protocol_name, n),
@@ -251,6 +259,7 @@ def test_chunked_random_scenarios_match_run_sync(backend, scenario, chunk, colum
 )
 def test_chunked_equals_unchunked_batched_run(backend, scenario, chunk, max_bytes):
     n, protocol_name, topology_name, lane_specs, churn = scenario
+    assume(backend == "numpy" or not _dense(_make_protocol(protocol_name, n)))
 
     def batched(**kwargs):
         return run_array(
@@ -458,6 +467,28 @@ def test_bridge_properties_cover_every_registered_twin():
     assert covered == set(_concrete_twins())
 
 
+#: (twin, plane) pairs: the csr twins on every plane, the dense ones on NumPy.
+TWIN_PLANES = [
+    (twin, backend)
+    for twin in sorted(TWINS)
+    for backend in BACKENDS
+    if backend == "numpy" or not _dense(TWINS[twin]())
+]
+
+
+def test_dense_twins_refuse_the_python_plane():
+    """The plane rule: a dense twin's columns are NumPy arrays, so the
+    Python plane refuses it before a cell exists, and ``run_sweep(backend=
+    "array")`` answers its points on the reference engine."""
+    dense = [twin for twin in sorted(TWINS) if _dense(TWINS[twin]())]
+    assert dense == ["compiled-floodmin", "detector", "ft-floodmin", "phase-queen"]
+    for twin in dense:
+        with pytest.raises(ArrayEligibilityError):
+            as_array_protocol(TWINS[twin]()).initial_states(BRIDGE_N, 2, "python")
+        with pytest.raises(ArrayEligibilityError):
+            run_array(TWINS[twin](), BRIDGE_N, 3, lanes=2, backend="python")
+
+
 def _assert_plain(value):
     """Only builtin types all the way down: a NumPy scalar would change
     the canonical form the conformance digests hash."""
@@ -474,8 +505,7 @@ def _assert_plain(value):
 pid_sets = st.sets(st.integers(min_value=0, max_value=BRIDGE_N - 1))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("twin", sorted(TWINS))
+@pytest.mark.parametrize("twin,backend", TWIN_PLANES)
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10_000), loaded=pid_sets, crashed=pid_sets)
 def test_bulk_bridge_agrees_with_per_cell_bridge(backend, twin, seed, loaded, crashed):
@@ -506,39 +536,65 @@ def test_bulk_bridge_agrees_with_per_cell_bridge(backend, twin, seed, loaded, cr
     assert array_protocol.read_states(bulk, 1, alive) == [cells[pid] for pid in alive]
 
 
+def _without(mapping, field):
+    return {k: v for k, v in mapping.items() if k != field}
+
+
+#: name -> (the field it damages, as a path into the state; the damage).
+#: Each applies to every twin whose state holds that field.
 DAMAGE = {
-    "missing-clock": lambda m: {k: v for k, v in m.items() if k != CLOCK_KEY},
-    "bool-clock": lambda m: {**m, CLOCK_KEY: True},
-    "float-clock": lambda m: {**m, CLOCK_KEY: 2.0},
-    "str-clock": lambda m: {**m, CLOCK_KEY: "2"},
-    "extra-field": lambda m: {**m, "bogus": 1},
+    "missing-clock": ((CLOCK_KEY,), lambda m: _without(m, CLOCK_KEY)),
+    "bool-clock": ((CLOCK_KEY,), lambda m: {**m, CLOCK_KEY: True}),
+    "float-clock": ((CLOCK_KEY,), lambda m: {**m, CLOCK_KEY: 2.0}),
+    "str-clock": ((CLOCK_KEY,), lambda m: {**m, CLOCK_KEY: "2"}),
+    "extra-field": ((CLOCK_KEY,), lambda m: {**m, "bogus": 1}),
+    "int-halted": (("halted",), lambda m: {**m, "halted": 2}),
+    "str-halted": (("halted",), lambda m: {**m, "halted": "yes"}),
+    "missing-halted": (("halted",), lambda m: _without(m, "halted")),
+    "missing-inner": (("inner",), lambda m: _without(m, "inner")),
+    "bool-value": (
+        ("inner", "values"),
+        lambda m: {**m, "inner": {**m["inner"], "values": frozenset({True})}},
+    ),
+    "bool-decided-at": (("decided_at_clock",), lambda m: {**m, "decided_at_clock": True}),
+    "huge-decided-at": (("decided_at_clock",), lambda m: {**m, "decided_at_clock": 1 << 70}),
+    "missing-last-decision": (("last_decision",), lambda m: _without(m, "last_decision")),
+    "missing-suspect": (("suspect",), lambda m: _without(m, "suspect")),
+    "missing-vector": (("num",), lambda m: _without(m, "num")),
 }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("twin", sorted(TWINS))
+def _holds(state, path):
+    for field in path:
+        if not isinstance(state, dict) or field not in state:
+            return False
+        state = state[field]
+    return True
+
+
+@pytest.mark.parametrize("twin,backend", TWIN_PLANES)
 @settings(max_examples=10, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    victim=st.integers(0, BRIDGE_N - 1),
-    damage=st.sampled_from(sorted(DAMAGE)),
-)
-def test_malformed_states_are_refused_per_value(backend, twin, seed, victim, damage):
+@given(seed=st.integers(0, 10_000), victim=st.integers(0, BRIDGE_N - 1))
+def test_malformed_states_are_refused_per_value(backend, twin, seed, victim):
     n = BRIDGE_N
     protocol = TWINS[twin]()
     array_protocol = as_array_protocol(protocol)
     rng = make_rng(seed, f"bridge:{twin}")
     mappings = {pid: protocol.arbitrary_state(pid, n, rng) for pid in range(n)}
-    mappings[victim] = DAMAGE[damage](mappings[victim])
 
     state = array_protocol.initial_states(n, 1, backend)
     before = array_protocol.read_states(state, 0)
-    with pytest.raises(ArrayEligibilityError):
-        array_protocol.load_states(state, 0, mappings)
-    with pytest.raises(ArrayEligibilityError):
-        array_protocol.load_state(state, 0, victim, mappings[victim])
-    # every value is validated before the first cell is written
-    assert array_protocol.read_states(state, 0) == before
+    for name, (path, damage) in sorted(DAMAGE.items()):
+        if not _holds(mappings[victim], path):
+            continue
+        note(f"damage: {name}")
+        damaged = {**mappings, victim: damage(mappings[victim])}
+        with pytest.raises(ArrayEligibilityError):
+            array_protocol.load_states(state, 0, damaged)
+        with pytest.raises(ArrayEligibilityError):
+            array_protocol.load_state(state, 0, victim, damaged[victim])
+        # every value is validated before the first cell is written
+        assert array_protocol.read_states(state, 0) == before
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -579,8 +635,7 @@ def test_final_states_skip_crashed_cells(backend, seed, crashed):
 # ``arbitrary_state`` loop for the plan.
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("twin", sorted(TWINS))
+@pytest.mark.parametrize("twin,backend", TWIN_PLANES)
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000), loaded=pid_sets)
 def test_column_bridge_agrees_with_dict_bridge(backend, twin, seed, loaded):

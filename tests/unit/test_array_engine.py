@@ -4,8 +4,9 @@ Every scenario here runs through :func:`repro.array.conformance
 .check_conformance`, which reconstructs a value-identical
 ``ExecutionHistory`` per lane from the array columns and compares
 canonical digests against ``run_sync`` on the same (protocol, plan,
-topology) — on *both* data planes (NumPy when installed, and the
-pure-Python fallback always).  Eligibility failures must be loud
+topology) — the csr twins on *both* data planes (NumPy when installed,
+and the pure-Python fallback always), the dense twins on NumPy, the one
+plane they run on.  Eligibility failures must be loud
 ``ArrayEligibilityError``s, never silent wrong answers.
 """
 
@@ -58,6 +59,8 @@ from repro.util.rng import make_rng
 BACKENDS = ["python"] + (["numpy"] if has_numpy() else [])
 
 backends = pytest.mark.parametrize("backend", BACKENDS)
+#: Dense twins run on the NumPy plane only (the Python plane refuses them).
+dense_backends = pytest.mark.parametrize("backend", BACKENDS[1:])
 
 
 @backends
@@ -107,7 +110,7 @@ def test_grid_omissions_and_mid_run_corruption(backend):
     )
 
 
-@backends
+@dense_backends
 @pytest.mark.parametrize("mode", [FaultMode.CRASH, FaultMode.GENERAL_OMISSION])
 def test_floodmin_compiled_random_adversary(backend, mode):
     protocol = compile_protocol(FloodMinConsensus(f=2, proposals=[4, 1, 3, 2, 5, 0]))
@@ -123,7 +126,7 @@ def test_floodmin_compiled_random_adversary(backend, mode):
     )
 
 
-@backends
+@dense_backends
 def test_ft_floodmin_crashes(backend):
     protocol = CanonicalRunner(FloodMinConsensus(f=2, proposals=[4, 1, 3, 2, 5]))
 
@@ -189,7 +192,7 @@ def test_round_agreement_fig1(backend):
 # -- batched twins for PhaseQueen consensus and the detector stack -----------
 
 
-@backends
+@dense_backends
 def test_phase_queen_twin_conformance(backend):
     def protocol():
         return CanonicalRunner(PhaseQueenConsensus(f=1, n=5, proposals=[1, 0, 1, 0, 1]))
@@ -210,7 +213,7 @@ def test_phase_queen_twin_conformance(backend):
     )
 
 
-@backends
+@dense_backends
 def test_detector_stack_twin_conformance(backend):
     def plan():
         return FaultPlan(
@@ -275,7 +278,7 @@ def test_byzantine_adversary_conforms(backend):
     )
 
 
-@backends
+@dense_backends
 def test_forged_detector_vectors_conform(backend):
     def scramble(rng, payload):
         nums, statuses = payload
@@ -475,7 +478,7 @@ def test_a_clock_int64_cannot_hold_is_refused_and_leaves_the_lane_untouched(back
         )
 
 
-@backends
+@dense_backends
 def test_every_twin_accepts_columns_through_its_dict_bridge(backend):
     """The base ``load_columns`` builds the dicts and validates as ``load_states``."""
     n = 4

@@ -43,7 +43,7 @@ import pytest
 from repro.array import as_array_protocol, has_numpy, run_array
 from repro.array import engine as array_engine
 from repro.array.engine import RoundWire, _CsrGraph
-from repro.array.protocols import ArrayClock, ArrayFtFloodMin, ArrayProtocol
+from repro.array.protocols import ArrayClock, ArrayProtocol, _ArrayRunner
 from repro.core.canonical import CanonicalRunner
 from repro.core.rounds import RoundAgreementProtocol
 from repro.experiments import base as experiments_base
@@ -960,9 +960,9 @@ class TestColumnSetUp:
             monkeypatch.setattr(owner, name, call)
 
         # the classes that define each bridge: the clock twin derived from
-        # every declaration, and the dense FloodMin twin, which has its own
+        # every declaration, and Figure 2's runner twin, which has its own
         # and inherits ``load_columns``
-        for owner in (ArrayClock, ArrayFtFloodMin):
+        for owner in (ArrayClock, _ArrayRunner):
             spy(owner, "read_states")
             spy(owner, "load_states")
         spy(ArrayClock, "load_columns")
@@ -999,11 +999,12 @@ class TestColumnSetUp:
         run_array(MinUnison(), n, 2, fault_plans=[plan], topology=RingTopology(n))
         assert calls == ["read_states", "load_states"]
 
+    @pytest.mark.skipif(not has_numpy(), reason="dense twins run on NumPy only")
     def test_a_dense_twin_still_takes_the_dict_bridge(self, calls):
         n = 6
         protocol = CanonicalRunner(FloodMinConsensus(f=1, proposals=list(range(n))))
         plan = FaultPlan(initial_corruption=RandomCorruption(seed=2))
-        run_array(protocol, n, 3, fault_plans=[plan])
+        run_array(protocol, n, 3, fault_plans=[plan], backend="numpy")
         assert calls == ["read_states", "load_states"]
 
 
@@ -1028,14 +1029,22 @@ class TestQuietLanes:
         return log
 
     @pytest.mark.parametrize("record", [False, True], ids=["streaming", "recorded"])
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize(
-        "protocol",
+        "protocol,backend",
         [
-            MinUnison,  # a csr twin
-            lambda: CanonicalRunner(FloodMinConsensus(f=1, proposals=[3, 1, 4, 1, 5, 9, 2, 6])),
+            pytest.param(protocol, backend, id=f"{kind}-{backend}")
+            for kind, protocol in (
+                ("csr", MinUnison),
+                (
+                    "dense",
+                    lambda: CanonicalRunner(
+                        FloodMinConsensus(f=1, proposals=[3, 1, 4, 1, 5, 9, 2, 6])
+                    ),
+                ),
+            )
+            for backend in BACKENDS
+            if kind == "csr" or backend == "numpy"  # a dense twin runs on NumPy only
         ],
-        ids=["csr", "dense"],
     )
     def test_only_a_lane_with_a_fault_or_a_dead_process_keeps_a_ledger(
         self, ledgers, protocol, backend, record
