@@ -24,21 +24,24 @@ Two wire kinds:
   the CSR edge list, the per-edge keep mask, the complete graph's one
   global reduction per lane, chunking and the data plane are the
   wire's (:class:`repro.array.engine.RoundWire`).
-- ``kind="dense"`` — full-information protocols (Figure 2's runner
-  over FloodMin and phase-queen, the Figure 3 compilation, the Figure 4
-  detector stack) that need per-(sender, receiver) delivery info.  The
-  driver hands them ``wire.delivered``, a NumPy ``(lanes, n, n)`` bool
-  cube; they run on the NumPy plane only, and their ``initial_states``
-  refuses the Python plane and cubes over ``DENSE_CELL_LIMIT`` cells, so
-  such a point is answered by the reference engine.  A Figure 2
-  protocol's twin subclasses :class:`_ArrayRunner`, which batches the
-  wrapper once.
+- ``kind="dense"`` — full-information protocols that need
+  per-(sender, receiver) delivery info: a canonical Π under Figure 2's
+  runner or Figure 3's compilation, and the Figure 4 detector stack.
+  The driver hands them ``wire.delivered``, a NumPy ``(lanes, n, n)``
+  bool cube; they run on the NumPy plane only, and their
+  ``initial_states`` refuses the Python plane and cubes over
+  ``DENSE_CELL_LIMIT`` cells, so such a point is answered by the
+  reference engine.  A canonical Π is batched once, as a *Π twin* (its
+  columns and its round: ``_FloodMinPi``, ``_PhaseQueenPi``), and each
+  figure's wrapper once — :class:`_ArrayRunner` (Figure 2) and
+  :class:`_ArrayCompiled` (Figure 3) run every Π twin.
 
 A protocol whose whole state is the round variable needs no twin of its
 own: declared as a :class:`~repro.sync.clock.ClockProtocol`, it batches
-through :class:`ArrayClock`, which is derived from the declaration.  To
-add any other batched protocol: implement :class:`ArrayProtocol` for it
-and append a matcher with :func:`register_array_protocol` (see
+through :class:`ArrayClock`, which is derived from the declaration.  A
+canonical Π needs a Π twin and its entry in ``_PI_TWINS``.  To add any
+other batched protocol: implement :class:`ArrayProtocol` for it and
+append a matcher with :func:`register_array_protocol` (see
 ``docs/array.md``).
 """
 
@@ -219,7 +222,8 @@ def _require_lengths(name: str, pids: Sequence[int], columns: Mapping[str, Seque
 
 
 def _require_run_n(name: str, mapping: Mapping, n: int) -> None:
-    if mapping.get("n") != n:
+    # exact type: 3.0, or True at n = 1, would read back as the run's int
+    if type(mapping.get("n")) is not int or mapping["n"] != n:
         raise ArrayEligibilityError(
             f"{name}: state n={mapping.get('n')!r} != run n={n}"
         )
@@ -384,336 +388,11 @@ def _dense_numpy(n: int, lanes: int, backend: str):
     return get_numpy()
 
 
-def _lowest_bit(np, mask):
-    """Each cell's lowest set bit index (0 where ``mask`` is 0)."""
-    low = mask & -mask
-    return np.log2(np.where(low > 0, low, 1).astype(np.float64)).astype(np.int64)
-
-
 def _require_exact_fields(name: str, what: str, mapping, fields: frozenset) -> None:
     if not isinstance(mapping, Mapping) or mapping.keys() != fields:
         raise ArrayEligibilityError(
             f"{name}: {what} {mapping!r} does not hold exactly {sorted(fields)}"
         )
-
-
-def _universe_of(canonical: FloodMinConsensus) -> tuple:
-    universe = tuple(sorted(set(canonical.proposals) | set(canonical.domain)))
-    if len(universe) > MAX_UNIVERSE:
-        raise ArrayEligibilityError(
-            f"floodmin value universe has {len(universe)} members; the "
-            f"bitmask columns support at most {MAX_UNIVERSE}"
-        )
-    return universe
-
-
-_FLOODMIN_FIELDS = frozenset({"proposal", "values", "decision"})
-
-
-class _FloodMinCodec:
-    """Shared encode/decode between value sets and bitmask ints."""
-
-    def __init__(self, canonical: FloodMinConsensus):
-        self.canonical = canonical
-        self.universe = _universe_of(canonical)
-        self.index = {value: i for i, value in enumerate(self.universe)}
-        self.final_round = canonical.final_round
-
-    def encode_value(self, value, what: str) -> int:
-        index = self.index.get(value)
-        # exact type: True == 1 would hash to 1's slot and read back as 1
-        if index is None or type(self.universe[index]) is not type(value):
-            raise ArrayEligibilityError(
-                f"{what} {value!r} outside the floodmin value universe"
-            )
-        return index
-
-    def encode_values(self, values, what: str) -> int:
-        if not isinstance(values, (set, frozenset)):
-            raise ArrayEligibilityError(f"{what}s {values!r} is not a set")
-        mask = 0
-        for value in values:
-            mask |= 1 << self.encode_value(value, what)
-        return mask
-
-    def decode_values(self, mask: int) -> frozenset:
-        out = []
-        index = 0
-        while mask:
-            if mask & 1:
-                out.append(self.universe[index])
-            mask >>= 1
-            index += 1
-        return frozenset(out)
-
-    def encode_decision(self, decision, what: str) -> int:
-        if decision is None:
-            return 0
-        return self.encode_value(decision, what) + 1
-
-    def decode_decision(self, code: int):
-        return None if code == 0 else self.universe[code - 1]
-
-    def inner_dict(self, prop_idx: int, vmask: int, dec_code: int) -> Dict[str, Any]:
-        return {
-            "proposal": self.universe[prop_idx],
-            "values": self.decode_values(vmask),
-            "decision": self.decode_decision(dec_code),
-        }
-
-    def load_inner(self, inner: Mapping) -> tuple:
-        _require_exact_fields("floodmin", "inner state", inner, _FLOODMIN_FIELDS)
-        prop = self.encode_value(inner["proposal"], "proposal")
-        vmask = self.encode_values(inner["values"], "value")
-        dec = self.encode_decision(inner["decision"], "decision")
-        return prop, vmask, dec
-
-    def initial_columns(self, n: int):
-        prop = [self.encode_value(self.canonical.proposal_for(pid), "proposal")
-                for pid in range(n)]
-        vmask = [1 << index for index in prop]
-        return prop, vmask
-
-
-#: State fields of a :class:`CanonicalRunner` (the Figure 2 wrapper).
-_RUNNER_FIELDS = frozenset({CLOCK_KEY, "inner", "halted", "n"})
-
-
-class _ArrayRunner(ArrayProtocol):
-    """Figure 2's wrapper, batched once: the twin of :class:`CanonicalRunner`.
-
-    A clock column (1 at the start), a halted column, and Π's inner
-    columns, named in ``_INNER``.  One round silences halted senders on
-    the cube, runs Π at every cell's own clock (:meth:`step_inner`),
-    freezes halted cells, advances the clock and halts a cell that has
-    just run ``final_round`` — exactly the reference runner.  A twin of
-    a Figure 2 protocol writes only Π's columns, its inner bridge and
-    :meth:`step_inner`.
-    """
-
-    kind = "dense"
-
-    #: Π's ``(lanes, n)`` int64 columns, in the order of
-    #: :meth:`initial_inner`, :meth:`load_inner` and :meth:`read_inner`.
-    _INNER: tuple = ()
-
-    def __init__(self, sync: CanonicalRunner):
-        super().__init__(sync)
-        self.final_round = sync.canonical.final_round
-        self._columns = ("clock", "halted") + self._INNER
-
-    @abstractmethod
-    def initial_inner(self, n: int) -> tuple:
-        """One row of ``n`` cells per inner column: Π's specified states."""
-
-    @abstractmethod
-    def load_inner(self, inner: Mapping) -> tuple:
-        """One inner state as one cell of each inner column, validated."""
-
-    @abstractmethod
-    def read_inner(self, *cells) -> Dict[str, Any]:
-        """The inner state dict of one cell's inner columns."""
-
-    @abstractmethod
-    def step_inner(self, np, state: Any, delivered) -> Dict[str, Any]:
-        """Π's round at every cell's own clock: the new inner columns by
-        name.  ``delivered`` holds no halted sender; halted cells are
-        frozen by the caller."""
-
-    def initial_states(self, n: int, lanes: int, backend: str) -> Any:
-        np = _dense_numpy(n, lanes, backend)
-        state = {
-            "backend": backend,
-            "lanes": lanes,
-            "n": n,
-            "clock": np.ones((lanes, n), dtype=np.int64),
-            "halted": np.zeros((lanes, n), dtype=bool),
-        }
-        for key, row in zip(self._INNER, self.initial_inner(n)):
-            state[key] = np.tile(np.asarray(row, dtype=np.int64), (lanes, 1))
-        return state
-
-    def load_states(self, state, lane, mappings) -> None:
-        rows = []
-        for mapping in mappings.values():
-            value = _require_fields(self.name, mapping, _RUNNER_FIELDS)
-            _require_run_n(self.name, mapping, state["n"])
-            halted = mapping["halted"]
-            if type(halted) is not bool:
-                raise ArrayEligibilityError(f"{self.name}: halted {halted!r} is not a bool")
-            rows.append((value, halted, *self.load_inner(mapping["inner"])))
-        _store_columns(state, lane, mappings, self._columns, zip(*rows))
-
-    def read_states(self, state, lane, pids=None) -> List[Dict[str, Any]]:
-        n = state["n"]
-        return [
-            {CLOCK_KEY: clock, "inner": self.read_inner(*inner), "halted": halted, "n": n}
-            for clock, halted, *inner in _lane_rows(state, self._columns, lane, pids)
-        ]
-
-    def silent_pids(self, state, lane) -> frozenset:
-        return frozenset(state["halted"][lane].nonzero()[0].tolist())
-
-    def step(self, state, wire) -> None:
-        np = get_numpy()
-        clock, halted = state["clock"], state["halted"]
-        inner = self.step_inner(np, state, wire.delivered & ~halted[:, None, :])
-        for key, column in inner.items():
-            state[key] = np.where(halted, state[key], column)
-        state["clock"] = np.where(halted, clock, clock + 1)
-        state["halted"] = halted | (clock == self.final_round)
-
-
-class ArrayFtFloodMin(_ArrayRunner):
-    """Batched Figure 2 runner over FloodMin (``ft:floodmin(f=..)``).
-
-    Value sets become bitmask ints over the sorted value universe, so
-    the flood-merge is a masked bitwise-OR reduction and decide-min is
-    the lowest set bit.
-    """
-
-    _INNER = ("prop", "vmask", "dec")
-
-    def __init__(self, sync: CanonicalRunner):
-        super().__init__(sync)
-        self.codec = _FloodMinCodec(sync.canonical)
-
-    def initial_inner(self, n: int) -> tuple:
-        return (*self.codec.initial_columns(n), [0] * n)
-
-    def load_inner(self, inner: Mapping) -> tuple:
-        return self.codec.load_inner(inner)
-
-    def read_inner(self, prop, vmask, dec) -> Dict[str, Any]:
-        return self.codec.inner_dict(prop, vmask, dec)
-
-    def step_inner(self, np, state, delivered) -> Dict[str, Any]:
-        vmask = state["vmask"]
-        contrib = np.where(delivered, vmask[:, None, :], 0)
-        merged = vmask | np.bitwise_or.reduce(contrib, axis=2)
-        decide = (state["clock"] == self.final_round) & (merged != 0)
-        return {
-            "vmask": merged,
-            "dec": np.where(decide, _lowest_bit(np, merged) + 1, state["dec"]),
-        }
-
-
-class ArrayCompiledFloodMin(ArrayProtocol):
-    """Batched Figure 3 compilation Π⁺ over FloodMin.
-
-    The suspect sets become per-lane ``(n, n)`` boolean matrices, the
-    round-tag bookkeeping becomes broadcast comparisons against the
-    clock column, and the iteration reset is a masked restore of the
-    canonical initial columns.  Honors ``use_suspects`` (the
-    ABL-SUSPECT ablation).
-    """
-
-    kind = "dense"
-
-    def __init__(self, sync: CompiledProtocol):
-        super().__init__(sync)
-        self.codec = _FloodMinCodec(sync.canonical)
-        self.use_suspects = sync.use_suspects
-
-    def initial_states(self, n: int, lanes: int, backend: str) -> Any:
-        np = _dense_numpy(n, lanes, backend)
-        prop0, vmask0 = (
-            np.asarray(row, dtype=np.int64) for row in self.codec.initial_columns(n)
-        )
-        state = {"backend": backend, "lanes": lanes, "n": n}
-        for key in ("clock", "dec", "last_dec", "dec_at", "dec_at_set"):
-            state[key] = np.zeros((lanes, n), dtype=np.int64)
-        state["prop"] = np.tile(prop0, (lanes, 1))
-        state["vmask"] = np.tile(vmask0, (lanes, 1))
-        state["suspect"] = np.zeros((lanes, n, n), dtype=bool)
-        state["init_prop"], state["init_vmask"] = prop0, vmask0
-        return state
-
-    _FIELDS = frozenset(
-        {CLOCK_KEY, "inner", "suspect", "n", "last_decision", "decided_at_clock"}
-    )
-    _COLUMNS = (
-        "clock", "prop", "vmask", "dec", "last_dec", "dec_at", "dec_at_set", "suspect"
-    )
-
-    def load_states(self, state, lane, mappings) -> None:
-        n = state["n"]
-        rows = []
-        for mapping in mappings.values():
-            value = _require_fields(self.name, mapping, self._FIELDS)
-            _require_run_n(self.name, mapping, n)
-            suspects = mapping["suspect"]
-            if not isinstance(suspects, (set, frozenset)):
-                raise ArrayEligibilityError(f"{self.name}: suspect {suspects!r} is not a set")
-            for q in suspects:
-                if type(q) is not int or not 0 <= q < n:
-                    raise ArrayEligibilityError(
-                        f"{self.name}: suspect entry {q!r} is not a pid"
-                    )
-            inner = self.codec.load_inner(mapping["inner"])
-            last_dec = self.codec.encode_decision(
-                mapping["last_decision"], "last_decision"
-            )
-            decided_at = mapping["decided_at_clock"]
-            if decided_at is not None:
-                _require_int64(decided_at, "decided_at_clock")
-            rows.append((
-                value, *inner, last_dec,
-                0 if decided_at is None else decided_at,
-                0 if decided_at is None else 1,
-                [q in suspects for q in range(n)],
-            ))
-        _store_columns(state, lane, mappings, self._COLUMNS, zip(*rows))
-
-    def read_states(self, state, lane, pids=None) -> List[Dict[str, Any]]:
-        return [
-            {
-                CLOCK_KEY: clock,
-                "inner": self.codec.inner_dict(prop, vmask, dec),
-                "suspect": frozenset(q for q, flag in enumerate(suspect) if flag),
-                "n": state["n"],
-                "last_decision": self.codec.decode_decision(last_dec),
-                "decided_at_clock": dec_at if dec_at_set else None,
-            }
-            for clock, prop, vmask, dec, last_dec, dec_at, dec_at_set, suspect
-            in _lane_rows(state, self._COLUMNS, lane, pids)
-        ]
-
-    def step(self, state, wire) -> None:
-        np = get_numpy()
-        FR = self.codec.final_round
-        clock = state["clock"]
-        vmask, dec = state["vmask"], state["dec"]
-        suspect = state["suspect"]
-        deliv = wire.delivered
-        clock_q = clock[:, None, :]
-        clock_p = clock[:, :, None]
-        tags = np.where(deliv, clock_q, SMALL)
-        new_clock = tags.max(axis=2) + 1
-        at_my = deliv & (clock_q == clock_p)
-        contrib_mask = at_my & ~suspect if self.use_suspects else at_my
-        merged = vmask | np.bitwise_or.reduce(
-            np.where(contrib_mask, vmask[:, None, :], 0), axis=2
-        )
-        suspects_new = suspect | ~at_my
-        k = clock % FR + 1
-        decide = (k == FR) & (merged != 0)
-        dec_new = np.where(decide, _lowest_bit(np, merged) + 1, dec)
-        journal = (k == FR) & (dec_new != 0)
-        state["last_dec"] = np.where(journal, dec_new, state["last_dec"])
-        state["dec_at"] = np.where(journal, clock, state["dec_at"])
-        state["dec_at_set"] = state["dec_at_set"] | journal
-        reset = (new_clock % FR + 1) == 1
-        state["vmask"] = np.where(reset, state["init_vmask"][None, :], merged)
-        state["prop"] = np.where(reset, state["init_prop"][None, :], state["prop"])
-        state["dec"] = np.where(reset, 0, dec_new)
-        state["suspect"] = np.where(reset[:, :, None], False, suspects_new)
-        state["clock"] = new_clock
-
-
-# ---------------------------------------------------------------------------
-# Phase-queen consensus: the Figure 2 runner over Berman-Garay
-# ---------------------------------------------------------------------------
 
 
 def _require_binary(value, what: str) -> int:
@@ -723,88 +402,320 @@ def _require_binary(value, what: str) -> int:
 
 
 def _require_bounded_int(value, what: str) -> int:
-    if type(value) is bool or not isinstance(value, int):
+    # exact type: a bool or an IntEnum would read back as a plain int
+    if type(value) is not int:
         raise ArrayEligibilityError(f"{what} {value!r} is not an int")
     if not -(1 << 40) < value < (1 << 40):
         raise ArrayEligibilityError(f"{what} {value!r} overflows the int64 columns")
     return value
 
 
-class ArrayPhaseQueen(_ArrayRunner):
-    """Batched Figure 2 runner over phase-queen (``ft:phase-queen(f=..)``).
+# -- Π twins: Π's int64 ``columns`` (``dec`` is the decision code, 0 for none),
+# ``initial(n)`` (a row per column), ``load``/``read`` of one inner state, the
+# decision codec, and ``step(np, state, delivered, k)``: Π's round ``k`` over
+# the cube of what Π may read (its wrapper chooses both), as new columns by name.
 
-    All inner fields are binary or small ints, so Π fits five
-    ``(lanes, n)`` integer columns.  The ballot round is two masked sums
-    (the 0-tally and the 1-tally; the tie-toward-0 rule becomes
-    ``count1 > count0``); the queen round gathers the per-cell queen's
-    broadcast majority with ``take_along_axis``.  Corruption can
-    desynchronize clocks, so every cell branches on its own clock parity
-    rather than the round number.
+
+class _FloodMinPi:
+    """FloodMin as columns: value sets become bitmask ints over the sorted
+    value universe, so the flood-merge is a masked bitwise-OR reduction
+    and decide-min is the lowest set bit."""
+
+    columns = ("prop", "vmask", "dec")
+    _FIELDS = frozenset({"proposal", "values", "decision"})
+
+    def __init__(self, canonical: FloodMinConsensus):
+        self.canonical = canonical
+        self.final_round = canonical.final_round
+        self.universe = tuple(sorted(set(canonical.proposals) | set(canonical.domain)))
+        if len(self.universe) > MAX_UNIVERSE:
+            raise ArrayEligibilityError(
+                f"floodmin value universe has {len(self.universe)} members; the "
+                f"bitmask columns support at most {MAX_UNIVERSE}"
+            )
+        self.index = {value: i for i, value in enumerate(self.universe)}
+
+    def _encode(self, value, what: str) -> int:
+        index = self.index.get(value)
+        # exact type: True == 1 would hash to 1's slot and read back as 1
+        if index is None or type(self.universe[index]) is not type(value):
+            raise ArrayEligibilityError(
+                f"{what} {value!r} outside the floodmin value universe"
+            )
+        return index
+
+    def encode_decision(self, decision, what: str) -> int:
+        return 0 if decision is None else self._encode(decision, what) + 1
+
+    def decode_decision(self, code: int):
+        return None if code == 0 else self.universe[code - 1]
+
+    def initial(self, n: int) -> tuple:
+        prop = [self._encode(self.canonical.proposal_for(pid), "proposal") for pid in range(n)]
+        return prop, [1 << index for index in prop], [0] * n
+
+    def load(self, inner: Mapping) -> tuple:
+        _require_exact_fields("floodmin", "inner state", inner, self._FIELDS)
+        values = inner["values"]
+        if not isinstance(values, (set, frozenset)):
+            raise ArrayEligibilityError(f"values {values!r} is not a set")
+        return (
+            self._encode(inner["proposal"], "proposal"),
+            sum(1 << self._encode(value, "value") for value in values),  # distinct bits
+            self.encode_decision(inner["decision"], "decision"),
+        )
+
+    def read(self, prop: int, vmask: int, dec: int) -> Dict[str, Any]:
+        return {
+            "proposal": self.universe[prop],
+            "values": frozenset(v for i, v in enumerate(self.universe) if vmask >> i & 1),
+            "decision": self.decode_decision(dec),
+        }
+
+    def step(self, np, state, delivered, k) -> Dict[str, Any]:
+        vmask = state["vmask"]
+        merged = vmask | np.bitwise_or.reduce(
+            np.where(delivered, vmask[:, None, :], 0), axis=2
+        )
+        low = merged & -merged  # decide-min: the index of the lowest set bit
+        lowest = np.log2(np.where(low > 0, low, 1).astype(np.float64)).astype(np.int64)
+        decide = (k == self.final_round) & (merged != 0)
+        return {"vmask": merged, "dec": np.where(decide, lowest + 1, state["dec"])}
+
+
+class _PhaseQueenPi:
+    """Phase-queen as columns: every inner field is binary or a small int.
+
+    The ballot round is one masked tally per value (the tie-toward-0
+    rule becomes ``count1 > count0``); the queen round gathers the
+    per-cell queen's majority with ``take_along_axis``.  Corruption can
+    desynchronize the rounds, so every cell branches on its own ``k``.
     """
 
-    _INNER = ("prop", "value", "majority", "count", "dec")
-    _INNER_FIELDS = frozenset({"proposal", "value", "majority", "count", "decision"})
+    columns = ("prop", "value", "majority", "count", "dec")
+    _FIELDS = frozenset({"proposal", "value", "majority", "count", "decision"})
 
-    def __init__(self, sync: CanonicalRunner):
-        super().__init__(sync)
-        self.f = sync.canonical.f
+    def __init__(self, canonical: PhaseQueenConsensus):
+        self.canonical = canonical
+        self.final_round = canonical.final_round
+        self.f = canonical.f
 
-    def initial_inner(self, n: int) -> tuple:
-        props = [self.sync.canonical.proposal_for(pid) for pid in range(n)]
+    def encode_decision(self, decision, what: str) -> int:
+        return 0 if decision is None else _require_binary(decision, what) + 1
+
+    def decode_decision(self, code: int):
+        return None if code == 0 else code - 1
+
+    def initial(self, n: int) -> tuple:
+        props = [self.canonical.proposal_for(pid) for pid in range(n)]
         return props, props, props, [0] * n, [0] * n
 
-    def load_inner(self, inner: Mapping) -> tuple:
-        _require_exact_fields(self.name, "inner state", inner, self._INNER_FIELDS)
-        decision = inner["decision"]
+    def load(self, inner: Mapping) -> tuple:
+        _require_exact_fields("phase-queen", "inner state", inner, self._FIELDS)
         return (
             _require_binary(inner["proposal"], "proposal"),
             _require_binary(inner["value"], "value"),
             _require_binary(inner["majority"], "majority"),
             _require_bounded_int(inner["count"], "count"),
-            0 if decision is None else _require_binary(decision, "decision") + 1,
+            self.encode_decision(inner["decision"], "decision"),
         )
 
-    def read_inner(self, prop, value, majority, count, dec) -> Dict[str, Any]:
+    def read(self, prop, value, majority, count, dec) -> Dict[str, Any]:
         return {
             "proposal": prop,
             "value": value,
             "majority": majority,
             "count": count,
-            "decision": None if dec == 0 else dec - 1,
+            "decision": self.decode_decision(dec),
         }
 
-    def step_inner(self, np, state, delivered) -> Dict[str, Any]:
+    def step(self, np, state, delivered, k) -> Dict[str, Any]:
         n, f = state["n"], self.f
-        clock, value = state["clock"], state["value"]
-        majority, count = state["majority"], state["count"]
-        # Ballot round (odd clocks): masked binary tallies.
-        sent = value[:, None, :]
-        count1 = (delivered & (sent == 1)).sum(axis=2)
-        count0 = (delivered & (sent == 0)).sum(axis=2)
-        total = count0 + count1
-        best = (count1 > count0).astype(np.int64)
-        ballot_majority = np.where(total > 0, best, value)
-        ballot_count = np.where(
-            total > 0, np.where(count1 > count0, count1, count0), 0
-        )
-        # Queen round (even clocks): keep when sure, else adopt the
-        # queen's broadcast majority, else keep the local majority.
-        queen = ((clock + 1) // 2 - 1) % n
+        value, majority, count = state["value"], state["majority"], state["count"]
+        # Ballot round (odd k): one masked tally per binary value.
+        count0, count1 = ((delivered & (value[:, None, :] == v)).sum(axis=2) for v in (0, 1))
+        heard = count0 + count1 > 0
+        ballot_majority = np.where(heard, (count1 > count0).astype(np.int64), value)
+        ballot_count = np.where(heard, np.maximum(count0, count1), 0)
+        # Queen round (even k): keep when sure, else adopt the queen's
+        # majority if her message arrived, else keep the local majority.
+        queen = ((k + 1) // 2 - 1) % n
         queen_sent = np.take_along_axis(delivered, queen[:, :, None], axis=2)[:, :, 0]
         queen_majority = np.take_along_axis(majority, queen, axis=1)
         sure = 2 * count > n + 2 * f
-        queen_value = np.where(
-            sure, majority, np.where(queen_sent, queen_majority, majority)
-        )
-        odd = clock % 2 == 1
+        queen_value = np.where(~sure & queen_sent, queen_majority, majority)
+        odd = k % 2 == 1
         return {
             "value": np.where(odd, value, queen_value),
             "majority": np.where(odd, ballot_majority, majority),
             "count": np.where(odd, ballot_count, count),
-            "dec": np.where(
-                ~odd & (clock == self.final_round), queen_value + 1, state["dec"]
-            ),
+            "dec": np.where(~odd & (k == self.final_round), queen_value + 1, state["dec"]),
         }
+
+
+# -- the wrappers: Figure 2 and Figure 3, each batched once --------------------
+
+
+class _ArrayWrapper(ArrayProtocol):
+    """A wrapper around a Π twin: the clock, inner and ``n`` bridge, once.
+
+    State is a clock column (``_START`` at a clean start), Π's columns
+    and the wrapper's ``_OWN`` columns.  A subclass names its state's
+    ``_FIELDS`` and writes the bridge of its own cells —
+    ``own_columns(np, n, lanes)`` (a clean start's, by name),
+    ``load_own(mapping, n)`` (one state's ``_OWN`` cells, validated) and
+    ``read_own(*cells)`` (their state fields) — and one ``step`` that
+    hands Π its ``k`` and its cube.
+    """
+
+    kind = "dense"
+    _FIELDS: frozenset
+    _OWN: tuple
+    _START: int
+
+    def __init__(self, sync: SyncProtocol, pi):
+        super().__init__(sync)
+        #: The Π twin: its columns, its bridge and its round.
+        self.pi = pi
+        self.final_round = pi.final_round
+        self._columns = ("clock", *pi.columns, *self._OWN)
+
+    def initial_states(self, n: int, lanes: int, backend: str) -> Any:
+        np = _dense_numpy(n, lanes, backend)
+        state = {
+            "backend": backend,
+            "lanes": lanes,
+            "n": n,
+            "clock": np.full((lanes, n), self._START, dtype=np.int64),
+        }
+        for key, row in zip(self.pi.columns, self.pi.initial(n)):
+            state[key] = np.tile(np.asarray(row, dtype=np.int64), (lanes, 1))
+        state.update(self.own_columns(np, n, lanes))
+        return state
+
+    def load_states(self, state, lane, mappings) -> None:
+        n, rows = state["n"], []
+        for mapping in mappings.values():
+            clock = _require_fields(self.name, mapping, self._FIELDS)
+            _require_run_n(self.name, mapping, n)
+            rows.append((clock, *self.pi.load(mapping["inner"]), *self.load_own(mapping, n)))
+        _store_columns(state, lane, mappings, self._columns, zip(*rows))
+
+    def read_states(self, state, lane, pids=None) -> List[Dict[str, Any]]:
+        n, width = state["n"], 1 + len(self.pi.columns)
+        return [
+            {
+                CLOCK_KEY: cells[0],
+                "inner": self.pi.read(*cells[1:width]),
+                "n": n,
+                **self.read_own(*cells[width:]),
+            }
+            for cells in _lane_rows(state, self._columns, lane, pids)
+        ]
+
+
+class _ArrayRunner(_ArrayWrapper):
+    """Figure 2's wrapper, batched once: the twin of :class:`CanonicalRunner`.
+
+    One round silences halted senders on the cube, runs Π at every
+    cell's own clock (``k = clock``), freezes halted cells, advances the
+    clock and halts a cell that has just run ``final_round`` — exactly
+    the reference runner.
+    """
+
+    _FIELDS = frozenset({CLOCK_KEY, "inner", "halted", "n"})
+    _OWN = ("halted",)
+    _START = 1
+
+    def own_columns(self, np, n, lanes) -> Dict[str, Any]:
+        return {"halted": np.zeros((lanes, n), dtype=bool)}
+
+    def load_own(self, mapping, n) -> tuple:
+        halted = mapping["halted"]
+        if type(halted) is not bool:
+            raise ArrayEligibilityError(f"{self.name}: halted {halted!r} is not a bool")
+        return (halted,)
+
+    def read_own(self, halted) -> Dict[str, Any]:
+        return {"halted": halted}
+
+    def silent_pids(self, state, lane) -> frozenset:
+        return frozenset(state["halted"][lane].nonzero()[0].tolist())
+
+    def step(self, state, wire) -> None:
+        np = get_numpy()
+        clock, halted = state["clock"], state["halted"]
+        inner = self.pi.step(np, state, wire.delivered & ~halted[:, None, :], clock)
+        for key, column in inner.items():
+            state[key] = np.where(halted, state[key], column)
+        state["clock"] = np.where(halted, clock, clock + 1)
+        state["halted"] = halted | (clock == self.final_round)
+
+
+class _ArrayCompiled(_ArrayWrapper):
+    """Figure 3's wrapper, batched once: the twin of :class:`CompiledProtocol`.
+
+    The tag merge is a masked max over the cube; Π runs at ``k = clock %
+    final_round + 1`` over the senders heard at the cell's own clock and
+    not suspected (all of them heard at that clock when ``use_suspects``
+    is off, the ABL-SUSPECT ablation); the journal records a final
+    round's decision; and an iteration reset restores Π's initial rows
+    and clears the suspect matrix.
+    """
+
+    _FIELDS = frozenset(
+        {CLOCK_KEY, "inner", "suspect", "n", "last_decision", "decided_at_clock"}
+    )
+    _OWN = ("last_dec", "dec_at", "dec_at_set", "suspect")
+    _START = 0
+
+    def own_columns(self, np, n, lanes) -> Dict[str, Any]:
+        own = {key: np.zeros((lanes, n), dtype=np.int64) for key in self._OWN[:3]}
+        own["suspect"] = np.zeros((lanes, n, n), dtype=bool)
+        own["init"] = [np.asarray(row, dtype=np.int64) for row in self.pi.initial(n)]
+        return own
+
+    def load_own(self, mapping, n) -> tuple:
+        suspects = mapping["suspect"]
+        if not isinstance(suspects, (set, frozenset)):
+            raise ArrayEligibilityError(f"{self.name}: suspect {suspects!r} is not a set")
+        for q in suspects:
+            if type(q) is not int or not 0 <= q < n:
+                raise ArrayEligibilityError(f"{self.name}: suspect entry {q!r} is not a pid")
+        decided_at = mapping["decided_at_clock"]
+        if decided_at is not None:
+            _require_int64(decided_at, "decided_at_clock")
+        return (
+            self.pi.encode_decision(mapping["last_decision"], "last_decision"),
+            0 if decided_at is None else decided_at,
+            decided_at is not None,
+            [q in suspects for q in range(n)],
+        )
+
+    def read_own(self, last_dec, dec_at, dec_at_set, suspect) -> Dict[str, Any]:
+        return {
+            "suspect": frozenset(q for q, flag in enumerate(suspect) if flag),
+            "last_decision": self.pi.decode_decision(last_dec),
+            "decided_at_clock": dec_at if dec_at_set else None,
+        }
+
+    def step(self, state, wire) -> None:
+        np = get_numpy()
+        final_round, clock, suspect = self.final_round, state["clock"], state["suspect"]
+        deliv, clock_q = wire.delivered, clock[:, None, :]
+        new_clock = np.where(deliv, clock_q, SMALL).max(axis=2) + 1
+        at_my = deliv & (clock_q == clock[:, :, None])
+        k = clock % final_round + 1
+        inner = self.pi.step(np, state, at_my & ~suspect if self.sync.use_suspects else at_my, k)
+        journal = (k == final_round) & (inner["dec"] != 0)
+        state["last_dec"] = np.where(journal, inner["dec"], state["last_dec"])
+        state["dec_at"] = np.where(journal, clock, state["dec_at"])
+        state["dec_at_set"] = state["dec_at_set"] | journal
+        reset = new_clock % final_round == 0  # normalize(c') == 1
+        for key, row in zip(self.pi.columns, state["init"]):
+            state[key] = np.where(reset, row, inner.get(key, state[key]))
+        state["suspect"] = np.where(reset[:, :, None], False, suspect | ~at_my)
+        state["clock"] = new_clock
 
 
 # ---------------------------------------------------------------------------
@@ -958,19 +869,20 @@ def register_array_protocol(
     _MATCHERS.insert(0, matcher)
 
 
+#: The Π twins, by the exact type of the canonical protocol they batch ...
+_PI_TWINS = {FloodMinConsensus: _FloodMinPi, PhaseQueenConsensus: _PhaseQueenPi}
+#: ... and the wrappers that run them, by the exact type of the wrapper.
+_WRAPPERS = {CanonicalRunner: _ArrayRunner, CompiledProtocol: _ArrayCompiled}
+
+
 def _builtin_matcher(protocol: SyncProtocol) -> Optional[ArrayProtocol]:
     # Exact type matches: a user subclass may override update() in ways
     # the batched twin would silently ignore, so it must fall back.
-    kind = type(protocol)
-    if kind is CanonicalRunner and type(protocol.canonical) is FloodMinConsensus:
-        return ArrayFtFloodMin(protocol)
-    if kind is CanonicalRunner and type(protocol.canonical) is PhaseQueenConsensus:
-        return ArrayPhaseQueen(protocol)
-    if kind is CompiledProtocol and type(protocol.canonical) is FloodMinConsensus:
-        return ArrayCompiledFloodMin(protocol)
-    if kind is DetectorStack:
+    if type(protocol) is DetectorStack:
         return ArrayDetectorStack(protocol)
-    return None
+    wrapper = _WRAPPERS.get(type(protocol))
+    pi = wrapper and _PI_TWINS.get(type(protocol.canonical))
+    return pi and wrapper(protocol, pi(protocol.canonical))
 
 
 def as_array_protocol(protocol: SyncProtocol) -> Optional[ArrayProtocol]:

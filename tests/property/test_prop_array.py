@@ -10,6 +10,7 @@ generative widening of the pinned scenarios in
 ``tests/unit/test_array_engine.py``.
 """
 
+from enum import IntEnum
 from unittest import mock
 
 import pytest
@@ -25,7 +26,7 @@ from repro.array import (
     run_array,
 )
 from repro.array.engine import _CsrGraph, RoundWire
-from repro.array.protocols import BIG, SMALL
+from repro.array.protocols import _PI_TWINS, _WRAPPERS, BIG, SMALL
 from repro.net.conformance import history_digest
 from repro.core.canonical import CanonicalRunner
 from repro.core.compiler import compile_protocol
@@ -440,6 +441,10 @@ def _floodmin():
     )
 
 
+def _phase_queen():
+    return PhaseQueenConsensus(f=1, n=BRIDGE_N, proposals=[1, 0, 1, 0, 1])
+
+
 TWINS = {
     "round-agreement": RoundAgreementProtocol,
     "min-merge": MinMergeRoundProtocol,
@@ -448,9 +453,8 @@ TWINS = {
     "bounded-unison": lambda: BoundedUnison(n=BRIDGE_N),
     "ft-floodmin": lambda: CanonicalRunner(_floodmin()),
     "compiled-floodmin": lambda: compile_protocol(_floodmin()),
-    "phase-queen": lambda: CanonicalRunner(
-        PhaseQueenConsensus(f=1, n=BRIDGE_N, proposals=[1, 0, 1, 0, 1])
-    ),
+    "phase-queen": lambda: CanonicalRunner(_phase_queen()),
+    "compiled-phase-queen": lambda: compile_protocol(_phase_queen()),
     "detector": lambda: DetectorStack(initial_timeout=1, max_timeout=4),
 }
 
@@ -462,9 +466,18 @@ def _concrete_twins(cls=ArrayProtocol):
         yield from _concrete_twins(sub)
 
 
+def _wrapped(twin):
+    """(twin type, Π twin type) — ``None`` for a twin that wraps no Π."""
+    return type(twin), type(twin.pi) if hasattr(twin, "pi") else None
+
+
 def test_bridge_properties_cover_every_registered_twin():
-    covered = {type(as_array_protocol(make())) for make in TWINS.values()}
-    assert covered == set(_concrete_twins())
+    """Every twin, and every Π twin under every wrapper that can run it."""
+    covered = {_wrapped(as_array_protocol(make())) for make in TWINS.values()}
+    wrappers = set(_WRAPPERS.values())
+    assert covered == {
+        (wrapper, pi) for wrapper in wrappers for pi in _PI_TWINS.values()
+    } | {(twin, None) for twin in _concrete_twins() if twin not in wrappers}
 
 
 #: (twin, plane) pairs: the csr twins on every plane, the dense ones on NumPy.
@@ -481,7 +494,9 @@ def test_dense_twins_refuse_the_python_plane():
     Python plane refuses it before a cell exists, and ``run_sweep(backend=
     "array")`` answers its points on the reference engine."""
     dense = [twin for twin in sorted(TWINS) if _dense(TWINS[twin]())]
-    assert dense == ["compiled-floodmin", "detector", "ft-floodmin", "phase-queen"]
+    assert dense == [
+        "compiled-floodmin", "compiled-phase-queen", "detector", "ft-floodmin", "phase-queen"
+    ]
     for twin in dense:
         with pytest.raises(ArrayEligibilityError):
             as_array_protocol(TWINS[twin]()).initial_states(BRIDGE_N, 2, "python")
@@ -540,6 +555,12 @@ def _without(mapping, field):
     return {k: v for k, v in mapping.items() if k != field}
 
 
+class _Three(IntEnum):
+    """An int subclass: equal to 3, but not the exact int a column reads back."""
+
+    THREE = 3
+
+
 #: name -> (the field it damages, as a path into the state; the damage).
 #: Each applies to every twin whose state holds that field.
 DAMAGE = {
@@ -561,6 +582,12 @@ DAMAGE = {
     "missing-last-decision": (("last_decision",), lambda m: _without(m, "last_decision")),
     "missing-suspect": (("suspect",), lambda m: _without(m, "suspect")),
     "missing-vector": (("num",), lambda m: _without(m, "num")),
+    "float-n": (("n",), lambda m: {**m, "n": float(m["n"])}),
+    "enum-count": (
+        ("inner", "count"),
+        lambda m: {**m, "inner": {**m["inner"], "count": _Three.THREE}},
+    ),
+    "enum-vector-entry": (("num",), lambda m: {**m, "num": [_Three.THREE, *m["num"][1:]]}),
 }
 
 

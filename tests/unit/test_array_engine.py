@@ -110,10 +110,22 @@ def test_grid_omissions_and_mid_run_corruption(backend):
     )
 
 
+#: Π -> (Π, rounds): phase-queen's final_round is 4, so 16 rounds cross
+#: iteration resets whatever clocks the corruption leaves.
+COMPILED = {
+    "floodmin": (lambda: FloodMinConsensus(f=2, proposals=[4, 1, 3, 2, 5, 0]), 8),
+    "phase-queen": (lambda: PhaseQueenConsensus(f=1, n=6, proposals=[1, 0, 1, 0, 1, 0]), 16),
+}
+
+
 @dense_backends
 @pytest.mark.parametrize("mode", [FaultMode.CRASH, FaultMode.GENERAL_OMISSION])
-def test_floodmin_compiled_random_adversary(backend, mode):
-    protocol = compile_protocol(FloodMinConsensus(f=2, proposals=[4, 1, 3, 2, 5, 0]))
+@pytest.mark.parametrize("use_suspects", [True, False], ids=["suspects", "nosuspects"])
+@pytest.mark.parametrize("pi", sorted(COMPILED))
+def test_compiled_random_adversary(backend, mode, use_suspects, pi):
+    """Figure 3 over every Π twin, with the suspect filter on and off."""
+    make, rounds = COMPILED[pi]
+    protocol = compile_protocol(make(), use_suspects=use_suspects)
 
     def plan():
         return FaultPlan(
@@ -122,7 +134,7 @@ def test_floodmin_compiled_random_adversary(backend, mode):
         )
 
     assert_conformance(
-        protocol, n=6, rounds=8, plan_factories=[plan, plan], backend=backend
+        protocol, n=6, rounds=rounds, plan_factories=[plan, plan], backend=backend
     )
 
 

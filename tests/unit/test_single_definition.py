@@ -10,6 +10,11 @@ an inbox item: ``sender``, ``sent_round``, ``payload`` — on the
 synchronous wire the item is a whole broadcast, which has no one
 ``receiver``, and the inbox may be shared, so nobody mutates it.
 
+A canonical Π's round is batched once too, whichever figure wraps it:
+FloodMin's flood-merge and phase-queen's ballot tally each appear once in
+the array plane, in their Π twins, which Figure 2's and Figure 3's
+wrappers share.
+
 The clock family is declared once too: Figure 1's round agreement, its
 ablations and the unison protocols state a ``rule`` (``repro.sync.clock``)
 and neither spell out the methods derived from it nor get a hand-written
@@ -48,7 +53,15 @@ RETIRED = {
     "net/interposer.py": ("FaultEvent",),
     "sync/engine.py": ("FaultEvent",),
     "verify/smt.py": ("_last_row", "_crash_row"),
-    "array/protocols.py": ("ArrayClockMerge", "ArrayBoundedUnison", "_ClockColumnProtocol"),
+    "array/protocols.py": (
+        "ArrayClockMerge",
+        "ArrayBoundedUnison",
+        "_ClockColumnProtocol",
+        "ArrayCompiledFloodMin",
+        "ArrayFtFloodMin",
+        "ArrayPhaseQueen",
+        "_FloodMinCodec",
+    ),
 }
 
 
@@ -185,3 +198,14 @@ def test_the_builtin_matcher_has_no_clock_branch():
     named = {node.id for node in ast.walk(matcher) if isinstance(node, ast.Name)}
     clocks = {name for names in CLOCKS.values() for name in names}
     assert not named & clocks
+
+
+#: A Π round's one vectorised statement in ``array/protocols.py``: FloodMin's
+#: flood-merge and phase-queen's ballot tally (both values in one expression).
+PI_ROUNDS = {"floodmin-merge": "bitwise_or.reduce(", "phase-queen-tally": ".sum(axis=2)"}
+
+
+@pytest.mark.parametrize("what", sorted(PI_ROUNDS))
+def test_each_pi_round_is_spelled_once(what):
+    source = (SRC / "array/protocols.py").read_text("utf-8")
+    assert source.count(PI_ROUNDS[what]) == 1, f"{what} is spelled more than once (or not at all)"
