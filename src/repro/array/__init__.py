@@ -14,9 +14,9 @@ engine's honest range (n = 10^4–10^6).
 Entry points:
 
 - :func:`run_array` / :class:`ArrayRunResult` — the batched driver.
-- :func:`as_array_protocol` / :func:`register_array_protocol` — the
-  protocol registry mapping reference protocols to their batched
-  twins (see ``docs/array.md`` for how to add one).
+- :func:`as_array_protocol` — the batched twin of a reference
+  protocol: derived from a clock declaration, or found by its exact
+  type (see ``docs/array.md`` for how to add one).
 - :mod:`repro.array.conformance` — digest-comparison harness.
 - :func:`pick_backend` / :func:`has_numpy` — data-plane selection.
 
@@ -43,7 +43,6 @@ from repro.array.protocols import (
     ArrayEligibilityError,
     ArrayProtocol,
     as_array_protocol,
-    register_array_protocol,
 )
 
 __all__ = [
@@ -59,6 +58,5 @@ __all__ = [
     "check_conformance",
     "has_numpy",
     "pick_backend",
-    "register_array_protocol",
     "run_array",
 ]

@@ -31,17 +31,17 @@ Two wire kinds:
   bool cube; they run on the NumPy plane only, and their
   ``initial_states`` refuses the Python plane and cubes over
   ``DENSE_CELL_LIMIT`` cells, so such a point is answered by the
-  reference engine.  A canonical Π is batched once, as a *Π twin* (its
-  columns and its round: ``_FloodMinPi``, ``_PhaseQueenPi``), and each
-  figure's wrapper once — :class:`_ArrayRunner` (Figure 2) and
-  :class:`_ArrayCompiled` (Figure 3) run every Π twin.
+  reference engine.  Each is a :class:`_DenseTwin`, which writes the
+  state bridge once; a twin writes its row codec and its round.
 
 A protocol whose whole state is the round variable needs no twin of its
 own: declared as a :class:`~repro.sync.clock.ClockProtocol`, it batches
 through :class:`ArrayClock`, which is derived from the declaration.  A
-canonical Π needs a Π twin and its entry in ``_PI_TWINS``.  To add any
-other batched protocol: implement :class:`ArrayProtocol` for it and
-append a matcher with :func:`register_array_protocol` (see
+canonical Π needs a *Π twin* (its columns and its round: ``_FloodMinPi``,
+``_PhaseQueenPi``) and its entry in ``_PI_TWINS``: :class:`_ArrayRunner`
+(Figure 2) and :class:`_ArrayCompiled` (Figure 3) run every Π twin.  Any
+other protocol subclasses :class:`_DenseTwin` and adds its exact type to
+``_builtin_matcher``, as :class:`ArrayDetectorStack` does (see
 ``docs/array.md``).
 """
 
@@ -68,7 +68,6 @@ __all__ = [
     "ArrayEligibilityError",
     "ArrayProtocol",
     "as_array_protocol",
-    "register_array_protocol",
 ]
 
 #: Dense-kind memory bound: lanes * n * n cells.
@@ -553,65 +552,84 @@ class _PhaseQueenPi:
         }
 
 
-# -- the wrappers: Figure 2 and Figure 3, each batched once --------------------
+# -- the bridge every dense twin shares, and the wrappers that run a Π twin ------
 
 
-class _ArrayWrapper(ArrayProtocol):
-    """A wrapper around a Π twin: the clock, inner and ``n`` bridge, once.
+class _DenseTwin(ArrayProtocol):
+    """A dense twin's state bridge, written once for every dense twin.
 
-    State is a clock column (``_START`` at a clean start), Π's columns
-    and the wrapper's ``_OWN`` columns.  A subclass names its state's
-    ``_FIELDS`` and writes the bridge of its own cells —
+    State is a clock column (``_START`` at a clean start) and the twin's
+    own columns; a cell's row is its value in each column of ``_keys``,
+    the clock first.  A subclass names its state's ``_FIELDS`` and
+    writes only its row codec — ``columns(np, n, lanes)`` (a clean
+    start's columns but the clock, by name), ``load_row(mapping, n)``
+    (one state's cells after the clock, validated) and ``read_row(n,
+    *cells)`` (their state fields) — and its ``step``.
+    """
+
+    kind = "dense"
+    _FIELDS: frozenset
+    _START: int
+    _keys: tuple
+
+    def initial_states(self, n: int, lanes: int, backend: str) -> Any:
+        np = _dense_numpy(n, lanes, backend)
+        return {
+            "backend": backend,
+            "lanes": lanes,
+            "n": n,
+            "clock": np.full((lanes, n), self._START, dtype=np.int64),
+            **self.columns(np, n, lanes),
+        }
+
+    def load_states(self, state, lane, mappings) -> None:
+        name, n = self.name, state["n"]
+        rows = [
+            (_require_fields(name, mapping, self._FIELDS), *self.load_row(mapping, n))
+            for mapping in mappings.values()
+        ]
+        _store_columns(state, lane, mappings, self._keys, zip(*rows))
+
+    def read_states(self, state, lane, pids=None) -> List[Dict[str, Any]]:
+        n = state["n"]
+        return [
+            {CLOCK_KEY: clock, **self.read_row(n, *cells)}
+            for clock, *cells in _lane_rows(state, self._keys, lane, pids)
+        ]
+
+
+class _ArrayWrapper(_DenseTwin):
+    """A wrapper around a Π twin: the inner and ``n`` codec, once.
+
+    Its row is the clock, Π's columns and the wrapper's ``_OWN``
+    columns.  A subclass writes the codec of its own cells —
     ``own_columns(np, n, lanes)`` (a clean start's, by name),
     ``load_own(mapping, n)`` (one state's ``_OWN`` cells, validated) and
     ``read_own(*cells)`` (their state fields) — and one ``step`` that
     hands Π its ``k`` and its cube.
     """
 
-    kind = "dense"
-    _FIELDS: frozenset
     _OWN: tuple
-    _START: int
 
     def __init__(self, sync: SyncProtocol, pi):
         super().__init__(sync)
-        #: The Π twin: its columns, its bridge and its round.
+        #: The Π twin: its columns, its codec and its round.
         self.pi = pi
         self.final_round = pi.final_round
-        self._columns = ("clock", *pi.columns, *self._OWN)
+        self._keys = ("clock", *pi.columns, *self._OWN)
 
-    def initial_states(self, n: int, lanes: int, backend: str) -> Any:
-        np = _dense_numpy(n, lanes, backend)
-        state = {
-            "backend": backend,
-            "lanes": lanes,
-            "n": n,
-            "clock": np.full((lanes, n), self._START, dtype=np.int64),
-        }
-        for key, row in zip(self.pi.columns, self.pi.initial(n)):
-            state[key] = np.tile(np.asarray(row, dtype=np.int64), (lanes, 1))
-        state.update(self.own_columns(np, n, lanes))
-        return state
+    def columns(self, np, n, lanes) -> Dict[str, Any]:
+        rows = zip(self.pi.columns, self.pi.initial(n))
+        inner = {key: np.tile(np.asarray(row, dtype=np.int64), (lanes, 1)) for key, row in rows}
+        return {**inner, **self.own_columns(np, n, lanes)}
 
-    def load_states(self, state, lane, mappings) -> None:
-        n, rows = state["n"], []
-        for mapping in mappings.values():
-            clock = _require_fields(self.name, mapping, self._FIELDS)
-            _require_run_n(self.name, mapping, n)
-            rows.append((clock, *self.pi.load(mapping["inner"]), *self.load_own(mapping, n)))
-        _store_columns(state, lane, mappings, self._columns, zip(*rows))
+    def load_row(self, mapping, n) -> tuple:
+        _require_run_n(self.name, mapping, n)
+        return (*self.pi.load(mapping["inner"]), *self.load_own(mapping, n))
 
-    def read_states(self, state, lane, pids=None) -> List[Dict[str, Any]]:
-        n, width = state["n"], 1 + len(self.pi.columns)
-        return [
-            {
-                CLOCK_KEY: cells[0],
-                "inner": self.pi.read(*cells[1:width]),
-                "n": n,
-                **self.read_own(*cells[width:]),
-            }
-            for cells in _lane_rows(state, self._columns, lane, pids)
-        ]
+    def read_row(self, n, *cells) -> Dict[str, Any]:
+        width = len(self.pi.columns)
+        return {"inner": self.pi.read(*cells[:width]), "n": n, **self.read_own(*cells[width:])}
 
 
 class _ArrayRunner(_ArrayWrapper):
@@ -726,148 +744,100 @@ class _ArrayCompiled(_ArrayWrapper):
 _ALIVE_CODE, _DEAD_CODE = 0, 1
 
 
-class ArrayDetectorStack(ArrayProtocol):
+class ArrayDetectorStack(_DenseTwin):
     """Batched :class:`DetectorStack`: heartbeat-◇P + Figure 4 as matrices.
 
     Per lane, every per-target vector becomes an ``(n, n)`` matrix
     indexed ``[process, target]``: ``last_heard``/``timeout``/``num``
     as int64, ``suspected`` as bool, ``status`` as 0/1 codes.  The
     heartbeat and tick layers vectorize directly (each slot is
-    independent); the Figure 4 adoption folds senders in ascending
-    order, which collapses to first-max-wins — ``argmax`` over the
-    delivered-masked version offers picks the same winner the
-    sequential fold does, one target column at a time.
+    independent).  The Figure 4 adoption folds senders in ascending
+    order and adopts only a strictly larger version, so the first best
+    sender wins: per receiver, one ``argmax`` (the first maximum) over
+    a target-major copy of ``num``, masked by what it delivered.  It is
+    no Π twin under a wrapper (see ``docs/array.md``).
     """
 
-    kind = "dense"
+    _keys = ("clock", "last_heard", "timeout", "suspected", "num", "status")
+    _FIELDS = frozenset(_keys[1:]) | {CLOCK_KEY}
+    _START = 0
 
-    def __init__(self, sync: DetectorStack):
-        super().__init__(sync)
-        self.max_timeout = sync.max_timeout
-
-    def initial_states(self, n: int, lanes: int, backend: str) -> Any:
-        np = _dense_numpy(n, lanes, backend)
+    def columns(self, np, n, lanes) -> Dict[str, Any]:
+        cube = (lanes, n, n)
         return {
-            "backend": backend,
-            "lanes": lanes,
-            "n": n,
-            "clock": np.zeros((lanes, n), dtype=np.int64),
-            "last_heard": np.zeros((lanes, n, n), dtype=np.int64),
-            "timeout": np.full((lanes, n, n), self.sync.initial_timeout, dtype=np.int64),
-            "suspected": np.zeros((lanes, n, n), dtype=bool),
-            "num": np.zeros((lanes, n, n), dtype=np.int64),
-            "status": np.full((lanes, n, n), _ALIVE_CODE, dtype=np.int64),
+            "last_heard": np.zeros(cube, dtype=np.int64),
+            "timeout": np.full(cube, self.sync.initial_timeout, dtype=np.int64),
+            "suspected": np.zeros(cube, dtype=bool),
+            "num": np.zeros(cube, dtype=np.int64),
+            "status": np.full(cube, _ALIVE_CODE, dtype=np.int64),
             "eye": np.eye(n, dtype=bool),
         }
 
-    _COLUMNS = ("clock", "last_heard", "timeout", "suspected", "num", "status")
-    _FIELDS = frozenset(_COLUMNS[1:]) | {CLOCK_KEY}
+    def load_row(self, mapping, n) -> tuple:
+        _require_bounded_int(mapping[CLOCK_KEY], CLOCK_KEY)
+        vectors = [mapping[key] for key in self._keys[1:]]
+        for key, vector in zip(self._keys[1:], vectors):
+            # exact type: a tuple would read back as a list
+            if type(vector) is not list or len(vector) != n:
+                raise ArrayEligibilityError(f"{self.name}: {key} is not a length-{n} list")
+        heard, timeout, suspected, num, status = vectors
+        for key, vector in (("last_heard", heard), ("timeout", timeout), ("num", num)):
+            for entry in vector:
+                _require_bounded_int(entry, key)
+        if not all(isinstance(flag, bool) for flag in suspected):
+            raise ArrayEligibilityError(f"{self.name}: suspected {suspected!r} holds a non-bool")
+        if not all(verdict in (ALIVE, DEAD) for verdict in status):
+            raise ArrayEligibilityError(f"{self.name}: status {status!r} holds a non-verdict")
+        codes = [_DEAD_CODE if verdict == DEAD else _ALIVE_CODE for verdict in status]
+        return heard, timeout, suspected, num, codes
 
-    def load_states(self, state, lane, mappings) -> None:
-        n = state["n"]
-        rows = []
-        for mapping in mappings.values():
-            value = _require_fields(self.name, mapping, self._FIELDS)
-            for key in self._COLUMNS[1:]:
-                vector = mapping[key]
-                if not isinstance(vector, (list, tuple)) or len(vector) != n:
-                    raise ArrayEligibilityError(
-                        f"{self.name}: {key} is not a length-{n} vector"
-                    )
-            _require_bounded_int(value, CLOCK_KEY)
-            for key in ("last_heard", "timeout", "num"):
-                for entry in mapping[key]:
-                    _require_bounded_int(entry, key)
-            for flag in mapping["suspected"]:
-                if not isinstance(flag, bool):
-                    raise ArrayEligibilityError(
-                        f"{self.name}: suspected entry {flag!r} is not a bool"
-                    )
-            for verdict in mapping["status"]:
-                if verdict not in (ALIVE, DEAD):
-                    raise ArrayEligibilityError(
-                        f"{self.name}: status entry {verdict!r} is not a verdict"
-                    )
-            rows.append((
-                value,
-                list(mapping["last_heard"]),
-                list(mapping["timeout"]),
-                list(mapping["suspected"]),
-                list(mapping["num"]),
-                [_DEAD_CODE if v == DEAD else _ALIVE_CODE for v in mapping["status"]],
-            ))
-        _store_columns(state, lane, mappings, self._COLUMNS, zip(*rows))
-
-    def read_states(self, state, lane, pids=None) -> List[Dict[str, Any]]:
-        return [
-            {
-                CLOCK_KEY: clock,
-                "last_heard": heard,
-                "timeout": timeout,
-                "suspected": suspected,
-                "num": num,
-                "status": [DEAD if v else ALIVE for v in status],
-            }
-            for clock, heard, timeout, suspected, num, status in _lane_rows(
-                state, self._COLUMNS, lane, pids
-            )
-        ]
+    def read_row(self, n, heard, timeout, suspected, num, status) -> Dict[str, Any]:
+        return {
+            "last_heard": heard,
+            "timeout": timeout,
+            "suspected": suspected,
+            "num": num,
+            "status": [DEAD if v else ALIVE for v in status],
+        }
 
     def step(self, state, wire) -> None:
         np = get_numpy()
-        mt = self.max_timeout
-        clock = state["clock"]
-        heard, timeout = state["last_heard"], state["timeout"]
-        suspected = state["suspected"]
-        num, status = state["num"], state["status"]
-        deliv = wire.delivered
-        now = clock[:, :, None]
-        eye = state["eye"]
+        mt, eye = self.sync.max_timeout, state["eye"]
+        clock, heard, timeout = state["clock"], state["last_heard"], state["timeout"]
+        suspected, num, status = state["suspected"], state["num"], state["status"]
+        deliv, now = wire.delivered, clock[:, :, None]
         # 1. heartbeats: unsuspect + backoff, refresh last_heard.
         timeout = np.where(suspected & deliv, np.minimum(timeout * 2, mt), timeout)
         suspected = suspected & ~deliv
         heard = np.where(deliv, now, heard)
-        # 2. first-max-wins adoption, one target column at a time.
-        new_num, new_status = num.copy(), status.copy()
-        for s in range(state["n"]):
-            offers = np.where(deliv, num[:, :, s][:, None, :], SMALL)
-            best = offers.max(axis=2)
-            winner = offers.argmax(axis=2)  # the first best sender
-            adopt = best > num[:, :, s]
-            winner_status = np.take_along_axis(status[:, :, s], winner, axis=1)
-            new_num[:, :, s] = np.where(adopt, best, num[:, :, s])
-            new_status[:, :, s] = np.where(adopt, winner_status, status[:, :, s])
-        num, status = new_num, new_status
+        # 2. first-max-wins adoption: per receiver, the first best delivered
+        # sender of every target, from num copied [lane, target, sender].
+        by_target = np.ascontiguousarray(num.transpose(0, 2, 1))
+        winner = np.empty_like(num)  # [lane, receiver, target]
+        for p in range(state["n"]):
+            winner[:, p] = np.where(deliv[:, p, None, :], by_target, SMALL).argmax(axis=2)
+        best = np.take_along_axis(num, winner, axis=1)
+        adopt = deliv.any(axis=2)[:, :, None] & (best > num)  # nothing heard: no winner
+        num = np.where(adopt, best, num)
+        status = np.where(adopt, np.take_along_axis(status, winner, axis=1), status)
         # 3. suspicion tick with the corruption guards.
         heard = np.where(eye, now, np.minimum(heard, now))
         timeout = np.where(eye | ((timeout > 0) & (timeout <= mt)), timeout, mt)
         suspected = (suspected | (now - heard > timeout)) & ~eye
         # 4. Figure 4 tick: suspicion increments, then self.
-        num = num + suspected + eye
-        status = np.where(eye, _ALIVE_CODE, np.where(suspected, _DEAD_CODE, status))
-        state["clock"] = clock + 1
-        state["last_heard"] = heard
-        state["timeout"] = timeout
-        state["suspected"] = suspected
-        state["num"] = num
-        state["status"] = status
+        state.update(
+            clock=clock + 1,
+            last_heard=heard,
+            timeout=timeout,
+            suspected=suspected,
+            num=num + suspected + eye,
+            status=np.where(eye, _ALIVE_CODE, np.where(suspected, _DEAD_CODE, status)),
+        )
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# Registry: exact types only
 # ---------------------------------------------------------------------------
-
-#: Extension point: each matcher maps a SyncProtocol to an ArrayProtocol
-#: (or None).  Matchers added via register_array_protocol run first.
-_MATCHERS: List[Callable[[SyncProtocol], Optional[ArrayProtocol]]] = []
-
-
-def register_array_protocol(
-    matcher: Callable[[SyncProtocol], Optional[ArrayProtocol]],
-) -> None:
-    """Register a custom SyncProtocol -> ArrayProtocol matcher."""
-    _MATCHERS.insert(0, matcher)
-
 
 #: The Π twins, by the exact type of the canonical protocol they batch ...
 _PI_TWINS = {FloodMinConsensus: _FloodMinPi, PhaseQueenConsensus: _PhaseQueenPi}
@@ -889,10 +859,6 @@ def as_array_protocol(protocol: SyncProtocol) -> Optional[ArrayProtocol]:
     """The batched twin of ``protocol``, or ``None`` if it has none.
 
     A clock declaration needs no matcher: its twin is derived from it."""
-    for matcher in _MATCHERS:
-        batched = matcher(protocol)
-        if batched is not None:
-            return batched
     if declared(protocol):
         return ArrayClock(protocol)
     return _builtin_matcher(protocol)

@@ -588,6 +588,7 @@ DAMAGE = {
         lambda m: {**m, "inner": {**m["inner"], "count": _Three.THREE}},
     ),
     "enum-vector-entry": (("num",), lambda m: {**m, "num": [_Three.THREE, *m["num"][1:]]}),
+    "tuple-vector": (("num",), lambda m: {**m, "num": tuple(m["num"])}),
 }
 
 

@@ -38,6 +38,7 @@ from repro.kernel.topology import (
     round_edges,
 )
 from repro.detectors.stack import DetectorStack
+from repro.detectors.strong import ALIVE, DEAD
 from repro.protocols.floodmin import FloodMinConsensus
 from repro.protocols.phaseking import PhaseQueenConsensus
 from repro.protocols.unison import BoundedUnison, MinUnison
@@ -242,6 +243,30 @@ def test_detector_stack_twin_conformance(backend):
         rounds=12,
         plan_factories=[plan, plan],
         backend=backend,
+    )
+
+
+@dense_backends
+def test_detector_adoption_keeps_the_first_best_sender(backend):
+    """Figure 4 adopts only a strictly larger version, so of the senders
+    offering the same best ``num`` the first one's ``status`` wins.
+    With versions drawn from {0, 1, 2} and verdicts from both, senders
+    tie with unequal verdicts in most rounds of most lanes."""
+    n, detector = 5, DetectorStack(initial_timeout=1, max_timeout=4)
+
+    def tied(seed):
+        rng = make_rng(seed, "detector-ties")
+        return {
+            pid: {
+                **detector.initial_state(pid, n),
+                "num": [rng.choice((0, 1, 2)) for _ in range(n)],
+                "status": [rng.choice((ALIVE, DEAD)) for _ in range(n)],
+            }
+            for pid in range(n)
+        }
+
+    assert_conformance(
+        detector, n=n, rounds=4, initial_states=[tied(seed) for seed in range(20)], backend=backend
     )
 
 

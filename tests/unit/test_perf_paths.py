@@ -43,7 +43,7 @@ import pytest
 from repro.array import as_array_protocol, has_numpy, run_array
 from repro.array import engine as array_engine
 from repro.array.engine import RoundWire, _CsrGraph
-from repro.array.protocols import ArrayClock, ArrayProtocol, _ArrayWrapper
+from repro.array.protocols import ArrayClock, ArrayProtocol, _DenseTwin
 from repro.core.canonical import CanonicalRunner
 from repro.core.rounds import RoundAgreementProtocol
 from repro.experiments import base as experiments_base
@@ -960,9 +960,9 @@ class TestColumnSetUp:
             monkeypatch.setattr(owner, name, call)
 
         # the classes that define each bridge: the clock twin derived from
-        # every declaration, and the bridge Figure 2's and Figure 3's
-        # wrappers share, which inherits ``load_columns``
-        for owner in (ArrayClock, _ArrayWrapper):
+        # every declaration, and the bridge every dense twin shares, which
+        # inherits ``load_columns``
+        for owner in (ArrayClock, _DenseTwin):
             spy(owner, "read_states")
             spy(owner, "load_states")
         spy(ArrayClock, "load_columns")

@@ -13,7 +13,8 @@ synchronous wire the item is a whole broadcast, which has no one
 A canonical Π's round is batched once too, whichever figure wraps it:
 FloodMin's flood-merge and phase-queen's ballot tally each appear once in
 the array plane, in their Π twins, which Figure 2's and Figure 3's
-wrappers share.
+wrappers share.  The state bridge of a dense twin is written once as
+well, in ``_DenseTwin``: each twin writes only its row codec.
 
 The clock family is declared once too: Figure 1's round agreement, its
 ablations and the unison protocols state a ``rule`` (``repro.sync.clock``)
@@ -61,6 +62,8 @@ RETIRED = {
         "ArrayFtFloodMin",
         "ArrayPhaseQueen",
         "_FloodMinCodec",
+        "register_array_protocol",
+        "_MATCHERS",
     ),
 }
 
@@ -209,3 +212,25 @@ PI_ROUNDS = {"floodmin-merge": "bitwise_or.reduce(", "phase-queen-tally": ".sum(
 def test_each_pi_round_is_spelled_once(what):
     source = (SRC / "array/protocols.py").read_text("utf-8")
     assert source.count(PI_ROUNDS[what]) == 1, f"{what} is spelled more than once (or not at all)"
+
+
+#: What ``_DenseTwin`` writes once; a dense twin writes only its row codec.
+DENSE_BRIDGE = {"initial_states", "load_states", "read_states"}
+
+
+def test_dense_twins_share_one_bridge():
+    classes = _classes("array/protocols.py")
+    dense = {"_DenseTwin"}
+    while True:  # its subclasses, however deep
+        found = {
+            name
+            for name, node in classes.items()
+            if {base.id for base in node.bases if isinstance(base, ast.Name)} & dense
+        }
+        if found <= dense:
+            break
+        dense |= found
+    assert {"_ArrayRunner", "_ArrayCompiled", "ArrayDetectorStack"} <= dense
+    for name in sorted(dense - {"_DenseTwin"}):
+        spelled = {node.name for node in classes[name].body if isinstance(node, ast.FunctionDef)}
+        assert not spelled & DENSE_BRIDGE, f"{name} spells out {sorted(spelled & DENSE_BRIDGE)}"
