@@ -47,11 +47,6 @@ __all__ = [
 #: Omission campaign kinds (subsets of the paper's general omission).
 OMISSION_KINDS = ("send", "receive", "general")
 
-#: Above this system size exact canonicalization (min over all pid
-#: permutations) is skipped and dedup falls back to exact-duplicate
-#: removal only.
-MAX_CANONICAL_N = 7
-
 
 class ComposedCorruption(CorruptionPlan):
     """Apply several corruption plans in sequence (later plans last)."""
@@ -219,6 +214,8 @@ class PlanSpec:
             pids_seen.add(pid)
         for om in self.omissions:
             require(0 <= om.pid < self.n, f"omission pid {om.pid} out of range")
+            for t in om.targets or ():
+                require(0 <= t < self.n, f"omission target {t} out of range")
             require(
                 om.last_round <= self.rounds,
                 f"omission window ends at {om.last_round} > rounds {self.rounds}",
@@ -368,7 +365,7 @@ class PlanSpec:
             tuple(sorted(self.crashes)),
             tuple(
                 sorted(
-                    (o.pid, o.kind, o.first_round, o.last_round, o.targets or ())
+                    (o.pid, o.kind, o.first_round, o.last_round, _targets_key(o.targets))
                     for o in self.omissions
                 )
             ),
@@ -385,7 +382,12 @@ class PlanSpec:
         )
 
 
-def _relabeled_key(spec: PlanSpec, perm: Tuple[int, ...]) -> tuple:
+def _targets_key(targets: Optional[Iterable[int]]) -> tuple:
+    """``None`` omits to everyone and ``()`` to nobody, so they key apart."""
+    return () if targets is None else (tuple(targets),)
+
+
+def _relabeled_key(spec: PlanSpec, perm: Dict[int, int]) -> tuple:
     """``sort_key()`` of the same spec with process ids mapped through
     ``perm[old] = new``, read off the spec without building it."""
     return (
@@ -401,7 +403,7 @@ def _relabeled_key(spec: PlanSpec, perm: Tuple[int, ...]) -> tuple:
                         o.kind,
                         o.first_round,
                         o.last_round,
-                        tuple(sorted([perm[t] for t in o.targets])) if o.targets else (),
+                        _targets_key(o.targets and sorted([perm[t] for t in o.targets])),
                     )
                     for o in spec.omissions
                 ]
@@ -423,14 +425,13 @@ def canonical_key(spec: PlanSpec, symmetric: bool = True) -> tuple:
     Sound only when the target treats all processes alike
     (``symmetric=True`` and the spec carries no seeded per-pid
     randomness); otherwise the key degrades to the spec itself, deduping
-    exact duplicates only.  Exact canonicalization minimizes over all
-    ``n!`` permutations, so it is gated to ``n <= MAX_CANONICAL_N``.
+    exact duplicates only.  The key reads only the ``k`` pids the spec
+    touches, so the minimum over the ``k!`` bijections from them onto
+    ``0..k-1`` is the minimum over all ``n!`` relabelings: compacting
+    any injection onto ``0..k-1`` in order keeps every list sorted and
+    lowers no pid.
     """
-    if (
-        not symmetric
-        or not spec.is_symmetric_instance
-        or spec.n > MAX_CANONICAL_N
-    ):
+    if not symmetric or not spec.is_symmetric_instance:
         return spec.sort_key()
     touched = sorted(
         {pid for pid, _ in spec.crashes}
@@ -439,10 +440,9 @@ def canonical_key(spec: PlanSpec, symmetric: bool = True) -> tuple:
         | {pid for pid, _ in spec.clock_skews}
         | {ch.pid for ch in spec.churn}
     )
-    if not touched:
-        return spec.sort_key()
     return min(
-        _relabeled_key(spec, perm) for perm in itertools.permutations(range(spec.n))
+        _relabeled_key(spec, dict(zip(touched, perm)))
+        for perm in itertools.permutations(range(len(touched)))
     )
 
 

@@ -69,7 +69,7 @@ __all__ = [
 #: Ceiling on plans one explicit verification will walk.  Bounded model
 #: checking earns the word "provably" only when the space is genuinely
 #: exhausted, so an over-budget space is an error, never a sample.
-MAX_EXPLICIT_PLANS = 20_000
+MAX_EXPLICIT_PLANS = 40_000
 
 
 class SpaceTooLargeError(ValueError):

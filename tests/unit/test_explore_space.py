@@ -51,6 +51,17 @@ class TestPlanSpecValidation:
                 omissions=(OmissionSpec(pid=0, kind="lossy", first_round=1, last_round=2),),
             )
 
+    def test_rejects_out_of_range_omission_targets(self):
+        data = PlanSpec(
+            n=3,
+            rounds=4,
+            omissions=(OmissionSpec(pid=0, kind="send", first_round=1, last_round=2),),
+        ).to_jsonable()
+        for targets in ([5], [-1], [1, 3]):
+            data["omissions"][0]["targets"] = targets
+            with pytest.raises(ValueError, match="omission target"):
+                PlanSpec.from_jsonable(data)
+
     def test_jsonable_round_trip(self):
         spec = PlanSpec(
             n=4,
@@ -123,6 +134,23 @@ class TestCanonicalization:
         b = PlanSpec(crashes=((2, 2),), **base)
         kept, dropped = dedupe([a, b], symmetric=False)
         assert len(kept) == 2 and dropped == 0
+
+    def test_everyone_and_nobody_targets_are_distinct(self):
+        # targets=None omits to every peer, targets=() to none: two
+        # different campaigns, so neither dedupe mode may merge them.
+        a, b = (
+            PlanSpec(
+                n=3,
+                rounds=5,
+                omissions=(
+                    OmissionSpec(pid=0, kind="send", first_round=1, last_round=2, targets=t),
+                ),
+            )
+            for t in (None, ())
+        )
+        assert a.sort_key() != b.sort_key()
+        for symmetric in (False, True):
+            assert dedupe([a, b], symmetric=symmetric) == ([a, b], 0)
 
     def test_seeded_corruption_is_never_collapsed(self):
         # Random corruption draws per-pid values, so relabeling is not

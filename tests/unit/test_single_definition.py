@@ -20,6 +20,9 @@ The clock family is declared once too: Figure 1's round agreement, its
 ablations and the unison protocols state a ``rule`` (``repro.sync.clock``)
 and neither spell out the methods derived from it nor get a hand-written
 batched twin or a matcher branch of their own.
+
+Symmetry reduction has one path too: ``canonical_key`` relabels the
+touched pids at every n, and no size gate switches it off.
 """
 
 import ast
@@ -65,6 +68,7 @@ RETIRED = {
         "register_array_protocol",
         "_MATCHERS",
     ),
+    "explore/space.py": ("MAX_CANONICAL_N",),
 }
 
 
