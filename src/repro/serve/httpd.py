@@ -2,7 +2,7 @@
 
 Deliberately small: the serving API needs exactly four verbs of HTTP —
 parse a request with a bounded body, answer a JSON document, stream an
-ND-JSON body chunk-by-chunk as results land, and notice a client that
+ND-JSON body batch-by-batch as results land, and notice a client that
 went away mid-stream.  Nothing here knows about sweeps; the router
 callback (:mod:`repro.serve.service`) owns the semantics.
 
@@ -15,13 +15,15 @@ Contract:
   with 400/413/431 and close the connection.
 - Unary responses carry ``Content-Length`` and keep the connection
   alive unless the request says ``Connection: close``.  Streaming
-  responses use chunked transfer-encoding and flush one chunk per
-  ND-JSON line.  A stream keeps its connection for the next request
-  only when the request carried ``Connection: keep-alive`` *and* the
-  producer ended cleanly; every other stream (no such header, a
-  producer error, a client byte or EOF mid-stream) closes when done.
-- While streaming, the connection's read side is watched: an EOF,
-  reset or stray byte cancels the producer *at its current await
+  responses are chunked, one chunk per batch of ready ND-JSON lines;
+  what is ready before the producer first waits shares one write with
+  the head, so a producer that never waits is answered in one write.
+  A stream keeps its connection for the next request only when the
+  request carried ``Connection: keep-alive`` *and* the producer ended
+  cleanly; every other stream (no such header, a producer error, a
+  client byte or EOF mid-stream) closes when done.
+- While the producer waits, the connection's read side is watched: an
+  EOF, reset or stray byte cancels the producer *at its current await
   point* (its ``finally`` blocks run, so the service can cancel
   in-flight shards) — the mechanism behind "client disconnect cancels
   the shard".  The watch is cancelled before the terminating chunk
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import types
 from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Awaitable, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
@@ -100,7 +103,7 @@ class Response:
 
 @dataclass
 class StreamResponse:
-    """A chunk-flushed ND-JSON response; ``lines`` yields encoded lines."""
+    """A chunked ND-JSON response; ``lines`` yields batches of encoded lines."""
 
     lines: AsyncIterator[bytes]
     status: int = 200
@@ -211,8 +214,29 @@ def _chunk(data: bytes) -> bytes:
     return b"%x\r\n" % len(data) + data + b"\r\n"
 
 
-async def _pump(lines: AsyncIterator[bytes], writer: asyncio.StreamWriter) -> bool:
-    """Write every produced line as one chunk; True iff the producer ended cleanly.
+def _error_chunk(error: Exception) -> bytes:
+    tail = json.dumps(error_body("internal", f"{type(error).__name__}: {error}"))
+    return _chunk((tail + "\n").encode("utf-8"))
+
+
+@types.coroutine
+def _resume(step, parked):
+    """Await ``step``, an ``__anext__`` stepped by hand that yielded ``parked``;
+    the task's wake-ups and throws (a cancel) are relayed into ``step``."""
+    while True:
+        try:
+            try:
+                yield parked
+            except BaseException as error:
+                parked = step.throw(error)
+            else:
+                parked = step.send(None)
+        except StopIteration as done:
+            return done.value
+
+
+async def _pump(pending: Awaitable[bytes], lines: AsyncIterator[bytes], writer) -> bool:
+    """Write ``pending`` and each later batch as a chunk; True iff the producer ended cleanly.
 
     A producer exception ends the body with a structured error line
     (the head already went out, so the status cannot say it).  A write
@@ -221,15 +245,15 @@ async def _pump(lines: AsyncIterator[bytes], writer: asyncio.StreamWriter) -> bo
     try:
         while True:
             try:
-                line = await lines.__anext__()
+                batch = await pending
             except StopAsyncIteration:
                 return True
             except Exception as error:  # producer bug: end the stream loudly
-                tail = json.dumps(error_body("internal", f"{type(error).__name__}: {error}"))
-                writer.write(_chunk((tail + "\n").encode("utf-8")))
+                writer.write(_error_chunk(error))
                 return False
-            writer.write(_chunk(line))
+            writer.write(_chunk(batch))
             await writer.drain()
+            pending = lines.__anext__()
     finally:
         await lines.aclose()
 
@@ -370,12 +394,16 @@ class HttpServer:
     ) -> bool:
         """Stream one response; True iff the connection may serve another request.
 
-        One pump task writes the whole body while the read side is
-        watched; the first of the two to finish decides.  A watch that
+        The batches the producer hands over without waiting go out with
+        the head in one write; a producer that finishes that way is done
+        in that write, terminator included, and no task is started.
+        Once it waits, one pump task writes the rest while the read side
+        is watched; the first of the two to finish decides.  A watch that
         fires first (EOF, reset, or a stray byte) cancels the pump, so
         the producer stops at its await point and the connection closes.
         """
-        writer.write(
+        lines = response.lines
+        ready = [
             _head(
                 response.status,
                 response.content_type,
@@ -385,24 +413,47 @@ class HttpServer:
                 },
             )
             + b"\r\n"
-        )
-        pump = asyncio.ensure_future(_pump(response.lines, writer))
-        eof_watch = asyncio.ensure_future(reader.read(1))
+        ]
+        clean, heard = True, False
         try:
-            await asyncio.wait({pump, eof_watch}, return_when=asyncio.FIRST_COMPLETED)
-        finally:
-            interrupted = not pump.done()
+            # Awaited inline: a producer never waits on work before its first
+            # batch.  Later steps go by hand; the first that parks goes to the pump.
+            ready.append(_chunk(await lines.__anext__()))
+            while True:
+                step = lines.__anext__()
+                try:
+                    parked = step.send(None)
+                except StopIteration as produced:
+                    ready.append(_chunk(produced.value))
+                else:
+                    break
+        except StopAsyncIteration:
+            step = None
+        except Exception as error:  # producer bug: end the stream loudly
+            ready.append(_error_chunk(error))
+            step, clean = None, False
+        if step is not None:
+            writer.write(b"".join(ready))
+            ready = []
+            pump = asyncio.ensure_future(_pump(_resume(step, parked), lines, writer))
+            eof_watch = asyncio.ensure_future(reader.read(1))
+            try:
+                await asyncio.wait({pump, eof_watch}, return_when=asyncio.FIRST_COMPLETED)
+            finally:
+                interrupted = not pump.done()
+                if interrupted:
+                    # The client went away (or sent a byte mid-stream): stop
+                    # the producer so its finally blocks cancel in-flight work.
+                    await _settle(pump)
+                heard = eof_watch.done()
+                await _settle(eof_watch)
             if interrupted:
-                # The client went away (or sent a byte mid-stream): stop
-                # the producer so its finally blocks cancel in-flight work.
-                await _settle(pump)
-            heard = eof_watch.done()
-            await _settle(eof_watch)
-        if interrupted:
-            return False
+                return False
         try:
-            clean = pump.result()
-            writer.write(b"0\r\n\r\n")
+            if step is not None:
+                clean = pump.result()
+            ready.append(b"0\r\n\r\n")
+            writer.write(b"".join(ready))
             await writer.drain()
         except (ConnectionError, OSError):
             return False

@@ -4,7 +4,8 @@ The service speaks two wire dialects:
 
 - **Client-facing**: plain HTTP/1.1 with JSON bodies.  Streaming
   endpoints (``POST /v1/sweep``, ``POST /v1/explore``) reply with
-  ND-JSON — one JSON object per line, chunk-flushed as results land.
+  ND-JSON — one JSON object per line, one chunk per batch of ready
+  lines (boundaries carry no meaning; one write when none is pending).
   Tasks and outcomes inside stream lines are carried in the tagged
   codec of :mod:`repro.net.framing` (``encode_value``/``decode_value``)
   so tuples, sets, and non-string-keyed dicts survive the trip and a

@@ -259,7 +259,7 @@ class SweepService:
         return StreamResponse(lines=self._stream(job, endpoint))
 
     async def _stream(self, job: _Job, endpoint: str) -> AsyncIterator[bytes]:
-        """The ordered ND-JSON line stream for one request."""
+        """The ordered ND-JSON stream for one request, in ready batches."""
         started = time.monotonic()
         self._active += 1
         self._idle.clear()
@@ -268,8 +268,8 @@ class SweepService:
         )
         status = "ok"
         try:
-            async for line in self._run_job(job, started):
-                yield line
+            async for batch in self._run_job(job, started):
+                yield batch
         except asyncio.CancelledError:
             status = "cancelled"
             raise
@@ -336,9 +336,9 @@ class SweepService:
                 )
             )
         self._request_seq += 1
-        yield encode_stream_line(
-            header_line(self._request_seq, job.namespace, total, hits)
-        )
+        # One yield per batch of ready lines: the header with the leading hits,
+        # then what each shard makes ready, the end line joined to the last.
+        batch = [encode_stream_line(header_line(self._request_seq, job.namespace, total, hits))]
 
         # 2. Shard the misses (contiguous in index order, so awaiting
         #    shards in submission order yields outcomes in input order).
@@ -365,11 +365,24 @@ class SweepService:
                 )
                 pointer += 1
 
+        def end(**flags) -> bytes:
+            return encode_stream_line(
+                end_line(
+                    completed=pointer,
+                    total=total,
+                    cache_hits=hits,
+                    executed=executed,
+                    elapsed_s=time.monotonic() - started,
+                    **flags,
+                )
+            )
+
         miss_set = set(miss_indices)
         try:
-            for line in ready_lines():  # leading cache hits
-                yield line
+            batch += ready_lines()  # leading cache hits
             for shard in shards:
+                yield b"".join(batch)
+                batch = []
                 remaining = None if deadline is None else deadline - time.monotonic()
                 try:
                     # The pre-check must raise *inside* this try: an
@@ -384,16 +397,7 @@ class SweepService:
                     self.bus.on_serve(
                         ServeEvent(kind="request-truncated", namespace=job.namespace)
                     )
-                    yield encode_stream_line(
-                        end_line(
-                            completed=pointer,
-                            total=total,
-                            cache_hits=hits,
-                            executed=executed,
-                            elapsed_s=time.monotonic() - started,
-                            truncated=True,
-                        )
-                    )
+                    yield end(truncated=True)
                     return
                 except (ShardFailed, WorkerCrashed) as error:
                     code = (
@@ -401,17 +405,7 @@ class SweepService:
                         if isinstance(error, WorkerCrashed)
                         else "worker-error"
                     )
-                    yield encode_stream_line(error_line(code, str(error)))
-                    yield encode_stream_line(
-                        end_line(
-                            completed=pointer,
-                            total=total,
-                            cache_hits=hits,
-                            executed=executed,
-                            elapsed_s=time.monotonic() - started,
-                            failed=True,
-                        )
-                    )
+                    yield encode_stream_line(error_line(code, str(error))) + end(failed=True)
                     return
                 executed += len(shard.tasks)
                 for offset, (index, outcome) in enumerate(zip(shard.indices, outcomes)):
@@ -426,17 +420,9 @@ class SweepService:
                             worker=job.worker_ref,
                             point=tasks[index],
                         )
-                for line in ready_lines():
-                    yield line
-            yield encode_stream_line(
-                end_line(
-                    completed=pointer,
-                    total=total,
-                    cache_hits=hits,
-                    executed=executed,
-                    elapsed_s=time.monotonic() - started,
-                )
-            )
+                batch += ready_lines()
+            batch.append(end())
+            yield b"".join(batch)
         finally:
             if submitter is not None and not submitter.done():
                 submitter.cancel()

@@ -58,7 +58,7 @@ from repro.verify.certificates import (
     load_certificate,
     save_certificate,
 )
-from repro.verify.explicit import explicit_verify
+from repro.verify.explicit import SpaceTooLargeError, explicit_verify
 from repro.verify.minimal import certify_minimal
 from repro.verify.result import VerifyResult
 
@@ -142,6 +142,9 @@ def _prove_or_refute(args, want: str) -> int:
         return EXIT_CAPABILITY
     except SmtUnsupportedError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
+        return 2
+    except SpaceTooLargeError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
         return 2
     target = get_verify_target(args.target)
     failures: List[str] = []

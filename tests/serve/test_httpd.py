@@ -5,6 +5,8 @@ from __future__ import annotations
 import asyncio
 import json
 
+import pytest
+
 from repro.serve.httpd import (
     HttpServer,
     Response,
@@ -263,3 +265,99 @@ def test_client_byte_mid_stream_cancels_and_closes():
     rest = asyncio.run(_with_server(handler, client))
     assert rest == b'{"i": 0}\n\r\n'  # the first chunk's data; no terminator
     assert cancelled == ["/parked"]
+
+
+def _spy_on_writes(monkeypatch):
+    """Every ``StreamWriter.write`` as (calling task, bytes), in order."""
+    writes = []
+    original = asyncio.StreamWriter.write
+
+    def write(self, data):
+        writes.append((asyncio.current_task(), bytes(data)))
+        original(self, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", write)
+    return writes
+
+
+def test_finished_producer_is_one_write_and_starts_no_task(monkeypatch):
+    writes = _spy_on_writes(monkeypatch)
+    spawned = []  # (creating task, coroutine) of every task made
+
+    def factory(loop, coro, **kwargs):
+        spawned.append((asyncio.current_task(), coro))
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    async def client(server, reader, writer):
+        asyncio.get_running_loop().set_task_factory(factory)
+        writer.write(b"GET /stream HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
+        head, lines = await _read_chunked(reader)
+        asyncio.get_running_loop().set_task_factory(None)
+        return asyncio.current_task(), head, lines
+
+    me, head, lines = asyncio.run(_with_server(_toy_handler, client))
+    [(connection, raw)] = [(task, data) for task, data in writes if task is not me]
+    # The bytes the pump would write: head, one chunk per batch, terminator.
+    assert raw == head + b"".join(b"9\r\n%s\n\r\n" % line for line in lines) + b"0\r\n\r\n"
+    assert not [coro for creator, coro in spawned if creator is connection]
+    assert [json.loads(line) for line in lines] == [{"i": i} for i in range(3)]
+
+
+def test_waiting_producer_writes_head_with_first_batch(monkeypatch):
+    writes = _spy_on_writes(monkeypatch)
+
+    async def handler(request):
+        async def batches():
+            yield b'{"i": 0}\n{"i": 1}\n'
+            await asyncio.sleep(0.01)  # a shard in flight
+            yield b'{"i": 2}\n'
+
+        return StreamResponse(lines=batches())
+
+    async def client(server, reader, writer):
+        writer.write(b"GET /waits HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
+        _head, lines = await _read_chunked(reader)
+        return asyncio.current_task(), lines
+
+    me, lines = asyncio.run(_with_server(handler, client))
+    served = [data for task, data in writes if task is not me]
+    assert served[0].endswith(b"\r\n\r\n12\r\n" + b'{"i": 0}\n{"i": 1}\n' + b"\r\n")
+    assert served[1:] == [b'9\r\n{"i": 2}\n\r\n', b"0\r\n\r\n"]
+    assert [json.loads(line) for line in lines] == [{"i": i} for i in range(3)]
+
+
+@pytest.mark.parametrize("parks_on", ["future", "bare-yield"])
+def test_hang_up_before_the_first_shard_cancels_producer_and_shard(parks_on):
+    shards, ended = [], []
+
+    async def handler(request):
+        async def waits():
+            shard = asyncio.get_running_loop().create_future()
+            shards.append(shard)
+            yield b'{"kind": "header"}\n'
+            try:
+                if parks_on == "future":
+                    await asyncio.shield(shard)
+                while not shard.done():
+                    await asyncio.sleep(0)  # a bare yield: the cancel is thrown in
+                yield shard.result()
+            except asyncio.CancelledError:
+                ended.append("cancelled")
+                raise
+            finally:
+                shard.cancel()  # what the service's finally does to its shards
+
+        return StreamResponse(lines=waits())
+
+    async def client(server, reader, writer):
+        writer.write(b"GET /waits HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
+        await reader.readuntil(b"\r\n\r\n")
+        assert await reader.readuntil(b"\r\n") == b"13\r\n"
+        writer.write_eof()  # hang up mid-stream
+        rest = await reader.read()
+        while not shards[0].done():
+            await asyncio.sleep(0.01)
+        return rest
+
+    assert asyncio.run(_with_server(handler, client)) == b'{"kind": "header"}\n\r\n'
+    assert ended == ["cancelled"] and shards[0].cancelled()

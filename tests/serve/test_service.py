@@ -16,6 +16,7 @@ import repro.cache
 import repro.experiments.base as base
 from repro.experiments import fig4
 from repro.experiments.base import run_sweep
+from repro.kernel.events import Observer
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.runner import ServerThread
 
@@ -64,6 +65,52 @@ def test_warm_repeat_is_all_cache_hits(server):
     stats = client.stats()
     assert stats["tasks"]["cache_hits"] == len(TASKS)
     assert stats["tasks"]["executed"] == len(TASKS)  # cold pass only
+
+
+def test_all_hit_request_narrates_and_counts_as_before():
+    kinds = []
+
+    class Recorder(Observer):
+        def on_serve(self, event):
+            kinds.append(event.kind)
+
+    with ServerThread(fleet_kind="inproc", workers=2, observers=(Recorder(),)) as running:
+        client = ServeClient(running.url)
+        assert client.sweep("FIG4", points=POINTS, seeds=list(SEEDS)).ok  # cold
+        before = client.stats()
+        del kinds[:]
+        warm = client.sweep("FIG4", points=POINTS, seeds=list(SEEDS))
+        after = client.stats()
+    assert warm.ok and warm.end["executed"] == 0
+    assert kinds == ["request-start", "task-cached", "request-end"]
+    moved = {
+        path: after[section][name] - before[section][name]
+        for path in (
+            "requests.total",
+            "requests.active",
+            "requests.cancelled",
+            "requests.errors",
+            "tasks.total",
+            "tasks.cache_hits",
+            "tasks.executed",
+            "cache.hits",
+            "cache.misses",
+            "latency_ms.count",
+        )
+        for section, name in [path.split(".")]
+    }
+    assert moved == {
+        "requests.total": 1,
+        "requests.active": 0,
+        "requests.cancelled": 0,
+        "requests.errors": 0,
+        "tasks.total": len(TASKS),
+        "tasks.cache_hits": len(TASKS),
+        "tasks.executed": 0,
+        "cache.hits": len(TASKS),
+        "cache.misses": 0,
+        "latency_ms.count": 1,
+    }
 
 
 def test_no_cache_forces_execution(server):

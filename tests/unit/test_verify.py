@@ -174,6 +174,16 @@ class TestExplicitEngine:
         with pytest.raises(SpaceTooLargeError):
             verify("unison", max_plans=3)
 
+    @pytest.mark.parametrize("command", ["prove", "refute"])
+    def test_refused_space_is_a_usage_error_not_a_verdict(self, command, capsys):
+        from repro.verify.__main__ import main as verify_main
+
+        code = verify_main([command, "fig1", "--space", "smoke", "--max-plans", "1"])
+        err = capsys.readouterr().err
+        assert code == 2  # exit 1 would claim a wrong verdict
+        assert err.count("\n") == 1 and "more than 1 plans" in err
+        assert "Traceback" not in err
+
     def test_enumerate_space_counts(self):
         space = tiny_space()
         kept, raw, dropped = enumerate_space(space, symmetric=False)
