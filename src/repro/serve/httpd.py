@@ -28,6 +28,9 @@ Contract:
   in-flight shards) — the mechanism behind "client disconnect cancels
   the shard".  The watch is cancelled before the terminating chunk
   goes out, so it never consumes a byte of the next request.
+- A producer runs on the connection's task until it first waits, then
+  on a pump task: it must hold no ``asyncio.current_task()`` scope
+  (``asyncio.timeout``, ``TaskGroup``, 3.12's ``wait_for``) across a wait.
 - The server counts the connections it accepted and the requests it
   read on them (:meth:`HttpServer.counters`).
 """
@@ -394,13 +397,12 @@ class HttpServer:
     ) -> bool:
         """Stream one response; True iff the connection may serve another request.
 
-        The batches the producer hands over without waiting go out with
-        the head in one write; a producer that finishes that way is done
-        in that write, terminator included, and no task is started.
-        Once it waits, one pump task writes the rest while the read side
-        is watched; the first of the two to finish decides.  A watch that
-        fires first (EOF, reset, or a stray byte) cancels the pump, so
-        the producer stops at its await point and the connection closes.
+        The batches the producer hands over without waiting share one
+        write with the head, and with the terminator if it ends so (no
+        task is started).  Once it waits, a pump task writes the rest
+        while the read side is watched; a watch that fires first (EOF,
+        reset, or a stray byte) cancels the pump, so the producer stops
+        at its await point and the connection closes.
         """
         lines = response.lines
         ready = [
@@ -416,9 +418,8 @@ class HttpServer:
         ]
         clean, heard = True, False
         try:
-            # Awaited inline: a producer never waits on work before its first
-            # batch.  Later steps go by hand; the first that parks goes to the pump.
-            ready.append(_chunk(await lines.__anext__()))
+            # Stepped by hand while the producer hands batches over without
+            # waiting; the first step that parks goes, still parked, to the pump.
             while True:
                 step = lines.__anext__()
                 try:
@@ -452,8 +453,7 @@ class HttpServer:
         try:
             if step is not None:
                 clean = pump.result()
-            ready.append(b"0\r\n\r\n")
-            writer.write(b"".join(ready))
+            writer.write(b"".join(ready) + b"0\r\n\r\n")
             await writer.drain()
         except (ConnectionError, OSError):
             return False

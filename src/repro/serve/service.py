@@ -388,11 +388,13 @@ class SweepService:
                     # The pre-check must raise *inside* this try: an
                     # expiry landing between shards takes the same
                     # truncated-end path as one landing mid-await.
+                    # asyncio.wait binds no task, unlike wait_for (see httpd).
                     if remaining is not None and remaining <= 0:
                         raise asyncio.TimeoutError
-                    outcomes = await asyncio.wait_for(
-                        asyncio.shield(shard.future), timeout=remaining
-                    )
+                    await asyncio.wait((shard.future,), timeout=remaining)
+                    if not shard.future.done():
+                        raise asyncio.TimeoutError
+                    outcomes = shard.future.result()
                 except asyncio.TimeoutError:
                     self.bus.on_serve(
                         ServeEvent(kind="request-truncated", namespace=job.namespace)

@@ -361,3 +361,30 @@ def test_hang_up_before_the_first_shard_cancels_producer_and_shard(parks_on):
 
     assert asyncio.run(_with_server(handler, client)) == b'{"kind": "header"}\n\r\n'
     assert ended == ["cancelled"] and shards[0].cancelled()
+
+
+def test_hang_up_before_the_first_batch_cancels_the_producer():
+    # A producer that waits before its header (the service's cache
+    # partition yields every few hundred tasks) is watched from that wait.
+    ended = []
+
+    async def handler(request):
+        async def partition():
+            try:
+                await asyncio.sleep(60)
+            except asyncio.CancelledError:
+                ended.append("cancelled")
+                raise
+            yield b'{"kind": "header"}\n'
+
+        return StreamResponse(lines=partition())
+
+    async def client(server, reader, writer):
+        writer.write(b"GET /partition HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
+        head = await reader.readuntil(b"\r\n\r\n")
+        writer.write_eof()  # hang up before the first batch
+        return head, await reader.read()
+
+    head, rest = asyncio.run(_with_server(handler, client))
+    assert b"Transfer-Encoding: chunked" in head and rest == b""
+    assert ended == ["cancelled"]

@@ -312,6 +312,19 @@ def test_deadline_already_expired_truncates_cleanly(server):
     assert not summary.errors
 
 
+def test_deadline_inside_the_first_shard_truncates_and_keeps_the_connection(server):
+    # The expiry lands while the stream waits on its first shard, the
+    # first wait after the header: the stream must still end with the
+    # truncated marker and its terminator, so the pooled connection
+    # serves the next request.
+    client = ServeClient(server.url)
+    summary = client.sweep("SERVE-DEBUG", points=[["sleep", 2000]] * 4, deadline_s=0.3)
+    assert summary.truncated
+    assert summary.end["completed"] == 0
+    assert not summary.errors
+    assert client.stats()["connections"] == {"accepted": 1, "requests": 2}
+
+
 def test_one_client_keeps_one_connection(server):
     client = ServeClient(server.url)
     assert client.sweep("FIG4", points=POINTS, seeds=list(SEEDS)).ok
