@@ -42,88 +42,7 @@ See ``examples/`` for runnable end-to-end scenarios and
 ``benchmarks/`` for the per-figure/per-theorem experiment harness.
 """
 
-from repro.analysis import (
-    ExperimentReport,
-    empirical_stabilization,
-    message_overhead,
-    run_message_stats,
-    window_stabilization_times,
-)
-from repro.asyncnet import (
-    AsyncProtocol,
-    AsyncScheduler,
-    AsyncTrace,
-    WeakDetectorOracle,
-)
-from repro.core import (
-    CanonicalProtocol,
-    CanonicalRunner,
-    CheckReport,
-    ClockAgreementProblem,
-    CompiledProtocol,
-    ConsensusProblem,
-    FreeRunningRoundProtocol,
-    MinMergeRoundProtocol,
-    Problem,
-    RepeatedConsensusProblem,
-    RoundAgreementProtocol,
-    UniformityCondition,
-    Violation,
-    compile_protocol,
-    ft_check,
-    ftss_check,
-    run_ft,
-    ss_check,
-    tentative_check,
-)
-from repro.core.impossibility import theorem1_scenario, theorem2_scenario
-from repro.core.problems import BoundedSkewAgreementProblem
-from repro.detectors import (
-    CTConsensus,
-    LastWriterDetector,
-    StrongDetector,
-    consensus_log_agreement,
-    eventual_weak_accuracy,
-    strong_completeness,
-)
-from repro.detectors.heartbeat import HeartbeatDetector
-from repro.histories import (
-    ExecutionHistory,
-    Message,
-    RoundHistory,
-    coterie,
-    coterie_timeline,
-    stable_windows,
-)
-from repro.core.bounded import BoundedRoundAgreement, bounded_refutation_sweep
-from repro.protocols import (
-    BroadcastProblem,
-    EarlyDecidingFloodMin,
-    FloodBroadcast,
-    FloodMinConsensus,
-    InteractiveConsistency,
-    PhaseQueenConsensus,
-    VectorConsensusProblem,
-    iteration_decisions,
-)
-from repro.sync import (
-    Adversary,
-    ClockSkewCorruption,
-    ExplicitCorruption,
-    FaultMode,
-    NoCorruption,
-    NoDelay,
-    NullAdversary,
-    RandomAdversary,
-    RandomCorruption,
-    RandomDelay,
-    RoundFaultPlan,
-    ScriptedAdversary,
-    SyncProtocol,
-    SyncRunResult,
-    TargetedLag,
-    run_sync,
-)
+from repro._lazy import lazy_surface
 
 __version__ = "1.0.0"
 
@@ -199,3 +118,64 @@ __all__ = [
     "theorem2_scenario",
     "window_stabilization_times",
 ]
+
+__getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".analysis.metrics": ("message_overhead", "run_message_stats"),
+        ".analysis.report": ("ExperimentReport",),
+        ".analysis.stabilization": ("empirical_stabilization", "window_stabilization_times"),
+        ".asyncnet.oracle": ("WeakDetectorOracle",),
+        ".asyncnet.scheduler": ("AsyncProtocol", "AsyncScheduler", "AsyncTrace"),
+        ".core.bounded": ("BoundedRoundAgreement", "bounded_refutation_sweep"),
+        ".core.canonical": ("CanonicalProtocol", "CanonicalRunner", "run_ft"),
+        ".core.compiler": ("CompiledProtocol", "compile_protocol"),
+        ".core.impossibility": ("theorem1_scenario", "theorem2_scenario"),
+        ".core.problems": (
+            "CheckReport",
+            "ClockAgreementProblem",
+            "ConsensusProblem",
+            "Problem",
+            "RepeatedConsensusProblem",
+            "UniformityCondition",
+            "Violation",
+            "BoundedSkewAgreementProblem",
+        ),
+        ".core.rounds": (
+            "FreeRunningRoundProtocol",
+            "MinMergeRoundProtocol",
+            "RoundAgreementProtocol",
+        ),
+        ".core.solvability": ("ft_check", "ftss_check", "ss_check", "tentative_check"),
+        ".detectors.consensus": ("CTConsensus", "consensus_log_agreement"),
+        ".detectors.heartbeat": ("HeartbeatDetector",),
+        ".detectors.properties": ("eventual_weak_accuracy", "strong_completeness"),
+        ".detectors.strong": ("LastWriterDetector", "StrongDetector"),
+        ".histories.coterie": ("coterie", "coterie_timeline"),
+        ".histories.history": ("ExecutionHistory", "Message", "RoundHistory"),
+        ".histories.stability": ("stable_windows",),
+        ".protocols.broadcast": ("BroadcastProblem", "FloodBroadcast"),
+        ".protocols.earlydeciding": ("EarlyDecidingFloodMin",),
+        ".protocols.floodmin": ("FloodMinConsensus",),
+        ".protocols.interactive": ("InteractiveConsistency", "VectorConsensusProblem"),
+        ".protocols.phaseking": ("PhaseQueenConsensus",),
+        ".protocols.repeated": ("iteration_decisions",),
+        ".sync.adversary": (
+            "Adversary",
+            "FaultMode",
+            "NullAdversary",
+            "RandomAdversary",
+            "RoundFaultPlan",
+            "ScriptedAdversary",
+        ),
+        ".sync.corruption": (
+            "ClockSkewCorruption",
+            "ExplicitCorruption",
+            "NoCorruption",
+            "RandomCorruption",
+        ),
+        ".sync.delays": ("NoDelay", "RandomDelay", "TargetedLag"),
+        ".sync.engine": ("SyncRunResult", "run_sync"),
+        ".sync.protocol": ("SyncProtocol",),
+    },
+)

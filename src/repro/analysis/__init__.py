@@ -12,18 +12,7 @@
   benchmark harness prints and EXPERIMENTS.md records.
 """
 
-from repro.analysis.metrics import (
-    StreamingMessageStats,
-    message_overhead,
-    run_message_stats,
-)
-from repro.analysis.report import ExperimentReport
-from repro.analysis.stabilization import (
-    StreamingClockStabilization,
-    empirical_stabilization,
-    window_stabilization_times,
-)
-from repro.analysis.tracefmt import format_async_trace, format_history
+from repro._lazy import lazy_surface
 
 __all__ = [
     "ExperimentReport",
@@ -36,3 +25,17 @@ __all__ = [
     "run_message_stats",
     "window_stabilization_times",
 ]
+
+__getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".metrics": ("StreamingMessageStats", "message_overhead", "run_message_stats"),
+        ".report": ("ExperimentReport",),
+        ".stabilization": (
+            "StreamingClockStabilization",
+            "empirical_stabilization",
+            "window_stabilization_times",
+        ),
+        ".tracefmt": ("format_async_trace", "format_history"),
+    },
+)

@@ -8,14 +8,7 @@ repeated consensus of Section 3, with client workloads, exactly-once
 application, and spec checkers.
 """
 
-from repro.apps.rsm import (
-    ClientWorkload,
-    Command,
-    NOOP,
-    ReplicatedStateMachine,
-    applied_commands,
-    rsm_verdict,
-)
+from repro._lazy import lazy_surface
 
 __all__ = [
     "ClientWorkload",
@@ -25,3 +18,17 @@ __all__ = [
     "applied_commands",
     "rsm_verdict",
 ]
+
+__getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".rsm": (
+            "ClientWorkload",
+            "Command",
+            "NOOP",
+            "ReplicatedStateMachine",
+            "applied_commands",
+            "rsm_verdict",
+        ),
+    },
+)

@@ -26,24 +26,7 @@ per-lane churn disagreement, …) raise :class:`ArrayEligibilityError`;
 loudly, to the reference engine.
 """
 
-from repro.array.backend import (
-    ArrayBackendUnavailable,
-    BACKENDS,
-    has_numpy,
-    pick_backend,
-)
-from repro.array.conformance import (
-    ArrayConformance,
-    LaneConformance,
-    assert_conformance,
-    check_conformance,
-)
-from repro.array.engine import ArrayRunResult, run_array
-from repro.array.protocols import (
-    ArrayEligibilityError,
-    ArrayProtocol,
-    as_array_protocol,
-)
+from repro._lazy import lazy_surface
 
 __all__ = [
     "ArrayBackendUnavailable",
@@ -60,3 +43,18 @@ __all__ = [
     "pick_backend",
     "run_array",
 ]
+
+__getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".backend": ("ArrayBackendUnavailable", "BACKENDS", "has_numpy", "pick_backend"),
+        ".conformance": (
+            "ArrayConformance",
+            "LaneConformance",
+            "assert_conformance",
+            "check_conformance",
+        ),
+        ".engine": ("ArrayRunResult", "run_array"),
+        ".protocols": ("ArrayEligibilityError", "ArrayProtocol", "as_array_protocol"),
+    },
+)

@@ -19,13 +19,7 @@ series over which "eventually, permanently" detector properties and
 consensus specifications are checked empirically.
 """
 
-from repro.asyncnet.oracle import WeakDetectorOracle
-from repro.asyncnet.scheduler import (
-    AsyncProtocol,
-    AsyncScheduler,
-    AsyncTrace,
-    ProcessContext,
-)
+from repro._lazy import lazy_surface
 
 __all__ = [
     "AsyncProtocol",
@@ -34,3 +28,11 @@ __all__ = [
     "ProcessContext",
     "WeakDetectorOracle",
 ]
+
+__getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".oracle": ("WeakDetectorOracle",),
+        ".scheduler": ("AsyncProtocol", "AsyncScheduler", "AsyncTrace", "ProcessContext"),
+    },
+)

@@ -298,7 +298,8 @@ class RunCache:
             self._memory.move_to_end(key)
         else:
             entry_bytes = self._pending.get(key)
-        if entry_bytes is None:
+        fresh = entry_bytes is None
+        if fresh:
             try:
                 entry_bytes = self._path(key).read_bytes()
             except OSError:
@@ -306,14 +307,21 @@ class RunCache:
                 if entry_bytes is None:
                     self._emit("miss", namespace, key, 0)
                     return False, None
-            self._remember(key, entry_bytes)
         try:
             entry = pickle.loads(entry_bytes)
         except Exception:
+            entry = None
+        if not (
+            isinstance(entry, dict)
+            and entry.get("schema") == ENTRY_SCHEMA
+            and "outcome" in entry
+        ):
             # A torn or foreign file at the key's path: treat as a miss;
             # the subsequent put overwrites it atomically.
             self._emit("miss", namespace, key, 0)
             return False, None
+        if fresh:
+            self._remember(key, entry_bytes)
         self._emit("hit", namespace, key, len(entry_bytes))
         return True, entry["outcome"]
 

@@ -16,33 +16,7 @@
   Theorem 1 and Theorem 2 scenario constructions.
 """
 
-from repro.core.bounded import (
-    BoundedClockAgreementProblem,
-    BoundedRoundAgreement,
-    bounded_refutation_sweep,
-)
-from repro.core.canonical import CanonicalProtocol, CanonicalRunner, run_ft
-from repro.core.compiler import CompiledProtocol, compile_protocol
-from repro.core.problems import (
-    CheckReport,
-    ClockAgreementProblem,
-    ConsensusProblem,
-    Problem,
-    RepeatedConsensusProblem,
-    UniformityCondition,
-    Violation,
-)
-from repro.core.rounds import (
-    FreeRunningRoundProtocol,
-    MinMergeRoundProtocol,
-    RoundAgreementProtocol,
-)
-from repro.core.solvability import (
-    ft_check,
-    ftss_check,
-    ss_check,
-    tentative_check,
-)
+from repro._lazy import lazy_surface
 
 __all__ = [
     "BoundedClockAgreementProblem",
@@ -68,3 +42,27 @@ __all__ = [
     "ss_check",
     "tentative_check",
 ]
+
+__getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".bounded": (
+            "BoundedClockAgreementProblem",
+            "BoundedRoundAgreement",
+            "bounded_refutation_sweep",
+        ),
+        ".canonical": ("CanonicalProtocol", "CanonicalRunner", "run_ft"),
+        ".compiler": ("CompiledProtocol", "compile_protocol"),
+        ".problems": (
+            "CheckReport",
+            "ClockAgreementProblem",
+            "ConsensusProblem",
+            "Problem",
+            "RepeatedConsensusProblem",
+            "UniformityCondition",
+            "Violation",
+        ),
+        ".rounds": ("FreeRunningRoundProtocol", "MinMergeRoundProtocol", "RoundAgreementProtocol"),
+        ".solvability": ("ft_check", "ftss_check", "ss_check", "tentative_check"),
+    },
+)

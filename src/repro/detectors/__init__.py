@@ -15,14 +15,7 @@
   array engine via its suspect-matrix twin).
 """
 
-from repro.detectors.consensus import CTConsensus, consensus_log_agreement
-from repro.detectors.properties import (
-    DetectorVerdict,
-    eventual_weak_accuracy,
-    strong_completeness,
-)
-from repro.detectors.stack import DetectorStack
-from repro.detectors.strong import LastWriterDetector, StrongDetector
+from repro._lazy import lazy_surface
 
 __all__ = [
     "CTConsensus",
@@ -34,3 +27,13 @@ __all__ = [
     "eventual_weak_accuracy",
     "strong_completeness",
 ]
+
+__getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".consensus": ("CTConsensus", "consensus_log_agreement"),
+        ".properties": ("DetectorVerdict", "eventual_weak_accuracy", "strong_completeness"),
+        ".stack": ("DetectorStack",),
+        ".strong": ("LastWriterDetector", "StrongDetector"),
+    },
+)

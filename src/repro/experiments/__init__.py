@@ -21,65 +21,10 @@ Run them:
   --benchmark-only``), which adds wall-clock timing on top.
 """
 
-from repro.experiments import (
-    abl_merge,
-    abl_retx,
-    abl_suspect,
-    array_scale,
-    array_twins,
-    async_cons,
-    ext_bounded,
-    ext_byz,
-    ext_early,
-    ext_heartbeat,
-    explore_ev,
-    ext_rsm,
-    ext_skew,
-    fig1,
-    fig2,
-    fig3,
-    fig4,
-    net_live,
-    thm1,
-    thm2,
-    thm3,
-    thm4,
-    thm5,
-    unison,
-    unison_churn,
-    verify_ev,
-)
-from repro.experiments.base import Expectations, ExperimentResult, Registry
-
-REGISTRY = Registry()
-for _id, _module in [
-    ("FIG1", fig1),
-    ("FIG2", fig2),
-    ("FIG3", fig3),
-    ("FIG4", fig4),
-    ("THM1", thm1),
-    ("THM2", thm2),
-    ("THM3", thm3),
-    ("THM4", thm4),
-    ("THM5", thm5),
-    ("ASYNC-CONS", async_cons),
-    ("ABL-SUSPECT", abl_suspect),
-    ("ABL-RETX", abl_retx),
-    ("ABL-MERGE", abl_merge),
-    ("EXT-BOUNDED", ext_bounded),
-    ("EXT-BYZ", ext_byz),
-    ("EXT-EARLY", ext_early),
-    ("EXT-HEARTBEAT", ext_heartbeat),
-    ("EXT-SKEW", ext_skew),
-    ("EXT-RSM", ext_rsm),
-    ("EXPLORE", explore_ev),
-    ("VERIFY", verify_ev),
-    ("NET-LIVE", net_live),
-    ("UNISON", unison),
-    ("UNISON-CHURN", unison_churn),
-    ("ARRAY-SCALE", array_scale),
-    ("ARRAY-TWINS", array_twins),
-]:
-    REGISTRY.add(_id, _module.run)
+from repro._lazy import lazy_surface
 
 __all__ = ["REGISTRY", "ExperimentResult", "Expectations", "Registry"]
+
+__getattr__, __dir__ = lazy_surface(
+    __name__, {".base": ("REGISTRY", "ExperimentResult", "Expectations", "Registry")}
+)

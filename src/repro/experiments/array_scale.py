@@ -30,7 +30,6 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from repro.analysis.report import ExperimentReport
-from repro.array import has_numpy, run_array
 from repro.experiments.base import Expectations, ExperimentResult, run_sweep
 from repro.kernel.faults import FaultPlan
 from repro.kernel.topology import GridTopology, RingTopology, Topology
@@ -103,6 +102,8 @@ def _measure_batch(tasks: List[Task]) -> List[Tuple[int, int]]:
     the history scan (same definition: last round whose start-of-round
     live clocks differ), so no history is materialized at n = 10^4+.
     """
+    from repro.array import run_array
+
     groups = {}
     for index, (family, n, seed) in enumerate(tasks):
         groups.setdefault((family, n), []).append((index, seed))
@@ -139,6 +140,8 @@ _measure.estimate_cost = _estimate_cost
 
 def measure_throughput(n: int, lanes: int, rounds: int) -> Tuple[float, float]:
     """(array processes/sec, reference processes/sec) at one grid point."""
+    from repro.array import run_array
+
     topology = make_topology("grid", n)
     plans = [
         FaultPlan(initial_corruption=_corruption("grid", n, seed))
@@ -163,6 +166,8 @@ def measure_throughput(n: int, lanes: int, rounds: int) -> Tuple[float, float]:
 
 
 def run(fast: bool = False, jobs: Optional[int] = None) -> ExperimentResult:
+    from repro.array import has_numpy, run_array
+
     if fast:
         sizes = {"ring": (400,), "grid": (400,)}
         seeds = range(2)

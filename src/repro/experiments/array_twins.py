@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.analysis.report import ExperimentReport
-from repro.array import run_array
 from repro.core.canonical import CanonicalRunner
 from repro.detectors.stack import DetectorStack
 from repro.experiments.base import Expectations, ExperimentResult, run_sweep
@@ -138,6 +137,8 @@ def _measure(task: Task) -> Tuple[int, int]:
 
 def _measure_batch(tasks: List[Task]) -> List[Tuple[int, int]]:
     """Batched twin of :func:`_measure`: one run_array call per kind."""
+    from repro.array import run_array
+
     groups = {}
     for index, (kind, n, seed) in enumerate(tasks):
         groups.setdefault((kind, n), []).append((index, seed))

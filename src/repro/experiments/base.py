@@ -25,15 +25,18 @@ the content-addressed run cache and only the misses execute).
 from __future__ import annotations
 
 import atexit
+import importlib
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, TypeVar, Union
 
 import repro.cache as run_cache_module
 from repro.analysis.report import ExperimentReport
 from repro.cache.digest import CanonicalizationError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "ExperimentResult",
@@ -82,6 +85,7 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
         shutdown_pool()
     if _POOL is None:
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         context = multiprocessing.get_context("fork")
         _POOL = ProcessPoolExecutor(max_workers=workers, mp_context=context)
@@ -451,12 +455,17 @@ Runner = Callable[..., ExperimentResult]
 
 
 class Registry:
-    """Name → runner mapping with stable iteration order."""
+    """Name → runner mapping with stable iteration order.
+
+    A runner may be given as the name of a module whose ``run`` it is;
+    that module is imported on the first :meth:`get`, so listing the
+    registry imports no experiment.
+    """
 
     def __init__(self) -> None:
-        self._runners: Dict[str, Runner] = {}
+        self._runners: Dict[str, Union[Runner, str]] = {}
 
-    def add(self, experiment_id: str, runner: Runner) -> None:
+    def add(self, experiment_id: str, runner: Union[Runner, str]) -> None:
         if experiment_id in self._runners:
             raise ValueError(f"duplicate experiment id {experiment_id!r}")
         self._runners[experiment_id] = runner
@@ -466,12 +475,15 @@ class Registry:
 
     def get(self, experiment_id: str) -> Runner:
         try:
-            return self._runners[experiment_id]
+            runner = self._runners[experiment_id]
         except KeyError:
             raise KeyError(
                 f"unknown experiment {experiment_id!r}; "
                 f"known: {', '.join(self._runners)}"
             ) from None
+        if isinstance(runner, str):
+            runner = self._runners[experiment_id] = importlib.import_module(runner).run
+        return runner
 
     def run(
         self,
@@ -480,3 +492,36 @@ class Registry:
         jobs: Optional[int] = None,
     ) -> ExperimentResult:
         return self.get(experiment_id)(fast=fast, jobs=jobs)
+
+
+#: Every experiment of DESIGN.md's index, by the module that runs it.
+REGISTRY = Registry()
+for _id, _module in [
+    ("FIG1", "fig1"),
+    ("FIG2", "fig2"),
+    ("FIG3", "fig3"),
+    ("FIG4", "fig4"),
+    ("THM1", "thm1"),
+    ("THM2", "thm2"),
+    ("THM3", "thm3"),
+    ("THM4", "thm4"),
+    ("THM5", "thm5"),
+    ("ASYNC-CONS", "async_cons"),
+    ("ABL-SUSPECT", "abl_suspect"),
+    ("ABL-RETX", "abl_retx"),
+    ("ABL-MERGE", "abl_merge"),
+    ("EXT-BOUNDED", "ext_bounded"),
+    ("EXT-BYZ", "ext_byz"),
+    ("EXT-EARLY", "ext_early"),
+    ("EXT-HEARTBEAT", "ext_heartbeat"),
+    ("EXT-SKEW", "ext_skew"),
+    ("EXT-RSM", "ext_rsm"),
+    ("EXPLORE", "explore_ev"),
+    ("VERIFY", "verify_ev"),
+    ("NET-LIVE", "net_live"),
+    ("UNISON", "unison"),
+    ("UNISON-CHURN", "unison_churn"),
+    ("ARRAY-SCALE", "array_scale"),
+    ("ARRAY-TWINS", "array_twins"),
+]:
+    REGISTRY.add(_id, f"repro.experiments.{_module}")

@@ -35,11 +35,7 @@ plans:
 See ``docs/explore.md`` for the space/checker/shrinker/replay contract.
 """
 
-from repro.explore.artifacts import Artifact, load_artifact, replay, save_artifact
-from repro.explore.engine import ExplorationResult, Finding, explore
-from repro.explore.shrink import shrink
-from repro.explore.space import OmissionSpec, PlanSpace, PlanSpec, dedupe
-from repro.explore.targets import TARGETS, ExplorationTarget, get_target
+from repro._lazy import lazy_surface
 
 __all__ = [
     "Artifact",
@@ -58,3 +54,14 @@ __all__ = [
     "save_artifact",
     "shrink",
 ]
+
+__getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".artifacts": ("Artifact", "load_artifact", "replay", "save_artifact"),
+        ".engine": ("ExplorationResult", "Finding", "explore"),
+        ".shrink": ("shrink",),
+        ".space": ("OmissionSpec", "PlanSpace", "PlanSpec", "dedupe"),
+        ".targets": ("TARGETS", "ExplorationTarget", "get_target"),
+    },
+)

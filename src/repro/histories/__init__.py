@@ -13,26 +13,7 @@ This subpackage implements Section 2.1 of Gopal & Perry (PODC '93):
   material for the ``ftss-solves`` checker (Definition 2.4).
 """
 
-from repro.histories.causality import (
-    CausalityTracker,
-    happened_before,
-    knowledge_timeline,
-)
-from repro.histories.coterie import coterie, coterie_timeline
-from repro.histories.history import (
-    CLOCK_KEY,
-    ExecutionHistory,
-    Message,
-    ProcessRoundRecord,
-    RoundHistory,
-    renumber,
-)
-from repro.histories.stability import (
-    StableWindow,
-    is_coterie_monotone,
-    stable_windows,
-    windows_from_timeline,
-)
+from repro._lazy import lazy_surface
 
 __all__ = [
     "CLOCK_KEY",
@@ -51,3 +32,25 @@ __all__ = [
     "stable_windows",
     "windows_from_timeline",
 ]
+
+__getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".causality": ("CausalityTracker", "happened_before", "knowledge_timeline"),
+        ".coterie": ("coterie", "coterie_timeline"),
+        ".history": (
+            "CLOCK_KEY",
+            "ExecutionHistory",
+            "Message",
+            "ProcessRoundRecord",
+            "RoundHistory",
+            "renumber",
+        ),
+        ".stability": (
+            "StableWindow",
+            "is_coterie_monotone",
+            "stable_windows",
+            "windows_from_timeline",
+        ),
+    },
+)

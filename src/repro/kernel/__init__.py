@@ -30,49 +30,7 @@ and recording what happened.  This package extracts that common layer:
   means in every substrate.
 """
 
-from repro.kernel.delivery import Liveness, RoundLedger
-from repro.kernel.events import (
-    AsyncMessage,
-    EventBus,
-    FaultEvent,
-    FaultKind,
-    Observer,
-    ServeEvent,
-)
-from repro.kernel.faults import (
-    AsyncFaultView,
-    ComposedAdversary,
-    CrashScheduleAdversary,
-    FaultPlan,
-    SyncFaultView,
-)
-from repro.kernel.recorders import (
-    AsyncTraceRecorder,
-    HistoryRecorder,
-    LiveTraceRecorder,
-)
-from repro.kernel.snapshot import (
-    FrozenDict,
-    copy_payload,
-    freeze,
-    imm,
-    snapshot_state,
-    snapshot_states,
-)
-from repro.kernel.topology import (
-    ChurnEvent,
-    ChurnSchedule,
-    CompleteTopology,
-    DynamicTopology,
-    ExplicitTopology,
-    GridTopology,
-    RandomTopology,
-    RingTopology,
-    Topology,
-    TreeTopology,
-    normalize_topology,
-    round_edges,
-)
+from repro._lazy import lazy_surface
 
 __all__ = [
     "AsyncFaultView",
@@ -110,3 +68,48 @@ __all__ = [
     "snapshot_state",
     "snapshot_states",
 ]
+
+__getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".delivery": ("Liveness", "RoundLedger"),
+        ".events": (
+            "AsyncMessage",
+            "EventBus",
+            "FaultEvent",
+            "FaultKind",
+            "Observer",
+            "ServeEvent",
+        ),
+        ".faults": (
+            "AsyncFaultView",
+            "ComposedAdversary",
+            "CrashScheduleAdversary",
+            "FaultPlan",
+            "SyncFaultView",
+        ),
+        ".recorders": ("AsyncTraceRecorder", "HistoryRecorder", "LiveTraceRecorder"),
+        ".snapshot": (
+            "FrozenDict",
+            "copy_payload",
+            "freeze",
+            "imm",
+            "snapshot_state",
+            "snapshot_states",
+        ),
+        ".topology": (
+            "ChurnEvent",
+            "ChurnSchedule",
+            "CompleteTopology",
+            "DynamicTopology",
+            "ExplicitTopology",
+            "GridTopology",
+            "RandomTopology",
+            "RingTopology",
+            "Topology",
+            "TreeTopology",
+            "normalize_topology",
+            "round_edges",
+        ),
+    },
+)

@@ -16,30 +16,7 @@ parity).  See ``docs/net.md`` for the architecture tour and the
 NET-LIVE experiment for the headline parity run.
 """
 
-from repro.net.cluster import (
-    LiveDeadlineExceeded,
-    LiveRunResult,
-    live_run_sync,
-    run_detector_live,
-    run_live_sync,
-)
-from repro.net.conformance import (
-    DetectorConformance,
-    SyncConformance,
-    histories_equal,
-    verify_detector_conformance,
-    verify_sync_conformance,
-)
-from repro.net.framing import FrameDecoder, FrameError, decode_value, encode_value
-from repro.net.host import DetectorHost, LiveClock, NetContext, ProcessHost
-from repro.net.interposer import WireInterposer
-from repro.net.transport import (
-    Endpoint,
-    InProcessTransport,
-    TcpTransport,
-    Transport,
-    make_transport,
-)
+from repro._lazy import lazy_surface
 
 __all__ = [
     "DetectorConformance",
@@ -67,3 +44,33 @@ __all__ = [
     "verify_detector_conformance",
     "verify_sync_conformance",
 ]
+
+__getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".cluster": (
+            "LiveDeadlineExceeded",
+            "LiveRunResult",
+            "live_run_sync",
+            "run_detector_live",
+            "run_live_sync",
+        ),
+        ".conformance": (
+            "DetectorConformance",
+            "SyncConformance",
+            "histories_equal",
+            "verify_detector_conformance",
+            "verify_sync_conformance",
+        ),
+        ".framing": ("FrameDecoder", "FrameError", "decode_value", "encode_value"),
+        ".host": ("DetectorHost", "LiveClock", "NetContext", "ProcessHost"),
+        ".interposer": ("WireInterposer",),
+        ".transport": (
+            "Endpoint",
+            "InProcessTransport",
+            "TcpTransport",
+            "Transport",
+            "make_transport",
+        ),
+    },
+)

@@ -47,7 +47,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.solvability import DefinitionVerdict, check_definition
 from repro.histories.history import ExecutionHistory, Message
-from repro.net.cluster import run_detector_live, run_live_sync
 from repro.sync.engine import run_sync
 
 __all__ = [
@@ -291,6 +290,8 @@ def verify_sync_conformance(
     ``sim_result`` is ``None``.  The live runs themselves always
     execute — only the deterministic engine side is cacheable.
     """
+    from repro.net.cluster import run_live_sync
+
     if reference is not None:
         sim = None
         sim_digest = reference.history_digest
@@ -406,6 +407,7 @@ def verify_detector_conformance(
         eventual_weak_accuracy,
         strong_completeness,
     )
+    from repro.net.cluster import run_detector_live
 
     sim_trace = AsyncScheduler(
         protocol_factory(),

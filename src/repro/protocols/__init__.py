@@ -27,13 +27,7 @@ Inventory:
   (see ``docs/topology.md``).
 """
 
-from repro.protocols.broadcast import BroadcastProblem, FloodBroadcast
-from repro.protocols.earlydeciding import EarlyDecidingFloodMin
-from repro.protocols.floodmin import FloodMinConsensus
-from repro.protocols.interactive import InteractiveConsistency, VectorConsensusProblem
-from repro.protocols.phaseking import PhaseQueenConsensus
-from repro.protocols.repeated import IterationDecision, iteration_decisions
-from repro.protocols.unison import BoundedUnison, MinUnison
+from repro._lazy import lazy_surface
 
 __all__ = [
     "BoundedUnison",
@@ -48,3 +42,16 @@ __all__ = [
     "VectorConsensusProblem",
     "iteration_decisions",
 ]
+
+__getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".broadcast": ("BroadcastProblem", "FloodBroadcast"),
+        ".earlydeciding": ("EarlyDecidingFloodMin",),
+        ".floodmin": ("FloodMinConsensus",),
+        ".interactive": ("InteractiveConsistency", "VectorConsensusProblem"),
+        ".phaseking": ("PhaseQueenConsensus",),
+        ".repeated": ("IterationDecision", "iteration_decisions"),
+        ".unison": ("BoundedUnison", "MinUnison"),
+    },
+)

@@ -30,12 +30,7 @@ CLI: ``python -m repro.serve serve|request|stats|smoke`` (see
 ``docs/serve.md``).
 """
 
-from repro.serve.catalog import Catalog, SweepSurface, default_catalog
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.fleet import ProcessFleet, ThreadFleet, WorkerFleet, make_fleet
-from repro.serve.protocol import ProtocolError, StreamSummary
-from repro.serve.runner import ServerThread
-from repro.serve.service import SweepService
+from repro._lazy import lazy_surface
 
 __all__ = [
     "Catalog",
@@ -52,3 +47,15 @@ __all__ = [
     "default_catalog",
     "make_fleet",
 ]
+
+__getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".catalog": ("Catalog", "SweepSurface", "default_catalog"),
+        ".client": ("ServeClient", "ServeError"),
+        ".fleet": ("ProcessFleet", "ThreadFleet", "WorkerFleet", "make_fleet"),
+        ".protocol": ("ProtocolError", "StreamSummary"),
+        ".runner": ("ServerThread",),
+        ".service": ("SweepService",),
+    },
+)

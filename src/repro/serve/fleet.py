@@ -51,9 +51,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.array.protocols import ArrayEligibilityError
 from repro.cache.store import _resolve_worker
-from repro.experiments.base import shutdown_pool
 from repro.net.framing import FrameDecoder, FrameError, encode_frame
 
 __all__ = [
@@ -118,6 +116,8 @@ class WorkerFleet:
     async def start(self) -> None:
         # The serving loop must never own a fork pool (see module doc);
         # tear down any pool a caller forked before the loop existed.
+        from repro.experiments.base import shutdown_pool
+
         shutdown_pool()
         self._stopping = False
         self._queue = asyncio.Queue(maxsize=self._queue_depth)
@@ -246,6 +246,8 @@ def _try_array_batch(worker, tasks: Sequence[Any]) -> Optional[List[Any]]:
             stacklevel=3,
         )
         return None
+    from repro.array.protocols import ArrayEligibilityError
+
     try:
         outcomes = list(batch(list(tasks)))
     except ArrayEligibilityError as error:

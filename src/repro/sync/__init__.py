@@ -19,26 +19,7 @@ the end.
   :class:`~repro.histories.history.ExecutionHistory` of every run.
 """
 
-from repro.sync.adversary import (
-    Adversary,
-    ByzantineAdversary,
-    FaultBudgetExceeded,
-    FaultMode,
-    NullAdversary,
-    RandomAdversary,
-    RoundFaultPlan,
-    ScriptedAdversary,
-)
-from repro.sync.corruption import (
-    ClockSkewCorruption,
-    CorruptionPlan,
-    ExplicitCorruption,
-    NoCorruption,
-    RandomCorruption,
-)
-from repro.sync.delays import DelayModel, NoDelay, RandomDelay, TargetedLag
-from repro.sync.engine import SyncRunResult, run_sync
-from repro.sync.protocol import SyncProtocol
+from repro._lazy import lazy_surface
 
 __all__ = [
     "Adversary",
@@ -62,3 +43,29 @@ __all__ = [
     "SyncRunResult",
     "run_sync",
 ]
+
+__getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".adversary": (
+            "Adversary",
+            "ByzantineAdversary",
+            "FaultBudgetExceeded",
+            "FaultMode",
+            "NullAdversary",
+            "RandomAdversary",
+            "RoundFaultPlan",
+            "ScriptedAdversary",
+        ),
+        ".corruption": (
+            "ClockSkewCorruption",
+            "CorruptionPlan",
+            "ExplicitCorruption",
+            "NoCorruption",
+            "RandomCorruption",
+        ),
+        ".delays": ("DelayModel", "NoDelay", "RandomDelay", "TargetedLag"),
+        ".engine": ("SyncRunResult", "run_sync"),
+        ".protocol": ("SyncProtocol",),
+    },
+)

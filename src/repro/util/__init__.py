@@ -4,13 +4,7 @@ These helpers are deliberately dependency-free so every other subpackage
 can import them without cycles.
 """
 
-from repro.util.rng import derive_seed, make_rng
-from repro.util.validation import (
-    require,
-    require_non_negative,
-    require_positive,
-    require_process_count,
-)
+from repro._lazy import lazy_surface
 
 __all__ = [
     "derive_seed",
@@ -20,3 +14,16 @@ __all__ = [
     "require_positive",
     "require_process_count",
 ]
+
+__getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".rng": ("derive_seed", "make_rng"),
+        ".validation": (
+            "require",
+            "require_non_negative",
+            "require_positive",
+            "require_process_count",
+        ),
+    },
+)

@@ -30,26 +30,15 @@ CLI: ``python -m repro.verify prove|refute|certify|list``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.explore.artifacts import Artifact
-from repro.explore.checkers import SpecVerdict
-from repro.explore.space import PlanSpace
-from repro.verify.explicit import cached_verify
-from repro.verify.result import FrontierStats, VerifyResult
-from repro.verify.smt import (
-    SmtUnavailableError,
-    SmtUnsupportedError,
-    smt_available,
-    smt_verify,
-)
-from repro.verify.targets import (
-    VERIFY_TARGETS,
-    VerifyTarget,
-    confirm_verdict,
-    get_verify_target,
-    streaming_verdict,
-)
+from repro._lazy import lazy_surface
+
+if TYPE_CHECKING:
+    from repro.explore.artifacts import Artifact
+    from repro.explore.checkers import SpecVerdict
+    from repro.explore.space import PlanSpace
+    from repro.verify.result import VerifyResult
 
 __all__ = [
     "CrossCheck",
@@ -64,6 +53,25 @@ __all__ = [
     "smt_available",
     "verify",
 ]
+
+__getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        "repro.explore.artifacts": ("Artifact",),
+        "repro.explore.checkers": ("SpecVerdict",),
+        "repro.explore.space": ("PlanSpace",),
+        ".explicit": ("cached_verify",),
+        ".result": ("FrontierStats", "VerifyResult"),
+        ".smt": ("SmtUnavailableError", "SmtUnsupportedError", "smt_available", "smt_verify"),
+        ".targets": (
+            "VERIFY_TARGETS",
+            "VerifyTarget",
+            "confirm_verdict",
+            "get_verify_target",
+            "streaming_verdict",
+        ),
+    },
+)
 
 ENGINES = ("explicit", "smt")
 
@@ -91,6 +99,8 @@ def verify(
     run cache when this very proof is there) or ``"smt"`` (requires z3;
     raises :class:`SmtUnavailableError` otherwise).
     """
+    from repro.verify.targets import get_verify_target
+
     vt = get_verify_target(target)
     resolved = space if space is not None else vt.space
     changes = {}
@@ -102,8 +112,12 @@ def verify(
         resolved = replace(resolved, **changes)
     at_value = vt.default_at if at is None else at
     if engine == "explicit":
+        from repro.verify.explicit import cached_verify
+
         return cached_verify(vt, at_value, resolved, jobs=jobs, max_plans=max_plans)
     if engine == "smt":
+        from repro.verify.smt import smt_verify
+
         return smt_verify(vt, at_value, resolved, jobs=jobs, max_plans=max_plans)
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
@@ -139,6 +153,8 @@ def cross_check(artifact: Artifact) -> CrossCheck:
     the asynchronous ``fig4``), then re-runs the spec through both
     verify codepaths.
     """
+    from repro.verify.targets import confirm_verdict, get_verify_target, streaming_verdict
+
     name, at, spec = artifact.to_verify_instance()
     vt = get_verify_target(name)
     streaming = streaming_verdict(vt, at, spec)

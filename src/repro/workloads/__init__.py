@@ -19,12 +19,7 @@ the latter:
 - helpers for building crash/corruption sweeps used by the benches.
 """
 
-from repro.workloads.scenarios import (
-    ConsensusDeadlockCorruption,
-    LateRevealAdversary,
-    clock_skew_pattern,
-    crash_schedule,
-)
+from repro._lazy import lazy_surface
 
 __all__ = [
     "ConsensusDeadlockCorruption",
@@ -32,3 +27,15 @@ __all__ = [
     "clock_skew_pattern",
     "crash_schedule",
 ]
+
+__getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".scenarios": (
+            "ConsensusDeadlockCorruption",
+            "LateRevealAdversary",
+            "clock_skew_pattern",
+            "crash_schedule",
+        ),
+    },
+)

@@ -182,6 +182,33 @@ def test_runcache_stats_and_events(tmp_path):
     assert all(event.namespace == "NS" for event in collector.events[:3])
 
 
+@pytest.mark.parametrize(
+    "foreign", [[1, 2, 3], {"schema": 1, "point": 3}], ids=["list", "no-outcome"]
+)
+def test_runcache_parseable_foreign_entry_is_a_miss(tmp_path, foreign):
+    class Collector(Observer):
+        def __init__(self):
+            self.kinds = []
+
+        def on_cache(self, event: CacheEvent) -> None:
+            self.kinds.append(event.kind)
+
+    cache = RunCache(tmp_path / "c")
+    collector = Collector()
+    cache.subscribe(collector)
+    key = cache.key("NS", _square, 3)
+    path = cache._path(key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(pickle.dumps(foreign, PICKLE_PROTOCOL))
+    assert cache.get(key, "NS") == (False, None)
+    assert collector.kinds == ["miss"]
+    assert key not in cache._memory  # foreign bytes are never remembered
+    assert cache.put(key, _square(3), namespace="NS", worker=_square, point=3)
+    assert cache.get(key, "NS") == (True, {"point": 3, "squared": 9})
+    cache.flush()
+    assert RunCache(tmp_path / "c").get(key, "NS") == (True, {"point": 3, "squared": 9})
+
+
 def test_runcache_persisted_counters_accumulate(tmp_path):
     root = tmp_path / "c"
     for _ in range(2):

@@ -23,6 +23,11 @@ batched twin or a matcher branch of their own.
 
 Symmetry reduction has one path too: ``canonical_key`` relabels the
 touched pids at every n, and no size gate switches it off.
+
+A package surface is lazy, and made one way: a package ``__init__`` binds
+no ``repro`` name by an import of its own, only through
+``repro._lazy.lazy_surface``, so importing one module of a plane never
+imports the rest of the system again.
 """
 
 import ast
@@ -238,3 +243,61 @@ def test_dense_twins_share_one_bridge():
     for name in sorted(dense - {"_DenseTwin"}):
         spelled = {node.name for node in classes[name].body if isinstance(node, ast.FunctionDef)}
         assert not spelled & DENSE_BRIDGE, f"{name} spells out {sorted(spelled & DENSE_BRIDGE)}"
+
+
+#: The one import a package ``__init__`` may make from ``repro``.
+LAZY_HELPER = ("repro._lazy", "lazy_surface")
+#: ``repro.cache``'s own functions (``get_cache``, ``cached_call``) are the
+#: cache's hot path and need ``RunCache`` bound; its imports are cheap.
+EAGER_INITS = {"cache/__init__.py"}
+
+
+def _runtime_imports(body):
+    """Import statements a module body runs (``if TYPE_CHECKING:`` never does)."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If):
+            if not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
+                yield from _runtime_imports(node.body)
+            yield from _runtime_imports(node.orelse)
+        elif isinstance(node, ast.Try):
+            for block in (node.body, node.orelse, node.finalbody):
+                yield from _runtime_imports(block)
+            for handler in node.handlers:
+                yield from _runtime_imports(handler.body)
+
+
+def _package_inits():
+    return sorted(
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("__init__.py")
+        if str(path.relative_to(SRC)) not in EAGER_INITS
+    )
+
+
+@pytest.mark.parametrize("init", _package_inits())
+def test_package_surfaces_bind_repro_names_only_lazily(init):
+    tree = ast.parse((SRC / init).read_text("utf-8"))
+    eager = []
+    for node in _runtime_imports(tree.body):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names = tuple(alias.name for alias in node.names)
+            if (module == "repro" or module.startswith(("repro.", "."))) and (
+                (module, names) != (LAZY_HELPER[0], (LAZY_HELPER[1],))
+            ):
+                eager.append(f"from {module} import {', '.join(names)}")
+        else:
+            eager += [
+                f"import {alias.name}"
+                for alias in node.names
+                if alias.name == "repro" or alias.name.startswith("repro.")
+            ]
+    assert eager == [], f"{init} imports eagerly: {eager}"
+    hand_written = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("__getattr__", "__dir__")
+    ]
+    assert hand_written == [], f"{init} writes its own {hand_written}"
