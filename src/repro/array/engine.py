@@ -43,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.array.backend import get_numpy, pick_backend
@@ -59,9 +59,11 @@ from repro.kernel.delivery import Liveness, RoundLedger, quiet
 from repro.kernel.faults import FaultPlan
 from repro.kernel.snapshot import copy_payload
 from repro.kernel.topology import (
+    CompleteTopology,
     DynamicTopology,
     Topology,
     normalize_topology,
+    receiver_columns,
     round_edges,
 )
 from repro.sync.adversary import Adversary, NullAdversary
@@ -230,7 +232,7 @@ class RoundWire:
                 continue
             dropped = self.keep[lane] if self.keep is not None else ()
             heard = []
-            for senders, first in zip(self.graph._edges, self.graph.indptr):
+            for senders, first in zip(self.graph.rows, self.graph.indptr):
                 if dropped:
                     senders = [
                         q for e, q in enumerate(senders, first) if e not in dropped
@@ -307,30 +309,39 @@ class _CsrGraph:
     the in-neighborhood of ``p``, so the segment of receiver ``p`` holds
     the ascending senders whose broadcasts reach ``p`` (self included).
 
-    Only ``src``/``indptr`` are built eagerly (on the NumPy plane without
-    a Python loop over processes); ``dst`` and ``by_src`` are read by
-    fault rounds alone, the slot tables and :attr:`shifts` by the column
-    kernel alone, and all are derived on first use, so no run pays for
-    what it does not read.
+    It is made from the ``array('q')`` columns of
+    :func:`~repro.kernel.topology.receiver_columns`: the NumPy plane wraps
+    them read-only, with no copy and no Python loop (a static topology's
+    are the columns it holds); the Python plane reads them as lists.
+    ``dst`` and ``by_src`` are read by fault rounds alone, the slot tables
+    and :attr:`shifts` by the column kernel alone, and all are derived on
+    first use, so no run pays for what it does not read.
     """
 
-    def __init__(self, edges: Tuple[Tuple[int, ...], ...], backend: str):
-        self.n = n = len(edges)
-        self._edges = edges
+    def __init__(self, indptr, src, backend: str):
+        self.n = len(indptr) - 1
+        self.num_edges = len(src)
         self._np = np = get_numpy() if backend == "numpy" else None
         if np is not None:
-            lengths = np.fromiter(map(len, edges), dtype=np.int64, count=n)
-            self.indptr = np.concatenate(([0], np.cumsum(lengths)))
-            #: Largest in-degree, self-loop included (the column kernel's slots).
-            self.max_degree = int(lengths.max())
-            self.num_edges = int(self.indptr[-1])
-            self.src = np.fromiter(
-                chain.from_iterable(edges), dtype=np.int64, count=self.num_edges
-            )
+            # views of the caller's buffers (a topology's own columns): no
+            # copy, and no write reaches them
+            self.indptr = np.frombuffer(indptr, dtype=np.int64)
+            self.src = np.frombuffer(src, dtype=np.int64)
+            self.indptr.flags.writeable = self.src.flags.writeable = False
         else:
-            self.indptr = list(accumulate(map(len, edges), initial=0))
-            self.src = list(chain.from_iterable(edges))
-            self.num_edges = len(self.src)
+            self.indptr, self.src = indptr.tolist(), src.tolist()
+
+    @cached_property
+    def max_degree(self) -> int:
+        """Largest in-degree, self-loop included (the column kernel's slots)."""
+        return int(self._np.diff(self.indptr).max())
+
+    @cached_property
+    def rows(self) -> List[List[int]]:
+        """The Python plane's receivers: each one's senders, sliced once
+        per graph rather than once per round."""
+        src, bounds = self.src, self.indptr
+        return [src[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     @cached_property
     def dst(self):
@@ -338,7 +349,7 @@ class _CsrGraph:
         np = self._np
         if np is not None:
             return np.repeat(np.arange(self.n), np.diff(self.indptr))
-        return [p for p, senders in enumerate(self._edges) for _ in senders]
+        return [p for p, senders in enumerate(self.rows) for _ in senders]
 
     @cached_property
     def by_src(self):
@@ -637,7 +648,9 @@ def run_array(
     csr_state_key: Any = _UNSET
     dead_keep = None  # numpy CSR persistent keep (lanes, E)
     any_dead = False
-    edges_cache: Optional[Tuple[Tuple[int, ...], ...]] = None
+    # the per-pid receiver tuples of the topology state: built only for a
+    # fault round's ledger, a history or a dense twin, never for the CSR
+    edges: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     last_disagreement: Optional[List[Optional[int]]] = (
         [None] * lanes if measure_disagreement else None
@@ -671,20 +684,22 @@ def run_array(
             ]
 
         # 2. topology state for this round
-        edges = None
         if topo is not None:
             key = _topology_key(topo, round_no)
             if key != csr_state_key or (not dense and csr is None):
-                edges_cache = round_edges(topo, round_no)
+                edges = None
                 csr_state_key = key
                 if not dense:
-                    csr = _CsrGraph(edges_cache, resolved_backend)
+                    csr = _CsrGraph(
+                        *receiver_columns(topo, round_no), resolved_backend
+                    )
                     dead_keep = None
                     if any_dead:
                         dead_keep = _rebuild_dead_keep(
                             csr, lane_states, np, lanes
                         )
-            edges = edges_cache
+            if edges is None and (dense or record_history):
+                edges = round_edges(topo, round_no)
 
         # 3. adversary control plane (exact, per lane): one ledger per
         # lane with a fault or a dead process (record mode: every lane)
@@ -700,6 +715,8 @@ def run_array(
                 silent = _NOBODY
             else:
                 silent = array_protocol.silent_pids(state, lane.index)
+            if edges is None and topo is not None:
+                edges = round_edges(topo, round_no)
             ledgers.append(RoundLedger(plan, n, live, round_no, edges, silent))
 
         # 4. dense forgery path: apply payload lies in the control
@@ -1064,8 +1081,7 @@ def _build_csr_wire(
                 f"edges x {wire.lanes} lanes — over the "
                 f"{_COMPLETE_CSR_LIMIT} cell limit; fall back"
             )
-        full = tuple(tuple(range(n)) for _ in range(n))
-        csr = _CsrGraph(full, backend)
+        csr = _CsrGraph(*receiver_columns(CompleteTopology(n), 1), backend)
         if any_dead:
             dead_keep = _rebuild_dead_keep(
                 csr, lane_states, np, wire.lanes

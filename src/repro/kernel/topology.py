@@ -32,8 +32,12 @@ Conventions shared by every substrate:
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property, partial
+from itertools import accumulate, chain
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from repro.util.rng import make_rng
 from repro.util.validation import require
@@ -50,6 +54,7 @@ __all__ = [
     "Topology",
     "TreeTopology",
     "normalize_topology",
+    "receiver_columns",
     "round_edges",
 ]
 
@@ -102,22 +107,34 @@ class CompleteTopology(Topology):
 
 
 class _StaticTopology(Topology):
-    """Shared machinery: precomputed receiver tuples + BFS diameter."""
+    """Shared machinery: receivers held as two integer columns + BFS diameter.
+
+    ``indptr`` (length n + 1) and ``src`` are stdlib ``array('q')``
+    columns in CSR form: receiver ``p`` hears ``src[indptr[p]:indptr[p +
+    1]]``, its ascending senders with ``p`` itself among them (by the
+    undirected-edges contract, also the destinations of ``p``'s
+    broadcast).  The per-pid tuples that ``receivers`` and
+    :func:`round_edges` hand out are derived from the columns on first
+    use and then held, so a batched engine that reads only the columns
+    never builds n Python tuples.
+    """
 
     def __init__(self, n: int, undirected_edges: Iterable[Tuple[int, int]]):
         if n < 1:
             raise ValueError("n must be >= 1")
+        self._hold(n, *_edge_list_columns(n, undirected_edges))
+
+    def _hold(self, n: int, indptr: array, src: array) -> None:
         self.n = n
-        adjacency: List[set] = [{pid} for pid in range(n)]
-        for u, v in undirected_edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        self._receivers: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(sorted(adjacency[pid])) for pid in range(n)
-        )
+        self.indptr = indptr
+        self.src = src
         self._diameter: Optional[int] = None
+
+    @cached_property
+    def _receivers(self) -> Tuple[Tuple[int, ...], ...]:
+        """The per-pid tuples, read off the columns once."""
+        senders, bounds = self.src.tolist(), self.indptr
+        return tuple(tuple(senders[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     def receivers(self, pid: int, round_no: int = 1) -> Sequence[int]:
         self._check_pid(pid)
@@ -144,13 +161,46 @@ class _StaticTopology(Topology):
         return self._diameter
 
 
+def _edge_list_columns(n: int, undirected_edges: Iterable[Tuple[int, int]]):
+    """Columns of ``n`` self-loops plus each undirected edge both ways."""
+    pairs = set(zip(range(n), range(n)))
+    for u, v in undirected_edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        pairs.add((u, v))
+        pairs.add((v, u))
+    receivers, senders = zip(*sorted(pairs))
+    indptr = array("q", map(partial(bisect_left, receivers), range(n + 1)))
+    return indptr, array("q", senders)
+
+
+def _band(first: int, count: int, offsets: Sequence[int]) -> array:
+    """``count`` consecutive receivers from ``first``, receiver ``p``
+    hearing ``p + d`` for each ``d`` of the ascending ``offsets``: one
+    span of senders, copied into one strided slice per offset, with no
+    loop over receivers."""
+    width, low = len(offsets), offsets[0]
+    span = array("q", range(first + low, first + offsets[-1] + count))
+    out = array("q", bytes(8 * width * count))
+    for slot, d in enumerate(offsets):
+        out[slot::width] = span[d - low : d - low + count]
+    return out
+
+
 class RingTopology(_StaticTopology):
     """Bidirectional cycle 0–1–…–(n−1)–0; diameter ``n // 2``."""
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("a ring needs n >= 2")
-        super().__init__(n, ((pid, (pid + 1) % n) for pid in range(n)))
+        if n == 2:
+            src = array("q", (0, 1, 0, 1))
+        else:  # 0 and n - 1 hear across the wrap, so their rows sort apart
+            src = array("q", (0, 1, n - 1))
+            src += _band(1, n - 2, (-1, 0, 1))
+            src += array("q", (0, n - 2, n - 1))
+        width = len(src) // n
+        self._hold(n, array("q", range(0, width * n + 1, width)), src)
 
     def diameter(self) -> int:
         return self.n // 2
@@ -173,17 +223,25 @@ class GridTopology(_StaticTopology):
             raise ValueError("a grid needs rows >= 1 and cols >= 1")
         self.rows = rows
         self.cols = cols
-
-        def mesh_edges():
-            for r in range(rows):
-                for c in range(cols):
-                    pid = r * cols + c
-                    if c + 1 < cols:
-                        yield (pid, pid + 1)
-                    if r + 1 < rows:
-                        yield (pid, pid + cols)
-
-        super().__init__(rows * cols, mesh_edges())
+        indptr, src = array("q", [0]), array("q")
+        for r in range(rows):
+            up = (-cols,) if r else ()
+            down = (cols,) if r + 1 < rows else ()
+            first = r * cols
+            # a row is its two end receivers around one band of inner ones
+            if cols == 1:
+                parts = [(first, 1, up + (0,) + down)]
+            else:
+                parts = [
+                    (first, 1, up + (0, 1) + down),
+                    (first + 1, cols - 2, up + (-1, 0, 1) + down),
+                    (first + cols - 1, 1, up + (-1, 0) + down),
+                ]
+            for start, count, offsets in parts:
+                width, edge = len(offsets), indptr[-1]
+                indptr += array("q", range(edge + width, edge + width * count + 1, width))
+                src += _band(start, count, offsets)
+        self._hold(rows * cols, indptr, src)
 
     def diameter(self) -> int:
         return self.rows + self.cols - 2
@@ -415,11 +473,35 @@ def round_edges(topology: Topology, round_no: int) -> Tuple[Tuple[int, ...], ...
 
     This is the exact value the engines hand to ``Observer.on_topology``
     and recorders attach to ``RoundHistory.edges`` — index p holds p's
-    receivers (ascending, self included).  A static graph holds exactly
-    that value already.
+    receivers (ascending, self included).  A static graph derives that
+    value from its columns once and holds it.
     """
-    if type(topology).receivers is _StaticTopology.receivers:
+    if _holds_columns(topology):
         return topology._receivers
     return tuple(
         tuple(topology.receivers(pid, round_no)) for pid in range(topology.n)
     )
+
+
+def receiver_columns(topology: Topology, round_no: int) -> Tuple[array, array]:
+    """The receivers of one round as ``(indptr, src)`` ``array('q')`` columns.
+
+    Receiver ``p`` hears ``src[indptr[p]:indptr[p + 1]]`` (ascending, self
+    included): :func:`round_edges` in CSR form.  A static graph hands back
+    the columns it holds, with no copy and no loop; any other topology (a
+    churn state, the complete graph) is walked once through
+    :func:`round_edges` and packed.
+    """
+    if _holds_columns(topology):
+        return topology.indptr, topology.src
+    rows = round_edges(topology, round_no)
+    return (
+        array("q", accumulate(map(len, rows), initial=0)),
+        array("q", chain.from_iterable(rows)),
+    )
+
+
+def _holds_columns(topology: Topology) -> bool:
+    """Do ``topology``'s held columns speak for its ``receivers``?  Not
+    once a subclass overrides the walk."""
+    return type(topology).receivers is _StaticTopology.receivers

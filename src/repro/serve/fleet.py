@@ -44,7 +44,7 @@ import os
 import secrets
 import subprocess
 import sys
-import warnings
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -53,6 +53,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.cache.store import _resolve_worker
 from repro.net.framing import FrameDecoder, FrameError, encode_frame
+from repro.serve.worker import WORKER_MAX_FRAME, ShardFailed, execute_tasks
 
 __all__ = [
     "ProcessFleet",
@@ -66,10 +67,6 @@ __all__ = [
 ]
 
 _READ_CHUNK = 1 << 16
-
-
-class ShardFailed(Exception):
-    """The shard's worker raised; deterministic, so never retried."""
 
 
 class WorkerCrashed(Exception):
@@ -226,67 +223,6 @@ class WorkerFleet:
         raise NotImplementedError
 
 
-def _try_array_batch(worker, tasks: Sequence[Any]) -> Optional[List[Any]]:
-    """One all-or-nothing batched attempt; None means fall back per-task."""
-    batch = getattr(worker, "array_batch", None)
-    if batch is None:
-        warnings.warn(
-            "array backend requested but the worker has no array_batch; "
-            "falling back to per-task execution",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    eligible = getattr(worker, "array_eligible", None)
-    if eligible is not None and not all(eligible(task) for task in tasks):
-        warnings.warn(
-            "array backend requested but the shard contains array-ineligible "
-            "tasks; falling back to per-task execution",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    from repro.array.protocols import ArrayEligibilityError
-
-    try:
-        outcomes = list(batch(list(tasks)))
-    except ArrayEligibilityError as error:
-        warnings.warn(
-            f"array batch refused the shard ({error}); falling back to "
-            "per-task execution",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    if len(outcomes) != len(tasks):
-        raise ShardFailed(
-            f"array_batch returned {len(outcomes)} outcomes for {len(tasks)} tasks"
-        )
-    return outcomes
-
-
-def execute_tasks(
-    worker, tasks: Sequence[Any], backend: str = "sync"
-) -> Tuple[List[Any], str]:
-    """Run one shard's task slice; returns ``(outcomes, backend_used)``.
-
-    ``backend="array"`` tries the worker's batched twin
-    (``worker.array_batch``, the same contract
-    :func:`repro.experiments.base.run_sweep` routes through) on the
-    whole slice, falling back loudly — RuntimeWarning, then per-task
-    reference execution — when the worker has no batched twin, any
-    task is ineligible, or the batch itself raises
-    :class:`~repro.array.protocols.ArrayEligibilityError`.  The second
-    return value reports what actually ran (a fallback executes as
-    ``"sync"``), so executed-by-backend counters never lie.
-    """
-    if backend == "array":
-        outcomes = _try_array_batch(worker, tasks)
-        if outcomes is not None:
-            return outcomes, "array"
-    return [worker(task) for task in tasks], "sync"
-
-
 def _execute_shard(
     worker_ref: str, tasks: Sequence[Any], backend: str = "sync"
 ) -> Tuple[List[Any], str]:
@@ -352,13 +288,28 @@ def _run_shard_framed(
     return decoded["outcomes"], decoded["backend"]
 
 
-#: Worker-protocol frame ceiling: shards carry many tasks, so allow
-#: more than one client HTTP frame's worth.
-WORKER_MAX_FRAME = 1 << 26
-
 #: How long a spawned worker may take to connect back before the shard
 #: waiting on it is failed (instance-overridable for tests).
 CONNECT_TIMEOUT_S = 30.0
+
+#: How long a terminated worker may take to exit before it is killed.
+REAP_GRACE_S = 5.0
+
+
+async def _reap(proc: subprocess.Popen) -> None:
+    """Terminate ``proc`` and wait for it without blocking the event loop:
+    poll through :data:`REAP_GRACE_S`, then kill it.  A worker that is
+    replaced or given up on is always waited for, so no ``Popen`` is
+    dropped while its process still runs."""
+    if proc.poll() is None:
+        proc.terminate()
+    deadline = time.monotonic() + REAP_GRACE_S
+    while proc.poll() is None:
+        if time.monotonic() >= deadline:
+            proc.kill()
+            proc.wait(timeout=REAP_GRACE_S)  # a killed process exits at once
+            return
+        await asyncio.sleep(0.01)
 
 
 class ProcessFleet(WorkerFleet):
@@ -400,15 +351,7 @@ class ProcessFleet(WorkerFleet):
             if not waiter.done():
                 waiter.cancel()
         self._conn_waiters.clear()
-        for proc in self._procs.values():
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in self._procs.values():
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=5)
+        await asyncio.gather(*map(_reap, self._procs.values()))
         self._procs.clear()
         if self._server is not None:
             self._server.close()
@@ -439,6 +382,16 @@ class ProcessFleet(WorkerFleet):
         )
         self._procs[slot] = proc
         return proc
+
+    async def _retire(self, slot: int) -> None:
+        """Reap the slot's process before a respawn takes its place.  It
+        stays in ``_procs`` until it is reaped, so a stop that cancels the
+        wait still reaps it."""
+        proc = self._procs.get(slot)
+        if proc is not None:
+            await _reap(proc)
+            if self._procs.get(slot) is proc:
+                del self._procs[slot]
 
     async def _on_worker_connect(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -482,9 +435,7 @@ class ProcessFleet(WorkerFleet):
         except asyncio.TimeoutError:
             # The process never dialed back; reap it so it cannot linger
             # (a late dial-back finds no waiter and is closed anyway).
-            proc = self._procs.pop(slot, None)
-            if proc is not None and proc.poll() is None:
-                proc.terminate()
+            await self._retire(slot)
             raise
         finally:
             self._conn_waiters.pop(slot, None)
@@ -542,9 +493,7 @@ class ProcessFleet(WorkerFleet):
                     self._emit("worker-restart")
                     self._crashed(shard)
                     writer.close()
-                    old = self._procs.get(slot)
-                    if old is not None and old.poll() is None:
-                        old.terminate()
+                    await self._retire(slot)
                     conn = None  # the retried shard reconnects on dequeue
                     continue
                 if reply.get("kind") == "result" and reply.get("id") == shard_id:

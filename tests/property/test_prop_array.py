@@ -47,6 +47,7 @@ from repro.kernel.topology import (
     RandomTopology,
     RingTopology,
     TreeTopology,
+    receiver_columns,
     round_edges,
 )
 from repro.protocols.floodmin import FloodMinConsensus
@@ -295,14 +296,14 @@ def test_chunked_equals_unchunked_batched_run(backend, scenario, chunk, max_byte
 # budget.
 
 
-def _csr_wire(backend, edges, lanes, kept, chunk, **layout):
-    """A CSR wire over ``edges`` whose lane ``l`` keeps edge ``e`` iff
+def _csr_wire(backend, topology, lanes, kept, chunk, **layout):
+    """A CSR wire over ``topology``'s round-1 receivers whose lane ``l`` keeps edge ``e`` iff
     ``kept[l][e]`` (``kept=None``: an unmasked wire); ``layout`` overrides
     the graph's own picks (``columnar``, ``shifts``)."""
-    graph = _CsrGraph(edges, backend)
+    graph = _CsrGraph(*receiver_columns(topology, 1), backend)
     for name, value in layout.items():
         setattr(graph, name, value)
-    wire = RoundWire(backend, lanes, len(edges), chunk)
+    wire = RoundWire(backend, lanes, topology.n, chunk)
     wire.graph = graph
     if kept is not None and backend == "numpy":
         import numpy as np
@@ -372,7 +373,8 @@ WIRE_GRAPHS = {
 def reductions(draw):
     family = draw(st.sampled_from(sorted(WIRE_GRAPHS)))
     build, sliced = WIRE_GRAPHS[family]
-    edges = round_edges(build(draw), 1)
+    topology = build(draw)
+    edges = round_edges(topology, 1)
     n, num_edges = len(edges), sum(map(len, edges))
     lanes = draw(st.integers(min_value=1, max_value=3))
     rng = draw(st.randoms(use_true_random=False))
@@ -385,7 +387,7 @@ def reductions(draw):
         first = sum(map(len, edges[:lonely]))
         for slot, sender in enumerate(edges[lonely]):
             kept[0][first + slot] = sender == lonely
-    return edges, column, kept, sliced
+    return topology, column, kept, sliced
 
 
 @pytest.mark.skipif(not has_numpy(), reason="compares the two NumPy kernels")
@@ -398,7 +400,8 @@ def reductions(draw):
 def test_wire_reduce_kernels_agree_with_the_definition(drawn, chunk, op):
     import numpy as np
 
-    edges, column, kept, sliced = drawn
+    topology, column, kept, sliced = drawn
+    edges = round_edges(topology, 1)
     lanes = len(column)
     best_of, identity = (min, BIG) if op == "min" else (max, SMALL)
     expected, edge = [[] for _ in range(lanes)], 0
@@ -413,12 +416,12 @@ def test_wire_reduce_kernels_agree_with_the_definition(drawn, chunk, op):
         edge += len(senders)
 
     def reduced(backend, **layout):
-        wire = _csr_wire(backend, edges, lanes, kept, chunk, **layout)
+        wire = _csr_wire(backend, topology, lanes, kept, chunk, **layout)
         if backend == "numpy":
             return wire.reduce(np.array(column, dtype=np.int64), op).tolist()
         return wire.reduce(column, op)
 
-    assert (_CsrGraph(edges, "numpy").shifts is not None) == sliced
+    assert (_CsrGraph(*receiver_columns(topology, 1), "numpy").shifts is not None) == sliced
     assert reduced("python") == expected
     assert reduced("numpy", columnar=True) == expected  # by offset where it may
     assert reduced("numpy", columnar=True, shifts=None) == expected  # by gather

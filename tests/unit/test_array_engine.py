@@ -35,6 +35,7 @@ from repro.kernel.topology import (
     RandomTopology,
     RingTopology,
     TreeTopology,
+    receiver_columns,
     round_edges,
 )
 from repro.detectors.stack import DetectorStack
@@ -673,7 +674,7 @@ def test_csr_graph_matches_list_built_reference(backend, topology, round_no):
     edges = round_edges(topology, round_no)
     n = len(edges)
     src, indptr, dst, by_src, edge_index = _reference_csr(edges)
-    csr = _CsrGraph(edges, backend)
+    csr = _CsrGraph(*receiver_columns(topology, round_no), backend)
     assert (csr.n, csr.num_edges) == (n, len(src))
     assert list(csr.src) == src
     assert list(csr.indptr) == indptr

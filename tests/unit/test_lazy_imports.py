@@ -83,6 +83,8 @@ def test_a_serve_worker_loads_no_experiment_and_no_array_plane():
     loaded = _loaded("-c", "import repro.serve.worker")
     assert "repro.serve.worker" in loaded
     assert _under(loaded, "repro.experiments", "repro.array") == []
+    # a worker is blocking I/O: the fleet's event loop stays in the server
+    assert _under(loaded, "asyncio", "concurrent.futures") == []
 
 
 def test_listing_the_experiments_imports_none_of_them():

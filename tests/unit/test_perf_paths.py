@@ -61,7 +61,7 @@ from repro.kernel.topology import (
     RingTopology,
     TreeTopology,
     _StaticTopology,
-    round_edges,
+    receiver_columns,
 )
 from repro.protocols.floodmin import FloodMinConsensus
 from repro.protocols.unison import BoundedUnison, MinUnison
@@ -854,7 +854,7 @@ class TestWireReduce:
     )
     def test_a_fault_free_lattice_gathers_only_its_boundary(self, allocations, topology):
         self._run(topology, crash=False)
-        _offsets, boundary, _edge = _CsrGraph(round_edges(topology, 1), "numpy").shifts
+        _offsets, boundary, _edge = _CsrGraph(*receiver_columns(topology, 1), "numpy").shifts
         assert {call for call, _cells in allocations} == {"copy", "take"}
         # ring: its 2 wrap receivers; grid: its 396 rim receivers
         gathered = [cells for call, cells in allocations if call == "take"]
@@ -862,7 +862,7 @@ class TestWireReduce:
 
     def test_a_tree_still_gathers(self, allocations):
         topology = TreeTopology(1200)
-        assert _CsrGraph(round_edges(topology, 1), "numpy").columnar
+        assert _CsrGraph(*receiver_columns(topology, 1), "numpy").columnar
         self._run(topology, crash=False)
         assert {call for call, _cells in allocations} == {"take"}
         assert max(cells for _call, cells in allocations) == topology.n
@@ -918,7 +918,7 @@ class TestWireReduce:
 
         n = 6
         twin = as_array_protocol(protocol)
-        graph = _CsrGraph(round_edges(RingTopology(n), 1), backend)
+        graph = _CsrGraph(*receiver_columns(RingTopology(n), 1), backend)
         wire = RoundWire(backend, 1, n)
         wire.graph = graph
         states = {pid: {CLOCK_KEY: (5 * pid) % 7 - 2} for pid in range(n)}

@@ -24,6 +24,11 @@ batched twin or a matcher branch of their own.
 Symmetry reduction has one path too: ``canonical_key`` relabels the
 touched pids at every n, and no size gate switches it off.
 
+A static topology is two integer columns, built once: no
+``_StaticTopology`` subclass (nor a helper of the module) grows one
+adjacency set per process, and the array plane's ``_CsrGraph`` wraps the
+columns instead of re-packing per-pid receiver tuples with ``fromiter``.
+
 A package surface is lazy, and made one way: a package ``__init__`` binds
 no ``repro`` name by an import of its own, only through
 ``repro._lazy.lazy_surface``, so importing one module of a plane never
@@ -301,3 +306,46 @@ def test_package_surfaces_bind_repro_names_only_lazily(init):
         if isinstance(node, ast.FunctionDef) and node.name in ("__getattr__", "__dir__")
     ]
     assert hand_written == [], f"{init} writes its own {hand_written}"
+
+
+def _per_process_sets(node):
+    """Sets built once per element of a comprehension, and ``.add`` /
+    ``.update`` calls on a subscripted set (``adjacency[u].add(v)``)."""
+    for inner in ast.walk(node):
+        if isinstance(inner, (ast.ListComp, ast.GeneratorExp)):
+            elt = inner.elt
+            if isinstance(elt, (ast.Set, ast.SetComp)) or (
+                isinstance(elt, ast.Call) and getattr(elt.func, "id", None) == "set"
+            ):
+                yield ast.unparse(inner)
+        if (
+            isinstance(inner, ast.Call)
+            and isinstance(inner.func, ast.Attribute)
+            and inner.func.attr in ("add", "update")
+            and isinstance(inner.func.value, ast.Subscript)
+        ):
+            yield ast.unparse(inner)
+
+
+def test_static_topologies_build_no_per_process_sets():
+    tree = ast.parse((SRC / "kernel/topology.py").read_text("utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    static = {"_StaticTopology"} | {
+        name
+        for name, node in classes.items()
+        if "_StaticTopology" in {base.id for base in node.bases if isinstance(base, ast.Name)}
+    }
+    assert {"RingTopology", "GridTopology", "TreeTopology", "ExplicitTopology"} <= static
+    helpers = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for node in [classes[name] for name in sorted(static)] + helpers:
+        assert not list(_per_process_sets(node)), node.name
+
+
+def test_the_csr_graph_wraps_columns_and_packs_no_receivers():
+    csr = _classes("array/engine.py")["_CsrGraph"]
+    names = {
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(csr)
+        if isinstance(node, (ast.Attribute, ast.Name))
+    }
+    assert not names & {"fromiter", "chain", "from_iterable", "_edges"}
