@@ -21,7 +21,9 @@ corrupted clocks, no history):
   does not regress below the reference engine);
 - ``array-numpy-chunked/ring-1000000`` — the headline scale row: one
   million processes per lane through the chunked lane executor, which
-  is the memory ceiling this file documents (``peak_mb``).
+  is the memory ceiling this file documents (``peak_mb``);
+- ``array-numpy-chunked/ring-1000000-crash`` — the same run with one
+  clean crash in lane 0: what a silenced sender costs at that scale.
 
 ``speedup_vs_ref`` rows are the machine-independent gate:
 ``benchmarks/compare.py`` (25% band) compares a fresh emission against
@@ -45,6 +47,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import multiprocessing
 import resource
 import time
@@ -85,6 +88,8 @@ CHUNK_ROUNDS = {"numpy": 12, "python": 3}
 N_CEILING = 1_000_000
 CEILING_LANES = 2
 CEILING_ROUNDS = 6
+#: The ceiling's fault row: lane 0's process 7 crashes cleanly in round 2.
+CEILING_CRASHES = {7: 2.0}
 
 
 def _topology(family: str, n: int):
@@ -95,16 +100,21 @@ def _topology(family: str, n: int):
     return make_topology(family, n)
 
 
-def _plans(family: str, n: int, lanes: int):
-    return [
+def _plans(family: str, n: int, lanes: int, crashes=None):
+    plans = [
         FaultPlan(initial_corruption=_corruption(family, n, seed))
         for seed in range(lanes)
     ]
+    if crashes:
+        plans[0] = dataclasses.replace(plans[0], crashes=crashes)
+    return plans
 
 
-def _array_call(family: str, n: int, rounds: int, lanes: int, backend: str, chunk=None):
+def _array_call(
+    family: str, n: int, rounds: int, lanes: int, backend: str, chunk=None, crashes=None
+):
     topology = _topology(family, n)
-    plans = _plans(family, n, lanes)
+    plans = _plans(family, n, lanes, crashes)
 
     def call():
         run_array(
@@ -219,8 +229,13 @@ def _main_report(repeat: int) -> ExperimentReport:
         )
 
     # The memory-ceiling headline: n = 10^6 through the chunked lane
-    # executor, measured once (fork) — no timing repeats at this size.
-    if has_numpy():
+    # executor, measured once (fork) — no timing repeats at this size —
+    # fault-free, then with one crash.
+    for suffix, crashes in (("", None), ("-crash", CEILING_CRASHES)):
+        name = f"array-numpy-chunked/ring-{N_CEILING}{suffix}"
+        if not has_numpy():
+            report.add_row(name, N_CEILING, CEILING_LANES, None, None, None)
+            continue
         seconds, peak = _fork_probe(
             _array_call(
                 "ring",
@@ -229,24 +244,16 @@ def _main_report(repeat: int) -> ExperimentReport:
                 CEILING_LANES,
                 "numpy",
                 chunk=CHUNK_CELLS,
+                crashes=crashes,
             )
         )
         report.add_row(
-            f"array-numpy-chunked/ring-{N_CEILING}",
+            name,
             N_CEILING,
             CEILING_LANES,
             _pps(seconds, N_CEILING, CEILING_ROUNDS, CEILING_LANES),
             None,
             round(peak, 1),
-        )
-    else:
-        report.add_row(
-            f"array-numpy-chunked/ring-{N_CEILING}",
-            N_CEILING,
-            CEILING_LANES,
-            None,
-            None,
-            None,
         )
     return report
 

@@ -85,12 +85,24 @@ class RoundWire:
 
     ``csr`` protocols consume it through :meth:`reduce` alone: min/max
     over the copies delivered this round.  Underneath is either the
-    ``complete_fast`` form (one global reduction per lane; ``send_ok``
-    masks silenced senders) or the CSR form (``src``/``indptr`` edge
-    list grouped by receiver, plus an optional ``keep`` mask), which
-    stay readable for third-party twins.  ``dense`` protocols run on the
-    NumPy plane only and consume ``delivered``, a ``(lanes, n, n)`` bool
-    cube ``[lane, receiver, sender]``.
+    ``complete_fast`` form (one global reduction per lane) or the CSR
+    form (``src``/``indptr`` edge list grouped by receiver), which stay
+    readable for third-party twins.  The faults split as the paper's do:
+
+    ``send_ok``
+        Per-*sender* faults, on every graph: False for a dead sender and
+        for one crashing cleanly this round (no survivors), whose every
+        copy is lost.  ``(lanes, n)`` bool on NumPy, a per-lane set of
+        silenced pids on Python; None when nobody is silenced.
+    ``keep``
+        Per-*copy* faults of this round alone, CSR form only: partial
+        crash deliveries, send omissions and receive omissions.
+        ``(lanes, E)`` bool on NumPy, a per-lane set of dropped edge ids
+        on Python; None when no copy is dropped one by one.
+
+    ``dense`` protocols run on the NumPy plane only and consume
+    ``delivered``, a ``(lanes, n, n)`` bool cube ``[lane, receiver,
+    sender]``.
     """
 
     __slots__ = (
@@ -171,53 +183,72 @@ class RoundWire:
             out[:, a:b] = red
         return out
 
+    # Each kernel masks inside its own chunk loop, so no temporary
+    # outgrows ``chunk``; an unmasked round takes none of those branches.
+
     def _column_blocks(self, np, column, ufunc, identity):
         """The bounded-in-degree kernel: per receiver range, one gather per
         in-edge slot, accumulated in place (temporaries: ``chunk`` cells)."""
-        graph, keep = self.graph, self.keep
+        graph, keep, send_ok = self.graph, self.keep, self.send_ok
         senders = graph.sender_columns
         edge_ids = graph.edge_columns if keep is not None else None
         for a, b in _col_chunks(self.n, self.chunk):
             acc = None
             for slot in range(graph.max_degree):
-                vals = np.take(column, senders[slot, a:b], axis=1)
+                who = senders[slot, a:b]
+                vals = np.take(column, who, axis=1)
                 if keep is not None:
                     kept = np.take(keep, edge_ids[slot, a:b], axis=1)
                     vals = np.where(kept, vals, identity)
+                if send_ok is not None:
+                    vals = np.where(np.take(send_ok, who, axis=1), vals, identity)
                 acc = vals if acc is None else ufunc(acc, vals, out=acc)
             yield a, b, acc
 
     def _shift_blocks(self, np, column, ufunc, identity):
-        """The column kernel laid out by offset (unmasked rounds on a
-        lattice): receiver ``p`` reads slot ``d`` at ``p + d``, so a slot
+        """The column kernel laid out by offset (rounds without ``keep`` on
+        a lattice): receiver ``p`` reads slot ``d`` at ``p + d``, so a slot
         is a slice of ``column``, accumulated in place; the few boundary
         receivers are then overwritten with their own padded gathers."""
-        n = self.n
+        n, send_ok = self.n, self.send_ok
         offsets, boundary, edge = self.graph.shifts
         for a, b in _col_chunks(n, self.chunk):
-            acc = np.copy(column[:, a:b])  # offset 0: every receiver hears itself
+            # offset 0: every receiver hears itself
+            if send_ok is None:
+                acc = np.copy(column[:, a:b])
+            else:
+                acc = np.where(send_ok[:, a:b], column[:, a:b], identity)
             for d in offsets:
                 lo, hi = max(a, -d), min(b, n - d)
                 if d and lo < hi:
                     part = acc[:, lo - a : hi - a]
-                    ufunc(part, column[:, lo + d : hi + d], out=part)
+                    heard = column[:, lo + d : hi + d]
+                    if send_ok is not None:
+                        heard = np.where(send_ok[:, lo + d : hi + d], heard, identity)
+                    ufunc(part, heard, out=part)
             i, j = np.searchsorted(boundary, (a, b))
             if i < j:
-                exact = np.take(column, edge[0, i:j], axis=1)
-                for senders in edge[1:, i:j]:
-                    ufunc(exact, np.take(column, senders, axis=1), out=exact)
+                exact = None
+                for senders in edge[:, i:j]:
+                    vals = np.take(column, senders, axis=1)
+                    if send_ok is not None:
+                        vals = np.where(np.take(send_ok, senders, axis=1), vals, identity)
+                    exact = vals if exact is None else ufunc(exact, vals, out=exact)
                 acc[:, boundary[i:j] - a] = exact
             yield a, b, acc
 
     def _segment_blocks(self, np, column, ufunc, identity):
         """The general kernel: gather every edge of a receiver range (at
         most ``chunk`` edges, whole segments), then ``reduceat``."""
-        src, indptr, keep = self.graph.src, self.graph.indptr, self.keep
+        src, indptr = self.graph.src, self.graph.indptr
+        keep, send_ok = self.keep, self.send_ok
         for a, b in _edge_chunks(np, indptr, self.chunk):
             lo, hi = int(indptr[a]), int(indptr[b])
             vals = np.take(column, src[lo:hi], axis=1)
             if keep is not None:
                 vals = np.where(keep[:, lo:hi], vals, identity)
+            if send_ok is not None:
+                vals = np.where(np.take(send_ok, src[lo:hi], axis=1), vals, identity)
             yield a, b, ufunc.reduceat(vals, indptr[a:b] - lo, axis=1)
 
     def _reduce_python(self, column, best_of, identity):
@@ -225,17 +256,19 @@ class RoundWire:
         n = self.n
         out = []
         for lane, row in enumerate(column):
+            silenced = self.send_ok[lane] if self.send_ok is not None else ()
             if self.complete_fast:
-                silenced = self.send_ok[lane] if self.send_ok is not None else ()
                 pool = [row[q] for q in range(n) if q not in silenced] if silenced else row
                 out.append([best_of(pool, default=identity)] * n)
                 continue
             dropped = self.keep[lane] if self.keep is not None else ()
             heard = []
             for senders, first in zip(self.graph.rows, self.graph.indptr):
-                if dropped:
+                if dropped or silenced:
                     senders = [
-                        q for e, q in enumerate(senders, first) if e not in dropped
+                        q
+                        for e, q in enumerate(senders, first)
+                        if e not in dropped and q not in silenced
                     ]
                 heard.append(best_of(map(row.__getitem__, senders), default=identity))
             out.append(heard)
@@ -273,7 +306,11 @@ def _edge_chunks(np, indptr, chunk: Optional[int]):
 
 
 class _Segments:
-    """``segments[p]`` is ``ids[bounds[p]:bounds[p + 1]]``, sliced on demand."""
+    """``segments[p]`` is ``ids[bounds[p]:bounds[p + 1]]``, sliced on demand.
+
+    Over a topology state's :func:`~repro.kernel.topology.receiver_columns`
+    it is the row view a fault round's ledger reads: ``rows[p]`` is
+    ``p``'s ascending receivers, built for the pids a fault touches alone."""
 
     __slots__ = ("ids", "bounds")
 
@@ -313,9 +350,9 @@ class _CsrGraph:
     :func:`~repro.kernel.topology.receiver_columns`: the NumPy plane wraps
     them read-only, with no copy and no Python loop (a static topology's
     are the columns it holds); the Python plane reads them as lists.
-    ``dst`` and ``by_src`` are read by fault rounds alone, the slot tables
-    and :attr:`shifts` by the column kernel alone, and all are derived on
-    first use, so no run pays for what it does not read.
+    The slot tables and :attr:`shifts` are read by the column kernel
+    alone and derived on first use, so no run pays for what it does not
+    read.
     """
 
     def __init__(self, indptr, src, backend: str):
@@ -342,28 +379,6 @@ class _CsrGraph:
         per graph rather than once per round."""
         src, bounds = self.src, self.indptr
         return [src[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-    @cached_property
-    def dst(self):
-        """The receiver of every edge id."""
-        np = self._np
-        if np is not None:
-            return np.repeat(np.arange(self.n), np.diff(self.indptr))
-        return [p for p, senders in enumerate(self.rows) for _ in senders]
-
-    @cached_property
-    def by_src(self):
-        """Edges grouped by *sender*: ``by_src[q]`` holds the ascending edge
-        ids of q's out-copies."""
-        np = self._np
-        if np is not None:
-            counts = np.bincount(self.src, minlength=self.n)
-            order = np.argsort(self.src, kind="stable")
-            return _Segments(order, np.concatenate(([0], np.cumsum(counts))))
-        by_src: List[List[int]] = [[] for _ in range(self.n)]
-        for e, q in enumerate(self.src):
-            by_src[q].append(e)
-        return by_src
 
     @cached_property
     def columnar(self) -> bool:
@@ -464,7 +479,6 @@ class _Lane:
         "mid_run",
         "live",
         "rounds",  # reconstructed RoundHistory list (record mode)
-        "dropped_edges",  # python-CSR persistent dead-sender edge ids
     )
 
     def __init__(self, index: int, adversary: Adversary, corruption, mid_run, live: Liveness):
@@ -474,7 +488,6 @@ class _Lane:
         self.mid_run = dict(mid_run)
         self.live = live
         self.rounds: List[RoundHistory] = []
-        self.dropped_edges: set = set()
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +659,10 @@ def run_array(
     dense = array_protocol.kind == "dense"
     csr: Optional[_CsrGraph] = None
     csr_state_key: Any = _UNSET
-    dead_keep = None  # numpy CSR persistent keep (lanes, E)
-    any_dead = False
-    # the per-pid receiver tuples of the topology state: built only for a
-    # fault round's ledger, a history or a dense twin, never for the CSR
+    # the topology state's receiver columns, and the ledgers' row view of
+    # them (None on the complete graph)
+    columns = rows = None
+    # its per-pid receiver tuples: built for a recorded history alone
     edges: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     last_disagreement: Optional[List[Optional[int]]] = (
@@ -686,20 +699,14 @@ def run_array(
         # 2. topology state for this round
         if topo is not None:
             key = _topology_key(topo, round_no)
-            if key != csr_state_key or (not dense and csr is None):
-                edges = None
+            if key != csr_state_key:
                 csr_state_key = key
+                indptr, src = columns = receiver_columns(topo, round_no)
+                rows = _Segments(src, indptr)
                 if not dense:
-                    csr = _CsrGraph(
-                        *receiver_columns(topo, round_no), resolved_backend
-                    )
-                    dead_keep = None
-                    if any_dead:
-                        dead_keep = _rebuild_dead_keep(
-                            csr, lane_states, np, lanes
-                        )
-            if edges is None and (dense or record_history):
-                edges = round_edges(topo, round_no)
+                    csr = _CsrGraph(indptr, src, resolved_backend)
+                if record_history:
+                    edges = round_edges(topo, round_no)
 
         # 3. adversary control plane (exact, per lane): one ledger per
         # lane with a fault or a dead process (record mode: every lane)
@@ -715,9 +722,7 @@ def run_array(
                 silent = _NOBODY
             else:
                 silent = array_protocol.silent_pids(state, lane.index)
-            if edges is None and topo is not None:
-                edges = round_edges(topo, round_no)
-            ledgers.append(RoundLedger(plan, n, live, round_no, edges, silent))
+            ledgers.append(RoundLedger(plan, n, live, round_no, rows, silent))
 
         # 4. dense forgery path: apply payload lies in the control
         # plane (pre-step snapshots) and precompute receiver patches
@@ -734,20 +739,10 @@ def run_array(
         # 5. build the wire and step the data plane
         wire = RoundWire(resolved_backend, lanes, n, chunk_cells)
         if dense:
-            _build_dense_wire(wire, lane_states, ledgers, edges, alive_mask, np, n)
+            _build_dense_wire(wire, lane_states, ledgers, columns, alive_mask, np, n)
         else:
-            dead_keep, csr = _build_csr_wire(
-                wire,
-                lane_states,
-                ledgers,
-                topo,
-                csr,
-                dead_keep,
-                alive_mask,
-                np,
-                n,
-                any_dead,
-                resolved_backend,
+            csr = _build_csr_wire(
+                wire, lane_states, ledgers, topo, csr, alive_mask, np, n, resolved_backend
             )
 
         if record_history:
@@ -765,23 +760,8 @@ def run_array(
 
         # 6. commit deaths and deviations (exactly the engine's order)
         for lane, ledger in zip(lane_states, ledgers):
-            crashing = ledger is not None and ledger.crashing_now
-            if crashing:
-                any_dead = True
-                if alive_mask is not None:
-                    for pid in crashing:
-                        alive_mask[lane.index, pid] = False
-                if not dense and csr is not None:
-                    if np is not None:
-                        if dead_keep is None:
-                            dead_keep = np.ones(
-                                (lanes, csr.num_edges), dtype=bool
-                            )
-                        for pid in crashing:
-                            dead_keep[lane.index, csr.by_src[pid]] = False
-                    else:
-                        for pid in crashing:
-                            lane.dropped_edges.update(csr.by_src[pid])
+            if alive_mask is not None and ledger is not None and ledger.crashing_now:
+                alive_mask[lane.index, list(ledger.crashing_now)] = False
             lane.live.fold(ledger)
 
     histories = None
@@ -1016,65 +996,49 @@ def _compile_forgeries(
 # ---------------------------------------------------------------------------
 
 
-def _rebuild_dead_keep(csr: _CsrGraph, lane_states, np, lanes: int):
-    """After a churn-driven CSR rebuild, re-clear dead senders' edges."""
-    if np is None:
-        for lane in lane_states:
-            lane.dropped_edges = set()
-            for pid in lane.live.crashed:
-                lane.dropped_edges.update(csr.by_src[pid])
-        return None
-    dead_keep = np.ones((lanes, csr.num_edges), dtype=bool)
-    for lane in lane_states:
-        for pid in lane.live.crashed:
-            dead_keep[lane.index, csr.by_src[pid]] = False
-    return dead_keep
-
-
 def _build_csr_wire(
     wire: RoundWire,
     lane_states: List[_Lane],
     ledgers: List[Optional[RoundLedger]],
     topo: Optional[Topology],
     csr: Optional[_CsrGraph],
-    dead_keep,
     alive_mask,
     np,
     n: int,
-    any_dead: bool,
     backend: str,
-):
-    """Fill ``wire`` for a csr-kind protocol; returns (dead_keep, csr)."""
+) -> Optional[_CsrGraph]:
+    """Fill ``wire`` for a csr-kind protocol; returns the graph it reduces
+    over (the complete graph's CSR once a per-copy fault needed it)."""
     # a lane without a ledger (quiet round, nobody dead) masks nothing
     faulted = [
         (lane, ledger) for lane, ledger in zip(lane_states, ledgers) if ledger is not None
     ]
-    # per-edge (not per-sender) masking: partial crash deliveries or omissions
-    transient = any(
-        ledger.omitted_sends
-        or ledger.receive_drops
-        or any(ledger.crash_survivors.values())
+    clean = [
+        [pid for pid, survivors in ledger.crash_survivors.items() if not survivors]
+        for _, ledger in faulted
+    ]
+    if any(clean) or any(lane.live.crashed for lane, _ in faulted):
+        if np is None:
+            silenced = [set() for _ in lane_states]
+            for (lane, _), pids in zip(faulted, clean):
+                silenced[lane.index] = lane.live.crashed.union(pids)
+            wire.send_ok = silenced
+        elif any(clean):
+            wire.send_ok = alive_mask.copy()
+            for (lane, _), pids in zip(faulted, clean):
+                wire.send_ok[lane.index, pids] = False
+        else:
+            wire.send_ok = alive_mask  # read before step 6 marks anyone
+    per_copy = any(
+        ledger.omitted_sends or ledger.receive_drops or any(ledger.crash_survivors.values())
         for _, ledger in faulted
     )
-    crashes = any(ledger.crashing_now for _, ledger in faulted)
-    if topo is None and not transient:
+    if topo is None and not per_copy:
         # complete graph, per-sender faults only: one global reduction
         wire.complete_fast = True
-        if any_dead or crashes:
-            if np is not None:
-                send_ok = alive_mask.copy()
-                for lane, ledger in faulted:
-                    for pid in ledger.crashing_now:
-                        send_ok[lane.index, pid] = False
-                wire.send_ok = send_ok
-            else:
-                wire.send_ok = [
-                    _NOBODY if ledger is None else ledger.dead for ledger in ledgers
-                ]
-        return dead_keep, csr
-
+        return csr
     if csr is None:
-        # transient faults on the complete graph: materialize its CSR
+        # a per-copy fault on the complete graph: materialize its CSR
         if wire.lanes * n * n > _COMPLETE_CSR_LIMIT:
             raise ArrayEligibilityError(
                 f"per-edge faults on the complete graph need {n}x{n} "
@@ -1082,90 +1046,34 @@ def _build_csr_wire(
                 f"{_COMPLETE_CSR_LIMIT} cell limit; fall back"
             )
         csr = _CsrGraph(*receiver_columns(CompleteTopology(n), 1), backend)
-        if any_dead:
-            dead_keep = _rebuild_dead_keep(
-                csr, lane_states, np, wire.lanes
-            )
-
     wire.graph = csr
-
-    if not transient:
-        if not any_dead and not crashes:
-            wire.keep = None
-            return dead_keep, csr
-        # only permanent deaths (plus clean crashes) mask the wire
-        if np is not None:
-            if dead_keep is None:
-                dead_keep = np.ones((wire.lanes, csr.num_edges), dtype=bool)
-            if not crashes:
-                wire.keep = dead_keep
-                return dead_keep, csr
-            keep = dead_keep.copy()
-            for lane, ledger in faulted:
-                for pid in ledger.crashing_now:
-                    keep[lane.index, csr.by_src[pid]] = False
-            wire.keep = keep
-            return dead_keep, csr
-        keep_sets = [lane.dropped_edges for lane in lane_states]
-        for lane, ledger in faulted:
-            if ledger.crashing_now:
-                dropped = keep_sets[lane.index] = set(lane.dropped_edges)
-                for pid in ledger.crashing_now:
-                    dropped.update(csr.by_src[pid])
-        wire.keep = keep_sets
-        return dead_keep, csr
-
-    # transient round: per-edge masking on top of the permanent drops
-    if np is not None:
-        if dead_keep is not None:
-            keep = dead_keep.copy()
+    if per_copy:
+        dropped = [(lane.index, _lost_copies(ledger, csr)) for lane, ledger in faulted]
+        if np is None:
+            wire.keep = [set() for _ in lane_states]
+            for row, ids in dropped:
+                wire.keep[row] = set(ids)
         else:
-            keep = np.ones((wire.lanes, csr.num_edges), dtype=bool)
-        for lane, ledger in faulted:
-            row = lane.index
-            for pid, targets in ledger.crash_survivors.items():
-                ids = csr.by_src[pid]
-                if targets:
-                    for e in ids:
-                        keep[row, e] = csr.dst[int(e)] in targets
-                else:
-                    keep[row, ids] = False
-            for pid, dropped in ledger.omitted_sends.items():
-                for receiver in dropped:
-                    e = csr.edge_id(pid, receiver)
-                    if e is not None:
-                        keep[row, e] = False
-            for pid, drops in ledger.receive_drops.items():
-                for sender in drops:
-                    if sender == pid:
-                        continue
-                    e = csr.edge_id(sender, pid)
-                    if e is not None:
-                        keep[row, e] = False
-        wire.keep = keep
-        return dead_keep, csr
+            wire.keep = np.ones((wire.lanes, csr.num_edges), dtype=bool)
+            for row, ids in dropped:
+                wire.keep[row, ids] = False
+    return csr
 
-    keep_sets = [set(lane.dropped_edges) for lane in lane_states]
-    for lane, ledger in faulted:
-        dropped = keep_sets[lane.index]
-        for pid, targets in ledger.crash_survivors.items():
-            for e in csr.by_src[pid]:
-                if not targets or csr.dst[e] not in targets:
-                    dropped.add(e)
-        for pid, omit in ledger.omitted_sends.items():
-            for receiver in omit:
-                e = csr.edge_id(pid, receiver)
-                if e is not None:
-                    dropped.add(e)
-        for pid, drops in ledger.receive_drops.items():
-            for sender in drops:
-                if sender == pid:
-                    continue
-                e = csr.edge_id(sender, pid)
-                if e is not None:
-                    dropped.add(e)
-    wire.keep = keep_sets
-    return dead_keep, csr
+
+def _lost_copies(ledger: RoundLedger, graph: _CsrGraph) -> List[int]:
+    """Edge ids of the copies ``ledger`` drops one by one: the lost copies
+    of a partial crash, send omissions and receive omissions.  A silenced
+    sender is ``send_ok``'s business, not its edges'."""
+    pairs = []
+    for pid, survivors in ledger.crash_survivors.items():
+        if survivors:  # undirected: pid's receivers are its own segment
+            row = graph.src[graph.indptr[pid] : graph.indptr[pid + 1]]
+            pairs += [(pid, r) for r in row if r not in survivors]
+    pairs += [(pid, r) for pid, lost in ledger.omitted_sends.items() for r in lost]
+    pairs += [
+        (q, pid) for pid, drops in ledger.receive_drops.items() for q in drops if q != pid
+    ]
+    return [e for e in (graph.edge_id(q, p) for q, p in pairs) if e is not None]
 
 
 #: Bound on materializing the complete graph's n^2-edge CSR.
@@ -1176,19 +1084,20 @@ def _build_dense_wire(
     wire: RoundWire,
     lane_states: List[_Lane],
     ledgers: List[Optional[RoundLedger]],
-    edges: Optional[Tuple[Tuple[int, ...], ...]],
+    columns,
     alive_mask,
     np,
     n: int,
 ) -> None:
     """Fill the dense delivery cube (NumPy): [lane, receiver, sender].  A
-    lane without a ledger (quiet round, nobody dead) hears every edge."""
-    if edges is None:
+    lane without a ledger (quiet round, nobody dead) hears every edge;
+    ``columns`` are the topology state's (None: the complete graph)."""
+    if columns is None:
         adj = np.ones((n, n), dtype=bool)
     else:
+        indptr, src = (np.frombuffer(c, dtype=np.int64) for c in columns)
         adj = np.zeros((n, n), dtype=bool)
-        for p, receivers in enumerate(edges):
-            adj[list(receivers), p] = True  # p's broadcast reaches them
+        adj[np.repeat(np.arange(n), np.diff(indptr)), src] = True
     deliv = adj[None, :, :] & alive_mask[:, :, None] & alive_mask[:, None, :]
     for lane, ledger in zip(lane_states, ledgers):
         if ledger is None:

@@ -137,9 +137,10 @@ class RoundLedger:
 
     Built from the plan, the liveness at round start and the round's
     ``edges`` (``None`` on the complete graph, else index ``p`` holds
-    ``p``'s ascending receivers, self included).  Faults are per-edge:
-    crash survivor sets and omission targets are intersected with the
-    live neighborhood.
+    ``p``'s ascending receivers, self included: any row view will do,
+    a tuple of tuples or slices of the topology's columns).  Faults are
+    per-edge: crash survivor sets and omission targets are intersected
+    with the live neighborhood.
 
     ``silent`` names the senders broadcasting ``None`` this round.  A
     caller that walks the senders itself (engine, interposer) leaves it

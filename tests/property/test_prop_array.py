@@ -41,6 +41,7 @@ from repro.kernel.faults import FaultPlan
 from repro.kernel.topology import (
     ChurnEvent,
     ChurnSchedule,
+    CompleteTopology,
     DynamicTopology,
     ExplicitTopology,
     GridTopology,
@@ -291,26 +292,38 @@ def test_chunked_equals_unchunked_batched_run(backend, scenario, chunk, max_byte
 # the NumPy plane two kernels answer it (slot columns for bounded
 # in-degree, ``reduceat`` otherwise), and the column kernel lays its slots
 # out by offset on a lattice (slices, plus gathers for the boundary) or
-# by gather elsewhere; the Python plane is a third kernel.  All must equal
-# the definition, cell for cell, under any ``keep`` mask and any chunk
-# budget.
+# by gather elsewhere; the Python plane is a third kernel, and the
+# complete graph's one all-reduce per lane a fourth.  All must equal the
+# definition, cell for cell, under any silenced senders, any ``keep``
+# mask and any chunk budget.
 
 
-def _csr_wire(backend, topology, lanes, kept, chunk, **layout):
+def _csr_wire(backend, topology, lanes, kept, silenced, chunk, **layout):
     """A CSR wire over ``topology``'s round-1 receivers whose lane ``l`` keeps edge ``e`` iff
-    ``kept[l][e]`` (``kept=None``: an unmasked wire); ``layout`` overrides
-    the graph's own picks (``columnar``, ``shifts``)."""
-    graph = _CsrGraph(*receiver_columns(topology, 1), backend)
-    for name, value in layout.items():
-        setattr(graph, name, value)
+    ``kept[l][e]`` (``kept=None``: no per-copy mask) and silences the
+    senders in ``silenced[l]`` (``None``: nobody); ``layout`` overrides the
+    graph's own picks (``columnar``, ``shifts``, or ``complete_fast`` for
+    the complete graph's all-reduce, which takes no graph)."""
     wire = RoundWire(backend, lanes, topology.n, chunk)
-    wire.graph = graph
-    if kept is not None and backend == "numpy":
+    if layout.pop("complete_fast", False):
+        wire.complete_fast = True
+    else:
+        wire.graph = _CsrGraph(*receiver_columns(topology, 1), backend)
+    for name, value in layout.items():
+        setattr(wire.graph, name, value)
+    if backend == "numpy":
         import numpy as np
 
-        wire.keep = np.array(kept, dtype=bool)
-    elif kept is not None:
+        if kept is not None:
+            wire.keep = np.array(kept, dtype=bool)
+        if silenced is not None:
+            wire.send_ok = np.array(
+                [[q not in mute for q in range(topology.n)] for mute in silenced]
+            )
+        return wire
+    if kept is not None:
         wire.keep = [{e for e, bit in enumerate(row) if not bit} for row in kept]
+    wire.send_ok = silenced
     return wire
 
 
@@ -366,6 +379,7 @@ WIRE_GRAPHS = {
     "grid-cut": (_grid_cut, True),
     "circulant": (_circulant, True),
     "churn": (_churned_ring, True),
+    "complete": (lambda draw: CompleteTopology(draw(st.integers(2, 12))), False),
 }
 
 
@@ -380,14 +394,19 @@ def reductions(draw):
     rng = draw(st.randoms(use_true_random=False))
     column = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(lanes)]
     kept = None
-    if draw(st.booleans()):
+    # the complete graph's all-reduce has no per-copy mask
+    if not topology.complete and draw(st.booleans()):
         kept = [[rng.random() < 0.5 for _ in range(num_edges)] for _ in range(lanes)]
         # one receiver of lane 0 hears only itself
         lonely = draw(st.integers(0, n - 1))
         first = sum(map(len, edges[:lonely]))
         for slot, sender in enumerate(edges[lonely]):
             kept[0][first + slot] = sender == lonely
-    return topology, column, kept, sliced
+    silenced = None
+    if draw(st.booleans()):
+        share = draw(st.sampled_from([0.1, 0.5, 1.0]))
+        silenced = [{q for q in range(n) if rng.random() < share} for _ in range(lanes)]
+    return topology, column, kept, silenced, sliced
 
 
 @pytest.mark.skipif(not has_numpy(), reason="compares the two NumPy kernels")
@@ -400,7 +419,7 @@ def reductions(draw):
 def test_wire_reduce_kernels_agree_with_the_definition(drawn, chunk, op):
     import numpy as np
 
-    topology, column, kept, sliced = drawn
+    topology, column, kept, silenced, sliced = drawn
     edges = round_edges(topology, 1)
     lanes = len(column)
     best_of, identity = (min, BIG) if op == "min" else (max, SMALL)
@@ -410,13 +429,14 @@ def test_wire_reduce_kernels_agree_with_the_definition(drawn, chunk, op):
             heard = [
                 column[lane][q]
                 for slot, q in enumerate(senders)
-                if kept is None or kept[lane][edge + slot]
+                if (kept is None or kept[lane][edge + slot])
+                and (silenced is None or q not in silenced[lane])
             ]
             expected[lane].append(best_of(heard, default=identity))
         edge += len(senders)
 
     def reduced(backend, **layout):
-        wire = _csr_wire(backend, topology, lanes, kept, chunk, **layout)
+        wire = _csr_wire(backend, topology, lanes, kept, silenced, chunk, **layout)
         if backend == "numpy":
             return wire.reduce(np.array(column, dtype=np.int64), op).tolist()
         return wire.reduce(column, op)
@@ -426,6 +446,9 @@ def test_wire_reduce_kernels_agree_with_the_definition(drawn, chunk, op):
     assert reduced("numpy", columnar=True) == expected  # by offset where it may
     assert reduced("numpy", columnar=True, shifts=None) == expected  # by gather
     assert reduced("numpy", columnar=False) == expected
+    if topology.complete:
+        assert reduced("python", complete_fast=True) == expected
+        assert reduced("numpy", complete_fast=True) == expected
 
 
 # -- the state bridge: bulk is the primitive, per-cell a view of it ----------

@@ -638,7 +638,7 @@ def test_grid_topology_shape():
     assert set(grid.receivers(0)) == {0, 1, 4}
 
 
-# -- the CSR compile: vectorised src/indptr, lazy fault-round fields ---------
+# -- the CSR compile: vectorised src/indptr, edge ids by bisect --------------
 
 
 def _reference_csr(edges):
@@ -648,9 +648,8 @@ def _reference_csr(edges):
         src.extend(senders)
         dst.extend([p] * len(senders))
         indptr.append(len(src))
-    by_src = [[e for e, q in enumerate(src) if q == p] for p in range(len(edges))]
     edge_index = {(q, p): e for e, (q, p) in enumerate(zip(src, dst))}
-    return src, indptr, dst, by_src, edge_index
+    return src, indptr, edge_index
 
 
 _CHURNED_RING = DynamicTopology(
@@ -673,14 +672,11 @@ _CHURNED_RING = DynamicTopology(
 def test_csr_graph_matches_list_built_reference(backend, topology, round_no):
     edges = round_edges(topology, round_no)
     n = len(edges)
-    src, indptr, dst, by_src, edge_index = _reference_csr(edges)
+    src, indptr, edge_index = _reference_csr(edges)
     csr = _CsrGraph(*receiver_columns(topology, round_no), backend)
     assert (csr.n, csr.num_edges) == (n, len(src))
     assert list(csr.src) == src
     assert list(csr.indptr) == indptr
-    assert list(csr.dst) == dst
-    for p in range(n):
-        assert list(csr.by_src[p]) == by_src[p]
     for sender in range(n):
         for receiver in range(-1, n + 1):
             assert csr.edge_id(sender, receiver) == edge_index.get((sender, receiver))
@@ -688,9 +684,9 @@ def test_csr_graph_matches_list_built_reference(backend, topology, round_no):
 
 @backends
 def test_crash_omission_and_forgery_share_one_ring_run(backend):
-    """One run whose rounds read every lazy CSR field (``by_src`` for the
-    crash, ``edge_id`` for the omissions, ``dst`` for
-    the partial crash delivery) next to a forged copy."""
+    """One run whose rounds put every per-copy fault on the wire (the
+    omissions, and a partial crash delivery, all found by ``edge_id``) and
+    silence a sender (the crash, then its death) next to a forged copy."""
 
     def plan():
         return FaultPlan(

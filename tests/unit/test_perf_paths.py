@@ -71,7 +71,12 @@ from repro.kernel.snapshot import (
     freeze,
     imm,
 )
-from repro.sync.adversary import FaultMode, RandomAdversary
+from repro.sync.adversary import (
+    FaultMode,
+    RandomAdversary,
+    RoundFaultPlan,
+    ScriptedAdversary,
+)
 from repro.sync.clock import ClockProtocol
 from repro.sync.corruption import ClockSkewCorruption, RandomCorruption
 from repro.sync.delays import RandomDelay, TargetedLag
@@ -827,11 +832,18 @@ class TestWireReduce:
     LANES = 2
 
     @classmethod
-    def _run(cls, topology, crash=True, **kwargs):
+    def _run(cls, topology, crash=True, omit=False, **kwargs):
+        """A clean crash silences a sender (``send_ok``); a send omission
+        drops one copy (``keep``), in round 2 next to the crash."""
         n = topology.n
+        sender = n // 4
+        lost = RoundFaultPlan(
+            send_omissions={sender: frozenset(topology.neighbors(sender)[:1])}
+        )
         plans = [
             FaultPlan(
                 crashes={n // 2: 2.0} if crash else {},
+                omissions=ScriptedAdversary(1, {2: lost}) if omit else None,
                 initial_corruption=RandomCorruption(seed=s),
             )
             for s in range(cls.LANES)
@@ -873,28 +885,31 @@ class TestWireReduce:
         assert "reduceat" in {call for call, _cells in allocations}
 
     @pytest.mark.parametrize(
-        "topology, crash, reduceat, chunk",
+        "topology, crash, omit, reduceat, chunk",
         [
-            pytest.param(topology, crash, reduceat, chunk, id=f"{chunk}-{kernel}")
-            for kernel, topology, crash, reduceat, chunks in (
-                ("column", RingTopology(1200), True, False, (1, 2, 3, 8, 100)),
+            pytest.param(topology, crash, omit, reduceat, chunk, id=f"{chunk}-{kernel}")
+            for kernel, topology, crash, omit, reduceat, chunks in (
+                # the omission's round gathers through the keep mask
+                ("column", RingTopology(1200), True, True, False, (1, 2, 3, 8, 100)),
                 # a reduceat range holds at least one whole segment (in-degree <= 4)
-                ("reduceat", TreeTopology(200), True, True, (8, 100)),
-                ("slices", RingTopology(1200), False, False, (1, 2, 3, 8, 100)),
+                ("reduceat", TreeTopology(200), True, True, True, (8, 100)),
+                ("slices", RingTopology(1200), False, False, False, (1, 2, 3, 8, 100)),
+                # a dead sender alone keeps the slices, masked by send_ok
+                ("slices+crash", RingTopology(1200), True, False, False, (1, 2, 3, 8, 100)),
             )
             for chunk in chunks
         ],
     )
     def test_no_temporary_exceeds_the_chunk_budget(
-        self, allocations, topology, crash, reduceat, chunk
+        self, allocations, topology, crash, omit, reduceat, chunk
     ):
-        chunked = self._run(topology, crash, chunk=chunk)
+        chunked = self._run(topology, crash, omit, chunk=chunk)
         assert allocations and max(cells for _call, cells in allocations) <= chunk
         calls = {call for call, _cells in allocations}
         assert ("reduceat" in calls) == reduceat
-        assert ("where" in calls) == crash  # a crash puts a keep mask on the wire
+        assert ("where" in calls) == (crash or omit)  # a fault masks the wire
         del allocations[:]
-        plain = self._run(topology, crash)
+        plain = self._run(topology, crash, omit)
         assert max(cells for _call, cells in allocations) > chunk
         assert [chunked.final_clocks(lane) for lane in range(self.LANES)] == [
             plain.final_clocks(lane) for lane in range(self.LANES)

@@ -28,6 +28,10 @@ A static topology is two integer columns, built once: no
 ``_StaticTopology`` subclass (nor a helper of the module) grows one
 adjacency set per process, and the array plane's ``_CsrGraph`` wraps the
 columns instead of re-packing per-pid receiver tuples with ``fromiter``.
+A crash is stated once on the array wire as well: a silenced sender is
+one mask on the sender (``send_ok``), never a copy per out-edge, so a
+crash on a ring builds no per-pid tuples and no edge-grouped tables (the
+one guard here that runs the engine).
 
 A package surface is lazy, and made one way: a package ``__init__`` binds
 no ``repro`` name by an import of its own, only through
@@ -63,7 +67,13 @@ LEDGER_KINDS = re.compile(
 #: Private copies the ledger replaced; none may come back.
 #: (Newcomers go last: a test's id is its index here.)
 RETIRED = {
-    "array/engine.py": ("_RoundFaults", "_effective_faults", "_filter_receive_omissions"),
+    "array/engine.py": (
+        "_RoundFaults",
+        "_effective_faults",
+        "_filter_receive_omissions",
+        "dead_keep",
+        "dropped_edges",
+    ),
     "net/interposer.py": ("FaultEvent",),
     "sync/engine.py": ("FaultEvent",),
     "verify/smt.py": ("_last_row", "_crash_row"),
@@ -349,3 +359,34 @@ def test_the_csr_graph_wraps_columns_and_packs_no_receivers():
         if isinstance(node, (ast.Attribute, ast.Name))
     }
     assert not names & {"fromiter", "chain", "from_iterable", "_edges"}
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_a_clean_crash_is_one_sender_mask(monkeypatch, backend):
+    from repro.array import has_numpy, run_array
+    from repro.array.engine import RoundWire
+    from repro.kernel.faults import FaultPlan
+    from repro.kernel.topology import RingTopology
+    from repro.protocols.unison import MinUnison
+
+    if backend == "numpy" and not has_numpy():
+        pytest.skip("NumPy is not installed")
+    wires = []
+    reduce = RoundWire.reduce
+
+    def spying(wire, column, op):
+        wires.append((wire.graph, wire.keep, wire.send_ok))
+        return reduce(wire, column, op)
+
+    monkeypatch.setattr(RoundWire, "reduce", spying)
+    ring = RingTopology(2048)
+    result = run_array(
+        MinUnison(), ring.n, 5, fault_plans=[FaultPlan(crashes={7: 2.0}), None],
+        topology=ring, backend=backend, chunk=512,
+    )
+    assert result.crashed == [frozenset({7}), frozenset()]
+    assert "_receivers" not in vars(ring)
+    (graph,) = {id(graph): graph for graph, _keep, _send_ok in wires}.values()
+    assert not vars(graph).keys() & {"by_src", "edge_columns", "sender_columns"}
+    assert [keep for _graph, keep, _send_ok in wires] == [None] * 5
+    assert sum(send_ok is not None for _graph, _keep, send_ok in wires) == 4
